@@ -18,6 +18,7 @@ from .brackets import (
     dynamical_gauge_check,
     gauge_transform,
     ham_vf,
+    jacobi_tensor,
     jacobiator,
     scale_bivector,
     twisted_defect,
@@ -87,6 +88,7 @@ from .rolling import (
     reduced_bracket,
     reduced_vf,
     reduction_consistency,
+    reduction_defect,
     sample_full_state,
     split_full,
     split_reduced,

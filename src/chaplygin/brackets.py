@@ -8,6 +8,7 @@ of a Hamiltonian h is -ham_vf(pi, h, state); see ``rolling.reduced_vf``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -27,6 +28,7 @@ __all__ = [
     "dynamical_gauge_check",
     "gauge_transform",
     "ham_vf",
+    "jacobi_tensor",
     "jacobiator",
     "scale_bivector",
     "twisted_defect",
@@ -112,6 +114,52 @@ def ham_vf(pi: BivectorPatch, f: ScalarField, state: np.ndarray) -> np.ndarray:
     return -pi.matrix(state) @ f.grad(state)
 
 
+def _check_twist(pi: BivectorPatch, phi: Optional[FormPatch]):
+    if phi is not None and (phi.degree != 3 or phi.dim != pi.dim):
+        raise ValueError("twist form must be a 3-form on the same chart")
+
+
+def _cyclic_sum(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch], a, b, c):
+    """sum_l [pi_al d_l pi_bc + pi_bl d_l pi_ca + pi_cl d_l pi_ab], plus
+    phi(X_a, X_b, X_c) with X_a = -pi e_a when a 3-form is given.
+
+    a, b, c are equal-length index arrays (one value per triple) or plain
+    indices.  Every sum is a reduction over the last axis of a fresh product
+    (``_dot``), so one triple gives the same bits on its own as in a batch.
+    """
+    p = pi.matrix(state)
+    dp = pi.partial_tensor(state).transpose(1, 2, 0)  # dp[b, c, l] = d_l pi_bc
+    out = _dot(p[a], dp[b, c]) + _dot(p[b], dp[c, a]) + _dot(p[c], dp[a, b])
+    if phi is not None:
+        x = -p.T  # row a is X_a
+        phi_c = _dot(phi(state), x[c][..., None, None, :])  # [..., i, j] = phi(e_i, e_j, X_c)
+        out = out + _dot(_dot(phi_c, x[b][..., None, :]), x[a])
+    return out
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_l u[..., l] v[..., l], summed the same way for every broadcast shape."""
+    return np.add.reduce(u * v, axis=-1)
+
+
+def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch] = None) -> np.ndarray:
+    """The (dim, dim, dim) tensor of cyclic Jacobi defects at state, plus
+    phi(X_a, X_b, X_c) when a background 3-form phi is given.
+
+    Entry [i, j, k] equals ``twisted_defect(pi, phi, i, j, k, state)``.  The
+    bracket and its partials are evaluated once; the values at sorted triples
+    are scattered with the sign of each permutation, so the tensor alternates
+    exactly and is exactly 0.0 on repeated indices.
+    """
+    _check_twist(pi, phi)
+    a, b, c = np.array(list(itertools.combinations(range(pi.dim), 3)), dtype=np.intp).reshape(-1, 3).T
+    v = _cyclic_sum(pi, state, phi, a, b, c)
+    out = np.zeros((pi.dim,) * 3)
+    out[a, b, c] = out[b, c, a] = out[c, a, b] = v
+    out[b, a, c] = out[a, c, b] = out[c, b, a] = -v
+    return out
+
+
 def jacobiator(pi: BivectorPatch, i: int, j: int, k: int, state: np.ndarray) -> float:
     """Cyclic Jacobi defect {x_i,{x_j,x_k}} + {x_j,{x_k,x_i}} + {x_k,{x_i,x_j}}.
 
@@ -121,29 +169,7 @@ def jacobiator(pi: BivectorPatch, i: int, j: int, k: int, state: np.ndarray) -> 
     repeated index gives exactly 0.0 and odd permutations flip the sign
     bit-for-bit.
     """
-    for idx in (i, j, k):
-        if not 0 <= idx < pi.dim:
-            raise IndexError(f"index {idx} out of range for dim {pi.dim}")
-    if i == j or j == k or i == k:
-        return 0.0
-    order = (i, j, k)
-    a, b, c = sorted(order)
-    # sign of the permutation taking (a,b,c) to (i,j,k)
-    sign = 1.0
-    lst = [i, j, k]
-    if lst[0] > lst[1]:
-        lst[0], lst[1] = lst[1], lst[0]
-        sign = -sign
-    if lst[1] > lst[2]:
-        lst[1], lst[2] = lst[2], lst[1]
-        sign = -sign
-    if lst[0] > lst[1]:
-        lst[0], lst[1] = lst[1], lst[0]
-        sign = -sign
-    p = pi.matrix(state)
-    dp = pi.partial_tensor(state)
-    val = float(p[a] @ dp[:, b, c] + p[b] @ dp[:, c, a] + p[c] @ dp[:, a, b])
-    return sign * val
+    return twisted_defect(pi, None, i, j, k, state)
 
 
 def scale_bivector(pi: BivectorPatch, factor: ScalarField, name: str = "") -> BivectorPatch:
@@ -246,19 +272,18 @@ def twisted_defect(
     """Jacobiator plus phi(X_i, X_j, X_k) on coordinate Hamiltonian fields.
 
     Vanishes exactly when the bracket is twisted-Poisson with background
-    3-form phi.  With phi = None (or an identically zero form) this reduces
-    to the plain Jacobiator, bit for bit.
+    3-form phi.  With phi = None this is the plain Jacobiator, bit for bit;
+    like it, the value alternates exactly in (i, j, k).
     """
-    base = jacobiator(pi, i, j, k, state)
-    if phi is None:
-        return base
-    if phi.degree != 3 or phi.dim != pi.dim:
-        raise ValueError("twist form must be a 3-form on the same chart")
-    p = pi.matrix(state)
-    t = phi(state)
-    # ham_vf of the coordinate functions: X_a = -pi e_a
-    xi, xj, xk = -p[:, i], -p[:, j], -p[:, k]
-    return base + float(np.einsum("abc,a,b,c->", t, xi, xj, xk))
+    _check_twist(pi, phi)
+    for idx in (i, j, k):
+        if not 0 <= idx < pi.dim:
+            raise IndexError(f"index {idx} out of range for dim {pi.dim}")
+    if i == j or j == k or i == k:
+        return 0.0
+    a, b, c = sorted((i, j, k))
+    sign = -1.0 if ((i > j) + (i > k) + (j > k)) % 2 else 1.0  # parity of the inversions
+    return sign * float(_cyclic_sum(pi, state, phi, a, b, c))
 
 
 def conformal_jacobiator(

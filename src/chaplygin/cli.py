@@ -27,7 +27,7 @@ from .dynamics import (
     monitor_series,
     reparametrized_integrate,
 )
-from .errors import NonFiniteState, ScenarioError
+from .errors import RUNTIME_ERRORS, ScenarioError
 from .rolling import FULL_DIM, lift_reduced_state
 from .scenario import Scenario, load_scenario
 from .verify import SUITE_NAMES, run_all_suites, run_suite
@@ -45,10 +45,16 @@ _FULL_HEADER = [
 
 
 def _atomic_write(path: Path, text: str):
+    """Write text to a temp file unique to this call, then rename it over path."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(x: float) -> str:
@@ -105,7 +111,7 @@ def _cmd_simulate(args) -> int:
             traj = reparametrized_integrate(scenario.params, initial, scenario.config)
         else:
             traj = integrate(scenario.params, initial, scenario.config)
-    except NonFiniteState as exc:
+    except RUNTIME_ERRORS as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 1
 
@@ -153,7 +159,10 @@ def _cmd_verify(args) -> int:
                     variant=args.variant,
                 )
             ]
-    except ValueError as exc:
+    except RUNTIME_ERRORS as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # run_suite rejected an argument
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

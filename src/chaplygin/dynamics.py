@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteState
-from .geometry import fd_step
+from .geometry import fd_partials
 from .rolling import (
     FULL_DIM,
     REDUCED_DIM,
@@ -66,7 +66,21 @@ class IntegratorConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
+        """RK4 steps to t_final: t_final/dt, one more when dt does not divide it."""
+        return len(_schedule(self)[1])
+
+
+def _schedule(config: IntegratorConfig) -> tuple[np.ndarray, list]:
+    """Sample times and step sizes from 0 to t_final: steps of dt, the last
+    one shortened to land exactly on t_final when dt does not divide it
+    (t_final/dt more than 1e-9 relative away from an integer)."""
+    dt = config.dt
+    ratio = config.t_final / dt
+    n = round(ratio)
+    if abs(ratio - n) <= 1e-9 * ratio:
+        return dt * np.arange(n + 1), [dt] * n
+    n = int(ratio)
+    return np.append(dt * np.arange(n + 1), config.t_final), [dt] * n + [config.t_final - n * dt]
 
 
 @dataclass
@@ -136,35 +150,40 @@ def _renormalize(state: np.ndarray, config: IntegratorConfig, full: bool) -> np.
     return state
 
 
+def _march(f, y: np.ndarray, config: IntegratorConfig, full: bool) -> tuple:
+    """RK4 from y along the schedule of config; returns (times, states).
+
+    NumPy overflow warnings are silenced while stepping: the finiteness check
+    after each step raises NonFiniteState instead.
+    """
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteState("initial state has non-finite entries")
+    times, steps = _schedule(config)
+    states = np.empty((times.size, y.size))
+    states[0] = y
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, dt in enumerate(steps):
+            y = rk4_step(f, y, dt)
+            if not np.all(np.isfinite(y)):
+                raise NonFiniteState(f"non-finite state after step {k + 1} (at {times[k + 1]:g})")
+            y = _renormalize(y, config, full)
+            states[k + 1] = y
+    return times, states
+
+
 def integrate(params: BodyParams, initial, config: IntegratorConfig) -> Trajectory:
-    """Fixed-step RK4 run over n = round(t_final/dt) steps.
+    """Fixed-step RK4 run to t_final; the last step is shorter when dt does not divide t_final.
 
     ``initial`` may be a reduced 6-vector or a full 15-vector; the vector
     field is chosen accordingly.  Raises NonFiniteState as soon as a step
     produces NaN or infinity.
     """
     y = np.asarray(initial, dtype=float).copy()
-    if y.shape == (REDUCED_DIM,):
-        full = False
-        f = lambda s: reduced_vf(params, s)
-    elif y.shape == (FULL_DIM,):
-        full = True
-        f = lambda s: X_nh_full(params, s)
-    else:
+    if y.shape not in ((REDUCED_DIM,), (FULL_DIM,)):
         raise ValueError(f"initial state has shape {y.shape}; expected (6,) or (15,)")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteState("initial state has non-finite entries")
-    n = config.n_steps
-    dt = config.dt
-    states = np.empty((n + 1, y.size))
-    states[0] = y
-    for k in range(n):
-        y = rk4_step(f, y, dt)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(f"non-finite state after step {k + 1} (t = {(k + 1) * dt:g})")
-        y = _renormalize(y, config, full)
-        states[k + 1] = y
-    times = dt * np.arange(n + 1)
+    full = y.size == FULL_DIM
+    field = X_nh_full if full else reduced_vf
+    times, states = _march(lambda s: field(params, s), y, config, full)
     traj = Trajectory(times=times, states=states)
     traj.monitors = monitor_series(params, traj)
     return traj
@@ -188,21 +207,8 @@ def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConf
         p = phi(s)
         return np.concatenate([p * reduced_vf(params, s), [p]])
 
-    z = np.concatenate([y0, [0.0]])
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteState("initial state has non-finite entries")
-    n = config.n_steps
-    dt = config.dt
-    rows = np.empty((n + 1, REDUCED_DIM + 1))
-    rows[0] = z
-    for k in range(n):
-        z = rk4_step(f_aug, z, dt)
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteState(f"non-finite state after step {k + 1} (tau = {(k + 1) * dt:g})")
-        s = _renormalize(z[:REDUCED_DIM], config, full=False)
-        z = np.concatenate([s, z[REDUCED_DIM:]])
-        rows[k + 1] = z
-    times = dt * np.arange(n + 1)
+    # _renormalize touches only gamma = z[:3], never the physical time z[6]
+    times, rows = _march(f_aug, np.concatenate([y0, [0.0]]), config, full=False)
     traj = Trajectory(times=times, states=rows[:, :REDUCED_DIM], t_recovered=rows[:, REDUCED_DIM])
     traj.monitors = monitor_series(params, traj)
     return traj
@@ -266,20 +272,16 @@ def divergence_defect(params: BodyParams, state, density: str = "invariant") -> 
         x = reduced_vf(params, s)
         return x if mu is None else mu(s) * x
 
-    total = 0.0
-    for l in range(REDUCED_DIM):
-        h = fd_step(state[l])
-        sp = state.copy()
-        sm = state.copy()
-        sp[l] += h
-        sm[l] -= h
-        total += (flux(sp)[l] - flux(sm)[l]) / (2.0 * h)
-    return abs(float(total))
+    return abs(float(np.trace(fd_partials(flux, state))))
 
 
 def hermite_sample(params: BodyParams, traj: Trajectory, t: float) -> np.ndarray:
     """State at time t by cubic Hermite interpolation on the bracketing
-    segment, with endpoint derivatives from the vector field (O(dt^4))."""
+    segment, with endpoint derivatives from the vector field (O(dt^4)).
+
+    On a reparametrized trajectory t is the new time tau, and the endpoint
+    derivatives are those of the rescaled field phi * X.
+    """
     times, states = traj.times, traj.states
     if not times[0] <= t <= times[-1]:
         raise ValueError(f"t = {t} outside the sampled range [{times[0]}, {times[-1]}]")
@@ -288,8 +290,10 @@ def hermite_sample(params: BodyParams, traj: Trajectory, t: float) -> np.ndarray
     t0, t1 = times[idx], times[idx + 1]
     h = t1 - t0
     y0, y1 = states[idx], states[idx + 1]
-    f = (lambda s: X_nh_full(params, s)) if traj.dim == FULL_DIM else (lambda s: reduced_vf(params, s))
-    m0, m1 = h * f(y0), h * f(y1)
+    field = X_nh_full if traj.dim == FULL_DIM else reduced_vf
+    # on a reparametrized run the time axis is tau: dy/dtau = phi X
+    phi = conformal_factor(params) if traj.t_recovered is not None else (lambda s: 1.0)
+    m0, m1 = h * phi(y0) * field(params, y0), h * phi(y1) * field(params, y1)
     u = (t - t0) / h
     h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
     h10 = u * (1.0 - u) ** 2

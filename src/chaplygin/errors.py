@@ -39,3 +39,8 @@ class ScenarioError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"scenario field '{field}': {message}")
+
+
+# Raised on valid input when a computation cannot go on: the CLI exits 1 on these.
+RUNTIME_ERRORS = (SymmetricInput, SingularGauge, NonPositiveFactor, AnnihilationViolated,
+                  DegenerateDenominator, UnsupportedRank, NonFiniteState)

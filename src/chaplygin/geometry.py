@@ -107,32 +107,21 @@ def unhat(m, tol: float = 1e-8) -> np.ndarray:
 
 
 def fd_partials(func: Callable[[np.ndarray], np.ndarray], state: np.ndarray) -> np.ndarray:
-    """Partial derivatives of an array-valued function; leading axis is the derivative index."""
+    """Partial derivatives of an array-valued (or scalar) function; leading axis is the derivative index."""
     state = np.asarray(state, dtype=float)
-    n = state.size
-    base = np.asarray(func(state), dtype=float)
-    out = np.zeros((n,) + base.shape)
-    for l in range(n):
-        h = fd_step(state[l])
-        sp = state.copy()
-        sm = state.copy()
-        sp[l] += h
-        sm[l] -= h
-        out[l] = (np.asarray(func(sp), float) - np.asarray(func(sm), float)) / (2.0 * h)
-    return out
-
-
-def fd_gradient(func: Callable[[np.ndarray], float], state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state, dtype=float)
-    out = np.zeros(state.size)
+    rows = []
     for l in range(state.size):
         h = fd_step(state[l])
         sp = state.copy()
         sm = state.copy()
         sp[l] += h
         sm[l] -= h
-        out[l] = (float(func(sp)) - float(func(sm))) / (2.0 * h)
-    return out
+        rows.append((np.asarray(func(sp), float) - np.asarray(func(sm), float)) / (2.0 * h))
+    return np.stack(rows)
+
+
+def fd_gradient(func: Callable[[np.ndarray], float], state: np.ndarray) -> np.ndarray:
+    return fd_partials(lambda s: float(func(s)), state)
 
 
 @dataclass(frozen=True)

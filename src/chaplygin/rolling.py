@@ -32,7 +32,6 @@ from .geometry import (
     fd_exterior_derivative,
     hat,
     random_rotation,
-    vec3,
 )
 
 __all__ = [
@@ -64,6 +63,7 @@ __all__ = [
     "reduced_bracket",
     "reduced_vf",
     "reduction_consistency",
+    "reduction_defect",
     "sample_full_state",
     "split_full",
     "split_reduced",
@@ -277,16 +277,18 @@ def _v_vector(params: BodyParams, gamma, K, variant: str) -> np.ndarray:
     return K + params.mr2 * (a * omega + b * float(omega @ gamma) * gamma)
 
 
+def _omega_dot_gamma_grads(params: BodyParams, gamma, K) -> tuple:
+    """Omega . gamma, its gradients in gamma and in K, and omega_jacobians."""
+    omega = omega_from_K(params, gamma, K)
+    d_gamma, d_k = omega_jacobians(params, gamma, K)
+    return float(omega @ gamma), d_gamma.T @ gamma + omega, d_k.T @ gamma, d_gamma, d_k
+
+
 def _v_jacobians(params: BodyParams, gamma, K, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """(dV/dgamma, dV/dK), columns indexed by the differentiation coordinate."""
     a, b = _V_COEFFS[(params.rank, variant)]
     mr2 = params.mr2
-    omega = omega_from_K(params, gamma, K)
-    d_gamma, d_k = omega_jacobians(params, gamma, K)
-    og = float(omega @ gamma)
-    # d(Omega.gamma)/dgamma_j and /dK_j
-    dog_dgamma = d_gamma.T @ gamma + omega
-    dog_dk = d_k.T @ gamma
+    og, dog_dgamma, dog_dk, d_gamma, d_k = _omega_dot_gamma_grads(params, gamma, K)
     dv_gamma = mr2 * (a * d_gamma + b * (np.outer(gamma, dog_dgamma) + og * np.eye(3)))
     dv_k = np.eye(3) + mr2 * (a * d_k + b * np.outer(gamma, dog_dk))
     return dv_gamma, dv_k
@@ -417,13 +419,6 @@ def annihilator_one_form(params: BodyParams, variant: str = "plain") -> FormPatc
     return FormPatch(degree=1, dim=6, entries=entries, partials=partials, name="chi")
 
 
-def _omega_dot_gamma_grads(params: BodyParams, gamma, K) -> tuple[float, np.ndarray, np.ndarray]:
-    omega = omega_from_K(params, gamma, K)
-    d_gamma, d_k = omega_jacobians(params, gamma, K)
-    og = float(omega @ gamma)
-    return og, d_gamma.T @ gamma + omega, d_k.T @ gamma
-
-
 def twist_two_form(params: BodyParams) -> FormPatch:
     """The gauge 2-form on the reduced space, supported on the gamma-gamma
     block: B_ab = m r^2 (Omega . gamma) eps_abl gamma_l.  Only ranks 1 and 2
@@ -443,7 +438,7 @@ def twist_two_form(params: BodyParams) -> FormPatch:
 
     def partials(s):
         gamma, K = split_reduced(s)
-        og, dog_dgamma, dog_dk = _omega_dot_gamma_grads(params, gamma, K)
+        og, dog_dgamma, dog_dk, _, _ = _omega_dot_gamma_grads(params, gamma, K)
         out = np.zeros((6, 6, 6))
         hg = hat(gamma)
         for l in range(3):
@@ -565,12 +560,6 @@ def full_hamiltonian_field(params: BodyParams) -> ScalarField:
     return ScalarField(value=value, gradient=gradient, name="H_full")
 
 
-def _t_matrix(params: BodyParams, g: np.ndarray) -> np.ndarray:
-    a = matrix_A(params)
-    q = a.T @ a
-    return g.T @ q @ g
-
-
 def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
     """Almost-Poisson structure on the full space (g, x, K).
 
@@ -690,20 +679,24 @@ def horizontal_lift(params: BodyParams, full_state, reduced_tangent) -> np.ndarr
     return np.concatenate([(g @ hat(a)).reshape(9), np.zeros(3), w_k])
 
 
-def reduction_consistency(
-    params: BodyParams, variant: str, full_state, i: int, j: int
-) -> float:
-    """|{y_i, y_j}_full - pi_reduced[i, j] at rho(state)| for the reduced
-    coordinates y = (gamma, K) seen as functions on the full space.
+def reduction_defect(params: BodyParams, variant: str, full_state) -> np.ndarray:
+    """|{y_a, y_b}_full - pi_reduced[a, b] at rho(state)| for all a, b: the
+    6x6 block of the reduced coordinates y = (gamma, K) seen as functions
+    on the full space.
 
     variant 'plain' pairs the plain full bracket with the plain reduced one;
     'primed' pairs the gauged full bracket with the primed reduced one.
     """
     _check_variant(variant)
-    if not (0 <= i < REDUCED_DIM and 0 <= j < REDUCED_DIM):
-        raise IndexError("reduced coordinate index out of range")
     full_form = "plain" if variant == "plain" else "gauged"
     p_full = nh_bracket_full(params, full_form).matrix(full_state)
     p_red = reduced_bracket(params, variant).matrix(project_rho(full_state))
-    idx = [6 + a for a in range(3)] + [12 + a for a in range(3)]
-    return abs(float(p_full[idx[i], idx[j]] - p_red[i, j]))
+    idx = [6, 7, 8, 12, 13, 14]  # gamma = third row of g, then K
+    return np.abs(p_full[np.ix_(idx, idx)] - p_red)
+
+
+def reduction_consistency(params: BodyParams, variant: str, full_state, i: int, j: int) -> float:
+    """Entry (i, j) of ``reduction_defect``."""
+    if not (0 <= i < REDUCED_DIM and 0 <= j < REDUCED_DIM):
+        raise IndexError("reduced coordinate index out of range")
+    return float(reduction_defect(params, variant, full_state)[i, j])

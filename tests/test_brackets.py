@@ -1,6 +1,8 @@
 """Generic bivector machinery: Hamiltonian fields, Jacobiator, gauge algebra,
 twisted/conformal defects, Casimir defects, distribution probes."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,14 +24,18 @@ from chaplygin import (
     fd_partials,
     gauge_transform,
     ham_vf,
+    jacobi_tensor,
     jacobiator,
+    nh_bracket_full,
     reduced_bracket,
+    sample_full_state,
     sample_reduced_state,
     scale_bivector,
+    twist_three_form,
     twisted_defect,
 )
 
-from conftest import VARIANTS, standard_body
+from conftest import VARIANTS, asymmetric_body, standard_body
 
 _CANONICAL = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -121,9 +127,83 @@ def test_jacobiator_matches_nested_fd(rank, variant):
     worst = 0.0
     for _ in range(50):
         s = sample_reduced_state(seed=rng)
+        tensor = jacobi_tensor(pi, s)
         for a, b, c in triples:
-            worst = max(worst, abs(jacobiator(pi, a, b, c, s) - _nested_fd_jacobiator(pi, a, b, c, s)))
+            oracle = _nested_fd_jacobiator(pi, a, b, c, s)
+            worst = max(worst, abs(jacobiator(pi, a, b, c, s) - oracle), abs(tensor[a, b, c] - oracle))
     assert worst <= 1e-5
+
+
+# ------------------------------------------------------------- Jacobi tensor
+
+# sign of each permutation of three axes
+_SIGNS = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0, (1, 0, 2): -1.0, (0, 2, 1): -1.0, (2, 1, 0): -1.0}
+
+
+def _chart_cases(make_body, rank, chart):
+    """(bivector, state, 3-form, conformal factor) per variant on one chart.
+
+    The bivector is frozen at the state (same matrix and partials, computed
+    once) so that per-triple calls stay cheap on the 15-dim chart.
+    """
+    body = make_body(rank)
+    rng = np.random.default_rng(300 + rank)
+    if chart == "reduced":
+        brackets = [reduced_bracket(body, v) for v in VARIANTS]
+        state = sample_reduced_state(seed=rng)
+    else:
+        brackets = [nh_bracket_full(body, form) for form in ("plain", "gauged")]
+        state = sample_full_state(seed=rng)
+    dim = state.size
+    if chart == "reduced" and rank in (1, 2):
+        phi_t = twist_three_form(body)(state)
+    else:
+        m = rng.standard_normal((dim,) * 3)
+        phi_t = sum(_SIGNS[p] * np.transpose(m, p) for p in _SIGNS)
+    phi = FormPatch(degree=3, dim=dim, entries=lambda s: phi_t.copy())
+    factor = ScalarField(value=lambda s: float(1.0 + s @ s), gradient=lambda s: 2.0 * np.asarray(s))
+    cases = []
+    for pi in brackets:
+        p, dp = pi.matrix(state), pi.partial_tensor(state)
+        frozen = BivectorPatch(dim=dim, structure=lambda s, p=p: p.copy(), partials=lambda s, dp=dp: dp.copy())
+        cases.append((frozen, state, phi, factor))
+    return cases
+
+
+_KERNEL_PARAMS = pytest.mark.parametrize(
+    "make_body, chart",
+    [(f, c) for f in (standard_body, asymmetric_body) for c in ("reduced", "full")],
+    ids=[f"{f}-{c}" for f in ("standard", "asymmetric") for c in ("reduced", "full")],
+)
+
+
+@_KERNEL_PARAMS
+def test_jacobi_tensor_alternates_exactly(rank, make_body, chart):
+    for pi, s, phi, _ in _chart_cases(make_body, rank, chart):
+        twisted = jacobi_tensor(pi, s, phi)
+        assert np.any(twisted != 0.0)
+        for tensor in (jacobi_tensor(pi, s), twisted):
+            for perm, sign in _SIGNS.items():
+                assert np.array_equal(np.transpose(tensor, perm), sign * tensor)
+            for i in range(pi.dim):
+                for repeated in (tensor[i, i, :], tensor[i, :, i], tensor[:, i, i]):
+                    assert np.all(repeated == 0.0)
+
+
+@_KERNEL_PARAMS
+def test_jacobi_tensor_equals_per_triple_defects(rank, make_body, chart):
+    for pi, s, phi, factor in _chart_cases(make_body, rank, chart):
+        plain = jacobi_tensor(pi, s)
+        twisted = jacobi_tensor(pi, s, phi)
+        conformal = jacobi_tensor(scale_bivector(pi, factor), s)
+        if chart == "reduced":
+            triples = itertools.product(range(pi.dim), repeat=3)
+        else:  # sorted triples: the per-triple functions alternate exactly
+            triples = itertools.combinations(range(pi.dim), 3)
+        for i, j, k in triples:
+            assert plain[i, j, k] == jacobiator(pi, i, j, k, s)
+            assert twisted[i, j, k] == twisted_defect(pi, phi, i, j, k, s)
+            assert conformal[i, j, k] == conformal_jacobiator(pi, factor, i, j, k, s)
 
 
 # -------------------------------------------------------------------- scaling

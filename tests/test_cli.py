@@ -1,10 +1,13 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
 
+from chaplygin import DegenerateDenominator, NonPositiveFactor, SingularGauge, SymmetricInput, cli
 from chaplygin.cli import main
 
 REDUCED_HEADER = "t,gamma1,gamma2,gamma3,K1,K2,K3,H,C1,C2,F"
@@ -134,6 +137,63 @@ def test_simulate_reports_runtime_blowup(tmp_path, capsys):
     assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
+def test_simulate_blowup_with_warnings_as_errors(tmp_path, capsys):
+    path = write_scenario(tmp_path, rank=0, integrator={"dt": 1e6, "T": 2e6})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "integration failed" in capsys.readouterr().err
+
+
+def test_simulate_reports_degenerate_denominator(tmp_path, monkeypatch, capsys):
+    def degenerate(*args, **kwargs):
+        raise DegenerateDenominator("rank-2 denominator 0")
+
+    monkeypatch.setattr(cli, "integrate", degenerate)
+    assert main(["simulate", str(write_scenario(tmp_path)), "--out", str(tmp_path / "o")]) == 1
+    assert "rank-2 denominator 0" in capsys.readouterr().err
+
+
+def test_simulate_non_dividing_step_ends_at_horizon(tmp_path):
+    path = write_scenario(tmp_path, integrator={"dt": 0.3, "T": 1.0})
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+    assert float(lines[-1].split(",")[0]) == 1.0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["t_final"] == 1.0
+    assert summary["samples"] == len(lines) - 1 == 5
+
+
+def test_atomic_write_uses_unique_temp_files(tmp_path, monkeypatch):
+    temps = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        temps.append(os.fspath(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    target = tmp_path / "report.json"
+    cli._atomic_write(target, "first\n")
+    cli._atomic_write(target, "second\n")
+    assert len(set(temps)) == 2
+    assert all(os.path.dirname(t) == str(tmp_path) for t in temps)
+    assert target.read_text() == "second\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_atomic_write_removes_temp_file_on_failure(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        cli._atomic_write(tmp_path / "report.json", "text\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_overwrites_atomically(tmp_path):
     path = write_scenario(tmp_path)
     out = tmp_path / "out"
@@ -235,6 +295,24 @@ def test_verify_is_deterministic(tmp_path):
     for name in ("ra", "rb"):
         assert main(["verify", str(path), "--suite", "jacobi", "--trials", "10", "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "ra" / "report.json").read_bytes() == (tmp_path / "rb" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("error", [SingularGauge, SymmetricInput, NonPositiveFactor])
+def test_verify_runtime_errors_exit_1(tmp_path, monkeypatch, capsys, error):
+    def failing(*args, **kwargs):
+        raise error("raised mid-run")
+
+    monkeypatch.setattr(cli, "run_all_suites", failing)
+    path = write_scenario(tmp_path)
+    assert main(["verify", str(path), "--suite", "all", "--out", str(tmp_path / "o")]) == 1
+    assert "raised mid-run" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_verify_rejects_bad_trials(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    assert main(["verify", str(path), "--suite", "jacobi", "--trials", "0", "--out", str(tmp_path / "o")]) == 2
+    assert "trials" in capsys.readouterr().err
 
 
 def test_verify_rejects_malformed_scenario(tmp_path, capsys):

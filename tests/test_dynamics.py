@@ -42,6 +42,8 @@ def test_config_validation():
 def test_config_step_count():
     assert IntegratorConfig(dt=1e-3, t_final=10.0).n_steps == 10_000
     assert IntegratorConfig(dt=0.25, t_final=1.0).n_steps == 4
+    assert IntegratorConfig(dt=1e-3, t_final=0.25).n_steps == 250
+    assert IntegratorConfig(dt=0.3, t_final=1.0).n_steps == 4  # three of dt, one of 0.1
 
 
 def test_trajectory_validation():
@@ -160,6 +162,16 @@ def test_rk4_order_via_step_halving():
     assert 12.0 <= err_coarse / err_fine <= 20.0
 
 
+@pytest.mark.parametrize("integrator", [integrate, reparametrized_integrate])
+def test_non_dividing_step_ends_at_horizon(integrator):
+    body = standard_body(2)
+    traj = integrator(body, CHAPLYGIN_START, IntegratorConfig(dt=0.3, t_final=1.0))
+    assert traj.times[-1] == 1.0
+    assert np.max(np.abs(traj.times - [0.0, 0.3, 0.6, 0.9, 1.0])) <= 1e-15
+    fine = integrator(body, CHAPLYGIN_START, IntegratorConfig(dt=1e-3, t_final=1.0))
+    assert np.max(np.abs(traj.states[-1] - fine.states[-1])) <= 1e-6
+
+
 # ------------------------------------------------------------ invariant drift
 
 
@@ -272,6 +284,20 @@ def test_hermite_sample_midpoint_accuracy():
     t = 0.205
     idx = int(round(t / 1e-3))
     assert np.max(np.abs(hermite_sample(body, coarse, t) - fine.states[idx])) <= 1e-8
+
+
+@pytest.mark.parametrize("rank_r", [1, 2])
+def test_hermite_sample_on_reparametrized_run(rank_r):
+    # the time axis is tau, so the endpoint slopes are those of phi * X
+    body = standard_body(rank_r)
+    start = sample_reduced_state(seed=4)
+    coarse = reparametrized_integrate(body, start, IntegratorConfig(dt=0.05, t_final=1.0))
+    fine = reparametrized_integrate(body, start, IntegratorConfig(dt=1e-3, t_final=1.0))
+    worst = 0.0
+    for k in range(20):
+        mid = hermite_sample(body, coarse, 0.05 * k + 0.025)
+        worst = max(worst, np.max(np.abs(mid - fine.states[50 * k + 25])))
+    assert worst <= 1e-6
 
 
 def test_hermite_sample_rejects_out_of_range():
