@@ -57,13 +57,8 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _trajectory_csv(scenario: Scenario, traj: Trajectory, full: bool) -> str:
     series = traj.monitors or monitor_series(scenario.params, traj)
-    lines = []
     if full:
         header = list(_FULL_HEADER)
         columns = [traj.times] + [traj.states[:, i] for i in range(FULL_DIM)] + [series["H"]]
@@ -77,9 +72,9 @@ def _trajectory_csv(scenario: Scenario, traj: Trajectory, full: bool) -> str:
     if traj.t_recovered is not None:
         header.append("t_recovered")
         columns.append(traj.t_recovered)
-    lines.append(",".join(header))
-    for k in range(traj.times.shape[0]):
-        lines.append(",".join(_fmt(col[k]) for col in columns))
+    # Python floats format exactly as the float64 cells: f"{x:.17g}" round-trips
+    lines = [",".join(header)]
+    lines.extend(",".join(f"{x:.17g}" for x in row) for row in np.column_stack(columns).tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import BivectorPatch, ScalarField, ham_vf
+from .brackets import BivectorPatch, ScalarField
 from .errors import DegenerateDenominator, UnsupportedRank
 from .geometry import (
     EPSILON,
     FormPatch,
+    cross3,
     fd_exterior_derivative,
     hat,
     random_rotation,
@@ -188,6 +189,10 @@ def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:
     expressions carry |gamma|^2 in their denominators; they invert
     K_from_omega exactly on the unit sphere and extend smoothly off it,
     which is what the finite-difference probes rely on.
+
+    gamma and K may carry leading axes, e.g. (N, 3) for N states; each row
+    equals the 1-d call on that row bit for bit (np.vecdot rounds as the
+    1-d ``@``).  Raises DegenerateDenominator if any row is degenerate.
     """
     gamma = np.asarray(gamma, dtype=float)
     K = np.asarray(K, dtype=float)
@@ -197,22 +202,20 @@ def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:
         return K / iv
     if params.rank == 3:
         return K / (iv + mr2)
-    g2 = float(gamma @ gamma)
-    if params.rank == 2:
-        n = iv + mr2
-        u = gamma / n
-        den = g2 - mr2 * float(gamma @ u)
-        if den <= 1e-12 * max(g2, 1e-300):
-            raise DegenerateDenominator(f"rank-2 denominator {den:.3e} at |gamma|^2 = {g2:.3e}")
-        c = float(K @ u) / den
-        return K / n + mr2 * c * u
-    # rank 1
-    u = gamma / iv
-    den = g2 + mr2 * float(gamma @ u)
-    if den <= 1e-12 * max(g2, 1e-300):
-        raise DegenerateDenominator(f"rank-1 denominator {den:.3e} at |gamma|^2 = {g2:.3e}")
-    c = float(K @ u) / den
-    return K / iv - mr2 * c * u
+    # I + m r^2 S = diag(n) + sign m r^2 gamma gamma^T, as S = gamma gamma^T
+    # (rank 1) or E - gamma gamma^T (rank 2)
+    sign, n = (1.0, iv) if params.rank == 1 else (-1.0, iv + mr2)
+    g2 = np.vecdot(gamma, gamma)
+    u = gamma / n
+    den = g2 + sign * mr2 * np.vecdot(gamma, u)
+    degenerate = den <= 1e-12 * np.maximum(g2, 1e-300)
+    if np.count_nonzero(degenerate):
+        i = np.flatnonzero(degenerate)[0]
+        raise DegenerateDenominator(
+            f"rank-{params.rank} denominator {den.flat[i]:.3e} at |gamma|^2 = {g2.flat[i]:.3e}"
+        )
+    c = np.vecdot(K, u) / den
+    return K / n - (sign * mr2 * c)[..., None] * u
 
 
 def omega_jacobians(params: BodyParams, gamma, K) -> tuple[np.ndarray, np.ndarray]:
@@ -267,8 +270,8 @@ def hamiltonian_field(params: BodyParams) -> ScalarField:
 def reduced_vf(params: BodyParams, state) -> np.ndarray:
     """Equations of motion on the reduced space: (gamma, K)' = (gamma x Omega, K x Omega)."""
     gamma, K = split_reduced(state)
-    omega = omega_from_K(params, gamma, K)
-    return np.concatenate([np.cross(gamma, omega), np.cross(K, omega)])
+    omega = omega_from_K(params, gamma, K).tolist()
+    return np.array(cross3(gamma.tolist(), omega) + cross3(K.tolist(), omega))
 
 
 def _v_vector(params: BodyParams, gamma, K, variant: str) -> np.ndarray:
@@ -636,10 +639,19 @@ def _unit(i: int) -> np.ndarray:
 
 
 def X_nh_full(params: BodyParams, state) -> np.ndarray:
-    """Constrained equations of motion on the full space: the bracket flow of H."""
-    pi = nh_bracket_full(params, "plain")
-    h = full_hamiltonian_field(params)
-    return -ham_vf(pi, h, state)
+    """Constrained equations of motion on the full space, in closed form:
+    g' = g hat(Omega) (row i of g' is g_i x Omega), x' = r A g Omega and
+    K' = K x Omega, with Omega = omega_from_K(gamma = g[2], K).
+
+    This is the bracket flow -ham_vf(nh_bracket_full(params, "plain"),
+    full_hamiltonian_field(params)), which the tests keep as its oracle.
+    """
+    g, _, K = split_full(state)
+    omega = omega_from_K(params, g[2], K)
+    w = omega.tolist()
+    g_dot = [v for row in g.tolist() for v in cross3(row, w)]
+    x_dot = params.radius * (matrix_A(params) @ (g @ omega))
+    return np.array(g_dot + x_dot.tolist() + cross3(K.tolist(), w))
 
 
 def gauge_form_on_M(params: BodyParams) -> FormPatch:

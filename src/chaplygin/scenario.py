@@ -145,7 +145,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             if not isinstance(integ[key], bool):
                 raise ScenarioError(f"integrator.{key}", "must be a boolean")
             flags[key] = integ[key]
-    config = IntegratorConfig(dt=dt, t_final=t_final, method=method, **flags)
+    config = IntegratorConfig(dt=dt, t_final=t_final, **flags)
 
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):

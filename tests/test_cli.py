@@ -124,6 +124,13 @@ def test_simulate_rejects_malformed_scenario(tmp_path, capsys):
     assert "rank" in err
 
 
+def test_simulate_rejects_unknown_integrator_method(tmp_path, capsys):
+    path = write_scenario(tmp_path, integrator={"dt": 1e-3, "T": 0.05, "method": "euler"})
+    assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "integrator.method" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_rejects_missing_file(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err

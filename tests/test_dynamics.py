@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from chaplygin import (
+    MONITOR_NAMES,
     IntegratorConfig,
     NonFiniteState,
     Trajectory,
+    brackets,
     divergence_defect,
+    dynamics,
+    hamiltonian,
     hermite_sample,
     integrate,
     invariant_drift,
@@ -16,6 +20,7 @@ from chaplygin import (
     project_rho,
     reparametrized_integrate,
     rk4_step,
+    rolling,
     sample_reduced_state,
     split_full,
 )
@@ -35,8 +40,6 @@ def test_config_validation():
         IntegratorConfig(dt=1e-3, t_final=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=2.0, t_final=1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=1e-3, t_final=1.0, method="euler")
 
 
 def test_config_step_count():
@@ -124,6 +127,18 @@ def test_full_run_projects_onto_reduced_run():
     assert worst <= 1e-8
 
 
+def test_full_integrate_runs_without_the_bracket(monkeypatch):
+    # the full-space field is closed form; the bracket flow is only its test oracle
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("bracket flow evaluated during integration")
+
+    monkeypatch.setattr(rolling, "nh_bracket_full", forbidden)
+    monkeypatch.setattr(brackets, "ham_vf", forbidden)
+    body = asymmetric_body(2)
+    traj = integrate(body, lift_reduced_state(CHAPLYGIN_START), IntegratorConfig(dt=1e-2, t_final=0.1))
+    assert traj.states.shape == (11, 15) and np.all(np.isfinite(traj.states))
+
+
 def test_full_run_keeps_attitude_orthonormal():
     body = asymmetric_body(3)
     full = integrate(
@@ -173,6 +188,56 @@ def test_non_dividing_step_ends_at_horizon(integrator):
 
 
 # ------------------------------------------------------------ invariant drift
+
+
+def _run(body, kind):
+    start = sample_reduced_state(seed=30)
+    config = IntegratorConfig(dt=1e-2, t_final=0.5)
+    if kind == "full":
+        return integrate(body, lift_reduced_state(start), config)
+    if kind == "reparametrized":
+        return reparametrized_integrate(body, start, config)
+    return integrate(body, start, config)
+
+
+@pytest.mark.parametrize("kind", ["reduced", "reparametrized", "full"])
+def test_monitor_series_equals_per_state_values(rank, kind):
+    body = asymmetric_body(rank)
+    traj = _run(body, kind)
+    rows = [project_rho(s) if traj.dim == 15 else s for s in traj.states]
+    expected = {
+        "H": [hamiltonian(body, r) for r in rows],
+        "C1": [float(r[3:] @ r[:3]) for r in rows],
+        "C2": [float(r[:3] @ r[:3]) for r in rows],
+        "F": [float(r[3:] @ r[3:]) for r in rows],
+    }
+    series = monitor_series(body, traj)
+    assert tuple(series) == MONITOR_NAMES
+    for name in MONITOR_NAMES:
+        assert np.array_equal(series[name], expected[name])
+
+
+@pytest.mark.parametrize("kind", ["reduced", "full"])
+def test_monitor_series_solves_omega_once(monkeypatch, kind):
+    body = standard_body(2)
+    traj = _run(body, kind)
+    calls = []
+    solve = rolling.omega_from_K
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(rolling, "omega_from_K", counting)
+    monkeypatch.setattr(dynamics, "omega_from_K", counting)
+    monitor_series(body, traj)
+    assert len(calls) == 1
+
+
+def test_monitor_series_rejects_other_dimensions():
+    traj = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 7)))
+    with pytest.raises(ValueError):
+        monitor_series(standard_body(2), traj)
 
 
 def test_invariant_drift_detects_tampering():

@@ -56,6 +56,7 @@ from chaplygin import (
     twisted_defect,
     wedge_1_2,
 )
+from chaplygin.errors import DegenerateDenominator
 from chaplygin.rolling import BodyParams
 
 from conftest import VARIANTS, asymmetric_body, standard_body
@@ -144,6 +145,48 @@ def test_omega_matches_direct_linear_solve(rank):
         assert np.max(np.abs(omega_from_K(body, gamma, k) - direct)) <= 1e-10
 
 
+def _omega_row(body, gamma, k):
+    """omega_from_K for one state with Python-float dot products: the reference rounding."""
+    iv, mr2 = body.inertia_vec, body.mr2
+    if body.rank == 0:
+        return k / iv
+    if body.rank == 3:
+        return k / (iv + mr2)
+    if body.rank == 2:
+        n = iv + mr2
+        u = gamma / n
+        c = float(k @ u) / (float(gamma @ gamma) - mr2 * float(gamma @ u))
+        return k / n + mr2 * c * u
+    u = gamma / iv
+    c = float(k @ u) / (float(gamma @ gamma) + mr2 * float(gamma @ u))
+    return k / iv - mr2 * c * u
+
+
+@pytest.mark.parametrize("factory", [standard_body, asymmetric_body])
+def test_omega_batched_equals_row_calls(rank, factory):
+    body = factory(rank)
+    rng = np.random.default_rng(15 + rank)
+    gamma = np.array([_random_gamma(rng) for _ in range(300)]) * rng.uniform(0.5, 2.0, (300, 1))
+    k = rng.standard_normal((300, 3)) * rng.uniform(0.01, 100.0, (300, 1))
+    batched = omega_from_K(body, gamma, k)
+    assert batched.shape == (300, 3)
+    rows = np.array([omega_from_K(body, g, kk) for g, kk in zip(gamma, k)])
+    assert np.array_equal(batched, rows)
+    assert np.array_equal(rows, [_omega_row(body, g, kk) for g, kk in zip(gamma, k)])
+
+
+@pytest.mark.parametrize("rank_d", [1, 2])
+def test_omega_batched_raises_on_one_degenerate_row(rank_d):
+    body = standard_body(rank_d)
+    gamma = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
+    k = np.full((3, 3), 0.5)
+    with pytest.raises(DegenerateDenominator):
+        omega_from_K(body, gamma, k)
+    with pytest.raises(DegenerateDenominator):
+        omega_from_K(body, gamma[1], k[1])
+    assert np.all(np.isfinite(omega_from_K(body, gamma[[0, 2]], k[[0, 2]])))
+
+
 def test_omega_jacobians_match_fd(rank):
     body = asymmetric_body(rank)
     rng = np.random.default_rng(20 + rank)
@@ -210,6 +253,19 @@ def test_reduced_vf_is_bracket_flow(rank, variant):
     for seed in range(5):
         s = sample_reduced_state(seed=60 + seed)
         assert np.max(np.abs(reduced_vf(body, s) + ham_vf(pi, h, s))) <= 1e-10
+
+
+@pytest.mark.parametrize("factory", [standard_body, asymmetric_body])
+def test_reduced_vf_equals_np_cross(rank, factory):
+    body = factory(rank)
+    rng = np.random.default_rng(75 + rank)
+    for _ in range(200):
+        s = sample_reduced_state(seed=rng)
+        s[3:] *= rng.uniform(0.01, 100.0)
+        gamma, k = split_reduced(s)
+        omega = omega_from_K(body, gamma, k)
+        expected = np.concatenate([np.cross(gamma, omega), np.cross(k, omega)])
+        assert np.array_equal(reduced_vf(body, s), expected)
 
 
 def test_reduced_vf_orthogonality(rank):
@@ -714,17 +770,20 @@ def test_full_bracket_partials_match_fd(rank_f, form):
 
 
 def test_full_field_constraint_and_flow(rank):
-    body = asymmetric_body(rank)
-    a = matrix_A(body)
-    h = full_hamiltonian_field(body)
-    pi = nh_bracket_full(body, "plain")
-    for seed in range(5):
-        s = sample_full_state(seed=350 + seed)
-        g, _, k = split_full(s)
-        x_dot = X_nh_full(body, s)[9:12]
-        omega = omega_from_K(body, g[2], k)
-        assert np.max(np.abs(x_dot - body.radius * a @ g @ omega)) <= 1e-14
-        assert np.max(np.abs(X_nh_full(body, s) + ham_vf(pi, h, s))) <= 1e-14
+    # the plain bracket flow -ham_vf(pi, H) is the oracle of the closed-form field
+    for body in (asymmetric_body(rank), standard_body(rank)):
+        a = matrix_A(body)
+        h = full_hamiltonian_field(body)
+        pi = nh_bracket_full(body, "plain")
+        for seed in range(5):
+            s = sample_full_state(seed=350 + seed)
+            g, _, k = split_full(s)
+            x_dot = X_nh_full(body, s)[9:12]
+            omega = omega_from_K(body, g[2], k)
+            assert np.max(np.abs(x_dot - body.radius * a @ g @ omega)) <= 1e-14
+            assert np.max(np.abs(X_nh_full(body, s) + ham_vf(pi, h, s))) <= 1e-14
+            reduced = reduced_vf(body, project_rho(s))
+            assert np.array_equal(X_nh_full(body, s)[[6, 7, 8, 12, 13, 14]], reduced)
 
 
 def test_full_field_gauged_bracket_generates_same_flow(rank):

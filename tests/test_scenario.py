@@ -79,6 +79,7 @@ def test_optional_fields_defaults():
         (lambda d: d["integrator"].update(dt=0.0), "integrator.dt"),
         (lambda d: d["integrator"].update(dt=20.0), "integrator"),
         (lambda d: d["integrator"].pop("T"), "integrator.T"),
+        (lambda d: d["integrator"].update(method="euler"), "integrator.method"),
         (lambda d: d.update(seed=1.5), "seed"),
     ],
 )
@@ -89,6 +90,12 @@ def test_invalid_reduced_scenarios_name_the_field(mutate, field):
         scenario_from_dict(data)
     assert err.value.field.startswith(field)
     assert field in str(err.value)
+
+
+def test_explicit_rk4_method_accepted():
+    data = reduced_scenario()
+    data["integrator"]["method"] = "rk4"
+    assert scenario_from_dict(data).config == scenario_from_dict(reduced_scenario()).config
 
 
 def test_both_initial_forms_rejected():
