@@ -62,6 +62,7 @@ from .geometry import (
 from .rolling import (
     FULL_DIM,
     REDUCED_DIM,
+    RHO_INDEX,
     BodyParams,
     K_from_omega,
     X_nh_full,

@@ -193,6 +193,13 @@ def scale_bivector(pi: BivectorPatch, factor: ScalarField, name: str = "") -> Bi
     )
 
 
+def _conditioning(m: np.ndarray) -> tuple[float, float]:
+    """Smallest singular value and condition number (inf if singular) of m."""
+    svals = np.linalg.svd(m, compute_uv=False)
+    smallest = float(svals[-1])
+    return smallest, float(svals[0] / smallest) if smallest > 0.0 else float("inf")
+
+
 def gauge_transform(pi: BivectorPatch, b_form: FormPatch, name: str = "") -> BivectorPatch:
     """Gauge transformation of pi by the 2-form B: pi^B = pi (E + B pi)^{-1},
     where B is the component matrix B[i, j] = B(e_i, e_j).
@@ -210,12 +217,9 @@ def gauge_transform(pi: BivectorPatch, b_form: FormPatch, name: str = "") -> Biv
         if not bm.any():
             return p
         m = np.eye(pi.dim) + bm @ p
-        svals = np.linalg.svd(m, compute_uv=False)
-        smallest = float(svals[-1])
-        if smallest <= 0.0 or svals[0] / smallest > _COND_LIMIT:
-            raise SingularGauge(
-                f"E + B pi has condition {np.inf if smallest <= 0 else svals[0] / smallest:.3e}"
-            )
+        _, condition = _conditioning(m)
+        if condition > _COND_LIMIT:
+            raise SingularGauge(f"E + B pi has condition {condition:.3e}")
         # p @ inv(m), computed by a solve on the transposed system
         g = np.linalg.solve(m.T, p.T).T
         residue = float(np.max(np.abs(g + g.T)))
@@ -249,10 +253,7 @@ def dynamical_gauge_check(
         x = ham_vf(pi, h_field, s)
         bm = b_form(s)
         contraction = float(np.linalg.norm(x @ bm))
-        m = np.eye(pi.dim) + bm @ pi.matrix(s)
-        svals = np.linalg.svd(m, compute_uv=False)
-        smallest = float(svals[-1])
-        condition = float(svals[0] / smallest) if smallest > 0.0 else float("inf")
+        smallest, condition = _conditioning(np.eye(pi.dim) + bm @ pi.matrix(s))
         invertible = bool(np.isfinite(condition) and condition <= _COND_LIMIT)
         out.append(
             {

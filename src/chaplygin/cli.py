@@ -58,7 +58,7 @@ def _atomic_write(path: Path, text: str):
 
 
 def _trajectory_csv(scenario: Scenario, traj: Trajectory, full: bool) -> str:
-    series = traj.monitors or monitor_series(scenario.params, traj)
+    series = monitor_series(scenario.params, traj)
     if full:
         header = list(_FULL_HEADER)
         columns = [traj.times] + [traj.states[:, i] for i in range(FULL_DIM)] + [series["H"]]

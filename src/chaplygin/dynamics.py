@@ -1,9 +1,10 @@
 """Time integration of the rolling dynamics and conservation diagnostics.
 
 Fixed-step classical RK4 on either the reduced space (gamma, K) or the full
-space (g, x, K).  Optional per-step renormalization keeps g orthogonal
-(modified Gram-Schmidt on rows, default on) and gamma on the unit sphere
-(default off, so that conservation of |gamma|^2 stays observable).
+space (g, x, K).  On the full space every step renormalizes g (modified
+Gram-Schmidt on rows); on the reduced space an optional per-step
+renormalization keeps gamma on the unit sphere (default off, so that
+conservation of |gamma|^2 stays observable).
 
 Monitored quantities: H, C1 = K . gamma, C2 = |gamma|^2, F = |K|^2.
 """
@@ -16,15 +17,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteState
-from .geometry import fd_partials
+from .geometry import unhat
 from .rolling import (
     FULL_DIM,
     REDUCED_DIM,
+    RHO_INDEX,
     BodyParams,
     X_nh_full,
     conformal_factor,
     invariant_density,
     omega_from_K,
+    omega_jacobians,
     reduced_vf,
     split_full,
 )
@@ -49,7 +52,6 @@ MONITOR_NAMES = ("H", "C1", "C2", "F")
 class IntegratorConfig:
     dt: float
     t_final: float
-    renormalize_g: bool = True
     renormalize_gamma: bool = False
 
     def __post_init__(self):
@@ -82,14 +84,11 @@ def _schedule(config: IntegratorConfig) -> tuple[np.ndarray, list]:
 @dataclass
 class Trajectory:
     """Sampled solution: times[k] with states[k]; for reparametrized runs the
-    time axis is the new parameter and t_recovered holds physical time.
-    ``monitors`` (filled in by the integrators) holds the per-sample series of
-    H, C1, C2 and F as recorded during the run."""
+    time axis is the new parameter and t_recovered holds physical time."""
 
     times: np.ndarray
     states: np.ndarray
     t_recovered: Optional[np.ndarray] = None
-    monitors: Optional[dict] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -133,10 +132,8 @@ def _mgs_rows(g: np.ndarray) -> np.ndarray:
 
 def _renormalize(state: np.ndarray, config: IntegratorConfig, full: bool) -> np.ndarray:
     if full:
-        if config.renormalize_g:
-            g, x, k = split_full(state)
-            state = np.concatenate([_mgs_rows(g).reshape(9), x, k])
-        return state
+        g, x, k = split_full(state)
+        return np.concatenate([_mgs_rows(g).reshape(9), x, k])
     if config.renormalize_gamma:
         norm = np.linalg.norm(state[:3])
         if norm == 0.0:
@@ -180,9 +177,7 @@ def integrate(params: BodyParams, initial, config: IntegratorConfig) -> Trajecto
     full = y.size == FULL_DIM
     field = X_nh_full if full else reduced_vf
     times, states = _march(lambda s: field(params, s), y, config, full)
-    traj = Trajectory(times=times, states=states)
-    traj.monitors = monitor_series(params, traj)
-    return traj
+    return Trajectory(times=times, states=states)
 
 
 def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConfig) -> Trajectory:
@@ -205,9 +200,7 @@ def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConf
 
     # _renormalize touches only gamma = z[:3], never the physical time z[6]
     times, rows = _march(f_aug, np.concatenate([y0, [0.0]]), config, full=False)
-    traj = Trajectory(times=times, states=rows[:, :REDUCED_DIM], t_recovered=rows[:, REDUCED_DIM])
-    traj.monitors = monitor_series(params, traj)
-    return traj
+    return Trajectory(times=times, states=rows[:, :REDUCED_DIM], t_recovered=rows[:, REDUCED_DIM])
 
 
 def monitor_series(params: BodyParams, traj: Trajectory) -> dict:
@@ -215,11 +208,12 @@ def monitor_series(params: BodyParams, traj: Trajectory) -> dict:
     states in one pass over all rows; np.vecdot rounds as the 1-d ``@``, so
     each value equals the per-state ``hamiltonian`` or ``@`` bit for bit."""
     if traj.dim == FULL_DIM:
-        gamma, k = traj.states[:, 6:9], traj.states[:, 12:15]
+        reduced = traj.states[:, RHO_INDEX]
     elif traj.dim == REDUCED_DIM:
-        gamma, k = traj.states[:, :3], traj.states[:, 3:]
+        reduced = traj.states
     else:
         raise ValueError(f"monitors need 6- or 15-dim states, got {traj.dim}")
+    gamma, k = reduced[:, :3], reduced[:, 3:]
     return {
         "H": 0.5 * np.vecdot(k, omega_from_K(params, gamma, k)),
         "C1": np.vecdot(k, gamma),
@@ -242,7 +236,9 @@ def invariant_drift(params: BodyParams, traj: Trajectory) -> dict:
 
 
 def divergence_defect(params: BodyParams, state, density: str = "invariant") -> float:
-    """|div(mu X)| at a reduced state by central differences.
+    """|div(mu X)| = |mu div X + grad mu . X| at a reduced state, in closed form:
+    div X = -gamma . unhat(J_gamma - J_gamma^T) - K . unhat(J_K - J_K^T) with
+    J_gamma, J_K the omega_jacobians.
 
     density='invariant' uses the measure the flow is claimed to preserve
     (1/conformal_factor); density='uniform' uses mu = 1, which for ranks 1
@@ -258,11 +254,12 @@ def divergence_defect(params: BodyParams, state, density: str = "invariant") -> 
     else:
         raise ValueError(f"unknown density {density!r}")
 
-    def flux(s):
-        x = reduced_vf(params, s)
-        return x if mu is None else mu(s) * x
-
-    return abs(float(np.trace(fd_partials(flux, state))))
+    gamma, K = state[:3], state[3:]
+    d_gamma, d_k = omega_jacobians(params, gamma, K)
+    div_x = -float(gamma @ unhat(d_gamma - d_gamma.T)) - float(K @ unhat(d_k - d_k.T))
+    if mu is None:
+        return abs(div_x)
+    return abs(mu(state) * div_x + float(mu.grad(state) @ reduced_vf(params, state)))
 
 
 def hermite_sample(params: BodyParams, traj: Trajectory, t: float) -> np.ndarray:

@@ -20,7 +20,8 @@ angle of -pi/2 is the Chaplygin sphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .geometry import (
 __all__ = [
     "FULL_DIM",
     "REDUCED_DIM",
+    "RHO_INDEX",
     "BodyParams",
     "K_from_omega",
     "X_nh_full",
@@ -74,6 +76,9 @@ __all__ = [
 
 REDUCED_DIM = 6
 FULL_DIM = 15
+# positions of (gamma, K) in a full state: gamma is the third row of g
+RHO_INDEX = np.array([6, 7, 8, 12, 13, 14])
+RHO_INDEX.setflags(write=False)
 
 # (a, b) coefficients of V = K + m r^2 (a Omega + b (Omega.gamma) gamma),
 # keyed by (rank, variant).  Uniformly V_primed = V_plain - m r^2 Omega.
@@ -87,6 +92,10 @@ _V_COEFFS = {
     (3, "plain"): (1.0, 0.0),
     (3, "primed"): (0.0, 0.0),
 }
+
+# rank -> (sign, n is I + m r^2 rather than I) with I + m r^2 S(gamma) =
+# diag(n) + sign m r^2 gamma gamma^T, S = 0, gamma gamma^T, E - gamma gamma^T, E
+_RANK_TERMS = {0: (0.0, False), 1: (1.0, False), 2: (-1.0, True), 3: (0.0, True)}
 
 # which variant is Poisson after (at most) a conformal rescaling
 _HAMILTONIZABLE = {0: "plain", 1: "plain", 2: "primed", 3: "primed"}
@@ -137,6 +146,14 @@ class BodyParams:
     def inertia_vec(self) -> np.ndarray:
         return np.asarray(self.inertia, dtype=float)
 
+    @cached_property
+    def _rank_terms(self) -> tuple[float, np.ndarray]:
+        """(sign, n) of _RANK_TERMS, n read-only; computed once per body."""
+        sign, shifted = _RANK_TERMS[self.rank]
+        n = self.inertia_vec + self.mr2 if shifted else self.inertia_vec
+        n.setflags(write=False)
+        return sign, n
+
 
 def split_reduced(state) -> tuple[np.ndarray, np.ndarray]:
     state = np.asarray(state, dtype=float)
@@ -164,29 +181,38 @@ def matrix_A(params: BodyParams) -> np.ndarray:
     return a
 
 
-def _s_matrix(params: BodyParams, gamma: np.ndarray) -> np.ndarray:
-    """A^T A expressed on the reduced space: the projector S(gamma) with
-    K = I Omega + m r^2 S Omega."""
-    if params.rank == 0:
-        return np.zeros((3, 3))
-    if params.rank == 1:
-        return np.outer(gamma, gamma)
-    if params.rank == 2:
-        return np.eye(3) - np.outer(gamma, gamma)
-    return np.eye(3)
+def _sherman_morrison(params: BodyParams, gamma: np.ndarray):
+    """u = gamma / n and den = |gamma|^2 + sign m r^2 gamma . u (= phi^2) for
+    the (sign, n) of the rank: the Sherman-Morrison denominator of diag(n) +
+    sign m r^2 gamma gamma^T on the unit sphere.  gamma may carry leading axes;
+    raises DegenerateDenominator at the first row with den <= 1e-12 |gamma|^2
+    (gamma = 0 too); NaN passes."""
+    sign, n = params._rank_terms
+    g2 = np.vecdot(gamma, gamma)
+    u = gamma / n
+    den = g2 + sign * params.mr2 * np.vecdot(gamma, u)
+    degenerate = den <= 1e-12 * np.maximum(g2, 1e-300)
+    if np.count_nonzero(degenerate):
+        i = np.flatnonzero(degenerate)[0]
+        raise DegenerateDenominator(
+            f"rank-{params.rank} denominator {den.flat[i]:.3e} at |gamma|^2 = {g2.flat[i]:.3e}"
+        )
+    return u, den
 
 
 def K_from_omega(params: BodyParams, gamma, omega) -> np.ndarray:
+    """K = n Omega + sign m r^2 (gamma . Omega) gamma = (I + m r^2 S(gamma)) Omega."""
     gamma = np.asarray(gamma, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    return params.inertia_vec * omega + params.mr2 * (_s_matrix(params, gamma) @ omega)
+    sign, n = params._rank_terms
+    return n * omega + (sign * params.mr2 * float(gamma @ omega)) * gamma
 
 
 def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:
     """Angular velocity from constrained momentum, in closed form.
 
-    Inverts K = (I + m r^2 S(gamma)) Omega.  The rank-1 and rank-2
-    expressions carry |gamma|^2 in their denominators; they invert
+    Inverts K = (I + m r^2 S(gamma)) Omega by Sherman-Morrison.  The rank-1
+    and rank-2 expressions carry |gamma|^2 in their denominators; they invert
     K_from_omega exactly on the unit sphere and extend smoothly off it,
     which is what the finite-difference probes rely on.
 
@@ -194,59 +220,29 @@ def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:
     equals the 1-d call on that row bit for bit (np.vecdot rounds as the
     1-d ``@``).  Raises DegenerateDenominator if any row is degenerate.
     """
-    gamma = np.asarray(gamma, dtype=float)
     K = np.asarray(K, dtype=float)
-    iv = params.inertia_vec
-    mr2 = params.mr2
-    if params.rank == 0:
-        return K / iv
-    if params.rank == 3:
-        return K / (iv + mr2)
-    # I + m r^2 S = diag(n) + sign m r^2 gamma gamma^T, as S = gamma gamma^T
-    # (rank 1) or E - gamma gamma^T (rank 2)
-    sign, n = (1.0, iv) if params.rank == 1 else (-1.0, iv + mr2)
-    g2 = np.vecdot(gamma, gamma)
-    u = gamma / n
-    den = g2 + sign * mr2 * np.vecdot(gamma, u)
-    degenerate = den <= 1e-12 * np.maximum(g2, 1e-300)
-    if np.count_nonzero(degenerate):
-        i = np.flatnonzero(degenerate)[0]
-        raise DegenerateDenominator(
-            f"rank-{params.rank} denominator {den.flat[i]:.3e} at |gamma|^2 = {g2.flat[i]:.3e}"
-        )
+    sign, n = params._rank_terms
+    if not sign:
+        return K / n
+    u, den = _sherman_morrison(params, np.asarray(gamma, dtype=float))
     c = np.vecdot(K, u) / den
-    return K / n - (sign * mr2 * c)[..., None] * u
+    return K / n - (sign * params.mr2 * c)[..., None] * u
 
 
 def omega_jacobians(params: BodyParams, gamma, K) -> tuple[np.ndarray, np.ndarray]:
     """(d Omega / d gamma, d Omega / d K), both 3x3 with [i, j] = d Omega_i / d coord_j."""
-    gamma = np.asarray(gamma, dtype=float)
     K = np.asarray(K, dtype=float)
-    iv = params.inertia_vec
+    sign, n = params._rank_terms
+    if not sign:
+        return np.zeros((3, 3)), np.diag(1.0 / n)
+    gamma = np.asarray(gamma, dtype=float)
     mr2 = params.mr2
-    if params.rank == 0:
-        return np.zeros((3, 3)), np.diag(1.0 / iv)
-    if params.rank == 3:
-        return np.zeros((3, 3)), np.diag(1.0 / (iv + mr2))
-    g2 = float(gamma @ gamma)
-    if params.rank == 2:
-        n = iv + mr2
-        u = gamma / n
-        den = g2 - mr2 * float(gamma @ u)
-        c = float(K @ u) / den
-        dden = 2.0 * gamma - 2.0 * mr2 * u
-        dc = (K / n) / den - (c / den) * dden
-        d_gamma = mr2 * (np.outer(u, dc) + c * np.diag(1.0 / n))
-        d_k = np.diag(1.0 / n) + (mr2 / den) * np.outer(u, u)
-        return d_gamma, d_k
-    # rank 1
-    u = gamma / iv
-    den = g2 + mr2 * float(gamma @ u)
+    u, den = _sherman_morrison(params, gamma)
     c = float(K @ u) / den
-    dden = 2.0 * gamma + 2.0 * mr2 * u
-    dc = (K / iv) / den - (c / den) * dden
-    d_gamma = -mr2 * (np.outer(u, dc) + c * np.diag(1.0 / iv))
-    d_k = np.diag(1.0 / iv) - (mr2 / den) * np.outer(u, u)
+    dden = 2.0 * gamma + 2.0 * sign * mr2 * u
+    dc = (K / n) / den - (c / den) * dden
+    d_gamma = -sign * mr2 * (np.outer(u, dc) + c * np.diag(1.0 / n))
+    d_k = np.diag(1.0 / n) - (sign * mr2 / den) * np.outer(u, u)
     return d_gamma, d_k
 
 
@@ -336,18 +332,13 @@ def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch
 def conformal_factor(params: BodyParams) -> ScalarField:
     """The positive function that rescales the Hamiltonizable bracket into a
     Poisson one: sqrt(|gamma|^2 + m r^2 gamma . I^-1 gamma) for rank 1,
-    sqrt(|gamma|^2 - m r^2 gamma . (I + m r^2)^-1 gamma) for rank 2, and the
-    constant 1 for ranks 0 and 3.
+    sqrt(|gamma|^2 - m r^2 gamma . (I + m r^2)^-1 gamma) for rank 2 (the
+    denominator of omega_from_K), and the constant 1 for ranks 0 and 3.
     """
-    if params.rank in (0, 3):
-        return ScalarField(
-            value=lambda s: 1.0, gradient=lambda s: np.zeros(6), name="phi=1"
-        )
-    mr2 = params.mr2
-    if params.rank == 1:
-        weight = 1.0 + mr2 / params.inertia_vec
-    else:
-        weight = 1.0 - mr2 / (params.inertia_vec + mr2)
+    sign, n = params._rank_terms
+    if not sign:
+        return ScalarField(value=lambda s: 1.0, gradient=lambda s: np.zeros(6), name="phi=1")
+    weight = 1.0 + sign * params.mr2 / n
 
     def value(s):
         gamma = np.asarray(s, dtype=float)[:3]
@@ -356,6 +347,8 @@ def conformal_factor(params: BodyParams) -> ScalarField:
     def gradient(s):
         gamma = np.asarray(s, dtype=float)[:3]
         phi = math.sqrt(float(gamma @ (weight * gamma)))
+        if phi == 0.0:
+            raise DegenerateDenominator(f"rank-{params.rank} conformal factor vanishes at gamma = 0")
         out = np.zeros(6)
         out[:3] = weight * gamma / phi
         return out
@@ -370,7 +363,10 @@ def invariant_density(params: BodyParams) -> ScalarField:
     phi = conformal_factor(params)
 
     def value(s):
-        return 1.0 / phi(s)
+        p = phi(s)
+        if p == 0.0:
+            raise DegenerateDenominator(f"rank-{params.rank} invariant density 1/phi at phi = 0")
+        return 1.0 / p
 
     def gradient(s):
         p = phi(s)
@@ -514,7 +510,7 @@ def project_rho(state) -> np.ndarray:
     state = np.asarray(state, dtype=float)
     if state.shape != (FULL_DIM,):
         raise ValueError(f"expected a 15-dim full state, got shape {state.shape}")
-    return np.concatenate([state[6:9], state[12:15]])
+    return state[RHO_INDEX]
 
 
 def lift_reduced_state(state) -> np.ndarray:
@@ -544,23 +540,16 @@ def sample_full_state(seed=None) -> np.ndarray:
 
 
 def full_hamiltonian_field(params: BodyParams) -> ScalarField:
-    """H on the full space; depends on g only through its third row."""
-
-    def value(s):
-        g, _, K = split_full(s)
-        return 0.5 * float(K @ omega_from_K(params, g[2], K))
+    """H on the full space: the reduced H at project_rho(state), its gradient
+    scattered to the gamma and K positions."""
+    h = hamiltonian_field(params)
 
     def gradient(s):
-        g, _, K = split_full(s)
-        gamma = g[2]
-        omega = omega_from_K(params, gamma, K)
-        d_gamma, _ = omega_jacobians(params, gamma, K)
         out = np.zeros(FULL_DIM)
-        out[6:9] = 0.5 * (d_gamma.T @ K)
-        out[12:15] = omega
+        out[RHO_INDEX] = h.grad(project_rho(s))
         return out
 
-    return ScalarField(value=value, gradient=gradient, name="H_full")
+    return ScalarField(value=lambda s: h(project_rho(s)), gradient=gradient, name="H_full")
 
 
 def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
@@ -703,8 +692,7 @@ def reduction_defect(params: BodyParams, variant: str, full_state) -> np.ndarray
     full_form = "plain" if variant == "plain" else "gauged"
     p_full = nh_bracket_full(params, full_form).matrix(full_state)
     p_red = reduced_bracket(params, variant).matrix(project_rho(full_state))
-    idx = [6, 7, 8, 12, 13, 14]  # gamma = third row of g, then K
-    return np.abs(p_full[np.ix_(idx, idx)] - p_red)
+    return np.abs(p_full[np.ix_(RHO_INDEX, RHO_INDEX)] - p_red)
 
 
 def reduction_consistency(params: BodyParams, variant: str, full_state, i: int, j: int) -> float:

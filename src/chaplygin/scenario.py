@@ -139,13 +139,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     method = integ.get("method", "rk4")
     if method != "rk4":
         raise ScenarioError("integrator.method", f"unknown method {method!r}")
-    flags = {}
-    for key in ("renormalize_g", "renormalize_gamma"):
-        if key in integ:
-            if not isinstance(integ[key], bool):
-                raise ScenarioError(f"integrator.{key}", "must be a boolean")
-            flags[key] = integ[key]
-    config = IntegratorConfig(dt=dt, t_final=t_final, **flags)
+    if integ.get("renormalize_g", True) is not True:
+        raise ScenarioError("integrator.renormalize_g", "g is always renormalized; only true is accepted")
+    renormalize_gamma = integ.get("renormalize_gamma", False)
+    if not isinstance(renormalize_gamma, bool):
+        raise ScenarioError("integrator.renormalize_gamma", "must be a boolean")
+    config = IntegratorConfig(dt=dt, t_final=t_final, renormalize_gamma=renormalize_gamma)
 
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):

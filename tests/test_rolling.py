@@ -187,6 +187,25 @@ def test_omega_batched_raises_on_one_degenerate_row(rank_d):
     assert np.all(np.isfinite(omega_from_K(body, gamma[[0, 2]], k[[0, 2]])))
 
 
+@pytest.mark.parametrize("rank_d", [1, 2])
+def test_measure_terms_raise_at_zero_gamma(rank_d):
+    body = standard_body(rank_d)
+    zero = np.array([0.0, 0.0, 0.0, 0.3, -0.1, 0.2])
+    with pytest.raises(DegenerateDenominator):
+        omega_jacobians(body, zero[:3], zero[3:])
+    with pytest.raises(DegenerateDenominator):
+        conformal_factor(body).grad(zero)
+    mu = invariant_density(body)
+    with pytest.raises(DegenerateDenominator):
+        mu(zero)
+    with pytest.raises(DegenerateDenominator):
+        mu.grad(zero)
+    # NaN states pass through, so the integrator can report NonFiniteState
+    nan = np.full(6, np.nan)
+    assert np.all(np.isnan(omega_jacobians(body, nan[:3], nan[3:])[0]))
+    assert np.all(np.isnan(mu.grad(nan)))
+
+
 def test_omega_jacobians_match_fd(rank):
     body = asymmetric_body(rank)
     rng = np.random.default_rng(20 + rank)

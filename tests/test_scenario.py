@@ -58,7 +58,6 @@ def test_optional_fields_defaults():
     del data["seed"]
     sc = scenario_from_dict(data)
     assert sc.seed == 0
-    assert sc.config.renormalize_g is True
     assert sc.config.renormalize_gamma is False
 
 
@@ -80,6 +79,7 @@ def test_optional_fields_defaults():
         (lambda d: d["integrator"].update(dt=20.0), "integrator"),
         (lambda d: d["integrator"].pop("T"), "integrator.T"),
         (lambda d: d["integrator"].update(method="euler"), "integrator.method"),
+        (lambda d: d["integrator"].update(renormalize_g=False), "integrator.renormalize_g"),
         (lambda d: d.update(seed=1.5), "seed"),
     ],
 )
