@@ -6,11 +6,20 @@ Gram-Schmidt on rows); on the reduced space an optional per-step
 renormalization keeps gamma on the unit sphere (default off, so that
 conservation of |gamma|^2 stays observable).
 
+The stepper runs on lists of Python floats: each RK4 stage calls the body's
+list-in/list-out vector-field kernel (built once per body in ``rolling``),
+every sum rounds left to right, each step is checked with ``math.isfinite``,
+and the sampled states become one array at the end of the run.  Python
+floats never warn, and no division is reached with a zero divisor: the
+kernels raise DegenerateDenominator and the renormalizations NonFiniteState
+first.
+
 Monitored quantities: H, C1 = K . gamma, C2 = |gamma|^2, F = |K|^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,7 +38,6 @@ from .rolling import (
     omega_from_K,
     omega_jacobians,
     reduced_vf,
-    split_full,
 )
 
 __all__ = [
@@ -109,59 +117,64 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
+def rk4_step(f: Callable[[list], list], y: list, dt: float) -> list:
+    """One classical RK4 step of y' = f(y) on lists of Python floats."""
+    h = 0.5 * dt
     k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f([a + h * b for a, b in zip(y, k1)])
+    k3 = f([a + h * b for a, b in zip(y, k2)])
+    k4 = f([a + dt * b for a, b in zip(y, k3)])
+    c = dt / 6.0
+    return [a + c * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
-def _mgs_rows(g: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt on the rows of g."""
-    out = g.copy()
-    for i in range(3):
-        for j in range(i):
-            out[i] -= (out[i] @ out[j]) * out[j]
-        norm = np.linalg.norm(out[i])
-        if norm == 0.0:
+def _orthonormal_rows(y: list) -> list:
+    """A full state with the rows of g = y[:9] replaced by their modified
+    Gram-Schmidt basis.  A row left with at most 1e-12 of its length after
+    the projections (a rank-deficient g; rounding rarely leaves exactly 0)
+    raises NonFiniteState."""
+    rows = []
+    for i in (0, 3, 6):
+        r1, r2, r3 = y[i : i + 3]
+        before = r1 * r1 + r2 * r2 + r3 * r3
+        for q1, q2, q3 in rows:
+            d = r1 * q1 + r2 * q2 + r3 * q3
+            r1, r2, r3 = r1 - d * q1, r2 - d * q2, r3 - d * q3
+        after = r1 * r1 + r2 * r2 + r3 * r3
+        if after <= 1e-24 * before:
             raise NonFiniteState("degenerate attitude matrix during renormalization")
-        out[i] /= norm
-    return out
+        norm = math.sqrt(after)
+        rows.append((r1 / norm, r2 / norm, r3 / norm))
+    return [*rows[0], *rows[1], *rows[2], *y[9:]]
 
 
-def _renormalize(state: np.ndarray, config: IntegratorConfig, full: bool) -> np.ndarray:
-    if full:
-        g, x, k = split_full(state)
-        return np.concatenate([_mgs_rows(g).reshape(9), x, k])
-    if config.renormalize_gamma:
-        norm = np.linalg.norm(state[:3])
-        if norm == 0.0:
-            raise NonFiniteState("gamma collapsed to zero during renormalization")
-        state = state.copy()
-        state[:3] /= norm
-    return state
+def _unit_gamma(y: list) -> list:
+    """y with gamma = y[:3] scaled to unit length; the other entries unchanged."""
+    norm = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
+    if norm == 0.0:
+        raise NonFiniteState("gamma collapsed to zero during renormalization")
+    return [y[0] / norm, y[1] / norm, y[2] / norm] + y[3:]
 
 
-def _march(f, y: np.ndarray, config: IntegratorConfig, full: bool) -> tuple:
+def _march(f, y: list, config: IntegratorConfig, renormalize) -> tuple:
     """RK4 from y along the schedule of config; returns (times, states).
 
-    NumPy overflow warnings are silenced while stepping: the finiteness check
-    after each step raises NonFiniteState instead.
+    Steps Python floats, which never warn: the finiteness check after each
+    step raises NonFiniteState instead.  ``renormalize`` (or None) maps each
+    finite step back to the constraint manifold.
     """
-    if not np.all(np.isfinite(y)):
+    if not all(map(math.isfinite, y)):
         raise NonFiniteState("initial state has non-finite entries")
     times, steps = _schedule(config)
-    states = np.empty((times.size, y.size))
-    states[0] = y
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, dt in enumerate(steps):
-            y = rk4_step(f, y, dt)
-            if not np.all(np.isfinite(y)):
-                raise NonFiniteState(f"non-finite state after step {k + 1} (at {times[k + 1]:g})")
-            y = _renormalize(y, config, full)
-            states[k + 1] = y
-    return times, states
+    rows = [y]
+    for k, dt in enumerate(steps):
+        y = rk4_step(f, y, dt)
+        if not all(map(math.isfinite, y)):
+            raise NonFiniteState(f"non-finite state after step {k + 1} (at {times[k + 1]:g})")
+        if renormalize is not None:
+            y = renormalize(y)
+        rows.append(y)
+    return times, np.array(rows)
 
 
 def integrate(params: BodyParams, initial, config: IntegratorConfig) -> Trajectory:
@@ -171,12 +184,15 @@ def integrate(params: BodyParams, initial, config: IntegratorConfig) -> Trajecto
     field is chosen accordingly.  Raises NonFiniteState as soon as a step
     produces NaN or infinity.
     """
-    y = np.asarray(initial, dtype=float).copy()
+    y = np.asarray(initial, dtype=float)
     if y.shape not in ((REDUCED_DIM,), (FULL_DIM,)):
         raise ValueError(f"initial state has shape {y.shape}; expected (6,) or (15,)")
-    full = y.size == FULL_DIM
-    field = X_nh_full if full else reduced_vf
-    times, states = _march(lambda s: field(params, s), y, config, full)
+    if y.size == FULL_DIM:
+        field, renormalize = params._kernels.full, _orthonormal_rows
+    else:
+        field = params._kernels.reduced
+        renormalize = _unit_gamma if config.renormalize_gamma else None
+    times, states = _march(field, y.tolist(), config, renormalize)
     return Trajectory(times=times, states=states)
 
 
@@ -191,15 +207,16 @@ def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConf
     y0 = np.asarray(initial, dtype=float)
     if y0.shape != (REDUCED_DIM,):
         raise ValueError("reparametrized integration is defined on the reduced space")
-    phi = conformal_factor(params)
+    field, phi = params._kernels.reduced, conformal_factor(params).value
 
     def f_aug(z):
         s = z[:REDUCED_DIM]
         p = phi(s)
-        return np.concatenate([p * reduced_vf(params, s), [p]])
+        return [p * v for v in field(s)] + [p]
 
-    # _renormalize touches only gamma = z[:3], never the physical time z[6]
-    times, rows = _march(f_aug, np.concatenate([y0, [0.0]]), config, full=False)
+    # _unit_gamma touches only gamma = z[:3], never the physical time z[6]
+    renormalize = _unit_gamma if config.renormalize_gamma else None
+    times, rows = _march(f_aug, y0.tolist() + [0.0], config, renormalize)
     return Trajectory(times=times, states=rows[:, :REDUCED_DIM], t_recovered=rows[:, REDUCED_DIM])
 
 

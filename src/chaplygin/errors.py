@@ -30,7 +30,8 @@ class UnsupportedRank(ValueError):
 
 
 class NonFiniteState(ArithmeticError):
-    """Integration produced a state with NaN or infinite entries."""
+    """Integration produced a state with NaN or infinite entries, or a state's
+    |gamma|^2 overflows in the angular-velocity reconstruction."""
 
 
 class ScenarioError(ValueError):

@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .brackets import BivectorPatch, ScalarField
-from .errors import DegenerateDenominator, UnsupportedRank
+from .errors import DegenerateDenominator, NonFiniteState, UnsupportedRank
 from .geometry import (
     EPSILON,
     FormPatch,
@@ -138,27 +139,32 @@ class BodyParams:
         if self.rank not in (0, 1, 2, 3):
             raise UnsupportedRank(f"constraint rank must be 0..3, got {self.rank}")
 
-    @property
+    @cached_property
     def mr2(self) -> float:
         return self.mass * self.radius**2
 
-    @property
-    def inertia_vec(self) -> np.ndarray:
-        return np.asarray(self.inertia, dtype=float)
+    @cached_property
+    def _rank_terms(self) -> tuple[float, tuple[float, float, float]]:
+        """(sign, n) of _RANK_TERMS as Python floats; computed once per body."""
+        sign, shifted = _RANK_TERMS[self.rank]
+        shift = self.mr2 if shifted else 0.0
+        return sign, tuple(float(i) + shift for i in self.inertia)
 
     @cached_property
-    def _rank_terms(self) -> tuple[float, np.ndarray]:
-        """(sign, n) of _RANK_TERMS, n read-only; computed once per body."""
-        sign, shifted = _RANK_TERMS[self.rank]
-        n = self.inertia_vec + self.mr2 if shifted else self.inertia_vec
-        n.setflags(write=False)
-        return sign, n
+    def _kernels(self) -> "_Kernels":
+        """The per-step kernels of this body on Python floats; built once."""
+        return _build_kernels(self)
+
+
+def _checked(state, dim: int, chart: str) -> np.ndarray:
+    state = np.asarray(state, dtype=float)
+    if state.shape != (dim,):
+        raise ValueError(f"expected a {dim}-dim {chart} state, got shape {state.shape}")
+    return state
 
 
 def split_reduced(state) -> tuple[np.ndarray, np.ndarray]:
-    state = np.asarray(state, dtype=float)
-    if state.shape != (REDUCED_DIM,):
-        raise ValueError(f"expected a 6-dim reduced state, got shape {state.shape}")
+    state = _checked(state, REDUCED_DIM, "reduced")
     return state[:3], state[3:]
 
 
@@ -181,23 +187,87 @@ def matrix_A(params: BodyParams) -> np.ndarray:
     return a
 
 
-def _sherman_morrison(params: BodyParams, gamma: np.ndarray):
-    """u = gamma / n and den = |gamma|^2 + sign m r^2 gamma . u (= phi^2) for
-    the (sign, n) of the rank: the Sherman-Morrison denominator of diag(n) +
-    sign m r^2 gamma gamma^T on the unit sphere.  gamma may carry leading axes;
-    raises DegenerateDenominator at the first row with den <= 1e-12 |gamma|^2
-    (gamma = 0 too); NaN passes."""
-    sign, n = params._rank_terms
-    g2 = np.vecdot(gamma, gamma)
-    u = gamma / n
-    den = g2 + sign * params.mr2 * np.vecdot(gamma, u)
+def _check_denominator(rank: int, den, g2):
+    """Raise NonFiniteState where |gamma|^2 or den overflows (the correction
+    term would silently vanish; a blow-up reaches the integrator this way)
+    and DegenerateDenominator where den <= 1e-12 |gamma|^2 (gamma = 0 too);
+    NaN passes.  Floats for one state; arrays for many, naming the first
+    offending row."""
+    if isinstance(den, float):
+        if g2 == math.inf or den == math.inf:
+            raise NonFiniteState(f"non-finite state: rank-{rank} |gamma|^2 overflows")
+        if den <= 1e-12 * max(g2, 1e-300):
+            raise DegenerateDenominator(
+                f"rank-{rank} denominator {den:.3e} at |gamma|^2 = {g2:.3e}"
+            )
+        return
+    overflow = (g2 == math.inf) | (den == math.inf)
+    if np.count_nonzero(overflow):
+        i = np.flatnonzero(overflow)[0]
+        raise NonFiniteState(f"non-finite state: rank-{rank} |gamma|^2 overflows in row {i}")
     degenerate = den <= 1e-12 * np.maximum(g2, 1e-300)
     if np.count_nonzero(degenerate):
         i = np.flatnonzero(degenerate)[0]
         raise DegenerateDenominator(
-            f"rank-{params.rank} denominator {den.flat[i]:.3e} at |gamma|^2 = {g2.flat[i]:.3e}"
+            f"rank-{rank} denominator {den.flat[i]:.3e} at |gamma|^2 = {g2.flat[i]:.3e}"
         )
-    return u, den
+
+
+class _Kernels(NamedTuple):
+    """Per-body kernels on Python floats (see _build_kernels)."""
+
+    omega: Callable  # (gamma, K) -> (Omega, u, den, c)
+    reduced: Callable  # 6 floats (gamma, K) -> their 6 time derivatives
+    full: Callable  # 15 floats (g, x, K) -> their 15 time derivatives
+
+
+def _build_kernels(params: BodyParams) -> _Kernels:
+    sign, (n1, n2, n3) = params._rank_terms
+    smr2 = sign * params.mr2
+    rank = params.rank
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = (params.radius * matrix_A(params)).tolist()
+
+    def omega(gamma, k):
+        """Omega = K/n - sign m r^2 c u with u = gamma/n, den = |gamma|^2 + sign
+        m r^2 gamma . u (the Sherman-Morrison denominator of diag(n) + sign m r^2
+        gamma gamma^T, phi^2 on the unit sphere) and c = K . u / den.
+
+        The components are Python floats for one state or numpy columns for
+        many; both round left to right, so a batch equals its rows bit for
+        bit.  Returns (Omega, u, den, c); u, den, c are None when sign = 0.
+        """
+        k1, k2, k3 = k
+        if not sign:
+            return (k1 / n1, k2 / n2, k3 / n3), None, None, None
+        g1, g2, g3 = gamma
+        u1, u2, u3 = g1 / n1, g2 / n2, g3 / n3
+        gg = g1 * g1 + g2 * g2 + g3 * g3
+        den = gg + smr2 * (g1 * u1 + g2 * u2 + g3 * u3)
+        _check_denominator(rank, den, gg)
+        c = (k1 * u1 + k2 * u2 + k3 * u3) / den
+        s = smr2 * c
+        return (k1 / n1 - s * u1, k2 / n2 - s * u2, k3 / n3 - s * u3), (u1, u2, u3), den, c
+
+    def reduced(y):
+        gamma, k = y[:3], y[3:]
+        w = omega(gamma, k)[0]
+        return cross3(gamma, w) + cross3(k, w)
+
+    def full(y):
+        g1, g2, g3, k = y[0:3], y[3:6], y[6:9], y[12:15]
+        w = w1, w2, w3 = omega(g3, k)[0]
+        # x' = r A v with v = g Omega
+        v1 = g1[0] * w1 + g1[1] * w2 + g1[2] * w3
+        v2 = g2[0] * w1 + g2[1] * w2 + g2[2] * w3
+        v3 = g3[0] * w1 + g3[1] * w2 + g3[2] * w3
+        x_dot = [
+            r11 * v1 + r12 * v2 + r13 * v3,
+            r21 * v1 + r22 * v2 + r23 * v3,
+            r31 * v1 + r32 * v2 + r33 * v3,
+        ]
+        return cross3(g1, w) + cross3(g2, w) + cross3(g3, w) + x_dot + cross3(k, w)
+
+    return _Kernels(omega, reduced, full)
 
 
 def K_from_omega(params: BodyParams, gamma, omega) -> np.ndarray:
@@ -205,7 +275,7 @@ def K_from_omega(params: BodyParams, gamma, omega) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     omega = np.asarray(omega, dtype=float)
     sign, n = params._rank_terms
-    return n * omega + (sign * params.mr2 * float(gamma @ omega)) * gamma
+    return np.array(n) * omega + (sign * params.mr2 * float(gamma @ omega)) * gamma
 
 
 def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:
@@ -217,33 +287,40 @@ def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:
     which is what the finite-difference probes rely on.
 
     gamma and K may carry leading axes, e.g. (N, 3) for N states; each row
-    equals the 1-d call on that row bit for bit (np.vecdot rounds as the
-    1-d ``@``).  Raises DegenerateDenominator if any row is degenerate.
+    equals the 1-d call on that row bit for bit (one component formula on
+    floats or columns).  Raises DegenerateDenominator if any row is degenerate.
     """
+    gamma = np.asarray(gamma, dtype=float)
+    K = np.asarray(K, dtype=float)
+    omega = params._kernels.omega
+    if gamma.ndim == 1 and K.ndim == 1:
+        return np.array(omega(gamma.tolist(), K.tolist())[0])
+    return np.stack(omega(np.moveaxis(gamma, -1, 0), np.moveaxis(K, -1, 0))[0], axis=-1)
+
+
+def _omega_and_jacobians(params: BodyParams, gamma, K) -> tuple:
+    """(Omega, d Omega / d gamma, d Omega / d K) at one state, from one
+    evaluation of the Sherman-Morrison terms."""
+    gamma = np.asarray(gamma, dtype=float)
     K = np.asarray(K, dtype=float)
     sign, n = params._rank_terms
+    omega, u, den, c = params._kernels.omega(gamma.tolist(), K.tolist())
+    n = np.array(n)
+    inv_n = np.diag(1.0 / n)
     if not sign:
-        return K / n
-    u, den = _sherman_morrison(params, np.asarray(gamma, dtype=float))
-    c = np.vecdot(K, u) / den
-    return K / n - (sign * params.mr2 * c)[..., None] * u
+        return np.array(omega), np.zeros((3, 3)), inv_n
+    smr2 = sign * params.mr2
+    u = np.array(u)
+    dden = 2.0 * gamma + 2.0 * smr2 * u
+    dc = (K / n) / den - (c / den) * dden
+    d_gamma = -smr2 * (np.outer(u, dc) + c * inv_n)
+    d_k = inv_n - (smr2 / den) * np.outer(u, u)
+    return np.array(omega), d_gamma, d_k
 
 
 def omega_jacobians(params: BodyParams, gamma, K) -> tuple[np.ndarray, np.ndarray]:
     """(d Omega / d gamma, d Omega / d K), both 3x3 with [i, j] = d Omega_i / d coord_j."""
-    K = np.asarray(K, dtype=float)
-    sign, n = params._rank_terms
-    if not sign:
-        return np.zeros((3, 3)), np.diag(1.0 / n)
-    gamma = np.asarray(gamma, dtype=float)
-    mr2 = params.mr2
-    u, den = _sherman_morrison(params, gamma)
-    c = float(K @ u) / den
-    dden = 2.0 * gamma + 2.0 * sign * mr2 * u
-    dc = (K / n) / den - (c / den) * dden
-    d_gamma = -sign * mr2 * (np.outer(u, dc) + c * np.diag(1.0 / n))
-    d_k = np.diag(1.0 / n) - (sign * mr2 / den) * np.outer(u, u)
-    return d_gamma, d_k
+    return _omega_and_jacobians(params, gamma, K)[1:]
 
 
 def hamiltonian(params: BodyParams, state) -> float:
@@ -256,18 +333,16 @@ def hamiltonian_field(params: BodyParams) -> ScalarField:
 
     def gradient(s):
         gamma, K = split_reduced(s)
-        omega = omega_from_K(params, gamma, K)
-        d_gamma, _ = omega_jacobians(params, gamma, K)
+        omega, d_gamma, _ = _omega_and_jacobians(params, gamma, K)
         return np.concatenate([0.5 * (d_gamma.T @ K), omega])
 
     return ScalarField(value=lambda s: hamiltonian(params, s), gradient=gradient, name="H")
 
 
 def reduced_vf(params: BodyParams, state) -> np.ndarray:
-    """Equations of motion on the reduced space: (gamma, K)' = (gamma x Omega, K x Omega)."""
-    gamma, K = split_reduced(state)
-    omega = omega_from_K(params, gamma, K).tolist()
-    return np.array(cross3(gamma.tolist(), omega) + cross3(K.tolist(), omega))
+    """Equations of motion on the reduced space: (gamma, K)' = (gamma x Omega, K x Omega),
+    evaluated on Python floats by the body's reduced kernel."""
+    return np.array(params._kernels.reduced(_checked(state, REDUCED_DIM, "reduced").tolist()))
 
 
 def _v_vector(params: BodyParams, gamma, K, variant: str) -> np.ndarray:
@@ -278,8 +353,7 @@ def _v_vector(params: BodyParams, gamma, K, variant: str) -> np.ndarray:
 
 def _omega_dot_gamma_grads(params: BodyParams, gamma, K) -> tuple:
     """Omega . gamma, its gradients in gamma and in K, and omega_jacobians."""
-    omega = omega_from_K(params, gamma, K)
-    d_gamma, d_k = omega_jacobians(params, gamma, K)
+    omega, d_gamma, d_k = _omega_and_jacobians(params, gamma, K)
     return float(omega @ gamma), d_gamma.T @ gamma + omega, d_k.T @ gamma, d_gamma, d_k
 
 
@@ -338,19 +412,19 @@ def conformal_factor(params: BodyParams) -> ScalarField:
     sign, n = params._rank_terms
     if not sign:
         return ScalarField(value=lambda s: 1.0, gradient=lambda s: np.zeros(6), name="phi=1")
-    weight = 1.0 + sign * params.mr2 / n
+    w1, w2, w3 = weight = [1.0 + sign * params.mr2 / n_i for n_i in n]
 
     def value(s):
-        gamma = np.asarray(s, dtype=float)[:3]
-        return math.sqrt(float(gamma @ (weight * gamma)))
+        # Python floats, left to right: this is the factor the reparametrized stepper uses
+        g1, g2, g3 = s[0], s[1], s[2]
+        return math.sqrt(g1 * (w1 * g1) + g2 * (w2 * g2) + g3 * (w3 * g3))
 
     def gradient(s):
-        gamma = np.asarray(s, dtype=float)[:3]
-        phi = math.sqrt(float(gamma @ (weight * gamma)))
+        phi = value(s)
         if phi == 0.0:
             raise DegenerateDenominator(f"rank-{params.rank} conformal factor vanishes at gamma = 0")
         out = np.zeros(6)
-        out[:3] = weight * gamma / phi
+        out[:3] = np.array(weight) * s[:3] / phi
         return out
 
     return ScalarField(value=value, gradient=gradient, name=f"phi_rank{params.rank}")
@@ -499,18 +573,13 @@ def pack_full(g, x, K) -> np.ndarray:
 
 
 def split_full(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    state = np.asarray(state, dtype=float)
-    if state.shape != (FULL_DIM,):
-        raise ValueError(f"expected a 15-dim full state, got shape {state.shape}")
+    state = _checked(state, FULL_DIM, "full")
     return state[:9].reshape(3, 3), state[9:12], state[12:15]
 
 
 def project_rho(state) -> np.ndarray:
     """Reduction map rho(g, x, K) = (gamma, K) with gamma the third row of g."""
-    state = np.asarray(state, dtype=float)
-    if state.shape != (FULL_DIM,):
-        raise ValueError(f"expected a 15-dim full state, got shape {state.shape}")
-    return state[RHO_INDEX]
+    return _checked(state, FULL_DIM, "full")[RHO_INDEX]
 
 
 def lift_reduced_state(state) -> np.ndarray:
@@ -586,9 +655,7 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
 
     def partials(s):
         g, _, K = split_full(s)
-        gamma = g[2]
-        omega = omega_from_K(params, gamma, K)
-        d_omega_gamma, d_omega_k = omega_jacobians(params, gamma, K)
+        omega, d_omega_gamma, d_omega_k = _omega_and_jacobians(params, g[2], K)
         t = g.T @ q @ g
         t_eff = t - np.eye(3) if shift else t
         qg = q @ g
@@ -630,17 +697,13 @@ def _unit(i: int) -> np.ndarray:
 def X_nh_full(params: BodyParams, state) -> np.ndarray:
     """Constrained equations of motion on the full space, in closed form:
     g' = g hat(Omega) (row i of g' is g_i x Omega), x' = r A g Omega and
-    K' = K x Omega, with Omega = omega_from_K(gamma = g[2], K).
+    K' = K x Omega, with Omega = omega_from_K(gamma = g[2], K), evaluated on
+    Python floats by the body's full kernel.
 
     This is the bracket flow -ham_vf(nh_bracket_full(params, "plain"),
     full_hamiltonian_field(params)), which the tests keep as its oracle.
     """
-    g, _, K = split_full(state)
-    omega = omega_from_K(params, g[2], K)
-    w = omega.tolist()
-    g_dot = [v for row in g.tolist() for v in cross3(row, w)]
-    x_dot = params.radius * (matrix_A(params) @ (g @ omega))
-    return np.array(g_dot + x_dot.tolist() + cross3(K.tolist(), w))
+    return np.array(params._kernels.full(_checked(state, FULL_DIM, "full").tolist()))
 
 
 def gauge_form_on_M(params: BodyParams) -> FormPatch:

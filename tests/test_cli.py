@@ -2,11 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaplygin
 from chaplygin import DegenerateDenominator, NonPositiveFactor, SingularGauge, SymmetricInput, cli
 from chaplygin.cli import main
 
@@ -150,6 +154,26 @@ def test_simulate_blowup_with_warnings_as_errors(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 1
     assert "integration failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_simulate_huge_momentum_under_python_w_error(tmp_path, rank):
+    # a fresh interpreter with every warning an error: the blow-up is NonFiniteState, exit 1
+    path = write_scenario(
+        tmp_path,
+        rank=rank,
+        initial={"gamma": [0.0, 0.0, 1.0], "K": [3e199, -1e199, 2e199]},
+        integrator={"dt": 1e6, "T": 2e6},
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(chaplygin.__file__).parents[1]))
+    argv = ["simulate", str(path), "--out", str(tmp_path / "o")]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "chaplygin.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "integration failed: non-finite state" in done.stderr
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
 def test_simulate_reports_degenerate_denominator(tmp_path, monkeypatch, capsys):

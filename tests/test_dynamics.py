@@ -1,14 +1,19 @@
 """Integrators, conservation monitors, measure diagnostics, interpolation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from chaplygin import (
     MONITOR_NAMES,
+    DegenerateDenominator,
     IntegratorConfig,
     NonFiniteState,
     Trajectory,
+    X_nh_full,
     brackets,
+    conformal_factor,
     divergence_defect,
     dynamics,
     fd_partials,
@@ -19,6 +24,7 @@ from chaplygin import (
     invariant_drift,
     lift_reduced_state,
     monitor_series,
+    pack_full,
     project_rho,
     reduced_vf,
     reparametrized_integrate,
@@ -65,8 +71,7 @@ def test_trajectory_validation():
 def test_rk4_step_is_truncated_exponential():
     lam = -0.7
     dt = 0.1
-    y = np.array([2.0])
-    stepped = rk4_step(lambda s: lam * s, y, dt)
+    stepped = rk4_step(lambda s: [lam * v for v in s], [2.0], dt)
     z = lam * dt
     expected = 2.0 * (1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
     assert stepped[0] == pytest.approx(expected, rel=1e-15)
@@ -178,6 +183,138 @@ def test_non_dividing_step_ends_at_horizon(integrator):
     assert np.max(np.abs(traj.times - [0.0, 0.3, 0.6, 0.9, 1.0])) <= 1e-15
     fine = integrator(body, CHAPLYGIN_START, IntegratorConfig(dt=1e-3, t_final=1.0))
     assert np.max(np.abs(traj.states[-1] - fine.states[-1])) <= 1e-6
+
+
+# ------------------------------------------------- numpy stepper as the oracle
+
+
+def _oracle_rk4_step(f, y, dt):
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _oracle_mgs_rows(g):
+    out = g.copy()
+    for i in range(3):
+        for j in range(i):
+            out[i] -= (out[i] @ out[j]) * out[j]
+        out[i] /= np.linalg.norm(out[i])
+    return out
+
+
+def _oracle_run(body, initial, config, kind):
+    """The numpy stepper that the float stepper replaced: RK4 on arrays with
+    the ndarray fields, Gram-Schmidt with np.linalg.norm; returns the states."""
+    phi = conformal_factor(body) if kind == "reparametrized" else None
+    vf = X_nh_full if kind == "full" else reduced_vf
+
+    def field(z):
+        if phi is None:
+            return vf(body, z)
+        p = phi(z[:6])
+        return np.append(p * vf(body, z[:6]), p)
+
+    y = np.asarray(initial if phi is None else np.append(initial, 0.0), dtype=float)
+    rows = [y]
+    for _ in range(config.n_steps):
+        y = _oracle_rk4_step(field, y, config.dt)
+        if kind == "full":
+            y = np.concatenate([_oracle_mgs_rows(y[:9].reshape(3, 3)).reshape(9), y[9:]])
+        rows.append(y)
+    return np.array(rows)
+
+
+def _stepper_cases():
+    for factory in (standard_body, asymmetric_body):
+        yield from ((factory, r, "reduced") for r in range(4))
+        yield from ((factory, r, "reparametrized") for r in (1, 2))
+        yield from ((factory, r, "full") for r in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "factory, rank_s, kind",
+    list(_stepper_cases()),
+    ids=[f"{f.__name__}-rank{r}-{k}" for f, r, k in _stepper_cases()],
+)
+def test_float_stepper_matches_numpy_oracle(factory, rank_s, kind):
+    body = factory(rank_s)
+    config = IntegratorConfig(dt=1e-3, t_final=0.25)
+    start = sample_reduced_state(seed=40 + rank_s)
+    if kind == "full":
+        # g off SO(3), so that the first Gram-Schmidt pass scales and projects rows
+        start = lift_reduced_state(start)
+        start[:9] *= 1.1
+        start[3:6] += 0.05 * start[0:3]
+        start[9:12] = [0.4, -0.2, 0.1]
+    expected = _oracle_run(body, start, config, kind)
+    if kind == "reparametrized":
+        traj = reparametrized_integrate(body, start, config)
+        got = np.column_stack([traj.states, traj.t_recovered])
+    else:
+        got = integrate(body, start, config).states
+    assert got.shape == expected.shape == (251, start.size + (kind == "reparametrized"))
+    assert np.max(np.abs(got - expected)) <= 1e-13
+
+
+# ------------------------------------------------- Python-float edge behaviour
+
+
+@pytest.mark.parametrize("kind", ["reduced", "reparametrized", "full"])
+def test_blow_up_raises_non_finite_state(rank, kind):
+    # Python floats raise where numpy warns: no ZeroDivisionError, OverflowError or warning escapes
+    body = standard_body(rank)
+    huge = np.concatenate([CHAPLYGIN_START[:3], 1e200 * CHAPLYGIN_START[3:]])
+    runs = [
+        (CHAPLYGIN_START, IntegratorConfig(dt=1e6, t_final=2e6)),
+        (huge, IntegratorConfig(dt=1e-3, t_final=0.01)),
+    ]
+    for start, config in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState):
+                if kind == "reparametrized":
+                    reparametrized_integrate(body, start, config)
+                else:
+                    integrate(body, lift_reduced_state(start) if kind == "full" else start, config)
+
+
+@pytest.mark.parametrize("integrator", [integrate, reparametrized_integrate])
+@pytest.mark.parametrize("rank_d", [1, 2])
+def test_zero_gamma_raises_degenerate_denominator(integrator, rank_d):
+    zero = np.array([0.0, 0.0, 0.0, 0.3, -0.1, 0.2])
+    with pytest.raises(DegenerateDenominator):
+        integrator(standard_body(rank_d), zero, IntegratorConfig(dt=1e-2, t_final=0.1))
+
+
+@pytest.mark.parametrize("kind", ["reparametrized", "full"])
+def test_nonfinite_initial_state_raises(kind):
+    body = standard_body(2)
+    config = IntegratorConfig(dt=0.1, t_final=1.0)
+    if kind == "full":
+        bad = lift_reduced_state(CHAPLYGIN_START)
+        bad[10] = np.nan
+        with pytest.raises(NonFiniteState):
+            integrate(body, bad, config)
+    else:
+        bad = CHAPLYGIN_START.copy()
+        bad[0] = np.inf
+        with pytest.raises(NonFiniteState):
+            reparametrized_integrate(body, bad, config)
+
+
+@pytest.mark.parametrize("rank_f", [1, 2, 3])
+@pytest.mark.parametrize(
+    "g",
+    [[[0, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 1, 0], [0, 0, 1]]],
+    ids=["zero-row", "equal-rows"],
+)
+def test_rank_deficient_attitude_raises(rank_f, g):
+    state = pack_full(np.array(g, dtype=float), np.zeros(3), CHAPLYGIN_START[3:])
+    with pytest.raises(NonFiniteState, match="degenerate attitude"):
+        integrate(standard_body(rank_f), state, IntegratorConfig(dt=1e-2, t_final=0.1))
 
 
 # ------------------------------------------------------------ invariant drift

@@ -56,7 +56,7 @@ from chaplygin import (
     twisted_defect,
     wedge_1_2,
 )
-from chaplygin.errors import DegenerateDenominator
+from chaplygin.errors import DegenerateDenominator, NonFiniteState
 from chaplygin.rolling import BodyParams
 
 from conftest import VARIANTS, asymmetric_body, standard_body
@@ -145,21 +145,25 @@ def test_omega_matches_direct_linear_solve(rank):
         assert np.max(np.abs(omega_from_K(body, gamma, k) - direct)) <= 1e-10
 
 
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def _omega_row(body, gamma, k):
-    """omega_from_K for one state with Python-float dot products: the reference rounding."""
-    iv, mr2 = body.inertia_vec, body.mr2
-    if body.rank == 0:
-        return k / iv
-    if body.rank == 3:
-        return k / (iv + mr2)
+    """omega_from_K for one state on Python floats, every sum taken left to
+    right: the reference rounding."""
+    gamma, k, mr2 = gamma.tolist(), k.tolist(), body.mr2
+    n = [float(i) for i in body.inertia]
+    if body.rank in (2, 3):
+        n = [i + mr2 for i in n]
+    if body.rank in (0, 3):
+        return np.array([a / b for a, b in zip(k, n)])
+    u = [a / b for a, b in zip(gamma, n)]
     if body.rank == 2:
-        n = iv + mr2
-        u = gamma / n
-        c = float(k @ u) / (float(gamma @ gamma) - mr2 * float(gamma @ u))
-        return k / n + mr2 * c * u
-    u = gamma / iv
-    c = float(k @ u) / (float(gamma @ gamma) + mr2 * float(gamma @ u))
-    return k / iv - mr2 * c * u
+        c = _dot(k, u) / (_dot(gamma, gamma) - mr2 * _dot(gamma, u))
+        return np.array([a / b + mr2 * c * v for a, b, v in zip(k, n, u)])
+    c = _dot(k, u) / (_dot(gamma, gamma) + mr2 * _dot(gamma, u))
+    return np.array([a / b - mr2 * c * v for a, b, v in zip(k, n, u)])
 
 
 @pytest.mark.parametrize("factory", [standard_body, asymmetric_body])
@@ -185,6 +189,20 @@ def test_omega_batched_raises_on_one_degenerate_row(rank_d):
     with pytest.raises(DegenerateDenominator):
         omega_from_K(body, gamma[1], k[1])
     assert np.all(np.isfinite(omega_from_K(body, gamma[[0, 2]], k[[0, 2]])))
+
+
+@pytest.mark.parametrize("rank_d", [1, 2])
+def test_omega_raises_when_gamma_squared_overflows(rank_d):
+    # Omega is invariant under scaling gamma; past |gamma|^2 = inf the
+    # correction term would vanish and leave K / n, so that raises instead
+    body = standard_body(rank_d)
+    gamma, k = np.array([0.6, 0.0, 0.8]), np.array([1.0, 1.0, 1.0])
+    expected = omega_from_K(body, gamma, k)
+    assert np.max(np.abs(omega_from_K(body, 1e150 * gamma, k) - expected)) <= 1e-15
+    with pytest.raises(NonFiniteState):
+        omega_from_K(body, 1e160 * gamma, k)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState):
+        omega_from_K(body, np.array([gamma, 1e160 * gamma]), np.array([k, k]))
 
 
 @pytest.mark.parametrize("rank_d", [1, 2])
