@@ -12,10 +12,11 @@ from .brackets import (
     ScalarField,
     casimir_defect,
     conformal_jacobiator,
-    constant_field,
     coordinate_field,
     distribution_probe,
     dynamical_gauge_check,
+    gauge_matrix,
+    gauge_record,
     gauge_transform,
     ham_vf,
     jacobi_tensor,
@@ -34,6 +35,7 @@ from .dynamics import (
     monitor_series,
     reparametrized_integrate,
     rk4_step,
+    series_drift,
 )
 from .errors import (
     AnnihilationViolated,
@@ -47,16 +49,13 @@ from .errors import (
 )
 from .geometry import (
     FormPatch,
-    exterior_derivative_patch,
     fd_exterior_derivative,
     fd_gradient,
     fd_partials,
     hat,
-    mat3,
     random_rotation,
     sample_reduced_state,
     unhat,
-    vec3,
     wedge_1_2,
 )
 from .rolling import (

@@ -22,10 +22,11 @@ __all__ = [
     "ScalarField",
     "casimir_defect",
     "conformal_jacobiator",
-    "constant_field",
     "coordinate_field",
     "distribution_probe",
     "dynamical_gauge_check",
+    "gauge_matrix",
+    "gauge_record",
     "gauge_transform",
     "ham_vf",
     "jacobi_tensor",
@@ -44,16 +45,34 @@ class BivectorPatch:
     ``structure(state)`` is the matrix pi[i, j] = {x_i, x_j}; it must be
     antisymmetric to 1e-12 (checked on every evaluation).  ``partials``,
     when given, returns the derivative tensor with the derivative index
-    first: partials(state)[l, i, j] = d_l pi[i, j].
+    first: partials(state)[l, i, j] = d_l pi[i, j].  ``jet``, when given,
+    returns (structure(state), partials(state)) from one evaluation of what
+    they share; ``matrix_and_partials`` uses it.
     """
 
     dim: int
     structure: Callable[[np.ndarray], np.ndarray]
     partials: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
+    jet: Optional[Callable[[np.ndarray], tuple]] = None
 
     def matrix(self, state: np.ndarray) -> np.ndarray:
-        p = np.asarray(self.structure(np.asarray(state, dtype=float)), dtype=float)
+        return self._checked_matrix(self.structure(np.asarray(state, dtype=float)))
+
+    def partial_tensor(self, state: np.ndarray) -> np.ndarray:
+        if self.partials is not None:
+            return self._checked_partials(self.partials(np.asarray(state, dtype=float)))
+        return fd_partials(self.matrix, state)
+
+    def matrix_and_partials(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(matrix(state), partial_tensor(state)), from one ``jet`` call when given."""
+        if self.jet is None:
+            return self.matrix(state), self.partial_tensor(state)
+        p, t = self.jet(np.asarray(state, dtype=float))
+        return self._checked_matrix(p), self._checked_partials(t)
+
+    def _checked_matrix(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
         if p.shape != (self.dim, self.dim):
             raise ValueError(
                 f"bivector '{self.name}' returned shape {p.shape}, expected {(self.dim, self.dim)}"
@@ -65,14 +84,12 @@ class BivectorPatch:
             )
         return p
 
-    def partial_tensor(self, state: np.ndarray) -> np.ndarray:
-        if self.partials is not None:
-            t = np.asarray(self.partials(np.asarray(state, dtype=float)), dtype=float)
-            expect = (self.dim,) * 3
-            if t.shape != expect:
-                raise ValueError(f"partials of '{self.name}' have shape {t.shape}, expected {expect}")
-            return t
-        return fd_partials(self.matrix, state)
+    def _checked_partials(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        expect = (self.dim,) * 3
+        if t.shape != expect:
+            raise ValueError(f"partials of '{self.name}' have shape {t.shape}, expected {expect}")
+        return t
 
     def bracket(self, f: "ScalarField", g: "ScalarField", state: np.ndarray) -> float:
         """{f, g} at state."""
@@ -104,11 +121,6 @@ def coordinate_field(dim: int, i: int) -> ScalarField:
     return ScalarField(value=lambda s: float(s[i]), gradient=lambda s: e.copy(), name=f"x{i}")
 
 
-def constant_field(c: float, dim: int) -> ScalarField:
-    z = np.zeros(dim)
-    return ScalarField(value=lambda s: float(c), gradient=lambda s: z.copy(), name=f"const({c})")
-
-
 def ham_vf(pi: BivectorPatch, f: ScalarField, state: np.ndarray) -> np.ndarray:
     """Hamiltonian vector field of f: (X_f)_i = -pi[i, j] d_j f."""
     return -pi.matrix(state) @ f.grad(state)
@@ -127,8 +139,8 @@ def _cyclic_sum(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch], 
     indices.  Every sum is a reduction over the last axis of a fresh product
     (``_dot``), so one triple gives the same bits on its own as in a batch.
     """
-    p = pi.matrix(state)
-    dp = pi.partial_tensor(state).transpose(1, 2, 0)  # dp[b, c, l] = d_l pi_bc
+    p, dp = pi.matrix_and_partials(state)
+    dp = dp.transpose(1, 2, 0)  # dp[b, c, l] = d_l pi_bc
     out = _dot(p[a], dp[b, c]) + _dot(p[b], dp[c, a]) + _dot(p[c], dp[a, b])
     if phi is not None:
         x = -p.T  # row a is X_a
@@ -147,9 +159,10 @@ def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch]
     phi(X_a, X_b, X_c) when a background 3-form phi is given.
 
     Entry [i, j, k] equals ``twisted_defect(pi, phi, i, j, k, state)``.  The
-    bracket and its partials are evaluated once; the values at sorted triples
-    are scattered with the sign of each permutation, so the tensor alternates
-    exactly and is exactly 0.0 on repeated indices.
+    bracket and its partials are evaluated once (one ``jet`` call when the
+    patch has one); the values at sorted triples are scattered with the sign
+    of each permutation, so the tensor alternates exactly and is exactly 0.0
+    on repeated indices.
     """
     _check_twist(pi, phi)
     a, b, c = np.array(list(itertools.combinations(range(pi.dim), 3)), dtype=np.intp).reshape(-1, 3).T
@@ -173,23 +186,24 @@ def jacobiator(pi: BivectorPatch, i: int, j: int, k: int, state: np.ndarray) -> 
 
 
 def scale_bivector(pi: BivectorPatch, factor: ScalarField, name: str = "") -> BivectorPatch:
-    """The bivector factor * pi, with product-rule partials when available."""
+    """The bivector factor * pi, with product-rule partials; its jet takes the
+    matrix and partials of pi from one ``matrix_and_partials`` call."""
 
     def structure(s):
         return factor(s) * pi.matrix(s)
 
-    def partials(s):
+    def jet(s):
         phi = factor(s)
         dphi = factor.grad(s)
-        p = pi.matrix(s)
-        dp = pi.partial_tensor(s)
-        return np.einsum("l,ij->lij", dphi, p) + phi * dp
+        p, dp = pi.matrix_and_partials(s)
+        return phi * p, np.einsum("l,ij->lij", dphi, p) + phi * dp
 
     return BivectorPatch(
         dim=pi.dim,
         structure=structure,
-        partials=partials,
+        partials=lambda s: jet(s)[1],
         name=name or f"{factor.name or 'f'}*{pi.name or 'pi'}",
+        jet=jet,
     )
 
 
@@ -200,39 +214,56 @@ def _conditioning(m: np.ndarray) -> tuple[float, float]:
     return smallest, float(svals[0] / smallest) if smallest > 0.0 else float("inf")
 
 
+def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(p (E + bm p)^{-1}, smallest singular value, condition number of E + bm p)
+    for a structure matrix p and a 2-form matrix bm; a zero bm gives (p, 1, 1).
+
+    Raises SingularGauge when the condition number exceeds 1e12.  The result
+    is re-antisymmetrized; a symmetric residue above 1e-10 before that step
+    is an error (SymmetricInput).
+    """
+    if not bm.any():
+        return p, 1.0, 1.0
+    m = np.eye(len(p)) + bm @ p
+    smallest, condition = _conditioning(m)
+    if condition > _COND_LIMIT:
+        raise SingularGauge(f"E + B pi has condition {condition:.3e}")
+    # p @ inv(m), computed by a solve on the transposed system
+    g = np.linalg.solve(m.T, p.T).T
+    residue = float(np.max(np.abs(g + g.T)))
+    if residue > 1e-10:
+        raise SymmetricInput(f"gauged matrix has symmetric residue {residue:.3e}")
+    return 0.5 * (g - g.T), smallest, condition
+
+
 def gauge_transform(pi: BivectorPatch, b_form: FormPatch, name: str = "") -> BivectorPatch:
     """Gauge transformation of pi by the 2-form B: pi^B = pi (E + B pi)^{-1},
-    where B is the component matrix B[i, j] = B(e_i, e_j).
-
-    Raises SingularGauge when E + B pi has condition number above 1e12
-    (smallest singular value test).  The result is re-antisymmetrized; a
-    symmetric residue above 1e-10 before that step is an error.
+    where B is the component matrix B[i, j] = B(e_i, e_j); see ``gauge_matrix``.
     """
     if b_form.degree != 2 or b_form.dim != pi.dim:
         raise ValueError("gauge form must be a 2-form on the same chart")
 
-    def structure(s):
-        p = pi.matrix(s)
-        bm = b_form(s)
-        if not bm.any():
-            return p
-        m = np.eye(pi.dim) + bm @ p
-        _, condition = _conditioning(m)
-        if condition > _COND_LIMIT:
-            raise SingularGauge(f"E + B pi has condition {condition:.3e}")
-        # p @ inv(m), computed by a solve on the transposed system
-        g = np.linalg.solve(m.T, p.T).T
-        residue = float(np.max(np.abs(g + g.T)))
-        if residue > 1e-10:
-            raise SymmetricInput(f"gauged matrix has symmetric residue {residue:.3e}")
-        return 0.5 * (g - g.T)
-
     return BivectorPatch(
         dim=pi.dim,
-        structure=structure,
+        structure=lambda s: gauge_matrix(pi.matrix(s), b_form(s))[0],
         partials=None,
         name=name or f"gauge({pi.name or 'pi'})",
     )
+
+
+def gauge_record(x: np.ndarray, bm: np.ndarray, smallest: float, condition: float, contraction_tol=1e-9) -> dict:
+    """The record of ``dynamical_gauge_check`` at one state, from the
+    Hamiltonian vector field x, the 2-form matrix bm there, and the smallest
+    singular value and condition number of E + bm pi."""
+    contraction = float(np.linalg.norm(x @ bm))
+    invertible = bool(np.isfinite(condition) and condition <= _COND_LIMIT)
+    return {
+        "contraction": contraction,
+        "smallest_singular_value": smallest,
+        "condition": condition,
+        "invertible": invertible,
+        "passed": bool(invertible and contraction <= contraction_tol),
+    }
 
 
 def dynamical_gauge_check(
@@ -250,20 +281,10 @@ def dynamical_gauge_check(
     """
     out = []
     for s in states:
-        x = ham_vf(pi, h_field, s)
-        bm = b_form(s)
-        contraction = float(np.linalg.norm(x @ bm))
-        smallest, condition = _conditioning(np.eye(pi.dim) + bm @ pi.matrix(s))
-        invertible = bool(np.isfinite(condition) and condition <= _COND_LIMIT)
-        out.append(
-            {
-                "contraction": contraction,
-                "smallest_singular_value": smallest,
-                "condition": condition,
-                "invertible": invertible,
-                "passed": bool(invertible and contraction <= contraction_tol),
-            }
-        )
+        p, bm = pi.matrix(s), b_form(s)
+        smallest, condition = _conditioning(np.eye(pi.dim) + bm @ p)
+        # -p @ grad h is ham_vf(pi, h_field, s)
+        out.append(gauge_record(-p @ h_field.grad(s), bm, smallest, condition, contraction_tol))
     return out
 
 

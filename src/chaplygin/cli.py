@@ -23,13 +23,13 @@ import numpy as np
 from .dynamics import (
     Trajectory,
     integrate,
-    invariant_drift,
     monitor_series,
     reparametrized_integrate,
+    series_drift,
 )
 from .errors import RUNTIME_ERRORS, ScenarioError
 from .rolling import FULL_DIM, lift_reduced_state
-from .scenario import Scenario, load_scenario
+from .scenario import load_scenario
 from .verify import SUITE_NAMES, run_all_suites, run_suite
 
 __all__ = ["main"]
@@ -57,8 +57,7 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
-def _trajectory_csv(scenario: Scenario, traj: Trajectory, full: bool) -> str:
-    series = monitor_series(scenario.params, traj)
+def _trajectory_csv(traj: Trajectory, series: dict, full: bool) -> str:
     if full:
         header = list(_FULL_HEADER)
         columns = [traj.times] + [traj.states[:, i] for i in range(FULL_DIM)] + [series["H"]]
@@ -72,9 +71,11 @@ def _trajectory_csv(scenario: Scenario, traj: Trajectory, full: bool) -> str:
     if traj.t_recovered is not None:
         header.append("t_recovered")
         columns.append(traj.t_recovered)
-    # Python floats format exactly as the float64 cells: f"{x:.17g}" round-trips
+    # Python floats format exactly as the float64 cells: "%.17g" round-trips
+    # (and gives the bytes of f"{x:.17g}", including -0, inf, nan and subnormals)
+    row_format = ",".join(["%.17g"] * len(columns))
     lines = [",".join(header)]
-    lines.extend(",".join(f"{x:.17g}" for x in row) for row in np.column_stack(columns).tolist())
+    lines.extend(row_format % tuple(row) for row in np.column_stack(columns).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -111,8 +112,9 @@ def _cmd_simulate(args) -> int:
         return 1
 
     out = Path(args.out)
-    drifts = invariant_drift(scenario.params, traj)
-    _atomic_write(out / "trajectory.csv", _trajectory_csv(scenario, traj, full=full_mode))
+    series = monitor_series(scenario.params, traj)
+    drifts = series_drift(series)
+    _atomic_write(out / "trajectory.csv", _trajectory_csv(traj, series, full=full_mode))
     summary = {
         "mode": "full" if full_mode else "reduced",
         "reparametrized": bool(args.reparametrize),
@@ -134,26 +136,12 @@ def _cmd_verify(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    options = {"trials": args.trials, "seed": args.seed, "tol_scale": args.tol_scale, "variant": args.variant}
     try:
         if args.suite == "all":
-            suites = run_all_suites(
-                scenario.params,
-                trials=args.trials,
-                seed=args.seed,
-                tol_scale=args.tol_scale,
-                variant=args.variant,
-            )
+            suites = run_all_suites(scenario.params, **options)
         else:
-            suites = [
-                run_suite(
-                    args.suite,
-                    scenario.params,
-                    trials=args.trials,
-                    seed=args.seed,
-                    tol_scale=args.tol_scale,
-                    variant=args.variant,
-                )
-            ]
+            suites = [run_suite(args.suite, scenario.params, **options)]
     except RUNTIME_ERRORS as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

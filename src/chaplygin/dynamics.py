@@ -51,6 +51,7 @@ __all__ = [
     "monitor_series",
     "reparametrized_integrate",
     "rk4_step",
+    "series_drift",
 ]
 
 MONITOR_NAMES = ("H", "C1", "C2", "F")
@@ -245,7 +246,11 @@ def invariant_drift(params: BodyParams, traj: Trajectory) -> dict:
     Recomputed from the states, so tampered or diverged trajectories are
     caught regardless of what was recorded during the run.
     """
-    series = monitor_series(params, traj)
+    return series_drift(monitor_series(params, traj))
+
+
+def series_drift(series: dict) -> dict:
+    """The drifts of ``invariant_drift`` from an already computed ``monitor_series``."""
     return {
         name: float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
         for name, vals in series.items()

@@ -28,17 +28,14 @@ __all__ = [
     "FD_CBRT_EPS",
     "FormPatch",
     "cross3",
-    "exterior_derivative_patch",
     "fd_exterior_derivative",
     "fd_gradient",
     "fd_partials",
     "fd_step",
     "hat",
-    "mat3",
     "random_rotation",
     "sample_reduced_state",
     "unhat",
-    "vec3",
     "wedge_1_2",
 ]
 
@@ -54,35 +51,6 @@ EPSILON.setflags(write=False)
 def fd_step(x: float) -> float:
     """Central-difference step for a coordinate of magnitude |x|."""
     return FD_CBRT_EPS * max(1.0, abs(x))
-
-
-def vec3(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector has non-finite entries")
-    out = x.copy()
-    out.setflags(write=False)
-    return out
-
-
-def mat3(m, rotation: bool = False, tol: float = 1e-9) -> np.ndarray:
-    """Validate a 3x3 matrix; with rotation=True also require orthogonality and det > 0."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    if rotation:
-        defect = np.linalg.norm(m.T @ m - np.eye(3))
-        if defect > tol:
-            raise ValueError(f"matrix is not orthogonal: ||g^T g - E|| = {defect:.3e}")
-        if np.linalg.det(m) < 0.0:
-            raise ValueError("matrix is orthogonal but orientation-reversing")
-    out = m.copy()
-    out.setflags(write=False)
-    return out
 
 
 def hat(v) -> np.ndarray:
@@ -202,18 +170,6 @@ def fd_exterior_derivative(form: FormPatch, state: np.ndarray) -> np.ndarray:
         term = np.moveaxis(p, 0, j)
         out = out + (term if j % 2 == 0 else -term)
     return out
-
-
-def exterior_derivative_patch(form: FormPatch, name: str = "") -> FormPatch:
-    """The (k+1)-form d(form), packaged as a FormPatch."""
-    if form.degree >= 3:
-        raise ValueError("exterior derivative beyond degree 3 is not needed here")
-    return FormPatch(
-        degree=form.degree + 1,
-        dim=form.dim,
-        entries=lambda s: fd_exterior_derivative(form, s),
-        name=name or (f"d({form.name})" if form.name else "d(form)"),
-    )
 
 
 def wedge_1_2(alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:

@@ -80,6 +80,7 @@ FULL_DIM = 15
 # positions of (gamma, K) in a full state: gamma is the third row of g
 RHO_INDEX = np.array([6, 7, 8, 12, 13, 14])
 RHO_INDEX.setflags(write=False)
+_RHO_BLOCK = np.ix_(RHO_INDEX, RHO_INDEX)
 
 # (a, b) coefficients of V = K + m r^2 (a Omega + b (Omega.gamma) gamma),
 # keyed by (rank, variant).  Uniformly V_primed = V_plain - m r^2 Omega.
@@ -97,6 +98,14 @@ _V_COEFFS = {
 # rank -> (sign, n is I + m r^2 rather than I) with I + m r^2 S(gamma) =
 # diag(n) + sign m r^2 gamma gamma^T, S = 0, gamma gamma^T, E - gamma gamma^T, E
 _RANK_TERMS = {0: (0.0, False), 1: (1.0, False), 2: (-1.0, True), 3: (0.0, True)}
+
+# _HAT_BASIS[l] = hat(e_l) = d hat(gamma) / d x_l on the reduced chart, zero for l >= 3
+_HAT_BASIS = np.concatenate([-EPSILON.transpose(2, 0, 1), np.zeros((3, 3, 3))])
+_HAT_BASIS.setflags(write=False)
+# the constant part of the reduced bracket partials: d_l of the two hat(gamma) blocks
+_BRACKET_BASE = np.zeros((REDUCED_DIM,) * 3)
+_BRACKET_BASE[:, :3, 3:] = _BRACKET_BASE[:, 3:, :3] = _HAT_BASIS
+_BRACKET_BASE.setflags(write=False)
 
 # which variant is Poisson after (at most) a conformal rescaling
 _HAMILTONIZABLE = {0: "plain", 1: "plain", 2: "primed", 3: "primed"}
@@ -345,61 +354,80 @@ def reduced_vf(params: BodyParams, state) -> np.ndarray:
     return np.array(params._kernels.reduced(_checked(state, REDUCED_DIM, "reduced").tolist()))
 
 
-def _v_vector(params: BodyParams, gamma, K, variant: str) -> np.ndarray:
+def _v_vector(params: BodyParams, gamma, K, variant: str, omega) -> np.ndarray:
+    """V = K + m r^2 (a Omega + b (Omega . gamma) gamma) for the given Omega."""
     a, b = _V_COEFFS[(params.rank, variant)]
-    omega = omega_from_K(params, gamma, K)
     return K + params.mr2 * (a * omega + b * float(omega @ gamma) * gamma)
 
 
 def _omega_dot_gamma_grads(params: BodyParams, gamma, K) -> tuple:
-    """Omega . gamma, its gradients in gamma and in K, and omega_jacobians."""
+    """Omega, Omega . gamma, its gradients in gamma and in K, and omega_jacobians."""
     omega, d_gamma, d_k = _omega_and_jacobians(params, gamma, K)
-    return float(omega @ gamma), d_gamma.T @ gamma + omega, d_k.T @ gamma, d_gamma, d_k
+    return omega, float(omega @ gamma), d_gamma.T @ gamma + omega, d_k.T @ gamma, d_gamma, d_k
 
 
-def _v_jacobians(params: BodyParams, gamma, K, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """(dV/dgamma, dV/dK), columns indexed by the differentiation coordinate."""
+def _v_jet(params: BodyParams, gamma, K, variant: str) -> tuple:
+    """(V, dV/dgamma, dV/dK) from one evaluation of Omega and its Jacobians;
+    Jacobian columns are indexed by the differentiation coordinate."""
     a, b = _V_COEFFS[(params.rank, variant)]
     mr2 = params.mr2
-    og, dog_dgamma, dog_dk, d_gamma, d_k = _omega_dot_gamma_grads(params, gamma, K)
+    omega, og, dog_dgamma, dog_dk, d_gamma, d_k = _omega_dot_gamma_grads(params, gamma, K)
     dv_gamma = mr2 * (a * d_gamma + b * (np.outer(gamma, dog_dgamma) + og * np.eye(3)))
     dv_k = np.eye(3) + mr2 * (a * d_k + b * np.outer(gamma, dog_dk))
-    return dv_gamma, dv_k
+    return _v_vector(params, gamma, K, variant, omega), dv_gamma, dv_k
+
+
+def _omega_dot_gamma_hessian(params: BodyParams, gamma, K) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient (6,) and Hessian (6, 6) in (gamma, K) of f = Omega . gamma at
+    ranks 1 and 2, in closed form: f den = |gamma|^2 (K . u) with u = gamma / n
+    and den the denominator of the omega kernel (which also checks it), and
+    every factor of that product has constant second derivatives."""
+    sign, n = params._rank_terms
+    _, u, den, _ = params._kernels.omega(gamma.tolist(), K.tolist())
+    inv_n, u, zero = 1.0 / np.array(n), np.array(u), np.zeros(3)
+    gg, ku = float(gamma @ gamma), float(K @ u)
+    f = gg * ku / den
+    d_ku, d_gg = np.concatenate([K * inv_n, u]), np.concatenate([2.0 * gamma, zero])
+    d_den = d_gg + np.concatenate([(2.0 * sign * params.mr2) * u, zero])
+    dd_ku = np.zeros((REDUCED_DIM, REDUCED_DIM))
+    dd_ku[:3, 3:] = dd_ku[3:, :3] = np.diag(inv_n)
+    dd_gg = np.diag([2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
+    dd_den = dd_gg + np.diag(np.concatenate([(2.0 * sign * params.mr2) * inv_n, zero]))
+    df = (gg * d_ku + ku * d_gg - f * d_den) / den
+    dd_fden = gg * dd_ku + np.outer(d_ku, d_gg) + np.outer(d_gg, d_ku) + ku * dd_gg
+    return df, (dd_fden - np.outer(df, d_den) - np.outer(d_den, df) - f * dd_den) / den
 
 
 def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch:
-    """Almost-Poisson structure on (gamma, K) in block form [[0, hat g], [hat g, hat V]]."""
+    """Almost-Poisson structure on (gamma, K) in block form [[0, hat g], [hat g, hat V]].
+
+    Its jet takes V and its Jacobians from one evaluation of Omega."""
     _check_variant(variant)
+
+    def matrix(gamma, v):
+        p = np.zeros((6, 6))
+        p[:3, 3:] = p[3:, :3] = hat(gamma)
+        p[3:, 3:] = hat(v)
+        return p
 
     def structure(s):
         gamma, K = split_reduced(s)
-        p = np.zeros((6, 6))
-        hg = hat(gamma)
-        p[:3, 3:] = hg
-        p[3:, :3] = hg
-        p[3:, 3:] = hat(_v_vector(params, gamma, K, variant))
-        return p
+        return matrix(gamma, _v_vector(params, gamma, K, variant, omega_from_K(params, gamma, K)))
 
-    def partials(s):
+    def jet(s):
         gamma, K = split_reduced(s)
-        dv_gamma, dv_k = _v_jacobians(params, gamma, K, variant)
-        out = np.zeros((6, 6, 6))
-        for l in range(3):
-            e = np.zeros(3)
-            e[l] = 1.0
-            he = hat(e)
-            out[l, :3, 3:] = he
-            out[l, 3:, :3] = he
-            out[l, 3:, 3:] = hat(dv_gamma[:, l])
-        for l in range(3):
-            out[3 + l, 3:, 3:] = hat(dv_k[:, l])
-        return out
+        v, dv_gamma, dv_k = _v_jet(params, gamma, K, variant)
+        dp = _BRACKET_BASE.copy()
+        # d_l hat(V) = sum_m (d_l V_m) hat(e_m)
+        dp[:, 3:, 3:] = np.einsum("ml,mab->lab", np.hstack([dv_gamma, dv_k]), _HAT_BASIS[:3])
+        return matrix(gamma, v), dp
 
     return BivectorPatch(
         dim=REDUCED_DIM,
         structure=structure,
-        partials=partials,
+        partials=lambda s: jet(s)[1],
         name=f"rank{params.rank}-{variant}",
+        jet=jet,
     )
 
 
@@ -477,16 +505,12 @@ def annihilator_one_form(params: BodyParams, variant: str = "plain") -> FormPatc
 
     def entries(s):
         gamma, K = split_reduced(s)
-        return np.concatenate([_v_vector(params, gamma, K, variant), gamma])
+        return np.concatenate([_v_vector(params, gamma, K, variant, omega_from_K(params, gamma, K)), gamma])
 
     def partials(s):
-        gamma, K = split_reduced(s)
-        dv_gamma, dv_k = _v_jacobians(params, gamma, K, variant)
+        _, dv_gamma, dv_k = _v_jet(params, *split_reduced(s), variant)
         out = np.zeros((6, 6))
-        for l in range(3):
-            out[l, :3] = dv_gamma[:, l]
-            out[l, 3 + l] = 1.0
-            out[3 + l, :3] = dv_k[:, l]
+        out[:3, :3], out[:3, 3:], out[3:, :3] = dv_gamma.T, np.eye(3), dv_k.T
         return out
 
     return FormPatch(degree=1, dim=6, entries=entries, partials=partials, name="chi")
@@ -511,15 +535,11 @@ def twist_two_form(params: BodyParams) -> FormPatch:
 
     def partials(s):
         gamma, K = split_reduced(s)
-        og, dog_dgamma, dog_dk, _, _ = _omega_dot_gamma_grads(params, gamma, K)
+        _, og, dog_dgamma, dog_dk, _, _ = _omega_dot_gamma_grads(params, gamma, K)
         out = np.zeros((6, 6, 6))
         hg = hat(gamma)
-        for l in range(3):
-            e = np.zeros(3)
-            e[l] = 1.0
-            out[l, :3, :3] = -mr2 * (dog_dgamma[l] * hg + og * hat(e))
-        for l in range(3):
-            out[3 + l, :3, :3] = -mr2 * dog_dk[l] * hg
+        out[:3, :3, :3] = -mr2 * (dog_dgamma[:, None, None] * hg + og * _HAT_BASIS[:3])
+        out[3:, :3, :3] = (-mr2 * dog_dk)[:, None, None] * hg
         return out
 
     return FormPatch(degree=2, dim=6, entries=entries, partials=partials, name="B_red")
@@ -527,16 +547,34 @@ def twist_two_form(params: BodyParams) -> FormPatch:
 
 def twist_three_form(params: BodyParams) -> FormPatch:
     """Background 3-form making the Hamiltonizable bracket twisted-Poisson:
-    -dB for rank 2, +dB for rank 1 (B = twist_two_form)."""
+    -dB for rank 2, +dB for rank 1 (B = twist_two_form).
+
+    Its partials are closed form: d_l phi_ijk = sign (H[l,i,j,k] - H[l,j,i,k]
+    + H[l,k,i,j]) with H[l,m,a,b] = d_l d_m B_ab.  B = -m r^2 f hat(gamma)
+    with f = Omega . gamma, and hat(gamma) is linear, so H needs only the
+    Hessian of f (``_omega_dot_gamma_hessian``).
+    """
     if params.rank in (0, 3):
         raise UnsupportedRank(f"no twist 3-form for rank {params.rank}")
     b = twist_two_form(params)
     sign = -1.0 if params.rank == 2 else 1.0
+    mr2 = params.mr2
 
     def entries(s):
         return sign * fd_exterior_derivative(b, s)
 
-    return FormPatch(degree=3, dim=6, entries=entries, name="phi_twist")
+    def partials(s):
+        gamma, K = split_reduced(s)
+        df, ddf = _omega_dot_gamma_hessian(params, gamma, K)
+        h = np.zeros((REDUCED_DIM,) * 4)
+        h[:, :, :3, :3] = -mr2 * (
+            ddf[:, :, None, None] * hat(gamma)
+            + df[None, :, None, None] * _HAT_BASIS[:, None]
+            + df[:, None, None, None] * _HAT_BASIS[None, :]
+        )
+        return sign * (h - np.moveaxis(h, 1, 2) + np.moveaxis(h, 1, 3))
+
+    return FormPatch(degree=3, dim=6, entries=entries, partials=partials, name="phi_twist")
 
 
 def leafwise_two_form(params: BodyParams) -> FormPatch:
@@ -634,6 +672,7 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
     q = a_mat.T @ a_mat
     mr2 = params.mr2
     shift = 0.0 if form == "plain" else 1.0
+    eye = np.eye(3)
 
     def _w_vector(g, K):
         gamma = g[2]
@@ -656,28 +695,21 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
     def partials(s):
         g, _, K = split_full(s)
         omega, d_omega_gamma, d_omega_k = _omega_and_jacobians(params, g[2], K)
-        t = g.T @ q @ g
-        t_eff = t - np.eye(3) if shift else t
+        t_eff = g.T @ q @ g - shift * eye
         qg = q @ g
-        out = np.zeros((FULL_DIM, FULL_DIM, FULL_DIM))
-        for a in range(3):
-            for b in range(3):
-                l = 3 * a + b
-                upper = np.zeros((FULL_DIM, FULL_DIM))
-                # d{g_ij, K_m}/dg_ab = -eps_jmb delta_ia
-                upper[3 * a : 3 * a + 3, 12:] = -EPSILON[:, :, b]
-                # d{x_i, K_m}/dg_ab = r A_ia delta_mb
-                upper[9:12, 12 + b] = params.radius * a_mat[:, a]
-                out[l] = upper - upper.T
-                # dW/dg_ab = mr2 [ (dT/dg_ab) Omega + T_eff dOmega/dg_ab ];
-                # Omega sees g only through gamma = row 2
-                dw = (qg[a] @ omega) * _unit(b) + omega[b] * qg[a]
-                if a == 2:
-                    dw = dw + t_eff @ d_omega_gamma[:, b]
-                out[l, 12:, 12:] = hat(mr2 * dw)
-        for c in range(3):
-            dw = _unit(c) + mr2 * (t_eff @ d_omega_k[:, c])
-            out[12 + c, 12:, 12:] = hat(dw)
+        # rows dW/dx_l: dW/dg_ab = mr2 [(dT/dg_ab) Omega + T_eff dOmega/dg_ab], where
+        # Omega sees g only through gamma = row 2; dW/dK_c = e_c + mr2 T_eff dOmega/dK_c
+        dw = np.zeros((FULL_DIM, 3))
+        dw[:9] = (np.einsum("a,bn->abn", qg @ omega, eye) + np.einsum("b,an->abn", omega, qg)).reshape(9, 3)
+        dw[6:9] += (t_eff @ d_omega_gamma).T
+        dw[:9] *= mr2
+        dw[12:] = eye + mr2 * (t_eff @ d_omega_k).T
+        out = np.zeros((FULL_DIM,) * 3)
+        # d{g_ij, K_m}/dg_ab = -eps_jmb delta_ia and d{x_i, K_m}/dg_ab = r A_ia delta_mb, l = 3a + b
+        out[:9, :9, 12:] = -np.einsum("ia,jmb->abijm", eye, EPSILON).reshape(9, 9, 3)
+        out[:9, 9:12, 12:] = params.radius * np.einsum("ia,mb->abim", a_mat, eye).reshape(9, 3, 3)
+        out = out - out.transpose(0, 2, 1)
+        out[:, 12:, 12:] = np.einsum("lm,mab->lab", dw, _HAT_BASIS[:3])
         return out
 
     return BivectorPatch(
@@ -686,12 +718,6 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
         partials=partials,
         name=f"nh-rank{params.rank}-{form}",
     )
-
-
-def _unit(i: int) -> np.ndarray:
-    e = np.zeros(3)
-    e[i] = 1.0
-    return e
 
 
 def X_nh_full(params: BodyParams, state) -> np.ndarray:
@@ -755,7 +781,7 @@ def reduction_defect(params: BodyParams, variant: str, full_state) -> np.ndarray
     full_form = "plain" if variant == "plain" else "gauged"
     p_full = nh_bracket_full(params, full_form).matrix(full_state)
     p_red = reduced_bracket(params, variant).matrix(project_rho(full_state))
-    return np.abs(p_full[np.ix_(RHO_INDEX, RHO_INDEX)] - p_red)
+    return np.abs(p_full[_RHO_BLOCK] - p_red)
 
 
 def reduction_consistency(params: BodyParams, variant: str, full_state, i: int, j: int) -> float:

@@ -11,14 +11,16 @@ not touch those floors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .brackets import dynamical_gauge_check, gauge_transform, jacobi_tensor, scale_bivector
+from .brackets import gauge_matrix, gauge_record, jacobi_tensor, scale_bivector
 from .dynamics import divergence_defect
-from .geometry import FormPatch, fd_exterior_derivative, sample_reduced_state
+from .geometry import fd_exterior_derivative, sample_reduced_state
 from .rolling import (
+    FULL_DIM,
     BodyParams,
     conformal_factor,
     full_hamiltonian_field,
@@ -63,14 +65,16 @@ def _record(check_id: str, anchor: str, residual: float, tol: float, comparison:
     )
 
 
-def _reduced_states(trials: int, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    return [sample_reduced_state(rng) for _ in range(trials)]
+def _sampler(trials: int, seed: int):
+    """draw(sample) -> ``trials`` states from ``sample`` and a generator seeded
+    with ``seed``, drawn on first use and then shared by the suites of a run."""
 
+    @functools.cache
+    def draw(sample) -> list:
+        rng = np.random.default_rng(seed)
+        return [sample(rng) for _ in range(trials)]
 
-def _full_states(trials: int, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    return [sample_full_state(rng) for _ in range(trials)]
+    return draw
 
 
 def _max_jacobiator(pi, states, phi=None) -> float:
@@ -78,57 +82,29 @@ def _max_jacobiator(pi, states, phi=None) -> float:
     return max(float(np.max(np.abs(jacobi_tensor(pi, s, phi)))) for s in states)
 
 
-def _jacobi_suite(params: BodyParams, trials, seed, tol_scale, variant=None) -> list:
-    states = _reduced_states(trials, seed)
+def _jacobi_suite(params: BodyParams, draw, tol_scale, variant=None) -> list:
+    """A forced variant must be Poisson; otherwise the Poisson variant of the
+    rank (if any) must be, and every other variant is a positive control."""
+    states = draw(sample_reduced_state)
+    rank = params.rank
+    poisson = variant or poisson_variant(rank)
     checks = []
-    if variant is not None:
-        pi = reduced_bracket(params, variant)
-        checks.append(
-            _record(
-                f"jacobi-{variant}",
-                f"Jacobiator of the rank-{params.rank} {variant} bracket vanishes identically",
-                _max_jacobiator(pi, states),
-                1e-9 * tol_scale,
-            )
-        )
-        return checks
-    pv = poisson_variant(params.rank)
-    if pv is not None:
-        other = "primed" if pv == "plain" else "plain"
-        checks.append(
-            _record(
-                f"jacobi-{pv}",
-                f"Jacobiator of the rank-{params.rank} {pv} bracket vanishes identically (Poisson)",
-                _max_jacobiator(reduced_bracket(params, pv), states),
-                1e-9 * tol_scale,
-            )
-        )
-        checks.append(
-            _record(
-                f"jacobi-{other}-witness",
-                f"Jacobiator of the rank-{params.rank} {other} bracket stays away from zero",
-                _max_jacobiator(reduced_bracket(params, other), states),
-                1e-3,
-                comparison="gt",
-            )
-        )
-    else:
-        for v in ("plain", "primed"):
-            checks.append(
-                _record(
-                    f"jacobi-{v}-witness",
-                    f"Jacobiator of the rank-{params.rank} {v} bracket stays away from zero "
-                    "(no Poisson structure before rescaling)",
-                    _max_jacobiator(reduced_bracket(params, v), states),
-                    1e-3,
-                    comparison="gt",
-                )
-            )
+    # the Poisson variant first
+    for v in (variant,) if variant else sorted(("plain", "primed"), key=lambda v: v != poisson):
+        worst = _max_jacobiator(reduced_bracket(params, v), states)
+        if v == poisson:
+            note = "" if variant else " (Poisson)"
+            anchor = f"Jacobiator of the rank-{rank} {v} bracket vanishes identically{note}"
+            checks.append(_record(f"jacobi-{v}", anchor, worst, 1e-9 * tol_scale))
+        else:
+            note = "" if poisson else " (no Poisson structure before rescaling)"
+            anchor = f"Jacobiator of the rank-{rank} {v} bracket stays away from zero{note}"
+            checks.append(_record(f"jacobi-{v}-witness", anchor, worst, 1e-3, comparison="gt"))
     return checks
 
 
-def _conformal_suite(params: BodyParams, trials, seed, tol_scale, variant=None) -> list:
-    states = _reduced_states(trials, seed)
+def _conformal_suite(params: BodyParams, draw, tol_scale, variant=None) -> list:
+    states = draw(sample_reduced_state)
     v = variant or hamiltonizable_variant(params.rank)
     pi = reduced_bracket(params, v)
     phi = conformal_factor(params)
@@ -151,8 +127,8 @@ def _conformal_suite(params: BodyParams, trials, seed, tol_scale, variant=None) 
     ]
 
 
-def _twisted_suite(params: BodyParams, trials, seed, tol_scale, variant=None) -> list:
-    states = _reduced_states(trials, seed)
+def _twisted_suite(params: BodyParams, draw, tol_scale, variant=None) -> list:
+    states = draw(sample_reduced_state)
     checks = []
     if params.rank in (0, 3):
         v = variant or poisson_variant(params.rank)
@@ -190,30 +166,28 @@ def _twisted_suite(params: BodyParams, trials, seed, tol_scale, variant=None) ->
     return checks
 
 
-def _gauge_suite(params: BodyParams, trials, seed, tol_scale, variant=None) -> list:
-    states = _full_states(trials, seed)
+def _gauge_suite(params: BodyParams, draw, tol_scale, variant=None) -> list:
+    """P, B and the gauged bracket are evaluated once per state; the gauges by
+    B, B then -B, and 0 are solves on those values, and the dynamical record
+    reuses the conditioning of the first solve."""
     pi_plain = nh_bracket_full(params, "plain")
     pi_gauged = nh_bracket_full(params, "gauged")
     b_form = gauge_form_on_M(params)
-    transformed = gauge_transform(pi_plain, b_form)
-
-    def negated(s):
-        return -b_form(s)
-
-    minus_b = FormPatch(degree=2, dim=15, entries=negated, name="-B_full")
-    back = gauge_transform(transformed, minus_b)
+    h_field = full_hamiltonian_field(params)
+    zero_form = np.zeros((FULL_DIM, FULL_DIM))
 
     match = 0.0
     roundtrip = 0.0
     zero_defect = 0.0
-    for s in states:
-        match = max(match, float(np.max(np.abs(transformed.matrix(s) - pi_gauged.matrix(s)))))
-        roundtrip = max(roundtrip, float(np.max(np.abs(back.matrix(s) - pi_plain.matrix(s)))))
-    zero_form = FormPatch(degree=2, dim=15, entries=lambda s: np.zeros((15, 15)), name="0")
-    ident = gauge_transform(pi_plain, zero_form)
-    for s in states[: min(5, len(states))]:
-        zero_defect = max(zero_defect, float(np.max(np.abs(ident.matrix(s) - pi_plain.matrix(s)))))
-    dyn = dynamical_gauge_check(pi_plain, b_form, full_hamiltonian_field(params), states)
+    dyn = []
+    for s in draw(sample_full_state):
+        p, bm = pi_plain.matrix(s), b_form(s)
+        g, smallest, condition = gauge_matrix(p, bm)
+        match = max(match, float(np.max(np.abs(g - pi_gauged.matrix(s)))))
+        roundtrip = max(roundtrip, float(np.max(np.abs(gauge_matrix(g, -bm)[0] - p))))
+        zero_defect = max(zero_defect, float(np.max(np.abs(gauge_matrix(p, zero_form)[0] - p))))
+        # -p @ grad h is the Hamiltonian vector field, as in dynamical_gauge_check
+        dyn.append(gauge_record(-p @ h_field.grad(s), bm, smallest, condition))
     contraction = max(r["contraction"] for r in dyn)
     dyn_ok = all(r["passed"] for r in dyn)
     return [
@@ -247,8 +221,8 @@ def _gauge_suite(params: BodyParams, trials, seed, tol_scale, variant=None) -> l
     ]
 
 
-def _reduction_suite(params: BodyParams, trials, seed, tol_scale, variant=None) -> list:
-    states = _full_states(trials, seed)
+def _reduction_suite(params: BodyParams, draw, tol_scale, variant=None) -> list:
+    states = draw(sample_full_state)
     checks = []
     variants = (variant,) if variant else ("plain", "primed")
     for v in variants:
@@ -264,8 +238,8 @@ def _reduction_suite(params: BodyParams, trials, seed, tol_scale, variant=None) 
     return checks
 
 
-def _measure_suite(params: BodyParams, trials, seed, tol_scale, variant=None) -> list:
-    states = _reduced_states(trials, seed)
+def _measure_suite(params: BodyParams, draw, tol_scale, variant=None) -> list:
+    states = draw(sample_reduced_state)
     worst = max(divergence_defect(params, s, density="invariant") for s in states)
     checks = [
         _record(
@@ -299,6 +273,27 @@ _SUITE_FNS = {
 }
 
 
+def _run_suites(names, params: BodyParams, trials: int, seed: int, tol_scale: float, variant) -> list[dict]:
+    """Report dicts of the named suites, which share one draw of states."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not tol_scale > 0.0:
+        raise ValueError("tol-scale must be positive")
+    draw = _sampler(trials, seed)
+    reports = []
+    for name in names:
+        checks = _SUITE_FNS[name](params, draw, tol_scale, variant)
+        reports.append(
+            {
+                "suite": name,
+                "rank": params.rank,
+                "checks": [c.to_dict() for c in checks],
+                "passed": bool(all(c.passed for c in checks)),
+            }
+        )
+    return reports
+
+
 def run_suite(
     name: str,
     params: BodyParams,
@@ -310,17 +305,7 @@ def run_suite(
     """Run one named suite against randomized states; returns a report dict."""
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not tol_scale > 0.0:
-        raise ValueError("tol-scale must be positive")
-    checks = _SUITE_FNS[name](params, trials, seed, tol_scale, variant)
-    return {
-        "suite": name,
-        "rank": params.rank,
-        "checks": [c.to_dict() for c in checks],
-        "passed": bool(all(c.passed for c in checks)),
-    }
+    return _run_suites((name,), params, trials, seed, tol_scale, variant)[0]
 
 
 def run_all_suites(
@@ -330,4 +315,6 @@ def run_all_suites(
     tol_scale: float = 1.0,
     variant: str | None = None,
 ) -> list[dict]:
-    return [run_suite(n, params, trials, seed, tol_scale, variant) for n in SUITE_NAMES]
+    """Run every suite on one draw of states: the same reports as
+    ``run_suite`` gives for each name with the same arguments."""
+    return _run_suites(SUITE_NAMES, params, trials, seed, tol_scale, variant)

@@ -15,8 +15,8 @@ from chaplygin import (
     SingularGauge,
     SymmetricInput,
     casimir_defect,
+    conformal_factor,
     conformal_jacobiator,
-    constant_field,
     coordinate_field,
     distribution_probe,
     dynamical_gauge_check,
@@ -206,6 +206,35 @@ def test_jacobi_tensor_equals_per_triple_defects(rank, make_body, chart):
             assert conformal[i, j, k] == conformal_jacobiator(pi, factor, i, j, k, s)
 
 
+@pytest.mark.parametrize("make_body", [standard_body, asymmetric_body], ids=["standard", "asymmetric"])
+def test_jacobi_tensor_through_jet_equals_matrix_route(rank, make_body):
+    body = make_body(rank)
+    phi = twist_three_form(body) if rank in (1, 2) else None
+    for variant in VARIANTS:
+        pi = reduced_bracket(body, variant)
+        for with_jet in (pi, scale_bivector(pi, conformal_factor(body))):
+            assert with_jet.jet is not None
+            without = BivectorPatch(dim=6, structure=with_jet.structure, partials=with_jet.partials)
+            for seed in range(3):
+                s = sample_reduced_state(seed=40 + seed)
+                p, dp = with_jet.matrix_and_partials(s)
+                assert np.array_equal(p, with_jet.matrix(s))
+                assert np.array_equal(dp, with_jet.partial_tensor(s))
+                assert np.array_equal(jacobi_tensor(with_jet, s), jacobi_tensor(without, s))
+                assert np.array_equal(jacobi_tensor(with_jet, s, phi), jacobi_tensor(without, s, phi))
+
+
+def test_jet_output_is_checked():
+    bad = BivectorPatch(
+        dim=2, structure=lambda s: _CANONICAL, jet=lambda s: (np.ones((2, 2)), np.zeros((2, 2, 2)))
+    )
+    with pytest.raises(SymmetricInput):
+        bad.matrix_and_partials(np.zeros(2))
+    short = BivectorPatch(dim=2, structure=lambda s: _CANONICAL, jet=lambda s: (_CANONICAL, np.zeros((2, 2))))
+    with pytest.raises(ValueError):
+        short.matrix_and_partials(np.zeros(2))
+
+
 # -------------------------------------------------------------------- scaling
 
 
@@ -226,7 +255,8 @@ def test_scale_bivector_matrix_and_partials():
 def test_conformal_jacobiator_rejects_nonpositive_factor():
     pi = reduced_bracket(standard_body(2), "primed")
     with pytest.raises(NonPositiveFactor):
-        conformal_jacobiator(pi, constant_field(-1.0, 6), 0, 1, 2, sample_reduced_state(seed=0))
+        negative = ScalarField(value=lambda s: -1.0, gradient=lambda s: np.zeros(6))
+        conformal_jacobiator(pi, negative, 0, 1, 2, sample_reduced_state(seed=0))
 
 
 # ---------------------------------------------------------------------- gauge
@@ -319,7 +349,8 @@ def test_twisted_defect_without_form_is_jacobiator():
 
 def test_casimir_defect_constant_field_zero():
     pi = canonical_patch()
-    assert casimir_defect(pi, constant_field(3.0, 2), np.zeros(2)) == 0.0
+    constant = ScalarField(value=lambda s: 3.0, gradient=lambda s: np.zeros(2))
+    assert casimir_defect(pi, constant, np.zeros(2)) == 0.0
 
 
 def test_casimir_defect_canonical_coordinate():

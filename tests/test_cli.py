@@ -66,6 +66,34 @@ def test_simulate_writes_full_precision(tmp_path):
     assert f"{val:.17g}" == row[4]
 
 
+@pytest.mark.parametrize("flags", [[], ["--reparametrize"], ["--full"]], ids=["reduced", "reparam", "full"])
+def test_simulate_uses_one_monitor_pass(tmp_path, monkeypatch, flags):
+    seen = []
+    real = cli.monitor_series
+
+    def counting(params, traj):
+        seen.append(traj)
+        return real(params, traj)
+
+    for module in (cli, chaplygin.dynamics):
+        monkeypatch.setattr(module, "monitor_series", counting)
+    path = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), *flags, "--out", str(out)]) == 0
+    assert len(seen) == 1
+    traj, params = seen[0], chaplygin.load_scenario(path).params
+    series = real(params, traj)
+    names = ["H"] if traj.dim == 15 else ["H", "C1", "C2", "F"]
+    columns = [traj.times, *traj.states.T, *(series[n] for n in names)]
+    if traj.t_recovered is not None:
+        columns.append(traj.t_recovered)
+    # the reference formatting: every cell by f"{x:.17g}"
+    expected = [",".join(f"{x:.17g}" for x in row) for row in np.column_stack(columns).tolist()]
+    assert (out / "trajectory.csv").read_text().splitlines()[1:] == expected
+    drifts = json.loads((out / "summary.json").read_text())["drifts"]
+    assert drifts == chaplygin.invariant_drift(params, traj)
+
+
 def test_simulate_full_flag_lifts_reduced_initial(tmp_path):
     path = write_scenario(tmp_path)
     out = tmp_path / "out"

@@ -14,13 +14,25 @@ from hypothesis import strategies as st
 from chaplygin import (
     RHO_INDEX,
     BodyParams,
+    FormPatch,
     K_from_omega,
     X_nh_full,
+    casimir_defect,
+    casimir_gamma_norm,
+    casimir_kgamma,
+    gauge_form_on_M,
+    gauge_transform,
+    hamiltonizable_variant,
+    jacobi_tensor,
+    nh_bracket_full,
     omega_from_K,
     pack_full,
+    poisson_variant,
     project_rho,
     random_rotation,
+    reduced_bracket,
     reduced_vf,
+    reduction_defect,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -43,6 +55,18 @@ vectors = st.tuples(_floats(-1.0, 1.0), _floats(-1.0, 1.0), _floats(-1.0, 1.0)).
 gammas = vectors.filter(lambda v: np.linalg.norm(v) >= 0.1)
 unit_gammas = gammas.map(lambda v: v / np.linalg.norm(v))
 momenta = st.tuples(vectors, _floats(-3.0, 3.0)).map(lambda p: p[0] * 10.0 ** p[1])
+# states as the verify suites sample them (K in [-1, 1]^3), gamma also off the sphere
+reduced_states = st.tuples(gammas, vectors).map(np.concatenate)
+full_states = st.tuples(st.integers(0, 2**32 - 1), vectors, vectors).map(
+    lambda p: pack_full(random_rotation(np.random.default_rng(p[0])), p[1], p[2])
+)
+variants = st.sampled_from(["plain", "primed"])
+# every permutation of three axes and its sign
+SIGNS = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0, (1, 0, 2): -1.0, (0, 2, 1): -1.0, (2, 1, 0): -1.0}
+
+
+def _alternates_exactly(tensor) -> bool:
+    return all(np.array_equal(np.transpose(tensor, perm), sign * tensor) for perm, sign in SIGNS.items())
 
 
 @PROPERTY
@@ -66,3 +90,50 @@ def test_batched_omega_equals_row_calls(body, states):
 def test_full_field_projects_onto_reduced_field(body, seed, x, k):
     state = pack_full(random_rotation(np.random.default_rng(seed)), x, k)
     assert np.array_equal(X_nh_full(body, state)[RHO_INDEX], reduced_vf(body, project_rho(state)))
+
+
+# Tolerances below are those of the example tests of the same identities:
+# Casimirs and reduction 1e-12 (tests/test_rolling.py), Jacobi 1e-9 and the
+# gauge round trip 1e-10 (acceptance criteria 01 and 05).
+
+
+@PROPERTY
+@given(body=bodies, state=reduced_states, variant=variants)
+def test_casimirs(body, state, variant):
+    """C2 = |gamma|^2 is a Casimir of both variants; C1 = K . gamma of the
+    Hamiltonizable one (the other variant is a positive control elsewhere)."""
+    pi = reduced_bracket(body, variant)
+    assert casimir_defect(pi, casimir_gamma_norm(), state) <= 1e-12
+    if variant == hamiltonizable_variant(body.rank):
+        assert casimir_defect(pi, casimir_kgamma(), state) <= 1e-12
+
+
+@PROPERTY
+@given(body=bodies, state=reduced_states, variant=variants)
+def test_reduced_jacobi_tensor(body, state, variant):
+    tensor = jacobi_tensor(reduced_bracket(body, variant), state)
+    assert _alternates_exactly(tensor)
+    if variant == poisson_variant(body.rank):
+        assert np.max(np.abs(tensor)) <= 1e-9
+
+
+@settings(PROPERTY, max_examples=30)
+@given(body=bodies, state=full_states, form=st.sampled_from(["plain", "gauged"]))
+def test_full_jacobi_tensor_alternates_exactly(body, state, form):
+    assert _alternates_exactly(jacobi_tensor(nh_bracket_full(body, form), state))
+
+
+@PROPERTY
+@given(body=bodies, state=full_states)
+def test_gauge_round_trip(body, state):
+    pi = nh_bracket_full(body, "plain")
+    b_form = gauge_form_on_M(body)
+    minus_b = FormPatch(degree=2, dim=15, entries=lambda s: -b_form(s))
+    back = gauge_transform(gauge_transform(pi, b_form), minus_b)
+    assert np.max(np.abs(back.matrix(state) - pi.matrix(state))) <= 1e-10
+
+
+@PROPERTY
+@given(body=bodies, state=full_states, variant=variants)
+def test_reduction_defect_vanishes(body, state, variant):
+    assert np.max(reduction_defect(body, variant, state)) <= 1e-12

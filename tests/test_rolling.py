@@ -666,9 +666,32 @@ def test_twist_three_form_is_closed(rank_t):
 
     body = standard_body(rank_t)
     phi = twist_three_form(body)
+    # the nested route: differences of the entries, themselves dB from B's partials
+    nested_fd = FormPatch(degree=3, dim=6, entries=phi.entries)
     for seed in range(2):
         s = sample_reduced_state(seed=280 + seed)
-        assert np.max(np.abs(fd_exterior_derivative(phi, s))) <= 1e-5
+        assert np.max(np.abs(fd_exterior_derivative(phi, s))) <= 1e-14
+        assert np.max(np.abs(fd_exterior_derivative(nested_fd, s))) <= 1e-5
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.3], ids=["on-sphere", "off-sphere"])
+@pytest.mark.parametrize("factory", [standard_body, asymmetric_body])
+@pytest.mark.parametrize("rank_t", [1, 2])
+def test_twist_three_form_partials_match_fd(rank_t, factory, scale):
+    phi = twist_three_form(factory(rank_t))
+    for seed in range(3):
+        s = sample_reduced_state(seed=285 + seed)
+        s[:3] *= scale
+        assert np.max(np.abs(phi.partial_tensor(s) - fd_partials(phi.__call__, s))) <= 1e-6
+
+
+@pytest.mark.parametrize("rank_t", [1, 2])
+def test_twist_three_form_partials_check_the_denominator(rank_t):
+    phi = twist_three_form(standard_body(rank_t))
+    with pytest.raises(DegenerateDenominator):
+        phi.partial_tensor(np.array([0.0, 0.0, 0.0, 0.3, -0.1, 0.2]))
+    with pytest.raises(NonFiniteState):
+        phi.partial_tensor(np.array([6e159, 0.0, 8e159, 1.0, 1.0, 1.0]))
 
 
 def test_leafwise_factorization_of_the_twist():

@@ -1,0 +1,99 @@
+"""Verification suites: the gauge suite against its per-patch oracle route,
+one draw of states per run, and run_suite / run_all_suites agreement."""
+
+import collections
+
+import numpy as np
+import pytest
+
+from chaplygin import (
+    SUITE_NAMES,
+    FormPatch,
+    dynamical_gauge_check,
+    full_hamiltonian_field,
+    gauge_form_on_M,
+    gauge_matrix,
+    gauge_record,
+    gauge_transform,
+    nh_bracket_full,
+    run_all_suites,
+    run_suite,
+    sample_full_state,
+)
+from chaplygin import verify
+
+from conftest import asymmetric_body, standard_body
+
+BODIES = pytest.mark.parametrize("make_body", [standard_body, asymmetric_body], ids=["standard", "asymmetric"])
+
+
+def _oracle_gauge_residuals(body, states):
+    """The four gauge residuals by the route of one BivectorPatch per gauged
+    bracket (each re-evaluating P, B and E + B P) and dynamical_gauge_check."""
+    pi_plain = nh_bracket_full(body, "plain")
+    pi_gauged = nh_bracket_full(body, "gauged")
+    b_form = gauge_form_on_M(body)
+    transformed = gauge_transform(pi_plain, b_form)
+    back = gauge_transform(transformed, FormPatch(degree=2, dim=15, entries=lambda s: -b_form(s)))
+    ident = gauge_transform(pi_plain, FormPatch(degree=2, dim=15, entries=lambda s: np.zeros((15, 15))))
+    records = dynamical_gauge_check(pi_plain, b_form, full_hamiltonian_field(body), states)
+    return {
+        "gauge-match": max(float(np.max(np.abs(transformed.matrix(s) - pi_gauged.matrix(s)))) for s in states),
+        "gauge-roundtrip": max(float(np.max(np.abs(back.matrix(s) - pi_plain.matrix(s)))) for s in states),
+        "gauge-zero": max(float(np.max(np.abs(ident.matrix(s) - pi_plain.matrix(s)))) for s in states[:5]),
+        "gauge-dynamical": max(r["contraction"] for r in records),
+    }, all(r["passed"] for r in records)
+
+
+@BODIES
+def test_gauge_suite_equals_oracle_route(rank, make_body):
+    body = make_body(rank)
+    trials, seed = 6, 11 + rank
+    rng = np.random.default_rng(seed)
+    states = [sample_full_state(rng) for _ in range(trials)]
+    expected, dyn_ok = _oracle_gauge_residuals(body, states)
+    checks = {c["id"]: c for c in run_suite("gauge", body, trials=trials, seed=seed)["checks"]}
+    assert {k: c["max_residual"] for k, c in checks.items()} == expected
+    assert checks["gauge-dynamical"]["passed"] is (dyn_ok and expected["gauge-dynamical"] <= 1e-9)
+    assert all(c["passed"] for c in checks.values())
+    # the per-state record from the conditioning of the gauge solve is the
+    # record dynamical_gauge_check computes on its own
+    pi, b_form, h = nh_bracket_full(body, "plain"), gauge_form_on_M(body), full_hamiltonian_field(body)
+    for s in states:
+        p, bm = pi.matrix(s), b_form(s)
+        _, smallest, condition = gauge_matrix(p, bm)
+        assert gauge_record(-p @ h.grad(s), bm, smallest, condition) == dynamical_gauge_check(pi, b_form, h, [s])[0]
+
+
+def test_gauge_matrix_of_zero_form_is_the_input():
+    p = nh_bracket_full(standard_body(2), "plain").matrix(sample_full_state(seed=3))
+    g, smallest, condition = gauge_matrix(p, np.zeros((15, 15)))
+    assert g is p and (smallest, condition) == (1.0, 1.0)
+
+
+@BODIES
+def test_run_all_suites_equals_run_suite(rank, make_body):
+    body = make_body(rank)
+    for kwargs in ({"trials": 4, "seed": 5}, {"trials": 3, "seed": 9, "tol_scale": 2.0, "variant": "primed"}):
+        assert run_all_suites(body, **kwargs) == [run_suite(n, body, **kwargs) for n in SUITE_NAMES]
+
+
+def test_states_are_drawn_once_per_run(monkeypatch):
+    counts = collections.Counter()
+
+    def counting(kind, sampler):
+        def wrapped(rng):
+            counts[kind] += 1
+            return sampler(rng)
+
+        return wrapped
+
+    monkeypatch.setattr(verify, "sample_reduced_state", counting("reduced", verify.sample_reduced_state))
+    monkeypatch.setattr(verify, "sample_full_state", counting("full", verify.sample_full_state))
+    body = standard_body(2)
+    run_all_suites(body, trials=3)
+    assert counts == {"reduced": 3, "full": 3}
+    for name, kind in (("gauge", "full"), ("reduction", "full"), ("jacobi", "reduced"), ("twisted", "reduced")):
+        counts.clear()
+        run_suite(name, body, trials=3)
+        assert counts == {kind: 3}
