@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+_CONTRACTION_TOL = 1e-9  # |i_{X_h} B| of a dynamical gauge
+_ANNIHILATION_TOL = 1e-8  # |chi(X_f)| of a distribution probe
 
 
 @dataclass(frozen=True)
@@ -43,16 +45,15 @@ class BivectorPatch:
     """An almost-Poisson bivector on a chart of R^dim.
 
     ``structure(state)`` is the matrix pi[i, j] = {x_i, x_j}; it must be
-    antisymmetric to 1e-12 (checked on every evaluation).  ``partials``,
-    when given, returns the derivative tensor with the derivative index
-    first: partials(state)[l, i, j] = d_l pi[i, j].  ``jet``, when given,
-    returns (structure(state), partials(state)) from one evaluation of what
-    they share; ``matrix_and_partials`` uses it.
+    antisymmetric to 1e-12 (checked on every evaluation).  ``jet``, when
+    given, returns (structure(state), partials) from one evaluation of what
+    they share, with the derivative index first: partials[l, i, j] =
+    d_l pi[i, j].  Without a jet the partials are central differences of
+    the matrix.
     """
 
     dim: int
     structure: Callable[[np.ndarray], np.ndarray]
-    partials: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
     jet: Optional[Callable[[np.ndarray], tuple]] = None
 
@@ -60,14 +61,12 @@ class BivectorPatch:
         return self._checked_matrix(self.structure(np.asarray(state, dtype=float)))
 
     def partial_tensor(self, state: np.ndarray) -> np.ndarray:
-        if self.partials is not None:
-            return self._checked_partials(self.partials(np.asarray(state, dtype=float)))
-        return fd_partials(self.matrix, state)
+        return self.matrix_and_partials(state)[1]
 
     def matrix_and_partials(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(matrix(state), partial_tensor(state)), from one ``jet`` call when given."""
         if self.jet is None:
-            return self.matrix(state), self.partial_tensor(state)
+            return self.matrix(state), fd_partials(self.matrix, state)
         p, t = self.jet(np.asarray(state, dtype=float))
         return self._checked_matrix(p), self._checked_partials(t)
 
@@ -185,7 +184,7 @@ def jacobiator(pi: BivectorPatch, i: int, j: int, k: int, state: np.ndarray) -> 
     return twisted_defect(pi, None, i, j, k, state)
 
 
-def scale_bivector(pi: BivectorPatch, factor: ScalarField, name: str = "") -> BivectorPatch:
+def scale_bivector(pi: BivectorPatch, factor: ScalarField) -> BivectorPatch:
     """The bivector factor * pi, with product-rule partials; its jet takes the
     matrix and partials of pi from one ``matrix_and_partials`` call."""
 
@@ -199,11 +198,7 @@ def scale_bivector(pi: BivectorPatch, factor: ScalarField, name: str = "") -> Bi
         return phi * p, np.einsum("l,ij->lij", dphi, p) + phi * dp
 
     return BivectorPatch(
-        dim=pi.dim,
-        structure=structure,
-        partials=lambda s: jet(s)[1],
-        name=name or f"{factor.name or 'f'}*{pi.name or 'pi'}",
-        jet=jet,
+        dim=pi.dim, structure=structure, name=f"{factor.name or 'f'}*{pi.name or 'pi'}", jet=jet
     )
 
 
@@ -236,7 +231,7 @@ def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> tuple[np.ndarray, float, floa
     return 0.5 * (g - g.T), smallest, condition
 
 
-def gauge_transform(pi: BivectorPatch, b_form: FormPatch, name: str = "") -> BivectorPatch:
+def gauge_transform(pi: BivectorPatch, b_form: FormPatch) -> BivectorPatch:
     """Gauge transformation of pi by the 2-form B: pi^B = pi (E + B pi)^{-1},
     where B is the component matrix B[i, j] = B(e_i, e_j); see ``gauge_matrix``.
     """
@@ -246,12 +241,11 @@ def gauge_transform(pi: BivectorPatch, b_form: FormPatch, name: str = "") -> Biv
     return BivectorPatch(
         dim=pi.dim,
         structure=lambda s: gauge_matrix(pi.matrix(s), b_form(s))[0],
-        partials=None,
-        name=name or f"gauge({pi.name or 'pi'})",
+        name=f"gauge({pi.name or 'pi'})",
     )
 
 
-def gauge_record(x: np.ndarray, bm: np.ndarray, smallest: float, condition: float, contraction_tol=1e-9) -> dict:
+def gauge_record(x: np.ndarray, bm: np.ndarray, smallest: float, condition: float) -> dict:
     """The record of ``dynamical_gauge_check`` at one state, from the
     Hamiltonian vector field x, the 2-form matrix bm there, and the smallest
     singular value and condition number of E + bm pi."""
@@ -262,7 +256,7 @@ def gauge_record(x: np.ndarray, bm: np.ndarray, smallest: float, condition: floa
         "smallest_singular_value": smallest,
         "condition": condition,
         "invertible": invertible,
-        "passed": bool(invertible and contraction <= contraction_tol),
+        "passed": bool(invertible and contraction <= _CONTRACTION_TOL),
     }
 
 
@@ -271,20 +265,20 @@ def dynamical_gauge_check(
     b_form: FormPatch,
     h_field: ScalarField,
     states: Sequence[np.ndarray],
-    contraction_tol: float = 1e-9,
 ) -> list[dict]:
     """Check that B is compatible with the dynamics of h on each state.
 
     Reports (never raises) per state: (i) the contraction i_{X_h} B, which
     must vanish for the gauged bracket to reproduce the same trajectories,
-    and (ii) invertibility of E + B pi.
+    and (ii) invertibility of E + B pi; a state passes when both hold, the
+    contraction to 1e-9.
     """
     out = []
     for s in states:
         p, bm = pi.matrix(s), b_form(s)
         smallest, condition = _conditioning(np.eye(pi.dim) + bm @ p)
         # -p @ grad h is ham_vf(pi, h_field, s)
-        out.append(gauge_record(-p @ h_field.grad(s), bm, smallest, condition, contraction_tol))
+        out.append(gauge_record(-p @ h_field.grad(s), bm, smallest, condition))
     return out
 
 
@@ -334,7 +328,6 @@ def distribution_probe(
     f: ScalarField,
     g: ScalarField,
     state: np.ndarray,
-    annihilation_tol: float = 1e-8,
 ) -> float:
     """-d(chi)(X_f, X_g) for a 1-form chi annihilating the characteristic
     distribution of pi.
@@ -342,8 +335,8 @@ def distribution_probe(
     A nonzero value witnesses non-integrability of the distribution
     (Frobenius): the annihilator has a differential with a component along
     the distribution.  Raises AnnihilationViolated if chi fails to
-    annihilate either Hamiltonian field at the state, since then the probe
-    would be meaningless.
+    annihilate either Hamiltonian field at the state (to 1e-8), since then
+    the probe would be meaningless.
     """
     if chi.degree != 1 or chi.dim != pi.dim:
         raise ValueError("probe form must be a 1-form on the same chart")
@@ -352,9 +345,9 @@ def distribution_probe(
     c = chi(state)
     for x, field in ((xf, f), (xg, g)):
         pairing = abs(float(c @ x))
-        if pairing > annihilation_tol:
+        if pairing > _ANNIHILATION_TOL:
             raise AnnihilationViolated(
-                f"chi(X_{field.name or 'f'}) = {pairing:.3e} exceeds {annihilation_tol:.1e}"
+                f"chi(X_{field.name or 'f'}) = {pairing:.3e} exceeds {_ANNIHILATION_TOL:.1e}"
             )
     d = fd_exterior_derivative(chi, state)
     return -float(xf @ d @ xg)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
+    MONITOR_NAMES,
     Trajectory,
     integrate,
     monitor_series,
@@ -34,7 +35,7 @@ from .verify import SUITE_NAMES, run_all_suites, run_suite
 
 __all__ = ["main"]
 
-_REDUCED_HEADER = ["t", "gamma1", "gamma2", "gamma3", "K1", "K2", "K3", "H", "C1", "C2", "F"]
+_REDUCED_HEADER = ["t", "gamma1", "gamma2", "gamma3", "K1", "K2", "K3", *MONITOR_NAMES]
 _FULL_HEADER = [
     "t",
     "g11", "g12", "g13", "g21", "g22", "g23", "g31", "g32", "g33",
@@ -66,7 +67,7 @@ def _trajectory_csv(traj: Trajectory, series: dict, full: bool) -> str:
         columns = (
             [traj.times]
             + [traj.states[:, i] for i in range(6)]
-            + [series[name] for name in ("H", "C1", "C2", "F")]
+            + [series[name] for name in MONITOR_NAMES]
         )
     if traj.t_recovered is not None:
         header.append("t_recovered")

@@ -292,6 +292,8 @@ def hermite_sample(params: BodyParams, traj: Trajectory, t: float) -> np.ndarray
     derivatives are those of the rescaled field phi * X.
     """
     times, states = traj.times, traj.states
+    if len(times) < 2:
+        raise ValueError("Hermite sampling needs a trajectory of at least two samples")
     if not times[0] <= t <= times[-1]:
         raise ValueError(f"t = {t} outside the sampled range [{times[0]}, {times[-1]}]")
     idx = int(np.searchsorted(times, t, side="right") - 1)

@@ -73,12 +73,12 @@ def cross3(a, b) -> list:
     return [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
 
 
-def unhat(m, tol: float = 1e-8) -> np.ndarray:
-    """Inverse of hat. Antisymmetrizes first; the symmetric residue must stay below tol."""
+def unhat(m) -> np.ndarray:
+    """Inverse of hat. Antisymmetrizes first; the symmetric residue must stay below 1e-8."""
     m = np.asarray(m, dtype=float)
     residue = float(np.max(np.abs(m + m.T)))
-    if residue > tol:
-        raise SymmetricInput(f"symmetric part {residue:.3e} exceeds tolerance {tol:.1e}")
+    if residue > 1e-8:
+        raise SymmetricInput(f"symmetric part {residue:.3e} exceeds tolerance 1.0e-08")
     a = 0.5 * (m - m.T)
     return np.array([a[2, 1], a[0, 2], a[1, 0]])
 

@@ -13,8 +13,11 @@ block form
     pi = [[0,      hat(gamma)],
           [hat(gamma),  hat(V)]],      V = K + m r^2 (a Omega + b (Omega.gamma) gamma)
 
-with rank/variant-dependent coefficients (a, b).  Rank 2 with an SO(2)
-angle of -pi/2 is the Chaplygin sphere.
+with a = p - [primed] and b = x - p, i.e. V = K + m r^2 (S(gamma) - [primed] E)
+Omega with S(gamma) = g^T A^T A g.  The constraint has A^T A = diag(p, p, x)
+with p = [rank >= 2] and x = [rank odd]; every rank-dependent term derives
+from these two bits (``_rank_bits``).  Rank 2 with an SO(2) angle of -pi/2
+is the Chaplygin sphere.
 """
 
 from __future__ import annotations
@@ -82,23 +85,6 @@ RHO_INDEX = np.array([6, 7, 8, 12, 13, 14])
 RHO_INDEX.setflags(write=False)
 _RHO_BLOCK = np.ix_(RHO_INDEX, RHO_INDEX)
 
-# (a, b) coefficients of V = K + m r^2 (a Omega + b (Omega.gamma) gamma),
-# keyed by (rank, variant).  Uniformly V_primed = V_plain - m r^2 Omega.
-_V_COEFFS = {
-    (0, "plain"): (0.0, 0.0),
-    (0, "primed"): (-1.0, 0.0),
-    (1, "plain"): (0.0, 1.0),
-    (1, "primed"): (-1.0, 1.0),
-    (2, "plain"): (1.0, -1.0),
-    (2, "primed"): (0.0, -1.0),
-    (3, "plain"): (1.0, 0.0),
-    (3, "primed"): (0.0, 0.0),
-}
-
-# rank -> (sign, n is I + m r^2 rather than I) with I + m r^2 S(gamma) =
-# diag(n) + sign m r^2 gamma gamma^T, S = 0, gamma gamma^T, E - gamma gamma^T, E
-_RANK_TERMS = {0: (0.0, False), 1: (1.0, False), 2: (-1.0, True), 3: (0.0, True)}
-
 # _HAT_BASIS[l] = hat(e_l) = d hat(gamma) / d x_l on the reduced chart, zero for l >= 3
 _HAT_BASIS = np.concatenate([-EPSILON.transpose(2, 0, 1), np.zeros((3, 3, 3))])
 _HAT_BASIS.setflags(write=False)
@@ -107,17 +93,35 @@ _BRACKET_BASE = np.zeros((REDUCED_DIM,) * 3)
 _BRACKET_BASE[:, :3, 3:] = _BRACKET_BASE[:, 3:, :3] = _HAT_BASIS
 _BRACKET_BASE.setflags(write=False)
 
-# which variant is Poisson after (at most) a conformal rescaling
-_HAMILTONIZABLE = {0: "plain", 1: "plain", 2: "primed", 3: "primed"}
+
+def _rank_bits(rank: int) -> tuple[float, float]:
+    """(p, x) with A^T A = diag(p, p, x): p = [rank >= 2], x = [rank odd].
+
+    So S(gamma) = g^T A^T A g = p E + (x - p) gamma gamma^T on the reduced space.
+    """
+    if rank not in (0, 1, 2, 3):
+        raise UnsupportedRank(f"constraint rank must be 0..3, got {rank}")
+    return float(rank >= 2), float(rank % 2)
 
 
 def hamiltonizable_variant(rank: int) -> str:
-    return _HAMILTONIZABLE[rank]
+    """The variant that is Poisson after (at most) a conformal rescaling: the
+    primed one (V = K + m r^2 (S - E) Omega) exactly when p = 1."""
+    return "primed" if _rank_bits(rank)[0] else "plain"
 
 
 def poisson_variant(rank: int):
-    """The variant that is Poisson as-is, or None (ranks 1 and 2 need a conformal factor)."""
-    return {0: "plain", 3: "primed"}.get(rank)
+    """The variant that is Poisson as-is, or None: S(gamma) = p E there
+    (x = p), so the Hamiltonizable bracket needs no conformal factor."""
+    p, x = _rank_bits(rank)
+    return hamiltonizable_variant(rank) if x == p else None
+
+
+def _v_coeffs(rank: int, variant: str) -> tuple[float, float]:
+    """(a, b) of V = K + m r^2 (a Omega + b (Omega.gamma) gamma) =
+    K + m r^2 (S(gamma) - [primed] E) Omega: a = p - [primed], b = x - p."""
+    p, x = _rank_bits(rank)
+    return p - (variant == "primed"), x - p
 
 
 def _check_variant(variant: str):
@@ -145,8 +149,7 @@ class BodyParams:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.rank not in (0, 1, 2, 3):
-            raise UnsupportedRank(f"constraint rank must be 0..3, got {self.rank}")
+        _rank_bits(self.rank)  # raises UnsupportedRank outside 0..3
 
     @cached_property
     def mr2(self) -> float:
@@ -154,10 +157,11 @@ class BodyParams:
 
     @cached_property
     def _rank_terms(self) -> tuple[float, tuple[float, float, float]]:
-        """(sign, n) of _RANK_TERMS as Python floats; computed once per body."""
-        sign, shifted = _RANK_TERMS[self.rank]
-        shift = self.mr2 if shifted else 0.0
-        return sign, tuple(float(i) + shift for i in self.inertia)
+        """(sign, n) with I + m r^2 S(gamma) = diag(n) + sign m r^2 gamma gamma^T:
+        sign = x - p and n = I + p m r^2, as Python floats; computed once per body."""
+        p, x = _rank_bits(self.rank)
+        shift = p * self.mr2
+        return x - p, tuple(float(i) + shift for i in self.inertia)
 
     @cached_property
     def _kernels(self) -> "_Kernels":
@@ -178,21 +182,15 @@ def split_reduced(state) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_A(params: BodyParams) -> np.ndarray:
-    """Constraint matrix A of rank ``params.rank``.
-
-    Ranks 2 and 3 carry a planar rotation by ``so2_angle`` in the upper-left
-    block; rank 1 projects on e3; rank 0 is zero.
-    """
-    c, s = math.cos(params.so2_angle), math.sin(params.so2_angle)
-    if params.rank == 0:
-        return np.zeros((3, 3))
-    if params.rank == 1:
-        a = np.zeros((3, 3))
-        a[2, 2] = 1.0
-        return a
-    a = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.0]])
-    if params.rank == 3:
-        a[2, 2] = 1.0
+    """Constraint matrix A of rank ``params.rank``, with A^T A = diag(p, p, x):
+    a planar rotation by ``so2_angle`` in the upper-left block if p, and
+    A[2, 2] = x."""
+    p, x = _rank_bits(params.rank)
+    a = np.zeros((3, 3))
+    if p:
+        c, s = math.cos(params.so2_angle), math.sin(params.so2_angle)
+        a[:2, :2] = [[c, -s], [s, c]]
+    a[2, 2] = x
     return a
 
 
@@ -356,7 +354,7 @@ def reduced_vf(params: BodyParams, state) -> np.ndarray:
 
 def _v_vector(params: BodyParams, gamma, K, variant: str, omega) -> np.ndarray:
     """V = K + m r^2 (a Omega + b (Omega . gamma) gamma) for the given Omega."""
-    a, b = _V_COEFFS[(params.rank, variant)]
+    a, b = _v_coeffs(params.rank, variant)
     return K + params.mr2 * (a * omega + b * float(omega @ gamma) * gamma)
 
 
@@ -369,7 +367,7 @@ def _omega_dot_gamma_grads(params: BodyParams, gamma, K) -> tuple:
 def _v_jet(params: BodyParams, gamma, K, variant: str) -> tuple:
     """(V, dV/dgamma, dV/dK) from one evaluation of Omega and its Jacobians;
     Jacobian columns are indexed by the differentiation coordinate."""
-    a, b = _V_COEFFS[(params.rank, variant)]
+    a, b = _v_coeffs(params.rank, variant)
     mr2 = params.mr2
     omega, og, dog_dgamma, dog_dk, d_gamma, d_k = _omega_dot_gamma_grads(params, gamma, K)
     dv_gamma = mr2 * (a * d_gamma + b * (np.outer(gamma, dog_dgamma) + og * np.eye(3)))
@@ -422,13 +420,7 @@ def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch
         dp[:, 3:, 3:] = np.einsum("ml,mab->lab", np.hstack([dv_gamma, dv_k]), _HAT_BASIS[:3])
         return matrix(gamma, v), dp
 
-    return BivectorPatch(
-        dim=REDUCED_DIM,
-        structure=structure,
-        partials=lambda s: jet(s)[1],
-        name=f"rank{params.rank}-{variant}",
-        jet=jet,
-    )
+    return BivectorPatch(dim=REDUCED_DIM, structure=structure, name=f"rank{params.rank}-{variant}", jet=jet)
 
 
 def conformal_factor(params: BodyParams) -> ScalarField:
@@ -460,7 +452,7 @@ def conformal_factor(params: BodyParams) -> ScalarField:
 
 def invariant_density(params: BodyParams) -> ScalarField:
     """Density of the smooth invariant measure on (gamma, K): 1/conformal_factor."""
-    if params.rank in (0, 3):
+    if not params._rank_terms[0]:
         return ScalarField(value=lambda s: 1.0, gradient=lambda s: np.zeros(6), name="mu=1")
     phi = conformal_factor(params)
 
@@ -519,9 +511,9 @@ def annihilator_one_form(params: BodyParams, variant: str = "plain") -> FormPatc
 def twist_two_form(params: BodyParams) -> FormPatch:
     """The gauge 2-form on the reduced space, supported on the gamma-gamma
     block: B_ab = m r^2 (Omega . gamma) eps_abl gamma_l.  Only ranks 1 and 2
-    carry a nonzero twist.
+    (sign = x - p nonzero) carry a nonzero twist.
     """
-    if params.rank in (0, 3):
+    if not params._rank_terms[0]:
         raise UnsupportedRank(f"no reduced gauge 2-form for rank {params.rank}")
     mr2 = params.mr2
 
@@ -547,17 +539,18 @@ def twist_two_form(params: BodyParams) -> FormPatch:
 
 def twist_three_form(params: BodyParams) -> FormPatch:
     """Background 3-form making the Hamiltonizable bracket twisted-Poisson:
-    -dB for rank 2, +dB for rank 1 (B = twist_two_form).
+    sign dB with sign = x - p, i.e. -dB for rank 2, +dB for rank 1
+    (B = twist_two_form).
 
     Its partials are closed form: d_l phi_ijk = sign (H[l,i,j,k] - H[l,j,i,k]
     + H[l,k,i,j]) with H[l,m,a,b] = d_l d_m B_ab.  B = -m r^2 f hat(gamma)
     with f = Omega . gamma, and hat(gamma) is linear, so H needs only the
     Hessian of f (``_omega_dot_gamma_hessian``).
     """
-    if params.rank in (0, 3):
+    sign = params._rank_terms[0]
+    if not sign:
         raise UnsupportedRank(f"no twist 3-form for rank {params.rank}")
     b = twist_two_form(params)
-    sign = -1.0 if params.rank == 2 else 1.0
     mr2 = params.mr2
 
     def entries(s):
@@ -665,6 +658,7 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
     Nonzero entries: {g_ij, K_l} = -eps_jlk g_ik, {x_i, K_l} = r (A g)_il,
     and {K_i, K_j} = hat(W)_ij with W = K + m r^2 T Omega for the plain form
     and W = K + m r^2 (T - E) Omega for the gauged one, T = g^T A^T A g.
+    Its jet takes Omega and its Jacobians from one evaluation.
     """
     if form not in ("plain", "gauged"):
         raise ValueError(f"form must be 'plain' or 'gauged', got {form!r}")
@@ -674,25 +668,20 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
     shift = 0.0 if form == "plain" else 1.0
     eye = np.eye(3)
 
-    def _w_vector(g, K):
-        gamma = g[2]
-        omega = omega_from_K(params, gamma, K)
-        t = g.T @ q @ g
-        if shift:
-            t = t - np.eye(3)
-        return K + mr2 * (t @ omega)
-
-    def structure(s):
-        g, _, K = split_full(s)
+    def matrix(g, K, t_eff, omega):
         p = np.zeros((FULL_DIM, FULL_DIM))
         # {g_ij, K_l} = -eps_jlk g_ik, rows 3i+j, columns 12+l
         p[:9, 12:] = -np.einsum("jlk,ik->ijl", EPSILON, g).reshape(9, 3)
         p[9:12, 12:] = params.radius * (a_mat @ g)
         p = p - p.T
-        p[12:, 12:] = hat(_w_vector(g, K))
+        p[12:, 12:] = hat(K + mr2 * (t_eff @ omega))
         return p
 
-    def partials(s):
+    def structure(s):
+        g, _, K = split_full(s)
+        return matrix(g, K, g.T @ q @ g - shift * eye, omega_from_K(params, g[2], K))
+
+    def jet(s):
         g, _, K = split_full(s)
         omega, d_omega_gamma, d_omega_k = _omega_and_jacobians(params, g[2], K)
         t_eff = g.T @ q @ g - shift * eye
@@ -710,14 +699,9 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
         out[:9, 9:12, 12:] = params.radius * np.einsum("ia,mb->abim", a_mat, eye).reshape(9, 3, 3)
         out = out - out.transpose(0, 2, 1)
         out[:, 12:, 12:] = np.einsum("lm,mab->lab", dw, _HAT_BASIS[:3])
-        return out
+        return matrix(g, K, t_eff, omega), out
 
-    return BivectorPatch(
-        dim=FULL_DIM,
-        structure=structure,
-        partials=partials,
-        name=f"nh-rank{params.rank}-{form}",
-    )
+    return BivectorPatch(dim=FULL_DIM, structure=structure, name=f"nh-rank{params.rank}-{form}", jet=jet)
 
 
 def X_nh_full(params: BodyParams, state) -> np.ndarray:
@@ -757,7 +741,8 @@ def horizontal_lift(params: BodyParams, full_state, reduced_tangent) -> np.ndarr
 
     The rotational part solves gamma x a = w_gamma with a . gamma = 0 (no
     spin about gamma) and moves g along g hat(a); x does not move.  Requires
-    w_gamma . gamma = 0, i.e. a genuine tangent to the gamma-sphere.
+    w_gamma . gamma = 0, i.e. a genuine tangent to the gamma-sphere, and
+    gamma != 0.
     """
     g, _, _ = split_full(full_state)
     gamma = g[2]
@@ -765,7 +750,10 @@ def horizontal_lift(params: BodyParams, full_state, reduced_tangent) -> np.ndarr
     w_gamma, w_k = w[:3], w[3:]
     if abs(float(w_gamma @ gamma)) > 1e-8:
         raise ValueError("reduced tangent leaves the gamma-sphere")
-    a = np.cross(w_gamma, gamma) / float(gamma @ gamma)
+    g2 = float(gamma @ gamma)
+    if not g2 > 0.0:
+        raise ValueError(f"cannot lift: |gamma|^2 = {g2!r} is not positive")
+    a = np.cross(w_gamma, gamma) / g2
     return np.concatenate([(g @ hat(a)).reshape(9), np.zeros(3), w_k])
 
 

@@ -9,8 +9,7 @@ Example::
       "radius": 1.0,
       "rank": 2,
       "initial": {"gamma": [0.0, 0.0, 1.0], "K": [0.3, -0.1, 0.2]},
-      "integrator": {"dt": 1e-3, "T": 10.0},
-      "seed": 0
+      "integrator": {"dt": 1e-3, "T": 10.0}
     }
 
 The initial state is either reduced ("gamma" and "K") or full ("g", "x" and
@@ -40,7 +39,6 @@ class Scenario:
     params: BodyParams
     initial: np.ndarray
     config: IntegratorConfig
-    seed: int = 0
 
     @property
     def is_full(self) -> bool:
@@ -145,12 +143,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(renormalize_gamma, bool):
         raise ScenarioError("integrator.renormalize_gamma", "must be a boolean")
     config = IntegratorConfig(dt=dt, t_final=t_final, renormalize_gamma=renormalize_gamma)
-
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError("seed", f"must be an integer, got {seed!r}")
-
-    return Scenario(params=params, initial=state, config=config, seed=seed)
+    return Scenario(params=params, initial=state, config=config)
 
 
 def load_scenario(path) -> Scenario:

@@ -108,7 +108,7 @@ def _conformal_suite(params: BodyParams, draw, tol_scale, variant=None) -> list:
     v = variant or hamiltonizable_variant(params.rank)
     pi = reduced_bracket(params, v)
     phi = conformal_factor(params)
-    tol = (1e-7 if params.rank in (1, 2) else 1e-9) * tol_scale
+    tol = (1e-9 if poisson_variant(params.rank) else 1e-7) * tol_scale
     worst = _max_jacobiator(scale_bivector(pi, phi), states)
     return [
         _record(
@@ -130,8 +130,9 @@ def _conformal_suite(params: BodyParams, draw, tol_scale, variant=None) -> list:
 def _twisted_suite(params: BodyParams, draw, tol_scale, variant=None) -> list:
     states = draw(sample_reduced_state)
     checks = []
-    if params.rank in (0, 3):
-        v = variant or poisson_variant(params.rank)
+    poisson = poisson_variant(params.rank)
+    if poisson:
+        v = variant or poisson
         checks.append(
             _record(
                 f"twisted-zero-form-{v}",
@@ -249,7 +250,7 @@ def _measure_suite(params: BodyParams, draw, tol_scale, variant=None) -> list:
             1e-6 * tol_scale,
         )
     ]
-    if params.rank in (1, 2):
+    if not poisson_variant(params.rank):
         wrong = max(divergence_defect(params, s, density="uniform") for s in states)
         checks.append(
             _record(

@@ -44,7 +44,7 @@ def canonical_patch() -> BivectorPatch:
     return BivectorPatch(
         dim=2,
         structure=lambda s: _CANONICAL.copy(),
-        partials=lambda s: np.zeros((2, 2, 2)),
+        jet=lambda s: (_CANONICAL.copy(), np.zeros((2, 2, 2))),
     )
 
 
@@ -165,7 +165,7 @@ def _chart_cases(make_body, rank, chart):
     cases = []
     for pi in brackets:
         p, dp = pi.matrix(state), pi.partial_tensor(state)
-        frozen = BivectorPatch(dim=dim, structure=lambda s, p=p: p.copy(), partials=lambda s, dp=dp: dp.copy())
+        frozen = BivectorPatch(dim=dim, structure=lambda s, p=p: p.copy(), jet=lambda s, p=p, dp=dp: (p.copy(), dp.copy()))
         cases.append((frozen, state, phi, factor))
     return cases
 
@@ -214,7 +214,10 @@ def test_jacobi_tensor_through_jet_equals_matrix_route(rank, make_body):
         pi = reduced_bracket(body, variant)
         for with_jet in (pi, scale_bivector(pi, conformal_factor(body))):
             assert with_jet.jet is not None
-            without = BivectorPatch(dim=6, structure=with_jet.structure, partials=with_jet.partials)
+            # the matrix from structure, the partials from a separate jet call
+            without = BivectorPatch(
+                dim=6, structure=with_jet.structure, jet=lambda s, w=with_jet: (w.structure(s), w.jet(s)[1])
+            )
             for seed in range(3):
                 s = sample_reduced_state(seed=40 + seed)
                 p, dp = with_jet.matrix_and_partials(s)

@@ -263,6 +263,22 @@ def test_simulate_overwrites_atomically(tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
+def test_concurrent_simulate_runs_share_an_output_directory(tmp_path):
+    # two processes renaming over the same files: each file is whole and
+    # equal to what a single run writes
+    path = write_scenario(tmp_path, integrator={"dt": 1e-3, "T": 1.0})
+    assert main(["simulate", str(path), "--out", str(tmp_path / "single")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(chaplygin.__file__).parents[1]))
+    argv = [sys.executable, "-m", "chaplygin.cli", "simulate", str(path), "--out", str(tmp_path / "shared")]
+    runs = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) for _ in range(2)]
+    for run in runs:
+        _, err = run.communicate(timeout=60)
+        assert run.returncode == 0, err
+    for artifact in ("trajectory.csv", "summary.json"):
+        assert (tmp_path / "shared" / artifact).read_bytes() == (tmp_path / "single" / artifact).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "shared").iterdir()) == ["summary.json", "trajectory.csv"]
+
+
 # --------------------------------------------------------------------- verify
 
 

@@ -522,5 +522,7 @@ def test_hermite_sample_on_reparametrized_run(rank_r):
 def test_hermite_sample_rejects_out_of_range():
     body = standard_body(2)
     traj = integrate(body, CHAPLYGIN_START, IntegratorConfig(dt=1e-2, t_final=0.5))
-    with pytest.raises(ValueError):
-        hermite_sample(body, traj, 0.6)
+    one_sample = Trajectory(times=traj.times[:1], states=traj.states[:1])
+    for trajectory, t in ((traj, 0.6), (one_sample, 0.0)):
+        with pytest.raises(ValueError):
+            hermite_sample(body, trajectory, t)

@@ -23,7 +23,9 @@ from chaplygin import (
     gauge_form_on_M,
     gauge_transform,
     hamiltonizable_variant,
+    hat,
     jacobi_tensor,
+    matrix_A,
     nh_bracket_full,
     omega_from_K,
     pack_full,
@@ -137,3 +139,57 @@ def test_gauge_round_trip(body, state):
 @given(body=bodies, state=full_states, variant=variants)
 def test_reduction_defect_vanishes(body, state, variant):
     assert np.max(reduction_defect(body, variant, state)) <= 1e-12
+
+
+# The per-rank tables that the rank rule A^T A = diag(p, p, x) replaced, kept
+# as the reference its derived terms must reproduce bit for bit.
+# (a, b) of V = K + m r^2 (a Omega + b (Omega . gamma) gamma)
+V_COEFFS = {
+    (0, "plain"): (0.0, 0.0),
+    (0, "primed"): (-1.0, 0.0),
+    (1, "plain"): (0.0, 1.0),
+    (1, "primed"): (-1.0, 1.0),
+    (2, "plain"): (1.0, -1.0),
+    (2, "primed"): (0.0, -1.0),
+    (3, "plain"): (1.0, 0.0),
+    (3, "primed"): (0.0, 0.0),
+}
+# (sign, n = I + m r^2 rather than I) of I + m r^2 S(gamma) = diag(n) + sign m r^2 gamma gamma^T
+RANK_TERMS = {0: (0.0, False), 1: (1.0, False), 2: (-1.0, True), 3: (0.0, True)}
+HAMILTONIZABLE = {0: "plain", 1: "plain", 2: "primed", 3: "primed"}
+POISSON = {0: "plain", 1: None, 2: None, 3: "primed"}
+
+
+def _reference_matrix_A(body):
+    c, s = math.cos(body.so2_angle), math.sin(body.so2_angle)
+    if body.rank == 0:
+        return np.zeros((3, 3))
+    if body.rank == 1:
+        a = np.zeros((3, 3))
+        a[2, 2] = 1.0
+        return a
+    a = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.0]])
+    if body.rank == 3:
+        a[2, 2] = 1.0
+    return a
+
+
+@PROPERTY
+@given(body=bodies, state=reduced_states, omega=momenta, variant=variants)
+def test_rank_rule_reproduces_the_rank_tables(body, state, omega, variant):
+    rank, mr2 = body.rank, body.mass * body.radius**2
+    assert np.array_equal(matrix_A(body), _reference_matrix_A(body))
+    assert hamiltonizable_variant(rank) == HAMILTONIZABLE[rank]
+    assert poisson_variant(rank) == POISSON[rank]
+
+    gamma, k = state[:3], state[3:]
+    sign, shifted = RANK_TERMS[rank]
+    n = np.array([i + (mr2 if shifted else 0.0) for i in body.inertia])
+    assert np.array_equal(K_from_omega(body, gamma, omega), n * omega + (sign * mr2 * float(gamma @ omega)) * gamma)
+
+    a, b = V_COEFFS[(rank, variant)]
+    w = omega_from_K(body, gamma, k)
+    expected = np.zeros((6, 6))
+    expected[:3, 3:] = expected[3:, :3] = hat(gamma)
+    expected[3:, 3:] = hat(k + mr2 * (a * w + b * float(w @ gamma) * gamma))
+    assert np.array_equal(reduced_bracket(body, variant).matrix(state), expected)

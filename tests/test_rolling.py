@@ -782,6 +782,11 @@ def test_horizontal_lift_requires_sphere_tangent():
     gamma = split_full(full)[0][2]
     with pytest.raises(ValueError):
         horizontal_lift(standard_body(2), full, np.concatenate([gamma, np.zeros(3)]))
+    # a zero third row of g: |gamma|^2 = 0, no lift (rather than NaN)
+    degenerate = full.copy()
+    degenerate[6:9] = 0.0
+    with pytest.raises(ValueError):
+        horizontal_lift(standard_body(2), degenerate, np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
 
 
 # ------------------------------------------------------------ full-space bracket
@@ -973,3 +978,7 @@ def test_variant_tables():
     assert poisson_variant(0) == "plain"
     assert poisson_variant(3) == "primed"
     assert poisson_variant(1) is None and poisson_variant(2) is None
+    for bad in (-1, 4):
+        for variant_of in (hamiltonizable_variant, poisson_variant):
+            with pytest.raises(UnsupportedRank):
+                variant_of(bad)

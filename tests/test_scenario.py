@@ -1,11 +1,14 @@
 """Scenario JSON parsing and validation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaplygin import ScenarioError, load_scenario, scenario_from_dict
+from chaplygin import ScenarioError, load_scenario, random_rotation, scenario_from_dict
 
 
 def reduced_scenario() -> dict:
@@ -16,7 +19,6 @@ def reduced_scenario() -> dict:
         "rank": 2,
         "initial": {"gamma": [0.0, 0.0, 1.0], "K": [0.3, -0.1, 0.2]},
         "integrator": {"dt": 1e-3, "T": 10.0},
-        "seed": 0,
     }
 
 
@@ -55,10 +57,13 @@ def test_full_round_trip_nested_g():
 
 def test_optional_fields_defaults():
     data = reduced_scenario()
-    del data["seed"]
     sc = scenario_from_dict(data)
-    assert sc.seed == 0
     assert sc.config.renormalize_gamma is False
+    # an unknown key such as "seed" (verify takes --seed) is ignored
+    data["seed"] = 1.5
+    ignored = scenario_from_dict(data)
+    assert ignored.params == sc.params and ignored.config == sc.config
+    assert np.array_equal(ignored.initial, sc.initial)
 
 
 @pytest.mark.parametrize(
@@ -80,7 +85,6 @@ def test_optional_fields_defaults():
         (lambda d: d["integrator"].pop("T"), "integrator.T"),
         (lambda d: d["integrator"].update(method="euler"), "integrator.method"),
         (lambda d: d["integrator"].update(renormalize_g=False), "integrator.renormalize_g"),
-        (lambda d: d.update(seed=1.5), "seed"),
     ],
 )
 def test_invalid_reduced_scenarios_name_the_field(mutate, field):
@@ -139,3 +143,82 @@ def test_load_scenario_round_trip(tmp_path):
     path.write_text(json.dumps(reduced_scenario()))
     sc = load_scenario(path)
     assert sc.params.rank == 2
+
+
+# ------------------------------------------------------- corrupting one field
+
+_MISSING = object()
+
+
+def _positive(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def valid_scenarios(draw) -> dict:
+    data = {
+        "inertia": [draw(_positive(0.1, 10.0)) for _ in range(3)],
+        "mass": draw(_positive(0.1, 10.0)),
+        "radius": draw(_positive(0.1, 2.0)),
+        "rank": draw(st.integers(0, 3)),
+    }
+    if draw(st.booleans()):
+        data["so2_angle"] = draw(st.floats(-math.pi, math.pi))
+    k = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    rotation = random_rotation(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        data["initial"] = {"gamma": (rotation[2] / np.linalg.norm(rotation[2])).tolist(), "K": k}
+    else:
+        g = rotation.tolist() if draw(st.booleans()) else rotation.reshape(9).tolist()
+        data["initial"] = {"g": g, "x": [draw(st.floats(-1.0, 1.0)) for _ in range(3)], "K": k}
+    dt = draw(_positive(1e-4, 0.1))
+    data["integrator"] = {"dt": dt, "T": dt * draw(_positive(1.0, 100.0))}
+    for key, value in (("method", "rk4"), ("renormalize_g", True), ("renormalize_gamma", False)):
+        if draw(st.booleans()):
+            data["integrator"][key] = value
+    return data
+
+
+_NOT_A_NUMBER = ["heavy", True, None, math.inf, math.nan]
+_NOT_A_VECTOR = [_MISSING, "x", [1.0, 2.0], [1.0, "y", 3.0], [1.0, math.nan, 3.0]]
+# field -> values that must be rejected there (_MISSING deletes the key);
+# each applies to both initial forms unless the field belongs to one form
+_CORRUPTIONS = {
+    "inertia": _NOT_A_VECTOR + [[1.0, -2.0, 3.0], [0.0, 1.0, 1.0]],
+    "mass": [_MISSING, 0.0, -1.0] + _NOT_A_NUMBER,
+    "radius": [_MISSING, 0.0, -1.0] + _NOT_A_NUMBER,
+    "rank": [_MISSING, -1, 4, 1.5, True, "two"],
+    "so2_angle": _NOT_A_NUMBER,
+    "initial": [_MISSING, "x", [0.0]],
+    "initial.K": _NOT_A_VECTOR,
+    "initial.gamma": _NOT_A_VECTOR[1:] + [[0.0, 0.0, 2.0]],
+    "initial.g": ["x", [1.0] * 4, [2.0, 0, 0, 0, 1, 0, 0, 0, 1], [1.0, 0, 0, 0, 1, 0, 0, 0, -1]],
+    "initial.x": _NOT_A_VECTOR,
+    "integrator": [_MISSING, "x"],
+    "integrator.dt": [_MISSING, 0.0, -1.0, 1e9] + _NOT_A_NUMBER,
+    "integrator.T": [_MISSING, 0.0, -1.0] + _NOT_A_NUMBER,
+    "integrator.method": ["euler", 3],
+    "integrator.renormalize_g": [False, 1, "yes"],
+    "integrator.renormalize_gamma": [1, "yes", None],
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=valid_scenarios(), field=st.sampled_from(sorted(_CORRUPTIONS)), pick=st.integers(0, 2**16))
+def test_corrupting_one_field_names_it(data, field, pick):
+    scenario_from_dict(json.loads(json.dumps(data)))  # valid as drawn
+    *parents, key = field.split(".")
+    target = data
+    for parent in parents:
+        target = target[parent]
+    if field in ("initial.gamma", "initial.g", "initial.x") and key not in target:
+        return  # the field belongs to the other initial form
+    bad = _CORRUPTIONS[field][pick % len(_CORRUPTIONS[field])]
+    if bad is _MISSING:
+        del target[key]
+    else:
+        target[key] = bad
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.field == field
+    assert f"'{field}'" in str(err.value)
