@@ -16,7 +16,6 @@ from .brackets import (
     distribution_probe,
     dynamical_gauge_check,
     gauge_matrix,
-    gauge_record,
     gauge_transform,
     ham_vf,
     jacobi_tensor,
@@ -96,6 +95,6 @@ from .rolling import (
     twist_two_form,
 )
 from .scenario import Scenario, load_scenario, scenario_from_dict
-from .verify import SUITE_NAMES, CheckRecord, run_all_suites, run_suite
+from .verify import SUITE_NAMES, run_all_suites, run_suite
 
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ __all__ = [
     "distribution_probe",
     "dynamical_gauge_check",
     "gauge_matrix",
-    "gauge_record",
     "gauge_transform",
     "ham_vf",
     "jacobi_tensor",
@@ -209,26 +208,27 @@ def _conditioning(m: np.ndarray) -> tuple[float, float]:
     return smallest, float(svals[0] / smallest) if smallest > 0.0 else float("inf")
 
 
-def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(p (E + bm p)^{-1}, smallest singular value, condition number of E + bm p)
-    for a structure matrix p and a 2-form matrix bm; a zero bm gives (p, 1, 1).
+def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> np.ndarray:
+    """p (E + bm p)^{-1} for a structure matrix p and a 2-form matrix bm; a
+    zero bm gives p itself.
 
-    Raises SingularGauge when the condition number exceeds 1e12.  The result
-    is re-antisymmetrized; a symmetric residue above 1e-10 before that step
-    is an error (SymmetricInput).
+    Raises SingularGauge unless the condition number of E + bm p is at most
+    1e12 (so also when it is nan or inf).  The result is re-antisymmetrized;
+    a symmetric residue above 1e-10 before that step is an error
+    (SymmetricInput).
     """
     if not bm.any():
-        return p, 1.0, 1.0
+        return p
     m = np.eye(len(p)) + bm @ p
-    smallest, condition = _conditioning(m)
-    if condition > _COND_LIMIT:
+    condition = _conditioning(m)[1]
+    if not condition <= _COND_LIMIT:
         raise SingularGauge(f"E + B pi has condition {condition:.3e}")
     # p @ inv(m), computed by a solve on the transposed system
     g = np.linalg.solve(m.T, p.T).T
     residue = float(np.max(np.abs(g + g.T)))
     if residue > 1e-10:
         raise SymmetricInput(f"gauged matrix has symmetric residue {residue:.3e}")
-    return 0.5 * (g - g.T), smallest, condition
+    return 0.5 * (g - g.T)
 
 
 def gauge_transform(pi: BivectorPatch, b_form: FormPatch) -> BivectorPatch:
@@ -240,24 +240,9 @@ def gauge_transform(pi: BivectorPatch, b_form: FormPatch) -> BivectorPatch:
 
     return BivectorPatch(
         dim=pi.dim,
-        structure=lambda s: gauge_matrix(pi.matrix(s), b_form(s))[0],
+        structure=lambda s: gauge_matrix(pi.matrix(s), b_form(s)),
         name=f"gauge({pi.name or 'pi'})",
     )
-
-
-def gauge_record(x: np.ndarray, bm: np.ndarray, smallest: float, condition: float) -> dict:
-    """The record of ``dynamical_gauge_check`` at one state, from the
-    Hamiltonian vector field x, the 2-form matrix bm there, and the smallest
-    singular value and condition number of E + bm pi."""
-    contraction = float(np.linalg.norm(x @ bm))
-    invertible = bool(np.isfinite(condition) and condition <= _COND_LIMIT)
-    return {
-        "contraction": contraction,
-        "smallest_singular_value": smallest,
-        "condition": condition,
-        "invertible": invertible,
-        "passed": bool(invertible and contraction <= _CONTRACTION_TOL),
-    }
 
 
 def dynamical_gauge_check(
@@ -278,7 +263,17 @@ def dynamical_gauge_check(
         p, bm = pi.matrix(s), b_form(s)
         smallest, condition = _conditioning(np.eye(pi.dim) + bm @ p)
         # -p @ grad h is ham_vf(pi, h_field, s)
-        out.append(gauge_record(-p @ h_field.grad(s), bm, smallest, condition))
+        contraction = float(np.linalg.norm(-p @ h_field.grad(s) @ bm))
+        invertible = condition <= _COND_LIMIT  # False also for nan and inf
+        out.append(
+            {
+                "contraction": contraction,
+                "smallest_singular_value": smallest,
+                "condition": condition,
+                "invertible": invertible,
+                "passed": invertible and contraction <= _CONTRACTION_TOL,
+            }
+        )
     return out
 
 

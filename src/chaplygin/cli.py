@@ -58,8 +58,8 @@ def _atomic_write(path: Path, text: str):
         raise
 
 
-def _trajectory_csv(traj: Trajectory, series: dict, full: bool) -> str:
-    if full:
+def _trajectory_csv(traj: Trajectory, series: dict) -> str:
+    if traj.dim == FULL_DIM:
         header = list(_FULL_HEADER)
         columns = [traj.times] + [traj.states[:, i] for i in range(FULL_DIM)] + [series["H"]]
     else:
@@ -84,12 +84,7 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_simulate(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_simulate(args, scenario) -> int:
     full_mode = args.full or scenario.is_full
     if full_mode and args.reparametrize:
         print(
@@ -115,7 +110,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     series = monitor_series(scenario.params, traj)
     drifts = series_drift(series)
-    _atomic_write(out / "trajectory.csv", _trajectory_csv(traj, series, full=full_mode))
+    _atomic_write(out / "trajectory.csv", _trajectory_csv(traj, series))
     summary = {
         "mode": "full" if full_mode else "reduced",
         "reparametrized": bool(args.reparametrize),
@@ -131,12 +126,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_verify(args, scenario) -> int:
     options = {"trials": args.trials, "seed": args.seed, "tol_scale": args.tol_scale, "variant": args.variant}
     try:
         if args.suite == "all":
@@ -207,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         dest="tol_scale",
-        help="multiply all upper-bound tolerances by this factor",
+        help="multiply every upper-bound tolerance by this positive finite factor (floors are kept)",
     )
     ver.add_argument(
         "--variant",
@@ -222,7 +212,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        scenario = load_scenario(args.scenario)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return args.func(args, scenario)
 
 
 if __name__ == "__main__":

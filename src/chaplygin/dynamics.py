@@ -106,6 +106,8 @@ class Trajectory:
             raise ValueError("times must be 1-d and states 2-d")
         if self.times.shape[0] != self.states.shape[0]:
             raise ValueError("times and states disagree in length")
+        if self.times.shape[0] == 0:
+            raise ValueError("a trajectory needs at least one sample")
         if self.times.shape[0] >= 2 and not np.all(np.diff(self.times) > 0.0):
             raise ValueError("times must be strictly increasing")
         if self.t_recovered is not None:

@@ -99,8 +99,8 @@ def _rank_bits(rank: int) -> tuple[float, float]:
 
     So S(gamma) = g^T A^T A g = p E + (x - p) gamma gamma^T on the reduced space.
     """
-    if rank not in (0, 1, 2, 3):
-        raise UnsupportedRank(f"constraint rank must be 0..3, got {rank}")
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank not in (0, 1, 2, 3):
+        raise UnsupportedRank(f"constraint rank must be an int in 0..3, got {rank!r}")
     return float(rank >= 2), float(rank % 2)
 
 
@@ -143,13 +143,15 @@ class BodyParams:
     so2_angle: float = -0.5 * math.pi
 
     def __post_init__(self):
-        if len(self.inertia) != 3 or any(not i > 0.0 for i in self.inertia):
-            raise ValueError(f"inertia must be three positive moments, got {self.inertia}")
-        if not self.mass > 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        _rank_bits(self.rank)  # raises UnsupportedRank outside 0..3
+        if len(self.inertia) != 3 or any(not 0.0 < i < math.inf for i in self.inertia):
+            raise ValueError(f"inertia must be three finite positive moments, got {self.inertia}")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"mass must be finite and positive, got {self.mass}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
+        if not math.isfinite(self.so2_angle):
+            raise ValueError(f"so2_angle must be finite, got {self.so2_angle}")
+        _rank_bits(self.rank)  # raises UnsupportedRank unless an int in 0..3
 
     @cached_property
     def mr2(self) -> float:

@@ -365,6 +365,16 @@ def test_verify_tol_scale_tightens(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_non_positive_or_non_finite_tol_scale(tmp_path, capsys, value):
+    path = write_scenario(tmp_path)
+    rc = main(["verify", str(path), "--suite", "gauge", "--trials", "2", f"--tol-scale={value}",
+               "--out", str(tmp_path / "report")])
+    assert rc == 2
+    assert "tol-scale" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+
+
 def test_verify_is_deterministic(tmp_path):
     path = write_scenario(tmp_path)
     for name in ("ra", "rb"):

@@ -63,6 +63,8 @@ def test_trajectory_validation():
         Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 6)))
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 1.0, 2.0]), states=np.zeros((2, 6)))
+    with pytest.raises(ValueError):
+        Trajectory(times=np.zeros(0), states=np.zeros((0, 6)))
 
 
 # ------------------------------------------------------------------ RK4 core

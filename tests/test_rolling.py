@@ -2,6 +2,7 @@
 factors, Casimirs, annihilators, twist forms, gauge forms and reduction."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ def test_body_params_validation():
         BodyParams(inertia=(0.0, 2.0, 3.0), mass=1.0, radius=1.0, rank=2)
     with pytest.raises(ValueError):
         BodyParams(inertia=(1.0, 2.0, 3.0), mass=-1.0, radius=1.0, rank=2)
+    for rank in (True, 2.0):
+        with pytest.raises(UnsupportedRank):
+            BodyParams(inertia=(1.0, 2.0, 3.0), mass=1.0, radius=1.0, rank=rank)
+    for bad in (
+        {"inertia": (1.0, math.inf, 3.0)},
+        {"mass": math.inf},
+        {"radius": math.inf},
+        {"so2_angle": math.nan},
+        {"so2_angle": math.inf},
+    ):
+        with pytest.raises(ValueError):
+            BodyParams(**{"inertia": (1.0, 2.0, 3.0), "mass": 1.0, "radius": 1.0, "rank": 2, **bad})
 
 
 def test_mr2_property():

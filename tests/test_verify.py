@@ -13,7 +13,6 @@ from chaplygin import (
     full_hamiltonian_field,
     gauge_form_on_M,
     gauge_matrix,
-    gauge_record,
     gauge_transform,
     nh_bracket_full,
     run_all_suites,
@@ -56,19 +55,32 @@ def test_gauge_suite_equals_oracle_route(rank, make_body):
     assert {k: c["max_residual"] for k, c in checks.items()} == expected
     assert checks["gauge-dynamical"]["passed"] is (dyn_ok and expected["gauge-dynamical"] <= 1e-9)
     assert all(c["passed"] for c in checks.values())
-    # the per-state record from the conditioning of the gauge solve is the
-    # record dynamical_gauge_check computes on its own
-    pi, b_form, h = nh_bracket_full(body, "plain"), gauge_form_on_M(body), full_hamiltonian_field(body)
-    for s in states:
-        p, bm = pi.matrix(s), b_form(s)
-        _, smallest, condition = gauge_matrix(p, bm)
-        assert gauge_record(-p @ h.grad(s), bm, smallest, condition) == dynamical_gauge_check(pi, b_form, h, [s])[0]
+
+
+@BODIES
+def test_tol_scale_loosens_the_dynamical_gauge_bound(rank, make_body, monkeypatch):
+    """A 2-form off by 1e-8 along e_0 ^ e_12 leaves a contraction of a few
+    1e-9: over the 1e-9 bound, under 100 times it."""
+    base = verify.gauge_form_on_M
+    delta = np.zeros((15, 15))
+    delta[0, 12], delta[12, 0] = 1e-8, -1e-8
+
+    def perturbed(params):
+        b_form = base(params)
+        return FormPatch(degree=2, dim=15, entries=lambda s: b_form(s) + delta)
+
+    monkeypatch.setattr(verify, "gauge_form_on_M", perturbed)
+    body = make_body(rank)
+    for tol_scale, passed in ((1.0, False), (100.0, True)):
+        checks = {c["id"]: c for c in run_suite("gauge", body, trials=5, tol_scale=tol_scale)["checks"]}
+        dyn = checks["gauge-dynamical"]
+        assert 1e-9 < dyn["max_residual"] < 1e-8
+        assert dyn["tolerance"] == 1e-9 * tol_scale and dyn["passed"] is passed
 
 
 def test_gauge_matrix_of_zero_form_is_the_input():
     p = nh_bracket_full(standard_body(2), "plain").matrix(sample_full_state(seed=3))
-    g, smallest, condition = gauge_matrix(p, np.zeros((15, 15)))
-    assert g is p and (smallest, condition) == (1.0, 1.0)
+    assert gauge_matrix(p, np.zeros((15, 15))) is p
 
 
 @BODIES
