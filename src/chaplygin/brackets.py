@@ -4,6 +4,9 @@ gauge transformations by 2-forms, conformal rescaling and twisted defects.
 The structure matrix convention is pi[i, j] = {x_i, x_j}.  Hamiltonian
 vector fields follow (X_f)_i = -sum_j pi[i, j] d_j f, so the bracket flow
 of a Hamiltonian h is -ham_vf(pi, h, state); see ``rolling.reduced_vf``.
+
+Patches, fields, ``jacobi_tensor`` and ``gauge_matrix`` also take a stack
+(N, d) of states (N matrices); a failed check names the first offending row.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AnnihilationViolated, NonPositiveFactor, SingularGauge, SymmetricInput
-from .geometry import FormPatch, fd_exterior_derivative, fd_gradient, fd_partials
+from .geometry import FormPatch, _first_bad, _swap, fd_exterior_derivative, fd_gradient, fd_partials
 
 __all__ = [
     "BivectorPatch",
@@ -57,34 +60,35 @@ class BivectorPatch:
     jet: Optional[Callable[[np.ndarray], tuple]] = None
 
     def matrix(self, state: np.ndarray) -> np.ndarray:
-        return self._checked_matrix(self.structure(np.asarray(state, dtype=float)))
+        state = np.asarray(state, dtype=float)
+        return self._checked_matrix(self.structure(state), state.shape[:-1])
 
     def partial_tensor(self, state: np.ndarray) -> np.ndarray:
         return self.matrix_and_partials(state)[1]
 
     def matrix_and_partials(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(matrix(state), partial_tensor(state)), from one ``jet`` call when given."""
+        state = np.asarray(state, dtype=float)
         if self.jet is None:
             return self.matrix(state), fd_partials(self.matrix, state)
-        p, t = self.jet(np.asarray(state, dtype=float))
-        return self._checked_matrix(p), self._checked_partials(t)
+        p, t = self.jet(state)
+        return self._checked_matrix(p, state.shape[:-1]), self._checked_partials(t, state.shape[:-1])
 
-    def _checked_matrix(self, p) -> np.ndarray:
+    def _checked_matrix(self, p, stack: tuple) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"bivector '{self.name}' returned shape {p.shape}, expected {(self.dim, self.dim)}"
-            )
-        residue = float(np.max(np.abs(p + p.T)))
-        if residue > 1e-12:
+        expect = stack + (self.dim, self.dim)
+        if p.shape != expect:
+            raise ValueError(f"bivector '{self.name}' returned shape {p.shape}, expected {expect}")
+        residue = np.max(np.abs(p + _swap(p)), axis=(-2, -1))
+        if bad := _first_bad(residue > 1e-12):
             raise SymmetricInput(
-                f"bivector '{self.name}' is not antisymmetric: residue {residue:.3e}"
+                f"bivector '{self.name}' is not antisymmetric: residue {residue.flat[bad[0]]:.3e}{bad[1]}"
             )
         return p
 
-    def _checked_partials(self, t) -> np.ndarray:
+    def _checked_partials(self, t, stack: tuple) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        expect = (self.dim,) * 3
+        expect = stack + (self.dim,) * 3
         if t.shape != expect:
             raise ValueError(f"partials of '{self.name}' have shape {t.shape}, expected {expect}")
         return t
@@ -97,14 +101,22 @@ class BivectorPatch:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function on the chart with an optional analytic gradient."""
+    """Scalar function on the chart with an optional analytic gradient.
+
+    A field whose ``value`` and ``gradient`` take a stack of states gives one
+    value (gradient) per row; a constant ``value`` stands for every row.
+    """
 
     value: Callable[[np.ndarray], float]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
-    def __call__(self, state: np.ndarray) -> float:
-        return float(self.value(np.asarray(state, dtype=float)))
+    def __call__(self, state: np.ndarray):
+        state = np.asarray(state, dtype=float)
+        value = self.value(state)
+        if state.ndim == 1:
+            return float(value)
+        return np.broadcast_to(np.asarray(value, dtype=float), state.shape[:-1])
 
     def grad(self, state: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
@@ -134,16 +146,20 @@ def _cyclic_sum(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch], 
     phi(X_a, X_b, X_c) with X_a = -pi e_a when a 3-form is given.
 
     a, b, c are equal-length index arrays (one value per triple) or plain
-    indices.  Every sum is a reduction over the last axis of a fresh product
-    (``_dot``), so one triple gives the same bits on its own as in a batch.
+    indices; a stack of states adds its axis in front.  Every sum is a
+    reduction over the last axis of a fresh product (``_dot``), so one triple
+    or one state gives the same bits on its own as in a batch.
     """
     p, dp = pi.matrix_and_partials(state)
-    dp = dp.transpose(1, 2, 0)  # dp[b, c, l] = d_l pi_bc
-    out = _dot(p[a], dp[b, c]) + _dot(p[b], dp[c, a]) + _dot(p[c], dp[a, b])
+    dp = np.moveaxis(dp, -3, -1)  # dp[..., b, c, l] = d_l pi_bc
+    pa, pb, pc = p[..., a, :], p[..., b, :], p[..., c, :]
+    out = _dot(pa, dp[..., b, c, :]) + _dot(pb, dp[..., c, a, :]) + _dot(pc, dp[..., a, b, :])
     if phi is not None:
-        x = -p.T  # row a is X_a
-        phi_c = _dot(phi(state), x[c][..., None, None, :])  # [..., i, j] = phi(e_i, e_j, X_c)
-        out = out + _dot(_dot(phi_c, x[b][..., None, :]), x[a])
+        x = -_swap(p)  # row a is X_a
+        # the components of phi, with an axis of length 1 for the triples if any
+        phi_t = phi(state).reshape(p.shape[:-2] + (1,) * np.ndim(a) + (pi.dim,) * 3)
+        phi_c = _dot(phi_t, x[..., c, :][..., None, None, :])  # [..., i, j] = phi(e_i, e_j, X_c)
+        out = out + _dot(_dot(phi_c, x[..., b, :][..., None, :]), x[..., a, :])
     return out
 
 
@@ -154,7 +170,8 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch] = None) -> np.ndarray:
     """The (dim, dim, dim) tensor of cyclic Jacobi defects at state, plus
-    phi(X_a, X_b, X_c) when a background 3-form phi is given.
+    phi(X_a, X_b, X_c) when a background 3-form phi is given; (N, dim, dim,
+    dim) for a stack of N states.
 
     Entry [i, j, k] equals ``twisted_defect(pi, phi, i, j, k, state)``.  The
     bracket and its partials are evaluated once (one ``jet`` call when the
@@ -165,9 +182,9 @@ def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch]
     _check_twist(pi, phi)
     a, b, c = np.array(list(itertools.combinations(range(pi.dim), 3)), dtype=np.intp).reshape(-1, 3).T
     v = _cyclic_sum(pi, state, phi, a, b, c)
-    out = np.zeros((pi.dim,) * 3)
-    out[a, b, c] = out[b, c, a] = out[c, a, b] = v
-    out[b, a, c] = out[a, c, b] = out[c, b, a] = -v
+    out = np.zeros(v.shape[:-1] + (pi.dim,) * 3)
+    out[..., a, b, c] = out[..., b, c, a] = out[..., c, a, b] = v
+    out[..., b, a, c] = out[..., a, c, b] = out[..., c, b, a] = -v
     return out
 
 
@@ -188,47 +205,51 @@ def scale_bivector(pi: BivectorPatch, factor: ScalarField) -> BivectorPatch:
     matrix and partials of pi from one ``matrix_and_partials`` call."""
 
     def structure(s):
-        return factor(s) * pi.matrix(s)
+        return np.asarray(factor(s))[..., None, None] * pi.matrix(s)
 
     def jet(s):
-        phi = factor(s)
+        phi = np.asarray(factor(s))[..., None, None]
         dphi = factor.grad(s)
         p, dp = pi.matrix_and_partials(s)
-        return phi * p, np.einsum("l,ij->lij", dphi, p) + phi * dp
+        return phi * p, dphi[..., None, None] * p[..., None, :, :] + phi[..., None] * dp
 
     return BivectorPatch(
         dim=pi.dim, structure=structure, name=f"{factor.name or 'f'}*{pi.name or 'pi'}", jet=jet
     )
 
 
-def _conditioning(m: np.ndarray) -> tuple[float, float]:
-    """Smallest singular value and condition number (inf if singular) of m."""
+def _conditioning(m: np.ndarray) -> tuple:
+    """Smallest singular value and condition number (inf if singular) of m,
+    or of each matrix of a stack."""
     svals = np.linalg.svd(m, compute_uv=False)
-    smallest = float(svals[-1])
-    return smallest, float(svals[0] / smallest) if smallest > 0.0 else float("inf")
+    smallest, largest = svals[..., -1], svals[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return smallest, np.where(smallest > 0.0, largest / smallest, np.inf)
 
 
 def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> np.ndarray:
-    """p (E + bm p)^{-1} for a structure matrix p and a 2-form matrix bm; a
-    zero bm gives p itself.
+    """p (E + bm p)^{-1} for a structure matrix p and a 2-form matrix bm, or
+    for each pair of a stack; a zero bm gives p itself.
 
-    Raises SingularGauge unless the condition number of E + bm p is at most
-    1e12 (so also when it is nan or inf).  The result is re-antisymmetrized;
-    a symmetric residue above 1e-10 before that step is an error
-    (SymmetricInput).
+    Raises SingularGauge where p or bm is not finite, or where the condition
+    number of E + bm p is above 1e12 (or nan).  The result is
+    re-antisymmetrized; a symmetric residue above 1e-10 before that step is
+    an error (SymmetricInput).
     """
+    if bad := _first_bad(~(np.isfinite(p).all(axis=(-2, -1)) & np.isfinite(bm).all(axis=(-2, -1)))):
+        raise SingularGauge(f"non-finite bracket or 2-form entries{bad[1]}")
     if not bm.any():
         return p
-    m = np.eye(len(p)) + bm @ p
+    m = np.eye(p.shape[-1]) + bm @ p
     condition = _conditioning(m)[1]
-    if not condition <= _COND_LIMIT:
-        raise SingularGauge(f"E + B pi has condition {condition:.3e}")
+    if bad := _first_bad(~(condition <= _COND_LIMIT)):
+        raise SingularGauge(f"E + B pi has condition {condition.flat[bad[0]]:.3e}{bad[1]}")
     # p @ inv(m), computed by a solve on the transposed system
-    g = np.linalg.solve(m.T, p.T).T
-    residue = float(np.max(np.abs(g + g.T)))
-    if residue > 1e-10:
-        raise SymmetricInput(f"gauged matrix has symmetric residue {residue:.3e}")
-    return 0.5 * (g - g.T)
+    g = _swap(np.linalg.solve(_swap(m), _swap(p)))
+    residue = np.max(np.abs(g + _swap(g)), axis=(-2, -1))
+    if bad := _first_bad(residue > 1e-10):
+        raise SymmetricInput(f"gauged matrix has symmetric residue {residue.flat[bad[0]]:.3e}{bad[1]}")
+    return 0.5 * (g - _swap(g))
 
 
 def gauge_transform(pi: BivectorPatch, b_form: FormPatch) -> BivectorPatch:
@@ -261,7 +282,7 @@ def dynamical_gauge_check(
     out = []
     for s in states:
         p, bm = pi.matrix(s), b_form(s)
-        smallest, condition = _conditioning(np.eye(pi.dim) + bm @ p)
+        smallest, condition = map(float, _conditioning(np.eye(pi.dim) + bm @ p))
         # -p @ grad h is ham_vf(pi, h_field, s)
         contraction = float(np.linalg.norm(-p @ h_field.grad(s) @ bm))
         invertible = condition <= _COND_LIMIT  # False also for nan and inf

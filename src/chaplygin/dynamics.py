@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteState
-from .geometry import unhat
+from .geometry import _swap, unhat
 from .rolling import (
     FULL_DIM,
     REDUCED_DIM,
@@ -259,17 +259,18 @@ def series_drift(series: dict) -> dict:
     }
 
 
-def divergence_defect(params: BodyParams, state, density: str = "invariant") -> float:
+def divergence_defect(params: BodyParams, state, density: str = "invariant"):
     """|div(mu X)| = |mu div X + grad mu . X| at a reduced state, in closed form:
     div X = -gamma . unhat(J_gamma - J_gamma^T) - K . unhat(J_K - J_K^T) with
-    J_gamma, J_K the omega_jacobians.
+    J_gamma, J_K the omega_jacobians.  A stack (N, 6) of states gives the N
+    defects, each equal to the call on its row bit for bit.
 
     density='invariant' uses the measure the flow is claimed to preserve
     (1/conformal_factor); density='uniform' uses mu = 1, which for ranks 1
     and 2 is NOT preserved and yields an order-one defect.
     """
     state = np.asarray(state, dtype=float)
-    if state.shape != (REDUCED_DIM,):
+    if state.shape[-1:] != (REDUCED_DIM,):
         raise ValueError("divergence_defect works on reduced states")
     if density == "invariant":
         mu = invariant_density(params)
@@ -278,12 +279,12 @@ def divergence_defect(params: BodyParams, state, density: str = "invariant") -> 
     else:
         raise ValueError(f"unknown density {density!r}")
 
-    gamma, K = state[:3], state[3:]
+    gamma, K = state[..., :3], state[..., 3:]
     d_gamma, d_k = omega_jacobians(params, gamma, K)
-    div_x = -float(gamma @ unhat(d_gamma - d_gamma.T)) - float(K @ unhat(d_k - d_k.T))
+    div_x = -np.vecdot(gamma, unhat(d_gamma - _swap(d_gamma))) - np.vecdot(K, unhat(d_k - _swap(d_k)))
     if mu is None:
-        return abs(div_x)
-    return abs(mu(state) * div_x + float(mu.grad(state) @ reduced_vf(params, state)))
+        return np.abs(div_x)
+    return np.abs(mu(state) * div_x + np.vecdot(mu.grad(state), reduced_vf(params, state)))
 
 
 def hermite_sample(params: BodyParams, traj: Trajectory, t: float) -> np.ndarray:

@@ -12,6 +12,9 @@ Conventions used throughout the package:
 
 Finite differences are central second order with the per-component step
 h_i = cbrt(machine eps) * max(1, |x_i|).
+
+A stack (N, d) of states puts its axis first in every result, before a
+derivative index; each row equals the call on that row bit for bit.
 """
 
 from __future__ import annotations
@@ -48,21 +51,36 @@ EPSILON[0, 2, 1] = EPSILON[2, 1, 0] = EPSILON[1, 0, 2] = -1.0
 EPSILON.setflags(write=False)
 
 
-def fd_step(x: float) -> float:
-    """Central-difference step for a coordinate of magnitude |x|."""
-    return FD_CBRT_EPS * max(1.0, abs(x))
+def fd_step(x):
+    """Central-difference step for a coordinate of magnitude |x| (elementwise on arrays)."""
+    return FD_CBRT_EPS * np.maximum(1.0, np.abs(x))
+
+
+def _first_bad(bad):
+    """None if no entry of ``bad`` (one boolean per state) is set; otherwise
+    the flat index of the first set entry and where it is: '' for one state
+    (0-d), ' in row i' for a stack."""
+    bad = np.asarray(bad)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, f" in row {i}" if bad.ndim else ""
+
+
+def _swap(m: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack (the last two axes)."""
+    return m.swapaxes(-1, -2)
 
 
 def hat(v) -> np.ndarray:
-    """Antisymmetric matrix of v: hat(v) w = v x w, i.e. hat(v)_ab = -epsilon_abl v_l."""
+    """Antisymmetric matrix of v: hat(v) w = v x w, i.e. hat(v)_ab = -epsilon_abl v_l.
+    A stack (..., 3) of vectors gives a stack (..., 3, 3)."""
     v = np.asarray(v, dtype=float)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
+    return out
 
 
 def cross3(a, b) -> list:
@@ -74,27 +92,30 @@ def cross3(a, b) -> list:
 
 
 def unhat(m) -> np.ndarray:
-    """Inverse of hat. Antisymmetrizes first; the symmetric residue must stay below 1e-8."""
+    """Inverse of hat (of each matrix of a stack). Antisymmetrizes first; the
+    symmetric residue must stay below 1e-8."""
     m = np.asarray(m, dtype=float)
-    residue = float(np.max(np.abs(m + m.T)))
-    if residue > 1e-8:
-        raise SymmetricInput(f"symmetric part {residue:.3e} exceeds tolerance 1.0e-08")
-    a = 0.5 * (m - m.T)
-    return np.array([a[2, 1], a[0, 2], a[1, 0]])
+    residue = np.max(np.abs(m + _swap(m)), axis=(-2, -1))
+    if bad := _first_bad(residue > 1e-8):
+        raise SymmetricInput(f"symmetric part {residue.flat[bad[0]]:.3e} exceeds tolerance 1.0e-08{bad[1]}")
+    a = 0.5 * (m - _swap(m))
+    return np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1)
 
 
 def fd_partials(func: Callable[[np.ndarray], np.ndarray], state: np.ndarray) -> np.ndarray:
-    """Partial derivatives of an array-valued (or scalar) function; leading axis is the derivative index."""
+    """Partial derivatives of an array-valued (or scalar) function, derivative
+    index first; for a stack of states it follows the stack axes."""
     state = np.asarray(state, dtype=float)
     rows = []
-    for l in range(state.size):
-        h = fd_step(state[l])
+    for l in range(state.shape[-1]):
+        h = fd_step(state[..., l])
         sp = state.copy()
         sm = state.copy()
-        sp[l] += h
-        sm[l] -= h
-        rows.append((np.asarray(func(sp), float) - np.asarray(func(sm), float)) / (2.0 * h))
-    return np.stack(rows)
+        sp[..., l] += h
+        sm[..., l] -= h
+        diff = np.asarray(func(sp), float) - np.asarray(func(sm), float)
+        rows.append(diff / np.reshape(2.0 * h, np.shape(h) + (1,) * (diff.ndim - np.ndim(h))))
+    return np.stack(rows, axis=state.ndim - 1)
 
 
 def fd_gradient(func: Callable[[np.ndarray], float], state: np.ndarray) -> np.ndarray:
@@ -125,16 +146,19 @@ class FormPatch:
             raise ValueError("dim must be positive")
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
-        t = np.asarray(self.entries(np.asarray(state, dtype=float)), dtype=float)
-        expect = (self.dim,) * self.degree
+        state = np.asarray(state, dtype=float)
+        t = np.asarray(self.entries(state), dtype=float)
+        expect = state.shape[:-1] + (self.dim,) * self.degree
         if t.shape != expect:
             raise ValueError(f"form '{self.name}' returned shape {t.shape}, expected {expect}")
+        slots = tuple(range(-self.degree, 0))
         for ax in range(self.degree - 1):
-            residue = float(np.max(np.abs(t + np.swapaxes(t, ax, ax + 1))))
-            if residue > 1e-12:
+            pair = slots[ax], slots[ax + 1]
+            residue = np.max(np.abs(t + np.swapaxes(t, *pair)), axis=slots)
+            if bad := _first_bad(residue > 1e-12):
                 raise SymmetricInput(
                     f"form '{self.name}' is not antisymmetric in axes ({ax},{ax + 1}): "
-                    f"residue {residue:.3e}"
+                    f"residue {residue.flat[bad[0]]:.3e}{bad[1]}"
                 )
         return t
 
@@ -148,9 +172,10 @@ class FormPatch:
 
     def partial_tensor(self, state: np.ndarray) -> np.ndarray:
         """d/dx_l of the component tensor, derivative index first."""
+        state = np.asarray(state, dtype=float)
         if self.partials is not None:
-            p = np.asarray(self.partials(np.asarray(state, dtype=float)), dtype=float)
-            expect = (self.dim,) * (self.degree + 1)
+            p = np.asarray(self.partials(state), dtype=float)
+            expect = state.shape[:-1] + (self.dim,) * (self.degree + 1)
             if p.shape != expect:
                 raise ValueError(f"partials of '{self.name}' have shape {p.shape}, expected {expect}")
             return p
@@ -166,8 +191,9 @@ def fd_exterior_derivative(form: FormPatch, state: np.ndarray) -> np.ndarray:
     """
     p = form.partial_tensor(state)
     out = np.zeros_like(p)
+    first = -(form.degree + 1)  # the derivative index, after any stack axes
     for j in range(form.degree + 1):
-        term = np.moveaxis(p, 0, j)
+        term = np.moveaxis(p, first, first + j)
         out = out + (term if j % 2 == 0 else -term)
     return out
 

@@ -18,6 +18,9 @@ Omega with S(gamma) = g^T A^T A g.  The constraint has A^T A = diag(p, p, x)
 with p = [rank >= 2] and x = [rank odd]; every rank-dependent term derives
 from these two bits (``_rank_bits``).  Rank 2 with an SO(2) angle of -pi/2
 is the Chaplygin sphere.
+
+Brackets, forms, fields and the Omega helpers also take a stack (N, d) of
+states; the stepper's kernels (``BodyParams._kernels``) stay on Python floats.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .errors import DegenerateDenominator, NonFiniteState, UnsupportedRank
 from .geometry import (
     EPSILON,
     FormPatch,
+    _first_bad,
+    _swap,
     cross3,
     fd_exterior_derivative,
     hat,
@@ -83,7 +88,6 @@ FULL_DIM = 15
 # positions of (gamma, K) in a full state: gamma is the third row of g
 RHO_INDEX = np.array([6, 7, 8, 12, 13, 14])
 RHO_INDEX.setflags(write=False)
-_RHO_BLOCK = np.ix_(RHO_INDEX, RHO_INDEX)
 
 # _HAT_BASIS[l] = hat(e_l) = d hat(gamma) / d x_l on the reduced chart, zero for l >= 3
 _HAT_BASIS = np.concatenate([-EPSILON.transpose(2, 0, 1), np.zeros((3, 3, 3))])
@@ -172,15 +176,21 @@ class BodyParams:
 
 
 def _checked(state, dim: int, chart: str) -> np.ndarray:
+    """A state (dim,) or a stack (..., dim) of states of the chart."""
     state = np.asarray(state, dtype=float)
-    if state.shape != (dim,):
+    if state.shape[-1:] != (dim,):
         raise ValueError(f"expected a {dim}-dim {chart} state, got shape {state.shape}")
     return state
 
 
+def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for each matrix and vector of a stack, rounded as the 2-d @ 1-d product."""
+    return (m @ v[..., None])[..., 0]
+
+
 def split_reduced(state) -> tuple[np.ndarray, np.ndarray]:
     state = _checked(state, REDUCED_DIM, "reduced")
-    return state[:3], state[3:]
+    return state[..., :3], state[..., 3:]
 
 
 def matrix_A(params: BodyParams) -> np.ndarray:
@@ -210,15 +220,12 @@ def _check_denominator(rank: int, den, g2):
                 f"rank-{rank} denominator {den:.3e} at |gamma|^2 = {g2:.3e}"
             )
         return
-    overflow = (g2 == math.inf) | (den == math.inf)
-    if np.count_nonzero(overflow):
-        i = np.flatnonzero(overflow)[0]
-        raise NonFiniteState(f"non-finite state: rank-{rank} |gamma|^2 overflows in row {i}")
-    degenerate = den <= 1e-12 * np.maximum(g2, 1e-300)
-    if np.count_nonzero(degenerate):
-        i = np.flatnonzero(degenerate)[0]
+    if bad := _first_bad((g2 == math.inf) | (den == math.inf)):
+        raise NonFiniteState(f"non-finite state: rank-{rank} |gamma|^2 overflows{bad[1]}")
+    if bad := _first_bad(den <= 1e-12 * np.maximum(g2, 1e-300)):
+        i, where = bad
         raise DegenerateDenominator(
-            f"rank-{rank} denominator {den.flat[i]:.3e} at |gamma|^2 = {g2.flat[i]:.3e}"
+            f"rank-{rank} denominator {den.flat[i]:.3e} at |gamma|^2 = {g2.flat[i]:.3e}{where}"
         )
 
 
@@ -299,32 +306,44 @@ def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:
     equals the 1-d call on that row bit for bit (one component formula on
     floats or columns).  Raises DegenerateDenominator if any row is degenerate.
     """
+    return _omega_terms(params, gamma, K)[0]
+
+
+def _omega_terms(params: BodyParams, gamma, K) -> tuple:
+    """The omega kernel on the components of gamma and K, Python floats for
+    one state or numpy columns for a stack: (Omega, u, den, c) with Omega
+    and u as arrays (..., 3) and den, c floats or arrays (...,); u, den, c
+    are None when sign = 0."""
     gamma = np.asarray(gamma, dtype=float)
     K = np.asarray(K, dtype=float)
-    omega = params._kernels.omega
+    kernel = params._kernels.omega
     if gamma.ndim == 1 and K.ndim == 1:
-        return np.array(omega(gamma.tolist(), K.tolist())[0])
-    return np.stack(omega(np.moveaxis(gamma, -1, 0), np.moveaxis(K, -1, 0))[0], axis=-1)
+        omega, u, den, c = kernel(gamma.tolist(), K.tolist())
+        return np.array(omega), None if u is None else np.array(u), den, c
+    # the kernel's denominator check raises on an overflow, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega, u, den, c = kernel(np.moveaxis(gamma, -1, 0), np.moveaxis(K, -1, 0))
+    return np.stack(omega, axis=-1), None if u is None else np.stack(u, axis=-1), den, c
 
 
 def _omega_and_jacobians(params: BodyParams, gamma, K) -> tuple:
-    """(Omega, d Omega / d gamma, d Omega / d K) at one state, from one
-    evaluation of the Sherman-Morrison terms."""
+    """(Omega, d Omega / d gamma, d Omega / d K) at one state or a stack, from
+    one evaluation of the Sherman-Morrison terms."""
     gamma = np.asarray(gamma, dtype=float)
     K = np.asarray(K, dtype=float)
     sign, n = params._rank_terms
-    omega, u, den, c = params._kernels.omega(gamma.tolist(), K.tolist())
+    omega, u, den, c = _omega_terms(params, gamma, K)
     n = np.array(n)
     inv_n = np.diag(1.0 / n)
     if not sign:
-        return np.array(omega), np.zeros((3, 3)), inv_n
+        return omega, np.zeros(omega.shape + (3,)), np.zeros(omega.shape + (3,)) + inv_n
     smr2 = sign * params.mr2
-    u = np.array(u)
+    den, c = np.asarray(den)[..., None], np.asarray(c)[..., None]
     dden = 2.0 * gamma + 2.0 * smr2 * u
     dc = (K / n) / den - (c / den) * dden
-    d_gamma = -smr2 * (np.outer(u, dc) + c * inv_n)
-    d_k = inv_n - (smr2 / den) * np.outer(u, u)
-    return np.array(omega), d_gamma, d_k
+    d_gamma = -smr2 * (u[..., :, None] * dc[..., None, :] + c[..., None] * inv_n)
+    d_k = inv_n - (smr2 / den)[..., None] * (u[..., :, None] * u[..., None, :])
+    return omega, d_gamma, d_k
 
 
 def omega_jacobians(params: BodyParams, gamma, K) -> tuple[np.ndarray, np.ndarray]:
@@ -343,27 +362,37 @@ def hamiltonian_field(params: BodyParams) -> ScalarField:
     def gradient(s):
         gamma, K = split_reduced(s)
         omega, d_gamma, _ = _omega_and_jacobians(params, gamma, K)
-        return np.concatenate([0.5 * (d_gamma.T @ K), omega])
+        return np.concatenate([0.5 * _mv(_swap(d_gamma), K), omega], axis=-1)
 
     return ScalarField(value=lambda s: hamiltonian(params, s), gradient=gradient, name="H")
 
 
 def reduced_vf(params: BodyParams, state) -> np.ndarray:
     """Equations of motion on the reduced space: (gamma, K)' = (gamma x Omega, K x Omega),
-    evaluated on Python floats by the body's reduced kernel."""
-    return np.array(params._kernels.reduced(_checked(state, REDUCED_DIM, "reduced").tolist()))
+    evaluated on Python floats by the body's reduced kernel (on numpy columns
+    for a stack of states)."""
+    state = _checked(state, REDUCED_DIM, "reduced")
+    if state.ndim == 1:
+        return np.array(params._kernels.reduced(state.tolist()))
+    return np.stack(params._kernels.reduced(list(np.moveaxis(state, -1, 0))), axis=-1)
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.outer of each pair of vectors of a stack."""
+    return u[..., :, None] * v[..., None, :]
 
 
 def _v_vector(params: BodyParams, gamma, K, variant: str, omega) -> np.ndarray:
     """V = K + m r^2 (a Omega + b (Omega . gamma) gamma) for the given Omega."""
     a, b = _v_coeffs(params.rank, variant)
-    return K + params.mr2 * (a * omega + b * float(omega @ gamma) * gamma)
+    return K + params.mr2 * (a * omega + b * np.vecdot(omega, gamma)[..., None] * gamma)
 
 
 def _omega_dot_gamma_grads(params: BodyParams, gamma, K) -> tuple:
     """Omega, Omega . gamma, its gradients in gamma and in K, and omega_jacobians."""
     omega, d_gamma, d_k = _omega_and_jacobians(params, gamma, K)
-    return omega, float(omega @ gamma), d_gamma.T @ gamma + omega, d_k.T @ gamma, d_gamma, d_k
+    og = np.vecdot(omega, gamma)
+    return omega, og, _mv(_swap(d_gamma), gamma) + omega, _mv(_swap(d_k), gamma), d_gamma, d_k
 
 
 def _v_jet(params: BodyParams, gamma, K, variant: str) -> tuple:
@@ -372,30 +401,33 @@ def _v_jet(params: BodyParams, gamma, K, variant: str) -> tuple:
     a, b = _v_coeffs(params.rank, variant)
     mr2 = params.mr2
     omega, og, dog_dgamma, dog_dk, d_gamma, d_k = _omega_dot_gamma_grads(params, gamma, K)
-    dv_gamma = mr2 * (a * d_gamma + b * (np.outer(gamma, dog_dgamma) + og * np.eye(3)))
-    dv_k = np.eye(3) + mr2 * (a * d_k + b * np.outer(gamma, dog_dk))
+    dv_gamma = mr2 * (a * d_gamma + b * (_outer(gamma, dog_dgamma) + og[..., None, None] * np.eye(3)))
+    dv_k = np.eye(3) + mr2 * (a * d_k + b * _outer(gamma, dog_dk))
     return _v_vector(params, gamma, K, variant, omega), dv_gamma, dv_k
 
 
 def _omega_dot_gamma_hessian(params: BodyParams, gamma, K) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient (6,) and Hessian (6, 6) in (gamma, K) of f = Omega . gamma at
-    ranks 1 and 2, in closed form: f den = |gamma|^2 (K . u) with u = gamma / n
+    """Gradient (..., 6) and Hessian (..., 6, 6) in (gamma, K) of f = Omega . gamma
+    at ranks 1 and 2, in closed form: f den = |gamma|^2 (K . u) with u = gamma / n
     and den the denominator of the omega kernel (which also checks it), and
     every factor of that product has constant second derivatives."""
     sign, n = params._rank_terms
-    _, u, den, _ = params._kernels.omega(gamma.tolist(), K.tolist())
-    inv_n, u, zero = 1.0 / np.array(n), np.array(u), np.zeros(3)
-    gg, ku = float(gamma @ gamma), float(K @ u)
+    _, u, den, _ = _omega_terms(params, gamma, K)
+    inv_n, zero = 1.0 / np.array(n), np.zeros_like(u)
+    den = np.asarray(den)[..., None]
+    gg, ku = np.vecdot(gamma, gamma)[..., None], np.vecdot(K, u)[..., None]
     f = gg * ku / den
-    d_ku, d_gg = np.concatenate([K * inv_n, u]), np.concatenate([2.0 * gamma, zero])
-    d_den = d_gg + np.concatenate([(2.0 * sign * params.mr2) * u, zero])
+    d_ku = np.concatenate([K * inv_n, u], axis=-1)
+    d_gg = np.concatenate([2.0 * gamma, zero], axis=-1)
+    d_den = d_gg + np.concatenate([(2.0 * sign * params.mr2) * u, zero], axis=-1)
     dd_ku = np.zeros((REDUCED_DIM, REDUCED_DIM))
     dd_ku[:3, 3:] = dd_ku[3:, :3] = np.diag(inv_n)
     dd_gg = np.diag([2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
-    dd_den = dd_gg + np.diag(np.concatenate([(2.0 * sign * params.mr2) * inv_n, zero]))
+    dd_den = dd_gg + np.diag(np.concatenate([(2.0 * sign * params.mr2) * inv_n, np.zeros(3)]))
     df = (gg * d_ku + ku * d_gg - f * d_den) / den
-    dd_fden = gg * dd_ku + np.outer(d_ku, d_gg) + np.outer(d_gg, d_ku) + ku * dd_gg
-    return df, (dd_fden - np.outer(df, d_den) - np.outer(d_den, df) - f * dd_den) / den
+    gg, ku, f, den = gg[..., None], ku[..., None], f[..., None], den[..., None]
+    dd_fden = gg * dd_ku + _outer(d_ku, d_gg) + _outer(d_gg, d_ku) + ku * dd_gg
+    return df, (dd_fden - _outer(df, d_den) - _outer(d_den, df) - f * dd_den) / den
 
 
 def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch:
@@ -405,9 +437,9 @@ def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch
     _check_variant(variant)
 
     def matrix(gamma, v):
-        p = np.zeros((6, 6))
-        p[:3, 3:] = p[3:, :3] = hat(gamma)
-        p[3:, 3:] = hat(v)
+        p = np.zeros(gamma.shape[:-1] + (6, 6))
+        p[..., :3, 3:] = p[..., 3:, :3] = hat(gamma)
+        p[..., 3:, 3:] = hat(v)
         return p
 
     def structure(s):
@@ -417,9 +449,9 @@ def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch
     def jet(s):
         gamma, K = split_reduced(s)
         v, dv_gamma, dv_k = _v_jet(params, gamma, K, variant)
-        dp = _BRACKET_BASE.copy()
-        # d_l hat(V) = sum_m (d_l V_m) hat(e_m)
-        dp[:, 3:, 3:] = np.einsum("ml,mab->lab", np.hstack([dv_gamma, dv_k]), _HAT_BASIS[:3])
+        dp = np.broadcast_to(_BRACKET_BASE, gamma.shape[:-1] + _BRACKET_BASE.shape).copy()
+        # d_l hat(V) = hat(d_l V)
+        dp[..., 3:, 3:] = hat(_swap(np.concatenate([dv_gamma, dv_k], axis=-1)))
         return matrix(gamma, v), dp
 
     return BivectorPatch(dim=REDUCED_DIM, structure=structure, name=f"rank{params.rank}-{variant}", jet=jet)
@@ -433,20 +465,22 @@ def conformal_factor(params: BodyParams) -> ScalarField:
     """
     sign, n = params._rank_terms
     if not sign:
-        return ScalarField(value=lambda s: 1.0, gradient=lambda s: np.zeros(6), name="phi=1")
+        return ScalarField(value=lambda s: 1.0, gradient=lambda s: np.zeros(s.shape), name="phi=1")
     w1, w2, w3 = weight = [1.0 + sign * params.mr2 / n_i for n_i in n]
 
     def value(s):
-        # Python floats, left to right: this is the factor the reparametrized stepper uses
-        g1, g2, g3 = s[0], s[1], s[2]
-        return math.sqrt(g1 * (w1 * g1) + g2 * (w2 * g2) + g3 * (w3 * g3))
+        # Python floats, left to right: this is the factor the reparametrized
+        # stepper uses on lists; an array takes its columns (same bits per row)
+        g1, g2, g3 = s[:3] if type(s) is list else (s[..., 0], s[..., 1], s[..., 2])
+        q = g1 * (w1 * g1) + g2 * (w2 * g2) + g3 * (w3 * g3)
+        return math.sqrt(q) if isinstance(q, float) else np.sqrt(q)
 
     def gradient(s):
-        phi = value(s)
-        if phi == 0.0:
-            raise DegenerateDenominator(f"rank-{params.rank} conformal factor vanishes at gamma = 0")
-        out = np.zeros(6)
-        out[:3] = np.array(weight) * s[:3] / phi
+        phi = np.asarray(value(s))
+        if bad := _first_bad(phi == 0.0):
+            raise DegenerateDenominator(f"rank-{params.rank} conformal factor vanishes at gamma = 0{bad[1]}")
+        out = np.zeros(s.shape)
+        out[..., :3] = np.array(weight) * s[..., :3] / phi[..., None]
         return out
 
     return ScalarField(value=value, gradient=gradient, name=f"phi_rank{params.rank}")
@@ -455,17 +489,17 @@ def conformal_factor(params: BodyParams) -> ScalarField:
 def invariant_density(params: BodyParams) -> ScalarField:
     """Density of the smooth invariant measure on (gamma, K): 1/conformal_factor."""
     if not params._rank_terms[0]:
-        return ScalarField(value=lambda s: 1.0, gradient=lambda s: np.zeros(6), name="mu=1")
+        return ScalarField(value=lambda s: 1.0, gradient=lambda s: np.zeros(s.shape), name="mu=1")
     phi = conformal_factor(params)
 
     def value(s):
         p = phi(s)
-        if p == 0.0:
-            raise DegenerateDenominator(f"rank-{params.rank} invariant density 1/phi at phi = 0")
+        if bad := _first_bad(p == 0.0):
+            raise DegenerateDenominator(f"rank-{params.rank} invariant density 1/phi at phi = 0{bad[1]}")
         return 1.0 / p
 
     def gradient(s):
-        p = phi(s)
+        p = np.asarray(phi(s))[..., None]
         return -phi.grad(s) / (p * p)
 
     return ScalarField(value=value, gradient=gradient, name=f"mu_rank{params.rank}")
@@ -521,19 +555,20 @@ def twist_two_form(params: BodyParams) -> FormPatch:
 
     def entries(s):
         gamma, K = split_reduced(s)
-        og = float(omega_from_K(params, gamma, K) @ gamma)
-        out = np.zeros((6, 6))
+        og = np.vecdot(omega_from_K(params, gamma, K), gamma)
+        out = np.zeros(gamma.shape[:-1] + (6, 6))
         # eps_abl gamma_l = -hat(gamma)_ab
-        out[:3, :3] = -mr2 * og * hat(gamma)
+        out[..., :3, :3] = (-mr2 * og)[..., None, None] * hat(gamma)
         return out
 
     def partials(s):
         gamma, K = split_reduced(s)
         _, og, dog_dgamma, dog_dk, _, _ = _omega_dot_gamma_grads(params, gamma, K)
-        out = np.zeros((6, 6, 6))
-        hg = hat(gamma)
-        out[:3, :3, :3] = -mr2 * (dog_dgamma[:, None, None] * hg + og * _HAT_BASIS[:3])
-        out[3:, :3, :3] = (-mr2 * dog_dk)[:, None, None] * hg
+        out = np.zeros(gamma.shape[:-1] + (6, 6, 6))
+        hg = hat(gamma)[..., None, :, :]
+        og = np.asarray(og)[..., None, None, None]
+        out[..., :3, :3, :3] = -mr2 * (dog_dgamma[..., None, None] * hg + og * _HAT_BASIS[:3])
+        out[..., 3:, :3, :3] = (-mr2 * dog_dk)[..., None, None] * hg
         return out
 
     return FormPatch(degree=2, dim=6, entries=entries, partials=partials, name="B_red")
@@ -561,13 +596,14 @@ def twist_three_form(params: BodyParams) -> FormPatch:
     def partials(s):
         gamma, K = split_reduced(s)
         df, ddf = _omega_dot_gamma_hessian(params, gamma, K)
-        h = np.zeros((REDUCED_DIM,) * 4)
-        h[:, :, :3, :3] = -mr2 * (
-            ddf[:, :, None, None] * hat(gamma)
-            + df[None, :, None, None] * _HAT_BASIS[:, None]
-            + df[:, None, None, None] * _HAT_BASIS[None, :]
+        h = np.zeros(gamma.shape[:-1] + (REDUCED_DIM,) * 4)
+        df = df[..., None, None]
+        h[..., :3, :3] = -mr2 * (
+            ddf[..., None, None] * hat(gamma)[..., None, None, :, :]
+            + df[..., None, :, :, :] * _HAT_BASIS[:, None]
+            + df[..., :, None, :, :] * _HAT_BASIS[None, :]
         )
-        return sign * (h - np.moveaxis(h, 1, 2) + np.moveaxis(h, 1, 3))
+        return sign * (h - np.moveaxis(h, -3, -2) + np.moveaxis(h, -3, -1))
 
     return FormPatch(degree=3, dim=6, entries=entries, partials=partials, name="phi_twist")
 
@@ -607,12 +643,12 @@ def pack_full(g, x, K) -> np.ndarray:
 
 def split_full(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     state = _checked(state, FULL_DIM, "full")
-    return state[:9].reshape(3, 3), state[9:12], state[12:15]
+    return state[..., :9].reshape(state.shape[:-1] + (3, 3)), state[..., 9:12], state[..., 12:15]
 
 
 def project_rho(state) -> np.ndarray:
     """Reduction map rho(g, x, K) = (gamma, K) with gamma the third row of g."""
-    return _checked(state, FULL_DIM, "full")[RHO_INDEX]
+    return _checked(state, FULL_DIM, "full")[..., RHO_INDEX]
 
 
 def lift_reduced_state(state) -> np.ndarray:
@@ -647,8 +683,8 @@ def full_hamiltonian_field(params: BodyParams) -> ScalarField:
     h = hamiltonian_field(params)
 
     def gradient(s):
-        out = np.zeros(FULL_DIM)
-        out[RHO_INDEX] = h.grad(project_rho(s))
+        out = np.zeros(s.shape)
+        out[..., RHO_INDEX] = h.grad(project_rho(s))
         return out
 
     return ScalarField(value=lambda s: h(project_rho(s)), gradient=gradient, name="H_full")
@@ -669,38 +705,44 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
     mr2 = params.mr2
     shift = 0.0 if form == "plain" else 1.0
     eye = np.eye(3)
+    # the constant part of the partials: d{g_ij, K_m}/dg_ab = -eps_jmb delta_ia and
+    # d{x_i, K_m}/dg_ab = r A_ia delta_mb, l = 3a + b, and their antisymmetric partners
+    base = np.zeros((FULL_DIM,) * 3)
+    base[:9, :9, 12:] = -np.einsum("ia,jmb->abijm", eye, EPSILON).reshape(9, 9, 3)
+    base[:9, 9:12, 12:] = params.radius * np.einsum("ia,mb->abim", a_mat, eye).reshape(9, 3, 3)
+    base = base - base.transpose(0, 2, 1)
 
     def matrix(g, K, t_eff, omega):
-        p = np.zeros((FULL_DIM, FULL_DIM))
-        # {g_ij, K_l} = -eps_jlk g_ik, rows 3i+j, columns 12+l
-        p[:9, 12:] = -np.einsum("jlk,ik->ijl", EPSILON, g).reshape(9, 3)
-        p[9:12, 12:] = params.radius * (a_mat @ g)
-        p = p - p.T
-        p[12:, 12:] = hat(K + mr2 * (t_eff @ omega))
+        stack = g.shape[:-2]
+        p = np.zeros(stack + (FULL_DIM, FULL_DIM))
+        # {g_ij, K_l} = -eps_jlk g_ik = hat(g_i)_jl, rows 3i+j, columns 12+l
+        p[..., :9, 12:] = hat(g).reshape(stack + (9, 3))
+        p[..., 9:12, 12:] = params.radius * (a_mat @ g)
+        p = p - _swap(p)
+        p[..., 12:, 12:] = hat(K + mr2 * _mv(t_eff, omega))
         return p
 
     def structure(s):
         g, _, K = split_full(s)
-        return matrix(g, K, g.T @ q @ g - shift * eye, omega_from_K(params, g[2], K))
+        return matrix(g, K, _swap(g) @ q @ g - shift * eye, omega_from_K(params, g[..., 2, :], K))
 
     def jet(s):
         g, _, K = split_full(s)
-        omega, d_omega_gamma, d_omega_k = _omega_and_jacobians(params, g[2], K)
-        t_eff = g.T @ q @ g - shift * eye
+        stack = g.shape[:-2]
+        omega, d_omega_gamma, d_omega_k = _omega_and_jacobians(params, g[..., 2, :], K)
+        t_eff = _swap(g) @ q @ g - shift * eye
         qg = q @ g
         # rows dW/dx_l: dW/dg_ab = mr2 [(dT/dg_ab) Omega + T_eff dOmega/dg_ab], where
         # Omega sees g only through gamma = row 2; dW/dK_c = e_c + mr2 T_eff dOmega/dK_c
-        dw = np.zeros((FULL_DIM, 3))
-        dw[:9] = (np.einsum("a,bn->abn", qg @ omega, eye) + np.einsum("b,an->abn", omega, qg)).reshape(9, 3)
-        dw[6:9] += (t_eff @ d_omega_gamma).T
-        dw[:9] *= mr2
-        dw[12:] = eye + mr2 * (t_eff @ d_omega_k).T
-        out = np.zeros((FULL_DIM,) * 3)
-        # d{g_ij, K_m}/dg_ab = -eps_jmb delta_ia and d{x_i, K_m}/dg_ab = r A_ia delta_mb, l = 3a + b
-        out[:9, :9, 12:] = -np.einsum("ia,jmb->abijm", eye, EPSILON).reshape(9, 9, 3)
-        out[:9, 9:12, 12:] = params.radius * np.einsum("ia,mb->abim", a_mat, eye).reshape(9, 3, 3)
-        out = out - out.transpose(0, 2, 1)
-        out[:, 12:, 12:] = np.einsum("lm,mab->lab", dw, _HAT_BASIS[:3])
+        dw = np.zeros(stack + (FULL_DIM, 3))
+        dw_g = _mv(qg, omega)[..., :, None, None] * eye + omega[..., None, :, None] * qg[..., :, None, :]
+        dw[..., :9, :] = dw_g.reshape(stack + (9, 3))
+        dw[..., 6:9, :] += _swap(t_eff @ d_omega_gamma)
+        dw[..., :9, :] *= mr2
+        dw[..., 12:, :] = eye + mr2 * _swap(t_eff @ d_omega_k)
+        out = np.broadcast_to(base, stack + base.shape).copy()
+        # d_l hat(W) = hat(d_l W)
+        out[..., 12:, 12:] = hat(dw)
         return matrix(g, K, t_eff, omega), out
 
     return BivectorPatch(dim=FULL_DIM, structure=structure, name=f"nh-rank{params.rank}-{form}", jet=jet)
@@ -727,12 +769,13 @@ def gauge_form_on_M(params: BodyParams) -> FormPatch:
 
     def entries(s):
         g, _, K = split_full(s)
-        omega = omega_from_K(params, g[2], K)
+        stack = g.shape[:-2]
+        omega = omega_from_K(params, g[..., 2, :], K)
         # L maps the 9 g-coordinates of a tangent vector to its body-frame
-        # rotation vector: u_d = 1/2 eps_dbc (g^T U)_cb
-        l_map = 0.5 * np.einsum("dbc,mc->dmb", EPSILON, g).reshape(3, 9)
-        out = np.zeros((FULL_DIM, FULL_DIM))
-        out[:9, :9] = -mr2 * l_map.T @ hat(omega) @ l_map
+        # rotation vector: u_d = 1/2 eps_dbc (g^T U)_cb, and eps_dbc g_mc = -hat(g_m)_db
+        l_map = (-0.5 * np.swapaxes(hat(g), -3, -2)).reshape(stack + (3, 9))
+        out = np.zeros(stack + (FULL_DIM, FULL_DIM))
+        out[..., :9, :9] = -mr2 * _swap(l_map) @ hat(omega) @ l_map
         return out
 
     return FormPatch(degree=2, dim=FULL_DIM, entries=entries, name="B_full")
@@ -759,19 +802,28 @@ def horizontal_lift(params: BodyParams, full_state, reduced_tangent) -> np.ndarr
     return np.concatenate([(g @ hat(a)).reshape(9), np.zeros(3), w_k])
 
 
+def _full_form(variant: str) -> str:
+    """The full bracket whose reduction is the reduced ``variant``."""
+    _check_variant(variant)
+    return "plain" if variant == "plain" else "gauged"
+
+
 def reduction_defect(params: BodyParams, variant: str, full_state) -> np.ndarray:
     """|{y_a, y_b}_full - pi_reduced[a, b] at rho(state)| for all a, b: the
     6x6 block of the reduced coordinates y = (gamma, K) seen as functions
-    on the full space.
+    on the full space; (N, 6, 6) for a stack of N states.
 
     variant 'plain' pairs the plain full bracket with the plain reduced one;
     'primed' pairs the gauged full bracket with the primed reduced one.
     """
-    _check_variant(variant)
-    full_form = "plain" if variant == "plain" else "gauged"
-    p_full = nh_bracket_full(params, full_form).matrix(full_state)
+    p_full = nh_bracket_full(params, _full_form(variant)).matrix(full_state)
+    return _reduction_gap(params, variant, p_full, full_state)
+
+
+def _reduction_gap(params: BodyParams, variant: str, p_full: np.ndarray, full_state) -> np.ndarray:
+    """``reduction_defect`` from the full bracket matrix p_full at full_state."""
     p_red = reduced_bracket(params, variant).matrix(project_rho(full_state))
-    return np.abs(p_full[_RHO_BLOCK] - p_red)
+    return np.abs(p_full[..., RHO_INDEX[:, None], RHO_INDEX] - p_red)
 
 
 def reduction_consistency(params: BodyParams, variant: str, full_state, i: int, j: int) -> float:

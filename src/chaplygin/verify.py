@@ -8,12 +8,16 @@ residual from above; "gt" checks are positive controls (quantities that
 must stay AWAY from zero, e.g. the Jacobiator of a genuinely non-Poisson
 bracket) and the tolerance is a floor.  ``_run_suites`` alone applies the
 pass rule: it multiplies every upper bound by ``tol_scale`` (never a
-floor) and sets ``passed`` to residual <= bound, or residual > floor.
+floor) and sets ``passed`` to residual <= bound, or finite residual >
+floor, so a nan or infinite residual fails either comparison.
+
+Each suite evaluates its brackets, forms and fields on the whole stack of
+sampled states in one call and takes the maximum over the stack; a nan at
+any state makes that maximum nan.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -24,6 +28,8 @@ from .geometry import fd_exterior_derivative, sample_reduced_state
 from .rolling import (
     FULL_DIM,
     BodyParams,
+    _full_form,
+    _reduction_gap,
     conformal_factor,
     full_hamiltonian_field,
     gauge_form_on_M,
@@ -31,7 +37,6 @@ from .rolling import (
     nh_bracket_full,
     poisson_variant,
     reduced_bracket,
-    reduction_defect,
     sample_full_state,
     twist_three_form,
 )
@@ -52,33 +57,68 @@ def _check(check_id: str, anchor: str, residual: float, tol: float, comparison: 
     }
 
 
-def _sampler(trials: int, seed: int):
-    """draw(sample) -> ``trials`` states from ``sample`` and a generator seeded
-    with ``seed``, drawn on first use and then shared by the suites of a run."""
-
-    @functools.cache
-    def draw(sample) -> list:
-        rng = np.random.default_rng(seed)
-        return [sample(rng) for _ in range(trials)]
-
-    return draw
+def _max_abs(values) -> float:
+    """Largest |value| over every entry of every state; nan if any entry is nan."""
+    return float(np.max(np.abs(values)))
 
 
-def _max_jacobiator(pi, states, phi=None) -> float:
-    """Largest |Jacobiator (+ phi term)| over all index triples and states."""
-    return max(float(np.max(np.abs(jacobi_tensor(pi, s, phi)))) for s in states)
+class _Run:
+    """The sampled states of one verify run and the evaluations its suites
+    share, each computed on first use and then reused: the Jacobi tensor of
+    a reduced bracket (the jacobi suite, and the twisted suite at ranks 0
+    and 3) and the plain and gauged full bracket matrices (the gauge and
+    reduction suites).  Every evaluation takes the whole stack of states."""
+
+    def __init__(self, params: BodyParams, trials: int, seed: int):
+        self.params = params
+        self._trials, self._seed = trials, seed
+        self._memo = {}
+
+    def _shared(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def states(self, sample) -> np.ndarray:
+        """A stack (trials, d) of states from ``sample`` and a generator seeded
+        with the run's seed.  ``sample`` draws one state per call, so the
+        states are those of the generator's sequence in order."""
+
+        def draw():
+            rng = np.random.default_rng(self._seed)
+            return np.array([sample(rng) for _ in range(self._trials)])
+
+        return self._shared(sample, draw)
+
+    @property
+    def reduced(self) -> np.ndarray:
+        return self.states(sample_reduced_state)
+
+    @property
+    def full(self) -> np.ndarray:
+        return self.states(sample_full_state)
+
+    def jacobi_residual(self, variant: str) -> float:
+        """Largest |Jacobiator| of the reduced ``variant`` bracket over the reduced states."""
+        def compute():
+            return _max_abs(jacobi_tensor(reduced_bracket(self.params, variant), self.reduced))
+
+        return self._shared(("jacobi", variant), compute)
+
+    def full_matrix(self, form: str) -> np.ndarray:
+        """The ``form`` full bracket matrices at the full states."""
+        return self._shared(("full", form), lambda: nh_bracket_full(self.params, form).matrix(self.full))
 
 
-def _jacobi_suite(params: BodyParams, draw, variant=None) -> list:
+def _jacobi_suite(run: _Run, variant=None) -> list:
     """A forced variant must be Poisson; otherwise the Poisson variant of the
     rank (if any) must be, and every other variant is a positive control."""
-    states = draw(sample_reduced_state)
-    rank = params.rank
+    rank = run.params.rank
     poisson = variant or poisson_variant(rank)
     checks = []
     # the Poisson variant first
     for v in (variant,) if variant else sorted(("plain", "primed"), key=lambda v: v != poisson):
-        worst = _max_jacobiator(reduced_bracket(params, v), states)
+        worst = run.jacobi_residual(v)
         if v == poisson:
             note = "" if variant else " (Poisson)"
             anchor = f"Jacobiator of the rank-{rank} {v} bracket vanishes identically{note}"
@@ -90,41 +130,39 @@ def _jacobi_suite(params: BodyParams, draw, variant=None) -> list:
     return checks
 
 
-def _conformal_suite(params: BodyParams, draw, variant=None) -> list:
-    states = draw(sample_reduced_state)
+def _conformal_suite(run: _Run, variant=None) -> list:
+    params, states = run.params, run.reduced
     v = variant or hamiltonizable_variant(params.rank)
-    pi = reduced_bracket(params, v)
     phi = conformal_factor(params)
-    worst = _max_jacobiator(scale_bivector(pi, phi), states)
+    scaled = scale_bivector(reduced_bracket(params, v), phi)
     return [
         _check(
             "conformal-positive",
             "conformal factor is strictly positive on the sampled states",
-            min(phi(s) for s in states),
+            np.min(phi(states)),
             0.0,
             comparison="gt",
         ),
         _check(
             f"conformal-jacobi-{v}",
             f"Jacobiator of (conformal factor) x (rank-{params.rank} {v} bracket) vanishes",
-            worst,
+            _max_abs(jacobi_tensor(scaled, states)),
             1e-9 if poisson_variant(params.rank) else 1e-7,
         ),
     ]
 
 
-def _twisted_suite(params: BodyParams, draw, variant=None) -> list:
+def _twisted_suite(run: _Run, variant=None) -> list:
     """At ranks 0 and 3 the bracket is Poisson (``hamiltonizable_variant`` is
     ``poisson_variant`` there) and the twist 3-form vanishes."""
-    states = draw(sample_reduced_state)
+    params, states = run.params, run.reduced
     v = variant or hamiltonizable_variant(params.rank)
-    pi = reduced_bracket(params, v)
     if poisson_variant(params.rank):
         return [
             _check(
                 f"twisted-zero-form-{v}",
                 f"twisted defect with vanishing 3-form reduces to the Jacobiator (rank {params.rank})",
-                _max_jacobiator(pi, states),
+                run.jacobi_residual(v),
                 1e-9,
             )
         ]
@@ -133,103 +171,89 @@ def _twisted_suite(params: BodyParams, draw, variant=None) -> list:
         _check(
             f"twisted-defect-{v}",
             f"rank-{params.rank} {v} bracket is twisted-Poisson against the derived 3-form",
-            _max_jacobiator(pi, states, phi),
+            _max_abs(jacobi_tensor(reduced_bracket(params, v), states, phi)),
             1e-6,
         ),
         _check(
             "twisted-closed",
             "the twist 3-form is closed (it is an exterior derivative)",
-            max(float(np.max(np.abs(fd_exterior_derivative(phi, s)))) for s in states[:5]),
+            _max_abs(fd_exterior_derivative(phi, states[:5])),
             1e-5,
         ),
     ]
 
 
-def _gauge_suite(params: BodyParams, draw, variant=None) -> list:
-    """P, B and the gauged bracket are evaluated once per state; the gauges by
-    B, B then -B, and 0 are solves on those values.  ``gauge_matrix`` raises
-    SingularGauge where E + B P is not invertible, so the dynamical check
-    bounds the contraction alone."""
-    pi_plain = nh_bracket_full(params, "plain")
-    pi_gauged = nh_bracket_full(params, "gauged")
-    b_form = gauge_form_on_M(params)
-    h_field = full_hamiltonian_field(params)
-    zero_form = np.zeros((FULL_DIM, FULL_DIM))
-
-    match = 0.0
-    roundtrip = 0.0
-    zero_defect = 0.0
-    contraction = 0.0
-    for s in draw(sample_full_state):
-        p, bm = pi_plain.matrix(s), b_form(s)
-        g = gauge_matrix(p, bm)
-        match = max(match, float(np.max(np.abs(g - pi_gauged.matrix(s)))))
-        roundtrip = max(roundtrip, float(np.max(np.abs(gauge_matrix(g, -bm) - p))))
-        zero_defect = max(zero_defect, float(np.max(np.abs(gauge_matrix(p, zero_form) - p))))
-        # -p @ grad h is the Hamiltonian vector field, as in dynamical_gauge_check
-        contraction = max(contraction, float(np.linalg.norm(-p @ h_field.grad(s) @ bm)))
+def _gauge_suite(run: _Run, variant=None) -> list:
+    """P, B and the gauged bracket are evaluated once on the stack of full
+    states; the gauges by B, B then -B, and 0 are solves on those values.
+    ``gauge_matrix`` raises SingularGauge where E + B P is not invertible,
+    so the dynamical check bounds the contraction alone."""
+    p = run.full_matrix("plain")
+    bm = gauge_form_on_M(run.params)(run.full)
+    g = gauge_matrix(p, bm)
+    # -p @ grad h is the Hamiltonian vector field, as in dynamical_gauge_check
+    x_h = (-p @ full_hamiltonian_field(run.params).grad(run.full)[..., None])[..., 0]
+    i_x_b = (x_h[..., None, :] @ bm)[..., 0, :]
     return [
         _check(
             "gauge-match",
             "gauge transformation of the plain bracket by the semi-basic 2-form "
             "reproduces the gauged bracket",
-            match,
+            _max_abs(g - run.full_matrix("gauged")),
             1e-9,
         ),
         _check(
             "gauge-roundtrip",
             "gauging by B then by -B returns the original bracket",
-            roundtrip,
+            _max_abs(gauge_matrix(g, -bm) - p),
             1e-10,
         ),
         _check(
             "gauge-zero",
             "gauging by the zero form is the identity, exactly",
-            zero_defect,
+            _max_abs(gauge_matrix(p, np.zeros((FULL_DIM, FULL_DIM))) - p),
             0.0,
         ),
         _check(
             "gauge-dynamical",
             "the gauge 2-form annihilates the constrained flow (i_X B = 0) "
             "and E + B pi stays invertible",
-            contraction,
+            np.max(np.sqrt(np.vecdot(i_x_b, i_x_b))),
             1e-9,
         ),
     ]
 
 
-def _reduction_suite(params: BodyParams, draw, variant=None) -> list:
-    states = draw(sample_full_state)
+def _reduction_suite(run: _Run, variant=None) -> list:
+    params = run.params
     return [
         _check(
             f"reduction-{v}",
             f"brackets of the reduced coordinates on the full space match the "
             f"rank-{params.rank} {v} reduced bracket entrywise",
-            max(float(np.max(reduction_defect(params, v, s))) for s in states),
+            _max_abs(_reduction_gap(params, v, run.full_matrix(_full_form(v)), run.full)),
             1e-9,
         )
         for v in ((variant,) if variant else ("plain", "primed"))
     ]
 
 
-def _measure_suite(params: BodyParams, draw, variant=None) -> list:
-    states = draw(sample_reduced_state)
-    worst = max(divergence_defect(params, s, density="invariant") for s in states)
+def _measure_suite(run: _Run, variant=None) -> list:
+    params, states = run.params, run.reduced
     checks = [
         _check(
             "measure-invariant",
             "the reduced flow preserves the smooth measure with density 1/(conformal factor)",
-            worst,
+            _max_abs(divergence_defect(params, states, density="invariant")),
             1e-6,
         )
     ]
     if not poisson_variant(params.rank):
-        wrong = max(divergence_defect(params, s, density="uniform") for s in states)
         checks.append(
             _check(
                 "measure-wrong-density",
                 "the uniform density is NOT preserved: its divergence stays away from zero",
-                wrong,
+                _max_abs(divergence_defect(params, states, density="uniform")),
                 1e-3,
                 comparison="gt",
             )
@@ -254,16 +278,17 @@ def _run_suites(names, params: BodyParams, trials: int, seed: int, tol_scale: fl
     # finite: the exact gauge-zero bound 0.0 would scale to nan at infinity
     if not 0.0 < tol_scale < math.inf:
         raise ValueError("tol-scale must be positive and finite")
-    draw = _sampler(trials, seed)
+    run = _Run(params, trials, seed)
     reports = []
     for name in names:
-        checks = _SUITE_FNS[name](params, draw, variant)
+        checks = _SUITE_FNS[name](run, variant)
         for c in checks:
+            r = c["max_residual"]
             if c["comparison"] == "le":
                 c["tolerance"] = float(c["tolerance"] * tol_scale)
-                c["passed"] = c["max_residual"] <= c["tolerance"]
+                c["passed"] = r <= c["tolerance"]
             else:
-                c["passed"] = c["max_residual"] > c["tolerance"]
+                c["passed"] = math.isfinite(r) and r > c["tolerance"]
         reports.append(
             {
                 "suite": name,

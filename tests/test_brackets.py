@@ -9,6 +9,7 @@ import pytest
 from chaplygin import (
     AnnihilationViolated,
     BivectorPatch,
+    DegenerateDenominator,
     FormPatch,
     NonPositiveFactor,
     ScalarField,
@@ -22,6 +23,7 @@ from chaplygin import (
     dynamical_gauge_check,
     fd_gradient,
     fd_partials,
+    gauge_matrix,
     gauge_transform,
     ham_vf,
     jacobi_tensor,
@@ -276,6 +278,42 @@ def test_gauge_halving_form_doubles_canonical():
     pi = canonical_patch()
     gauged = gauge_transform(pi, constant_two_form(0.5 * _CANONICAL))
     assert np.max(np.abs(gauged.matrix(np.zeros(2)) - 2.0 * _CANONICAL)) <= 1e-14
+
+
+def test_gauge_matrix_rejects_non_finite_input():
+    p = nh_bracket_full(standard_body(2), "plain").matrix(sample_full_state(seed=3))
+    b = np.zeros_like(p)
+    b[0, 1], b[1, 0] = 0.5, -0.5
+    for bad_p, bad_b in ((np.where(p == p[0, 12], np.nan, p), b), (p, np.where(b != 0.0, np.inf, b))):
+        with pytest.raises(SingularGauge, match="non-finite"):
+            gauge_matrix(bad_p, bad_b)
+
+
+def test_stack_errors_name_the_first_offending_row():
+    """Each check on a stack of states names the first row that fails it."""
+    good = sample_reduced_state(seed=1)
+    stack = np.array([good, good, good])
+    stack[1, :3] = 0.0  # gamma = 0: the rank-2 denominator vanishes
+    with pytest.raises(DegenerateDenominator, match="in row 1$"):
+        reduced_bracket(standard_body(2), "primed").matrix(stack)
+
+    def structure(s):
+        p = np.zeros(s.shape[:-1] + (2, 2))
+        p[..., 0, 1] = 1.0
+        p[..., 1, 0] = np.where(s[..., 0] > 0.0, 1.0, -1.0)  # symmetric where x_0 > 0
+        return p
+
+    states = np.array([[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(SymmetricInput, match="in row 2$"):
+        BivectorPatch(dim=2, structure=structure).matrix(states)
+
+    p = np.array([_CANONICAL, _CANONICAL, _CANONICAL])
+    b = np.array([np.zeros((2, 2)), 0.5 * _CANONICAL, _CANONICAL])  # E + B P = 0 in row 2
+    with pytest.raises(SingularGauge, match="in row 2$"):
+        gauge_matrix(p, b)
+    p[1, 0, 1] = np.nan
+    with pytest.raises(SingularGauge, match="in row 1$"):
+        gauge_matrix(p, b)
 
 
 def test_gauge_singular_combination_raises():

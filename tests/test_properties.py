@@ -20,7 +20,10 @@ from chaplygin import (
     casimir_defect,
     casimir_gamma_norm,
     casimir_kgamma,
+    conformal_factor,
+    divergence_defect,
     gauge_form_on_M,
+    gauge_matrix,
     gauge_transform,
     hamiltonizable_variant,
     hat,
@@ -35,6 +38,9 @@ from chaplygin import (
     reduced_bracket,
     reduced_vf,
     reduction_defect,
+    scale_bivector,
+    twist_three_form,
+    twist_two_form,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -63,6 +69,9 @@ full_states = st.tuples(st.integers(0, 2**32 - 1), vectors, vectors).map(
     lambda p: pack_full(random_rotation(np.random.default_rng(p[0])), p[1], p[2])
 )
 variants = st.sampled_from(["plain", "primed"])
+# stacks of states as the verify suites evaluate them
+reduced_stacks = st.lists(reduced_states, min_size=1, max_size=5).map(np.array)
+full_stacks = st.lists(full_states, min_size=1, max_size=4).map(np.array)
 # every permutation of three axes and its sign
 SIGNS = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0, (1, 0, 2): -1.0, (0, 2, 1): -1.0, (2, 1, 0): -1.0}
 
@@ -193,3 +202,67 @@ def test_rank_rule_reproduces_the_rank_tables(body, state, omega, variant):
     expected[:3, 3:] = expected[3:, :3] = hat(gamma)
     expected[3:, 3:] = hat(k + mr2 * (a * w + b * float(w @ gamma) * gamma))
     assert np.array_equal(reduced_bracket(body, variant).matrix(state), expected)
+
+
+# A stack of states (N, d) goes through the same code as one state: each row
+# of a stacked result must equal the call on that row, bit for bit.
+
+
+def _rows_equal(stacked, per_row) -> bool:
+    return len(stacked) == len(per_row) and all(np.array_equal(x, y) for x, y in zip(stacked, per_row))
+
+
+def _reduced_brackets(body, variant):
+    """The reduced brackets a verify run differentiates, each with its 3-form or None."""
+    pi = reduced_bracket(body, variant)
+    out = [(pi, None), (scale_bivector(pi, conformal_factor(body)), None)]
+    if poisson_variant(body.rank) is None:
+        out.append((pi, twist_three_form(body)))
+    return out
+
+
+@settings(PROPERTY, max_examples=60)
+@given(body=bodies, states=reduced_stacks, variant=variants)
+def test_stacked_reduced_jacobi_tensor_equals_rows(body, states, variant):
+    for pi, phi in _reduced_brackets(body, variant):
+        assert _rows_equal(jacobi_tensor(pi, states, phi), [jacobi_tensor(pi, s, phi) for s in states])
+        p, dp = pi.matrix_and_partials(states)
+        rows = [pi.matrix_and_partials(s) for s in states]
+        assert _rows_equal(p, [r[0] for r in rows]) and _rows_equal(dp, [r[1] for r in rows])
+
+
+@settings(PROPERTY, max_examples=20)
+@given(body=bodies, states=full_stacks, form=st.sampled_from(["plain", "gauged"]))
+def test_stacked_full_jacobi_tensor_equals_rows(body, states, form):
+    pi = nh_bracket_full(body, form)
+    assert _rows_equal(jacobi_tensor(pi, states), [jacobi_tensor(pi, s) for s in states])
+    assert _rows_equal(pi.matrix(states), [pi.matrix(s) for s in states])
+
+
+@settings(PROPERTY, max_examples=60)
+@given(body=bodies, states=full_stacks)
+def test_stacked_gauge_matrix_equals_rows(body, states):
+    p = nh_bracket_full(body, "plain").matrix(states)
+    bm = gauge_form_on_M(body)(states)
+    g = gauge_matrix(p, bm)
+    assert _rows_equal(g, [gauge_matrix(x, y) for x, y in zip(p, bm)])
+    assert _rows_equal(gauge_matrix(g, -bm), [gauge_matrix(x, -y) for x, y in zip(g, bm)])
+
+
+@settings(PROPERTY, max_examples=60)
+@given(body=bodies, reduced=reduced_stacks, full=full_stacks)
+def test_stacked_forms_equal_rows(body, reduced, full):
+    forms = [(gauge_form_on_M(body), full)]
+    if poisson_variant(body.rank) is None:
+        forms += [(twist_two_form(body), reduced), (twist_three_form(body), reduced)]
+    for form, states in forms:
+        assert _rows_equal(form(states), [form(s) for s in states])
+        assert _rows_equal(form.partial_tensor(states), [form.partial_tensor(s) for s in states])
+
+
+@PROPERTY
+@given(body=bodies, states=reduced_stacks, density=st.sampled_from(["invariant", "uniform"]))
+def test_stacked_hat_and_divergence_defect_equal_rows(body, states, density):
+    assert _rows_equal(hat(states[:, 3:]), [hat(s[3:]) for s in states])
+    stacked = divergence_defect(body, states, density=density)
+    assert _rows_equal(stacked, [divergence_defect(body, s, density=density) for s in states])

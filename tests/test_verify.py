@@ -8,6 +8,7 @@ import pytest
 
 from chaplygin import (
     SUITE_NAMES,
+    BivectorPatch,
     FormPatch,
     dynamical_gauge_check,
     full_hamiltonian_field,
@@ -18,6 +19,7 @@ from chaplygin import (
     run_all_suites,
     run_suite,
     sample_full_state,
+    sample_reduced_state,
 )
 from chaplygin import verify
 
@@ -109,3 +111,37 @@ def test_states_are_drawn_once_per_run(monkeypatch):
         counts.clear()
         run_suite(name, body, trials=3)
         assert counts == {kind: 3}
+
+
+def _poisoned_bracket(monkeypatch, state, value):
+    """Make the partials of every reduced bracket ``value`` at ``state``."""
+    base = verify.reduced_bracket
+
+    def bracket(params, variant="plain"):
+        pi = base(params, variant)
+
+        def jet(s):
+            p, dp = pi.matrix_and_partials(s)
+            hit = np.all(s == state, axis=-1)  # one boolean per state
+            return p, np.where(hit[..., None, None, None], value, dp)
+
+        return BivectorPatch(dim=pi.dim, structure=pi.structure, name=pi.name, jet=jet)
+
+    monkeypatch.setattr(verify, "reduced_bracket", bracket)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the Jacobiator
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_residual_at_one_state_fails_its_check(monkeypatch, value):
+    """A Jacobiator that is not finite at the 2nd of 5 states fails both the
+    Poisson check (le) and the witness (gt) of a rank-0 body."""
+    trials, seed = 5, 3
+    rng = np.random.default_rng(seed)
+    states = [sample_reduced_state(rng) for _ in range(trials)]
+    _poisoned_bracket(monkeypatch, states[1], value)
+    report = run_suite("jacobi", standard_body(0), trials=trials, seed=seed)
+    checks = {c["id"]: c for c in report["checks"]}
+    assert set(checks) == {"jacobi-plain", "jacobi-primed-witness"}
+    for c in checks.values():
+        assert not np.isfinite(c["max_residual"]) and c["passed"] is False
+    assert report["passed"] is False
