@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AnnihilationViolated, NonPositiveFactor, SingularGauge, SymmetricInput
-from .geometry import FormPatch, _first_bad, _swap, fd_exterior_derivative, fd_gradient, fd_partials
+from .geometry import FormPatch, _first_bad, _mv, _swap, fd_exterior_derivative, fd_gradient, fd_partials
 
 __all__ = [
     "BivectorPatch",
@@ -116,7 +116,7 @@ class ScalarField:
         value = self.value(state)
         if state.ndim == 1:
             return float(value)
-        return np.broadcast_to(np.asarray(value, dtype=float), state.shape[:-1])
+        return np.full(state.shape[:-1], value, dtype=float)
 
     def grad(self, state: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
@@ -131,9 +131,16 @@ def coordinate_field(dim: int, i: int) -> ScalarField:
     return ScalarField(value=lambda s: float(s[i]), gradient=lambda s: e.copy(), name=f"x{i}")
 
 
+def _flow(p: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """-p df: the Hamiltonian vector field of a function with gradient df
+    under the structure matrix p, for one state or each row of a stack."""
+    return -_mv(p, df)
+
+
 def ham_vf(pi: BivectorPatch, f: ScalarField, state: np.ndarray) -> np.ndarray:
-    """Hamiltonian vector field of f: (X_f)_i = -pi[i, j] d_j f."""
-    return -pi.matrix(state) @ f.grad(state)
+    """Hamiltonian vector field of f: (X_f)_i = -pi[i, j] d_j f; (N, dim)
+    for a stack of N states."""
+    return _flow(pi.matrix(state), f.grad(state))
 
 
 def _check_twist(pi: BivectorPatch, phi: Optional[FormPatch]):
@@ -145,27 +152,28 @@ def _cyclic_sum(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch], 
     """sum_l [pi_al d_l pi_bc + pi_bl d_l pi_ca + pi_cl d_l pi_ab], plus
     phi(X_a, X_b, X_c) with X_a = -pi e_a when a 3-form is given.
 
-    a, b, c are equal-length index arrays (one value per triple) or plain
-    indices; a stack of states adds its axis in front.  Every sum is a
-    reduction over the last axis of a fresh product (``_dot``), so one triple
-    or one state gives the same bits on its own as in a batch.
+    a, b, c are equal-length index arrays, one value per triple; a stack of
+    states adds its axis in front.  Every sum is a reduction over the last
+    axis of a fresh product (``_dot``), so one state gives the same bits on
+    its own as in a stack.
     """
     p, dp = pi.matrix_and_partials(state)
     dp = np.moveaxis(dp, -3, -1)  # dp[..., b, c, l] = d_l pi_bc
     pa, pb, pc = p[..., a, :], p[..., b, :], p[..., c, :]
     out = _dot(pa, dp[..., b, c, :]) + _dot(pb, dp[..., c, a, :]) + _dot(pc, dp[..., a, b, :])
     if phi is not None:
-        x = -_swap(p)  # row a is X_a
-        # the components of phi, with an axis of length 1 for the triples if any
-        phi_t = phi(state).reshape(p.shape[:-2] + (1,) * np.ndim(a) + (pi.dim,) * 3)
-        phi_c = _dot(phi_t, x[..., c, :][..., None, None, :])  # [..., i, j] = phi(e_i, e_j, X_c)
-        out = out + _dot(_dot(phi_c, x[..., b, :][..., None, :]), x[..., a, :])
+        x = -_swap(p)[..., :, None, None, :]  # row a is X_a
+        t = phi(state)
+        for _ in range(3):  # t[..., i, j, k] -> t[..., a, i, j] = t(e_i, e_j, X_a)
+            t = _dot(t[..., None, :, :, :], x)
+        out = out + t[..., a, b, c]  # t[..., a, b, c] = phi(X_a, X_b, X_c)
     return out
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_l u[..., l] v[..., l], summed the same way for every broadcast shape."""
-    return np.add.reduce(u * v, axis=-1)
+    """sum_l u[..., l] v[..., l], summed the same way for every broadcast shape
+    and memory layout: the product is laid out in C order, so l runs last."""
+    return np.add.reduce(np.multiply(u, v, order="C"), axis=-1)
 
 
 def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch] = None) -> np.ndarray:
@@ -173,11 +181,10 @@ def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch]
     phi(X_a, X_b, X_c) when a background 3-form phi is given; (N, dim, dim,
     dim) for a stack of N states.
 
-    Entry [i, j, k] equals ``twisted_defect(pi, phi, i, j, k, state)``.  The
-    bracket and its partials are evaluated once (one ``jet`` call when the
-    patch has one); the values at sorted triples are scattered with the sign
-    of each permutation, so the tensor alternates exactly and is exactly 0.0
-    on repeated indices.
+    The bracket and its partials are evaluated once (one ``jet`` call when
+    the patch has one); the values at sorted triples are scattered with the
+    sign of each permutation, so the tensor alternates exactly and is
+    exactly 0.0 on repeated indices.
     """
     _check_twist(pi, phi)
     a, b, c = np.array(list(itertools.combinations(range(pi.dim), 3)), dtype=np.intp).reshape(-1, 3).T
@@ -191,11 +198,9 @@ def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch]
 def jacobiator(pi: BivectorPatch, i: int, j: int, k: int, state: np.ndarray) -> float:
     """Cyclic Jacobi defect {x_i,{x_j,x_k}} + {x_j,{x_k,x_i}} + {x_k,{x_i,x_j}}.
 
-    In coordinates this is sum_l [pi_il d_l pi_jk + pi_jl d_l pi_ki + pi_kl d_l pi_ij].
-    The value alternates exactly under index swaps: indices are sorted first,
-    the defect is computed once, and the permutation sign is applied, so a
-    repeated index gives exactly 0.0 and odd permutations flip the sign
-    bit-for-bit.
+    In coordinates this is sum_l [pi_il d_l pi_jk + pi_jl d_l pi_ki + pi_kl d_l pi_ij],
+    entry [i, j, k] of ``jacobi_tensor``: it alternates exactly under index
+    swaps, and a repeated index gives exactly 0.0.
     """
     return twisted_defect(pi, None, i, j, k, state)
 
@@ -229,7 +234,7 @@ def _conditioning(m: np.ndarray) -> tuple:
 
 def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> np.ndarray:
     """p (E + bm p)^{-1} for a structure matrix p and a 2-form matrix bm, or
-    for each pair of a stack; a zero bm gives p itself.
+    for each pair of a stack.
 
     Raises SingularGauge where p or bm is not finite, or where the condition
     number of E + bm p is above 1e12 (or nan).  The result is
@@ -238,8 +243,6 @@ def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> np.ndarray:
     """
     if bad := _first_bad(~(np.isfinite(p).all(axis=(-2, -1)) & np.isfinite(bm).all(axis=(-2, -1)))):
         raise SingularGauge(f"non-finite bracket or 2-form entries{bad[1]}")
-    if not bm.any():
-        return p
     m = np.eye(p.shape[-1]) + bm @ p
     condition = _conditioning(m)[1]
     if bad := _first_bad(~(condition <= _COND_LIMIT)):
@@ -283,8 +286,7 @@ def dynamical_gauge_check(
     for s in states:
         p, bm = pi.matrix(s), b_form(s)
         smallest, condition = map(float, _conditioning(np.eye(pi.dim) + bm @ p))
-        # -p @ grad h is ham_vf(pi, h_field, s)
-        contraction = float(np.linalg.norm(-p @ h_field.grad(s) @ bm))
+        contraction = float(np.linalg.norm(_flow(p, h_field.grad(s)) @ bm))
         invertible = condition <= _COND_LIMIT  # False also for nan and inf
         out.append(
             {
@@ -304,18 +306,16 @@ def twisted_defect(
     """Jacobiator plus phi(X_i, X_j, X_k) on coordinate Hamiltonian fields.
 
     Vanishes exactly when the bracket is twisted-Poisson with background
-    3-form phi.  With phi = None this is the plain Jacobiator, bit for bit;
-    like it, the value alternates exactly in (i, j, k).
+    3-form phi.  Entry [i, j, k] of ``jacobi_tensor(pi, state, phi)``, so
+    with phi = None this is the plain Jacobiator.  Each call evaluates the
+    whole tensor (as ``jacobiator`` and ``conformal_jacobiator`` do): to read
+    many triples, call ``jacobi_tensor`` once and index it.
     """
     _check_twist(pi, phi)
     for idx in (i, j, k):
         if not 0 <= idx < pi.dim:
             raise IndexError(f"index {idx} out of range for dim {pi.dim}")
-    if i == j or j == k or i == k:
-        return 0.0
-    a, b, c = sorted((i, j, k))
-    sign = -1.0 if ((i > j) + (i > k) + (j > k)) % 2 else 1.0  # parity of the inversions
-    return sign * float(_cyclic_sum(pi, state, phi, a, b, c))
+    return float(jacobi_tensor(pi, state, phi)[i, j, k])
 
 
 def conformal_jacobiator(
@@ -333,9 +333,11 @@ def conformal_jacobiator(
     return jacobiator(scale_bivector(pi, factor), i, j, k, state)
 
 
-def casimir_defect(pi: BivectorPatch, c_field: ScalarField, state: np.ndarray) -> float:
-    """|| pi^sharp dC ||_2; zero iff C is a Casimir of pi at the state."""
-    return float(np.linalg.norm(pi.matrix(state).T @ c_field.grad(state)))
+def casimir_defect(pi: BivectorPatch, c_field: ScalarField, state: np.ndarray):
+    """|| pi^sharp dC ||_2; zero iff C is a Casimir of pi at the state.  A
+    stack of N states gives the N norms."""
+    v = _mv(_swap(pi.matrix(state)), c_field.grad(state))
+    return np.sqrt(np.vecdot(v, v))
 
 
 def distribution_probe(

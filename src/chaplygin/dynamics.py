@@ -33,9 +33,11 @@ from .rolling import (
     RHO_INDEX,
     BodyParams,
     X_nh_full,
+    casimir_gamma_norm,
+    casimir_kgamma,
     conformal_factor,
+    hamiltonian,
     invariant_density,
-    omega_from_K,
     omega_jacobians,
     reduced_vf,
 )
@@ -64,10 +66,10 @@ class IntegratorConfig:
     renormalize_gamma: bool = False
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_final > 0.0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0.0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
         if self.dt > self.t_final:
             raise ValueError(f"dt = {self.dt} exceeds the horizon t_final = {self.t_final}")
 
@@ -225,19 +227,19 @@ def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConf
 
 def monitor_series(params: BodyParams, traj: Trajectory) -> dict:
     """Time series of the monitored quantities, recomputed from the stored
-    states in one pass over all rows; np.vecdot rounds as the 1-d ``@``, so
-    each value equals the per-state ``hamiltonian`` or ``@`` bit for bit."""
+    states by one stacked call per quantity; each value equals the call on
+    its state bit for bit."""
     if traj.dim == FULL_DIM:
         reduced = traj.states[:, RHO_INDEX]
     elif traj.dim == REDUCED_DIM:
         reduced = traj.states
     else:
         raise ValueError(f"monitors need 6- or 15-dim states, got {traj.dim}")
-    gamma, k = reduced[:, :3], reduced[:, 3:]
+    k = reduced[:, 3:]
     return {
-        "H": 0.5 * np.vecdot(k, omega_from_K(params, gamma, k)),
-        "C1": np.vecdot(k, gamma),
-        "C2": np.vecdot(gamma, gamma),
+        "H": hamiltonian(params, reduced),
+        "C1": casimir_kgamma()(reduced),
+        "C2": casimir_gamma_norm()(reduced),
         "F": np.vecdot(k, k),
     }
 

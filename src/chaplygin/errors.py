@@ -4,6 +4,9 @@ Everything is a subclass of ValueError or ArithmeticError so callers that
 don't care about the distinction can catch the builtin bases.
 """
 
+__all__ = ["AnnihilationViolated", "DegenerateDenominator", "NonFiniteState", "NonPositiveFactor",
+           "ScenarioError", "SingularGauge", "SymmetricInput", "UnsupportedRank"]
+
 
 class SymmetricInput(ValueError):
     """A matrix expected to be antisymmetric has a symmetric part above tolerance."""

@@ -27,14 +27,10 @@ import numpy as np
 from .errors import SymmetricInput
 
 __all__ = [
-    "EPSILON",
-    "FD_CBRT_EPS",
     "FormPatch",
-    "cross3",
     "fd_exterior_derivative",
     "fd_gradient",
     "fd_partials",
-    "fd_step",
     "hat",
     "random_rotation",
     "sample_reduced_state",
@@ -70,6 +66,11 @@ def _first_bad(bad):
 def _swap(m: np.ndarray) -> np.ndarray:
     """The transpose of each matrix of a stack (the last two axes)."""
     return m.swapaxes(-1, -2)
+
+
+def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for each matrix and vector of a stack, rounded as the 2-d @ 1-d product."""
+    return (m @ v[..., None])[..., 0]
 
 
 def hat(v) -> np.ndarray:

@@ -38,6 +38,7 @@ from .geometry import (
     EPSILON,
     FormPatch,
     _first_bad,
+    _mv,
     _swap,
     cross3,
     fd_exterior_derivative,
@@ -181,11 +182,6 @@ def _checked(state, dim: int, chart: str) -> np.ndarray:
     if state.shape[-1:] != (dim,):
         raise ValueError(f"expected a {dim}-dim {chart} state, got shape {state.shape}")
     return state
-
-
-def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v for each matrix and vector of a stack, rounded as the 2-d @ 1-d product."""
-    return (m @ v[..., None])[..., 0]
 
 
 def split_reduced(state) -> tuple[np.ndarray, np.ndarray]:
@@ -351,9 +347,10 @@ def omega_jacobians(params: BodyParams, gamma, K) -> tuple[np.ndarray, np.ndarra
     return _omega_and_jacobians(params, gamma, K)[1:]
 
 
-def hamiltonian(params: BodyParams, state) -> float:
+def hamiltonian(params: BodyParams, state):
+    """H = K . Omega / 2 at a reduced state, or at each row of a stack."""
     gamma, K = split_reduced(state)
-    return 0.5 * float(K @ omega_from_K(params, gamma, K))
+    return 0.5 * np.vecdot(K, omega_from_K(params, gamma, K))
 
 
 def hamiltonian_field(params: BodyParams) -> ScalarField:
@@ -510,20 +507,19 @@ def casimir_kgamma() -> ScalarField:
 
     def gradient(s):
         gamma, K = split_reduced(s)
-        return np.concatenate([K, gamma])
+        return np.concatenate([K, gamma], axis=-1)
 
-    return ScalarField(value=lambda s: float(s[:3] @ s[3:]), gradient=gradient, name="C1")
+    return ScalarField(value=lambda s: np.vecdot(s[..., :3], s[..., 3:]), gradient=gradient, name="C1")
 
 
 def casimir_gamma_norm() -> ScalarField:
     """C2 = |gamma|^2 on the reduced space."""
 
     def gradient(s):
-        out = np.zeros(6)
-        out[:3] = 2.0 * np.asarray(s, dtype=float)[:3]
-        return out
+        gamma, _ = split_reduced(s)
+        return np.concatenate([2.0 * gamma, np.zeros_like(gamma)], axis=-1)
 
-    return ScalarField(value=lambda s: float(s[:3] @ s[:3]), gradient=gradient, name="C2")
+    return ScalarField(value=lambda s: np.vecdot(s[..., :3], s[..., :3]), gradient=gradient, name="C2")
 
 
 def annihilator_one_form(params: BodyParams, variant: str = "plain") -> FormPatch:

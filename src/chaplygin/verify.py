@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .brackets import gauge_matrix, jacobi_tensor, scale_bivector
+from .brackets import _flow, gauge_matrix, jacobi_tensor, scale_bivector
 from .dynamics import divergence_defect
 from .geometry import fd_exterior_derivative, sample_reduced_state
 from .rolling import (
@@ -191,8 +191,7 @@ def _gauge_suite(run: _Run, variant=None) -> list:
     p = run.full_matrix("plain")
     bm = gauge_form_on_M(run.params)(run.full)
     g = gauge_matrix(p, bm)
-    # -p @ grad h is the Hamiltonian vector field, as in dynamical_gauge_check
-    x_h = (-p @ full_hamiltonian_field(run.params).grad(run.full)[..., None])[..., 0]
+    x_h = _flow(p, full_hamiltonian_field(run.params).grad(run.full))
     i_x_b = (x_h[..., None, :] @ bm)[..., 0, :]
     return [
         _check(

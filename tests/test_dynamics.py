@@ -1,5 +1,6 @@
 """Integrators, conservation monitors, measure diagnostics, interpolation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from chaplygin import (
     brackets,
     conformal_factor,
     divergence_defect,
-    dynamics,
     fd_partials,
     hamiltonian,
     hermite_sample,
@@ -49,6 +49,11 @@ def test_config_validation():
         IntegratorConfig(dt=1e-3, t_final=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=2.0, t_final=1.0)
+    with pytest.raises(ValueError, match="t_final"):
+        IntegratorConfig(dt=1e-3, t_final=math.inf)
+    for dt, t_final in ((math.inf, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="dt"):
+            IntegratorConfig(dt=dt, t_final=t_final)
 
 
 def test_config_step_count():
@@ -347,6 +352,7 @@ def test_monitor_series_equals_per_state_values(rank, kind):
     assert tuple(series) == MONITOR_NAMES
     for name in MONITOR_NAMES:
         assert np.array_equal(series[name], expected[name])
+        assert series[name].flags.writeable
 
 
 @pytest.mark.parametrize("kind", ["reduced", "full"])
@@ -361,7 +367,6 @@ def test_monitor_series_solves_omega_once(monkeypatch, kind):
         return solve(*args)
 
     monkeypatch.setattr(rolling, "omega_from_K", counting)
-    monkeypatch.setattr(dynamics, "omega_from_K", counting)
     monitor_series(body, traj)
     assert len(calls) == 1
 

@@ -8,7 +8,7 @@ stays deterministic.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaplygin import (
@@ -25,6 +25,9 @@ from chaplygin import (
     gauge_form_on_M,
     gauge_matrix,
     gauge_transform,
+    ham_vf,
+    hamiltonian,
+    hamiltonian_field,
     hamiltonizable_variant,
     hat,
     jacobi_tensor,
@@ -70,7 +73,7 @@ full_states = st.tuples(st.integers(0, 2**32 - 1), vectors, vectors).map(
 )
 variants = st.sampled_from(["plain", "primed"])
 # stacks of states as the verify suites evaluate them
-reduced_stacks = st.lists(reduced_states, min_size=1, max_size=5).map(np.array)
+reduced_stacks = st.lists(reduced_states, min_size=1, max_size=6).map(np.array)
 full_stacks = st.lists(full_states, min_size=1, max_size=4).map(np.array)
 # every permutation of three axes and its sign
 SIGNS = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0, (1, 0, 2): -1.0, (0, 2, 1): -1.0, (2, 1, 0): -1.0}
@@ -266,3 +269,23 @@ def test_stacked_hat_and_divergence_defect_equal_rows(body, states, density):
     assert _rows_equal(hat(states[:, 3:]), [hat(s[3:]) for s in states])
     stacked = divergence_defect(body, states, density=density)
     assert _rows_equal(stacked, [divergence_defect(body, s, density=density) for s in states])
+
+
+@PROPERTY
+@given(body=bodies, states=reduced_stacks, variant=variants)
+@example(
+    body=BodyParams(inertia=(1.0, 2.0, 3.0), mass=1.0, radius=0.5, rank=2),
+    states=np.random.default_rng(6).uniform(-1.0, 1.0, (6, 6)),
+    variant="plain",
+)
+def test_stacked_fields_and_flows_equal_rows(body, states, variant):
+    """H, the Casimir fields, their Hamiltonian vector fields and Casimir
+    defects; a stack of 6 states is also 6 x 6, the shape of a matrix stack,
+    so one such stack is always tried."""
+    pi = reduced_bracket(body, variant)
+    assert _rows_equal(hamiltonian(body, states), [hamiltonian(body, s) for s in states])
+    for field in (hamiltonian_field(body), casimir_kgamma(), casimir_gamma_norm()):
+        assert _rows_equal(field(states), [field(s) for s in states])
+        assert _rows_equal(field.grad(states), [field.grad(s) for s in states])
+        assert _rows_equal(ham_vf(pi, field, states), [ham_vf(pi, field, s) for s in states])
+        assert _rows_equal(casimir_defect(pi, field, states), [casimir_defect(pi, field, s) for s in states])

@@ -82,7 +82,7 @@ def test_tol_scale_loosens_the_dynamical_gauge_bound(rank, make_body, monkeypatc
 
 def test_gauge_matrix_of_zero_form_is_the_input():
     p = nh_bracket_full(standard_body(2), "plain").matrix(sample_full_state(seed=3))
-    assert gauge_matrix(p, np.zeros((15, 15))) is p
+    assert np.array_equal(gauge_matrix(p, np.zeros((15, 15))), p)
 
 
 @BODIES
