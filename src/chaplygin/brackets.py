@@ -125,10 +125,11 @@ class ScalarField:
 
 
 def coordinate_field(dim: int, i: int) -> ScalarField:
+    """The coordinate x_i, at one state or each row of a stack (..., dim)."""
     e = np.zeros(dim)
     e[i] = 1.0
     e.setflags(write=False)
-    return ScalarField(value=lambda s: float(s[i]), gradient=lambda s: e.copy(), name=f"x{i}")
+    return ScalarField(value=lambda s: s[..., i], gradient=lambda s: np.zeros(s.shape) + e, name=f"x{i}")
 
 
 def _flow(p: np.ndarray, df: np.ndarray) -> np.ndarray:

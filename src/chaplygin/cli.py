@@ -13,6 +13,7 @@ same inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -163,6 +164,7 @@ def _cmd_verify(args, scenario) -> int:
     return 0 if passed else 1
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaplygin",

@@ -6,9 +6,9 @@ Gram-Schmidt on rows); on the reduced space an optional per-step
 renormalization keeps gamma on the unit sphere (default off, so that
 conservation of |gamma|^2 stays observable).
 
-The stepper runs on lists of Python floats: each RK4 stage calls the body's
-list-in/list-out vector-field kernel (built once per body in ``rolling``),
-every sum rounds left to right, each step is checked with ``math.isfinite``,
+The stepper runs on lists of Python floats: each stage of a straight-line
+RK4 step calls the body's vector-field kernel (built once per body in
+``rolling``), every sum rounds left to right, each step is checked with ``math.isfinite``,
 and the sampled states become one array at the end of the run.  Python
 floats never warn, and no division is reached with a zero divisor: the
 kernels raise DegenerateDenominator and the renormalizations NonFiniteState
@@ -19,7 +19,9 @@ Monitored quantities: H, C1 = K . gamma, C2 = |gamma|^2, F = |K|^2.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -122,15 +124,33 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def rk4_step(f: Callable[[list], list], y: list, dt: float) -> list:
-    """One classical RK4 step of y' = f(y) on lists of Python floats."""
+# One classical RK4 step of y' = f(y), written out per entry so that it runs no
+# loop, zip or slice: each <...> stands for its text at i = 0 .. dim - 1, comma-separated.
+_RK4_TEMPLATE = """\
+def step(f, y, dt):
+    [<a{i}>] = y
     h = 0.5 * dt
-    k1 = f(y)
-    k2 = f([a + h * b for a, b in zip(y, k1)])
-    k3 = f([a + h * b for a, b in zip(y, k2)])
-    k4 = f([a + dt * b for a, b in zip(y, k3)])
+    [<p{i}>] = f(y)
+    [<q{i}>] = f([<a{i} + h * p{i}>])
+    [<r{i}>] = f([<a{i} + h * q{i}>])
+    [<s{i}>] = f([<a{i} + dt * r{i}>])
     c = dt / 6.0
-    return [a + c * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    return [<a{i} + c * (p{i} + 2.0 * q{i} + 2.0 * r{i} + s{i})>]
+"""
+
+
+@functools.cache
+def _rk4_step_of_dim(dim: int) -> Callable:
+    """The RK4 step for states of dim entries; its source depends on dim alone."""
+    source = re.sub(r"<([^>]*)>", lambda m: ", ".join(m[1].format(i=i) for i in range(dim)), _RK4_TEMPLATE)
+    exec(compile(source, f"<rk4_step dim={dim}>", "exec"), namespace := {})
+    return namespace["step"]
+
+
+def rk4_step(f: Callable[[list], list], y: list, dt: float) -> list:
+    """One classical RK4 step of y' = f(y) on a list of Python floats; f maps
+    a sequence of len(y) floats to a sequence of as many."""
+    return _rk4_step_of_dim(len(y))(f, y, dt)
 
 
 def _orthonormal_rows(y: list) -> list:
@@ -217,7 +237,8 @@ def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConf
     def f_aug(z):
         s = z[:REDUCED_DIM]
         p = phi(s)
-        return [p * v for v in field(s)] + [p]
+        v1, v2, v3, v4, v5, v6 = field(s)
+        return [p * v1, p * v2, p * v3, p * v4, p * v5, p * v6, p]
 
     # _unit_gamma touches only gamma = z[:3], never the physical time z[6]
     renormalize = _unit_gamma if config.renormalize_gamma else None

@@ -84,14 +84,6 @@ def hat(v) -> np.ndarray:
     return out
 
 
-def cross3(a, b) -> list:
-    """a x b of two length-3 sequences of Python floats, by the formula of
-    np.cross (so bit-identical to it) at a fraction of its call cost."""
-    a1, a2, a3 = a
-    b1, b2, b3 = b
-    return [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
-
-
 def unhat(m) -> np.ndarray:
     """Inverse of hat (of each matrix of a stack). Antisymmetrizes first; the
     symmetric residue must stay below 1e-8."""

@@ -40,7 +40,6 @@ from .geometry import (
     _first_bad,
     _mv,
     _swap,
-    cross3,
     fd_exterior_derivative,
     hat,
     random_rotation,
@@ -208,14 +207,7 @@ def _check_denominator(rank: int, den, g2):
     and DegenerateDenominator where den <= 1e-12 |gamma|^2 (gamma = 0 too);
     NaN passes.  Floats for one state; arrays for many, naming the first
     offending row."""
-    if isinstance(den, float):
-        if g2 == math.inf or den == math.inf:
-            raise NonFiniteState(f"non-finite state: rank-{rank} |gamma|^2 overflows")
-        if den <= 1e-12 * max(g2, 1e-300):
-            raise DegenerateDenominator(
-                f"rank-{rank} denominator {den:.3e} at |gamma|^2 = {g2:.3e}"
-            )
-        return
+    den, g2 = np.asarray(den), np.asarray(g2)
     if bad := _first_bad((g2 == math.inf) | (den == math.inf)):
         raise NonFiniteState(f"non-finite state: rank-{rank} |gamma|^2 overflows{bad[1]}")
     if bad := _first_bad(den <= 1e-12 * np.maximum(g2, 1e-300)):
@@ -236,7 +228,7 @@ class _Kernels(NamedTuple):
 def _build_kernels(params: BodyParams) -> _Kernels:
     sign, (n1, n2, n3) = params._rank_terms
     smr2 = sign * params.mr2
-    rank = params.rank
+    rank, inf = params.rank, math.inf
     (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = (params.radius * matrix_A(params)).tolist()
 
     def omega(gamma, k):
@@ -255,39 +247,46 @@ def _build_kernels(params: BodyParams) -> _Kernels:
         u1, u2, u3 = g1 / n1, g2 / n2, g3 / n3
         gg = g1 * g1 + g2 * g2 + g3 * g3
         den = gg + smr2 * (g1 * u1 + g2 * u2 + g3 * u3)
-        _check_denominator(rank, den, gg)
+        # floats that pass this test are ones _check_denominator lets through
+        if not (isinstance(den, float) and 1e-300 <= gg < inf and 1e-12 * gg < den < inf):
+            _check_denominator(rank, den, gg)
         c = (k1 * u1 + k2 * u2 + k3 * u3) / den
         s = smr2 * c
         return (k1 / n1 - s * u1, k2 / n2 - s * u2, k3 / n3 - s * u3), (u1, u2, u3), den, c
 
     def reduced(y):
-        gamma, k = y[:3], y[3:]
-        w = omega(gamma, k)[0]
-        return cross3(gamma, w) + cross3(k, w)
+        g1, g2, g3, k1, k2, k3 = y
+        w1, w2, w3 = omega((g1, g2, g3), (k1, k2, k3))[0]
+        return (
+            g2 * w3 - g3 * w2, g3 * w1 - g1 * w3, g1 * w2 - g2 * w1,
+            k2 * w3 - k3 * w2, k3 * w1 - k1 * w3, k1 * w2 - k2 * w1,
+        )
 
+    # g' = g x Omega row by row (gamma is the third row), x' = r A g Omega, K' = K x Omega
     def full(y):
-        g1, g2, g3, k = y[0:3], y[3:6], y[6:9], y[12:15]
-        w = w1, w2, w3 = omega(g3, k)[0]
-        # x' = r A v with v = g Omega
-        v1 = g1[0] * w1 + g1[1] * w2 + g1[2] * w3
-        v2 = g2[0] * w1 + g2[1] * w2 + g2[2] * w3
-        v3 = g3[0] * w1 + g3[1] * w2 + g3[2] * w3
-        x_dot = [
-            r11 * v1 + r12 * v2 + r13 * v3,
-            r21 * v1 + r22 * v2 + r23 * v3,
-            r31 * v1 + r32 * v2 + r33 * v3,
-        ]
-        return cross3(g1, w) + cross3(g2, w) + cross3(g3, w) + x_dot + cross3(k, w)
+        a1, a2, a3, b1, b2, b3, g1, g2, g3, _, _, _, k1, k2, k3 = y
+        w1, w2, w3 = omega((g1, g2, g3), (k1, k2, k3))[0]
+        v1 = a1 * w1 + a2 * w2 + a3 * w3
+        v2 = b1 * w1 + b2 * w2 + b3 * w3
+        v3 = g1 * w1 + g2 * w2 + g3 * w3
+        return (
+            a2 * w3 - a3 * w2, a3 * w1 - a1 * w3, a1 * w2 - a2 * w1,
+            b2 * w3 - b3 * w2, b3 * w1 - b1 * w3, b1 * w2 - b2 * w1,
+            g2 * w3 - g3 * w2, g3 * w1 - g1 * w3, g1 * w2 - g2 * w1,
+            r11 * v1 + r12 * v2 + r13 * v3, r21 * v1 + r22 * v2 + r23 * v3, r31 * v1 + r32 * v2 + r33 * v3,
+            k2 * w3 - k3 * w2, k3 * w1 - k1 * w3, k1 * w2 - k2 * w1,
+        )
 
     return _Kernels(omega, reduced, full)
 
 
 def K_from_omega(params: BodyParams, gamma, omega) -> np.ndarray:
-    """K = n Omega + sign m r^2 (gamma . Omega) gamma = (I + m r^2 S(gamma)) Omega."""
+    """K = n Omega + sign m r^2 (gamma . Omega) gamma = (I + m r^2 S(gamma)) Omega,
+    for one state or each row of a stack (..., 3) (bit for bit)."""
     gamma = np.asarray(gamma, dtype=float)
     omega = np.asarray(omega, dtype=float)
     sign, n = params._rank_terms
-    return np.array(n) * omega + (sign * params.mr2 * float(gamma @ omega)) * gamma
+    return np.array(n) * omega + (sign * params.mr2 * np.vecdot(gamma, omega))[..., None] * gamma
 
 
 def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:

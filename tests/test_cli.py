@@ -417,3 +417,40 @@ def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_one_process_runs_equal_separate_runs(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process: a rejected call, then simulate,
+    # then verify in one process give the stdout, exit codes and files of
+    # three fresh interpreters
+    path = write_scenario(tmp_path)
+    calls = [
+        ["verify", str(path), "--suite", "bogus", "--out", "out"],
+        ["simulate", str(path), "--out", "out"],
+        ["verify", str(path), "--suite", "all", "--trials", "5", "--out", "out"],
+    ]
+    (tmp_path / "one").mkdir()
+    monkeypatch.chdir(tmp_path / "one")
+    one = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        one.append((code, capsys.readouterr().out))
+    assert cli._build_parser() is cli._build_parser()
+
+    env = dict(os.environ, PYTHONPATH=str(Path(chaplygin.__file__).parents[1]))
+    (tmp_path / "separate").mkdir()
+    separate = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "chaplygin.cli", *argv],
+            cwd=tmp_path / "separate", env=env, capture_output=True, text=True, timeout=120,
+        )
+        separate.append((done.returncode, done.stdout))
+    assert [code for code, _ in one] == [2, 0, 0]
+    assert one == separate
+    for artifact in ("trajectory.csv", "summary.json", "report.json"):
+        one_file, separate_file = (tmp_path / run / "out" / artifact for run in ("one", "separate"))
+        assert one_file.read_bytes() == separate_file.read_bytes()

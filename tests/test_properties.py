@@ -8,12 +8,14 @@ stays deterministic.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaplygin import (
     RHO_INDEX,
     BodyParams,
+    DegenerateDenominator,
     FormPatch,
     K_from_omega,
     X_nh_full,
@@ -21,6 +23,7 @@ from chaplygin import (
     casimir_gamma_norm,
     casimir_kgamma,
     conformal_factor,
+    coordinate_field,
     divergence_defect,
     gauge_form_on_M,
     gauge_matrix,
@@ -41,6 +44,7 @@ from chaplygin import (
     reduced_bracket,
     reduced_vf,
     reduction_defect,
+    rk4_step,
     scale_bivector,
     twist_three_form,
     twist_two_form,
@@ -88,6 +92,18 @@ def _alternates_exactly(tensor) -> bool:
 def test_omega_inverts_the_momentum_map(body, gamma, omega):
     back = omega_from_K(body, gamma, K_from_omega(body, gamma, omega))
     assert np.max(np.abs(back - omega)) <= 1e-12 * max(np.max(np.abs(omega)), 1e-300)
+
+
+@PROPERTY
+@given(body=bodies, states=st.lists(st.tuples(unit_gammas, momenta), min_size=1, max_size=8))
+def test_stacked_momentum_map_equals_rows_and_round_trips(body, states):
+    gamma = np.array([g for g, _ in states])
+    omega = np.array([w for _, w in states])
+    k = K_from_omega(body, gamma, omega)
+    assert _rows_equal(k, [K_from_omega(body, g, w) for g, w in zip(gamma, omega)])
+    back = omega_from_K(body, gamma, k)
+    scale = np.maximum(np.max(np.abs(omega), axis=1), 1e-300)
+    assert np.all(np.max(np.abs(back - omega), axis=1) <= 1e-12 * scale)
 
 
 @PROPERTY
@@ -289,3 +305,79 @@ def test_stacked_fields_and_flows_equal_rows(body, states, variant):
         assert _rows_equal(field.grad(states), [field.grad(s) for s in states])
         assert _rows_equal(ham_vf(pi, field, states), [ham_vf(pi, field, s) for s in states])
         assert _rows_equal(casimir_defect(pi, field, states), [casimir_defect(pi, field, s) for s in states])
+
+
+@PROPERTY
+@given(states=reduced_stacks, i=st.integers(0, 5))
+@example(states=np.random.default_rng(4).uniform(-1.0, 1.0, (4, 6)), i=2)
+def test_stacked_coordinate_fields_equal_rows(states, i):
+    field = coordinate_field(6, i)
+    assert _rows_equal(field(states), [field(s) for s in states])
+    assert _rows_equal(field.grad(states), [field.grad(s) for s in states])
+
+
+# ------------------------------------------------------------------ stepper
+
+
+def _list_rk4_step(f, y, dt):
+    """The list-comprehension RK4 step that the straight-line step replaced."""
+    h = 0.5 * dt
+    k1 = f(y)
+    k2 = f([a + h * b for a, b in zip(y, k1)])
+    k3 = f([a + h * b for a, b in zip(y, k2)])
+    k4 = f([a + dt * b for a, b in zip(y, k3)])
+    c = dt / 6.0
+    return [a + c * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+
+
+def _polynomial_field(seed: int, dim: int, quadratic: bool):
+    """y -> b + A y (+ the quadratic terms y_j Q_jk y_k) on Python floats, and
+    the list of arguments it was called with."""
+    rng = np.random.default_rng(seed)
+    b, a, q = (rng.normal(size=(dim,) * n).tolist() for n in (1, 2, 3))
+    q = q if quadratic else None
+    seen = []
+
+    def f(y):
+        seen.append(list(y))
+        out = [b_i + sum(x * y_j for x, y_j in zip(row, y)) for b_i, row in zip(b, a)]
+        if q is not None:
+            out = [o + sum(y_j * sum(x * y_k for x, y_k in zip(row, y)) for y_j, row in zip(y, q_i))
+                   for o, q_i in zip(out, q)]
+        return tuple(out)
+
+    return f, seen
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    dim=st.integers(0, 16),
+    seed=st.integers(0, 2**32 - 1),
+    dt=_floats(1e-6, 1.0),
+    quadratic=st.booleans(),
+)
+def test_rk4_step_equals_list_oracle(dim, seed, dt, quadratic):
+    y = np.random.default_rng(seed + 1).uniform(-2.0, 2.0, dim).tolist()
+    f, seen = _polynomial_field(seed, dim, quadratic)
+    got = rk4_step(f, y, dt)
+    f_oracle, seen_oracle = _polynomial_field(seed, dim, quadratic)
+    expected = _list_rk4_step(f_oracle, y, dt)
+    assert type(got) is list and got == expected
+    assert seen == seen_oracle
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 6, 7, 15])
+def test_rk4_step_propagates_field_errors(stage, dim):
+    error = DegenerateDenominator("raised by the field")
+    calls = []
+
+    def f(y):
+        calls.append(y)
+        if len(calls) == stage:
+            raise error
+        return [0.5 * v for v in y]
+
+    with pytest.raises(DegenerateDenominator) as info:
+        rk4_step(f, [1.0] * dim, 0.1)
+    assert info.value is error and len(calls) == stage
