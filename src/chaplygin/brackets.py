@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AnnihilationViolated, NonPositiveFactor, SingularGauge, SymmetricInput
-from .geometry import FormPatch, _first_bad, _mv, _swap, fd_exterior_derivative, fd_gradient, fd_partials
+from .geometry import FormPatch, _first_bad, _mv, _swap, fd_exterior_derivative
 
 __all__ = [
     "BivectorPatch",
@@ -47,17 +47,15 @@ class BivectorPatch:
     """An almost-Poisson bivector on a chart of R^dim.
 
     ``structure(state)`` is the matrix pi[i, j] = {x_i, x_j}; it must be
-    antisymmetric to 1e-12 (checked on every evaluation).  ``jet``, when
-    given, returns (structure(state), partials) from one evaluation of what
-    they share, with the derivative index first: partials[l, i, j] =
-    d_l pi[i, j].  Without a jet the partials are central differences of
-    the matrix.
+    antisymmetric to 1e-12 (checked on every evaluation).  ``jet`` returns
+    (structure(state), partials) from one evaluation of what they share,
+    with the derivative index first: partials[l, i, j] = d_l pi[i, j].
     """
 
     dim: int
     structure: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple]
     name: str = ""
-    jet: Optional[Callable[[np.ndarray], tuple]] = None
 
     def matrix(self, state: np.ndarray) -> np.ndarray:
         state = np.asarray(state, dtype=float)
@@ -67,10 +65,8 @@ class BivectorPatch:
         return self.matrix_and_partials(state)[1]
 
     def matrix_and_partials(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(matrix(state), partial_tensor(state)), from one ``jet`` call when given."""
+        """(matrix(state), partial_tensor(state)), from one ``jet`` call."""
         state = np.asarray(state, dtype=float)
-        if self.jet is None:
-            return self.matrix(state), fd_partials(self.matrix, state)
         p, t = self.jet(state)
         return self._checked_matrix(p, state.shape[:-1]), self._checked_partials(t, state.shape[:-1])
 
@@ -101,14 +97,14 @@ class BivectorPatch:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function on the chart with an optional analytic gradient.
+    """Scalar function on the chart with its analytic gradient.
 
     A field whose ``value`` and ``gradient`` take a stack of states gives one
     value (gradient) per row; a constant ``value`` stands for every row.
     """
 
     value: Callable[[np.ndarray], float]
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    gradient: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     def __call__(self, state: np.ndarray):
@@ -119,9 +115,7 @@ class ScalarField:
         return np.full(state.shape[:-1], value, dtype=float)
 
     def grad(self, state: np.ndarray) -> np.ndarray:
-        if self.gradient is not None:
-            return np.asarray(self.gradient(np.asarray(state, dtype=float)), dtype=float)
-        return fd_gradient(self.value, state)
+        return np.asarray(self.gradient(np.asarray(state, dtype=float)), dtype=float)
 
 
 def coordinate_field(dim: int, i: int) -> ScalarField:
@@ -182,10 +176,10 @@ def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch]
     phi(X_a, X_b, X_c) when a background 3-form phi is given; (N, dim, dim,
     dim) for a stack of N states.
 
-    The bracket and its partials are evaluated once (one ``jet`` call when
-    the patch has one); the values at sorted triples are scattered with the
-    sign of each permutation, so the tensor alternates exactly and is
-    exactly 0.0 on repeated indices.
+    The bracket and its partials are evaluated once (one ``jet`` call); the
+    values at sorted triples are scattered with the sign of each
+    permutation, so the tensor alternates exactly and is exactly 0.0 on
+    repeated indices.
     """
     _check_twist(pi, phi)
     a, b, c = np.array(list(itertools.combinations(range(pi.dim), 3)), dtype=np.intp).reshape(-1, 3).T
@@ -259,13 +253,25 @@ def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> np.ndarray:
 def gauge_transform(pi: BivectorPatch, b_form: FormPatch) -> BivectorPatch:
     """Gauge transformation of pi by the 2-form B: pi^B = pi (E + B pi)^{-1},
     where B is the component matrix B[i, j] = B(e_i, e_j); see ``gauge_matrix``.
+
+    Its jet is d_l G = x_l M^{-1}, x_l = d_l P - G (d_l B P + B d_l P), with no
+    solve: M^{-1} = E - B G, as P = G M = G + P B G; antisymmetrized, as G is.
     """
     if b_form.degree != 2 or b_form.dim != pi.dim:
         raise ValueError("gauge form must be a 2-form on the same chart")
 
+    def jet(s):
+        (p, dp), bm = pi.matrix_and_partials(s), b_form(s)
+        g = gauge_matrix(p, bm)
+        p, bm, gl = p[..., None, :, :], bm[..., None, :, :], g[..., None, :, :]  # broadcast over l
+        x = dp - gl @ (b_form.partial_tensor(s) @ p + bm @ dp)
+        dg = x - x @ (bm @ gl)
+        return g, 0.5 * (dg - _swap(dg))
+
     return BivectorPatch(
         dim=pi.dim,
         structure=lambda s: gauge_matrix(pi.matrix(s), b_form(s)),
+        jet=jet,
         name=f"gauge({pi.name or 'pi'})",
     )
 

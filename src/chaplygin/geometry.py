@@ -10,8 +10,9 @@ Conventions used throughout the package:
 * the exterior derivative of a k-form is
   (d omega)_{i0..ik} = sum_j (-1)^j  d/dx_{ij} omega_{i0..^ij..ik}.
 
-Finite differences are central second order with the per-component step
-h_i = cbrt(machine eps) * max(1, |x_i|).
+Every patch carries its partials in closed form.  The finite differences
+here (central, second order, step h_i = cbrt(machine eps) * max(1, |x_i|))
+are the reference oracle that tests hold those partials against.
 
 A stack (N, d) of states puts its axis first in every result, before a
 derivative index; each row equals the call on that row bit for bit.
@@ -20,7 +21,7 @@ derivative index; each row equals the call on that row bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -119,17 +120,17 @@ def fd_gradient(func: Callable[[np.ndarray], float], state: np.ndarray) -> np.nd
 class FormPatch:
     """A differential k-form on a chart of R^dim, k in {1, 2, 3}.
 
-    ``entries(state)`` returns the full component tensor (shape (dim,)*degree).
-    ``partials(state)``, when given, returns the derivative tensor with the
-    derivative index first (shape (dim,)*(degree+1)); otherwise finite
-    differences are used.  Component tensors must be antisymmetric to 1e-12
-    in every pair of adjacent indices; this is checked on each evaluation.
+    ``entries(state)`` returns the full component tensor (shape (dim,)*degree)
+    and ``partials(state)`` the derivative tensor with the derivative index
+    first (shape (dim,)*(degree+1)).  Component tensors must be antisymmetric
+    to 1e-12 in every pair of adjacent indices; this is checked on each
+    evaluation.
     """
 
     degree: int
     dim: int
     entries: Callable[[np.ndarray], np.ndarray]
-    partials: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    partials: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     def __post_init__(self):
@@ -166,21 +167,18 @@ class FormPatch:
     def partial_tensor(self, state: np.ndarray) -> np.ndarray:
         """d/dx_l of the component tensor, derivative index first."""
         state = np.asarray(state, dtype=float)
-        if self.partials is not None:
-            p = np.asarray(self.partials(state), dtype=float)
-            expect = state.shape[:-1] + (self.dim,) * (self.degree + 1)
-            if p.shape != expect:
-                raise ValueError(f"partials of '{self.name}' have shape {p.shape}, expected {expect}")
-            return p
-        return fd_partials(self.__call__, state)
+        p = np.asarray(self.partials(state), dtype=float)
+        expect = state.shape[:-1] + (self.dim,) * (self.degree + 1)
+        if p.shape != expect:
+            raise ValueError(f"partials of '{self.name}' have shape {p.shape}, expected {expect}")
+        return p
 
 
 def fd_exterior_derivative(form: FormPatch, state: np.ndarray) -> np.ndarray:
     """Component tensor of d(form) at state, shape (dim,)*(degree+1).
 
-    Uses the form's analytic partials when available, finite differences
-    otherwise.  The alternating assembly makes the result antisymmetric to
-    the last bit either way.
+    Assembled from the form's partials; the alternating assembly makes the
+    result antisymmetric to the last bit.
     """
     p = form.partial_tensor(state)
     out = np.zeros_like(p)

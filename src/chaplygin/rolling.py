@@ -294,8 +294,8 @@ def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:
 
     Inverts K = (I + m r^2 S(gamma)) Omega by Sherman-Morrison.  The rank-1
     and rank-2 expressions carry |gamma|^2 in their denominators; they invert
-    K_from_omega exactly on the unit sphere and extend smoothly off it,
-    which is what the finite-difference probes rely on.
+    K_from_omega exactly on the unit sphere and extend smoothly off it, so
+    their partials hold off the sphere too.
 
     gamma and K may carry leading axes, e.g. (N, 3) for N states; each row
     equals the 1-d call on that row bit for bit (one component formula on
@@ -528,12 +528,13 @@ def annihilator_one_form(params: BodyParams, variant: str = "plain") -> FormPatc
 
     def entries(s):
         gamma, K = split_reduced(s)
-        return np.concatenate([_v_vector(params, gamma, K, variant, omega_from_K(params, gamma, K)), gamma])
+        v = _v_vector(params, gamma, K, variant, omega_from_K(params, gamma, K))
+        return np.concatenate([v, gamma], axis=-1)
 
     def partials(s):
         _, dv_gamma, dv_k = _v_jet(params, *split_reduced(s), variant)
-        out = np.zeros((6, 6))
-        out[:3, :3], out[:3, 3:], out[3:, :3] = dv_gamma.T, np.eye(3), dv_k.T
+        out = np.zeros(dv_k.shape[:-2] + (6, 6))
+        out[..., :3, :3], out[..., :3, 3:], out[..., 3:, :3] = _swap(dv_gamma), np.eye(3), _swap(dv_k)
         return out
 
     return FormPatch(degree=1, dim=6, entries=entries, partials=partials, name="chi")
@@ -606,25 +607,17 @@ def twist_three_form(params: BodyParams) -> FormPatch:
 def leafwise_two_form(params: BodyParams) -> FormPatch:
     """Rank-2 leafwise 2-form of the twisted structure, used to compare the
     twist 3-form with the conformal exact form (1/phi) dphi on the leaves:
-    gamma-gamma block eps_abl W_l with W = K - m r^2 (Omega . gamma) gamma,
-    K-gamma block hat(gamma).
+    -R pi' R^T with pi' the primed reduced bracket and R = [[0, -E], [E, 0]]:
+    gamma-gamma block -hat(V) of pi', K-gamma block hat(gamma).
     """
     if params.rank != 2:
         raise UnsupportedRank("the leafwise 2-form is only assembled for rank 2")
-    mr2 = params.mr2
-
-    def entries(s):
-        gamma, K = split_reduced(s)
-        og = float(omega_from_K(params, gamma, K) @ gamma)
-        w = K - mr2 * og * gamma
-        out = np.zeros((6, 6))
-        out[:3, :3] = -hat(w)
-        hg = hat(gamma)
-        out[3:, :3] = hg
-        out[:3, 3:] = -hg.T
-        return out
-
-    return FormPatch(degree=2, dim=6, entries=entries, name="Omega_leaf")
+    pi = reduced_bracket(params, "primed")
+    r = np.block([[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
+    return FormPatch(
+        degree=2, dim=6, entries=lambda s: -(r @ pi.matrix(s) @ r.T),
+        partials=lambda s: -(r @ pi.partial_tensor(s) @ r.T), name="Omega_leaf",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +639,16 @@ def project_rho(state) -> np.ndarray:
     return _checked(state, FULL_DIM, "full")[..., RHO_INDEX]
 
 
+def _one(vector, dim: int, what: str) -> np.ndarray:
+    """One vector (dim,), not a stack."""
+    if np.shape(vector) != (dim,):
+        raise ValueError(f"expected one {dim}-dim {what}, got shape {np.shape(vector)}")
+    return np.asarray(vector, dtype=float)
+
+
 def lift_reduced_state(state) -> np.ndarray:
     """Deterministic section of rho: a rotation with third row gamma, x = 0."""
-    gamma, K = split_reduced(state)
+    gamma, K = split_reduced(_one(state, REDUCED_DIM, "reduced state"))
     norm = float(np.linalg.norm(gamma))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"cannot lift: |gamma| = {norm!r} is not 1")
@@ -755,25 +755,42 @@ def X_nh_full(params: BodyParams, state) -> np.ndarray:
     return np.array(params._kernels.full(_checked(state, FULL_DIM, "full").tolist()))
 
 
+def _rotation_map(g) -> np.ndarray:
+    """L (..., 3, 9), linear in g, takes the 9 g-coordinates of a tangent U to its body-frame
+    rotation vector u_d = 1/2 eps_dbc (g^T U)_cb, as eps_dbc g_mc = -hat(g_m)_db."""
+    return (-0.5 * np.swapaxes(hat(g), -3, -2)).reshape(g.shape[:-2] + (3, 9))
+
+
 def gauge_form_on_M(params: BodyParams) -> FormPatch:
     """The semi-basic gauge 2-form on the full space relating the plain and
     gauged brackets: B(U, V) = m r^2 Omega . (u x v) where u, v are the
-    body-frame rotation components of U, V.  Supported on the g-g block.
+    body-frame rotation components of U, V.  Supported on the g-g block,
+    -m r^2 L^T hat(Omega) L (``_rotation_map``), whose partials are -m r^2
+    (Y_l - Y_l^T + L^T hat(d_l Omega) L) with Y_l = L^T hat(Omega) d_l L.
     """
     mr2 = params.mr2
+    d_l_map = _rotation_map(np.eye(FULL_DIM)[:, :9].reshape(FULL_DIM, 3, 3))  # L is linear in g
 
     def entries(s):
         g, _, K = split_full(s)
-        stack = g.shape[:-2]
-        omega = omega_from_K(params, g[..., 2, :], K)
-        # L maps the 9 g-coordinates of a tangent vector to its body-frame
-        # rotation vector: u_d = 1/2 eps_dbc (g^T U)_cb, and eps_dbc g_mc = -hat(g_m)_db
-        l_map = (-0.5 * np.swapaxes(hat(g), -3, -2)).reshape(stack + (3, 9))
-        out = np.zeros(stack + (FULL_DIM, FULL_DIM))
-        out[..., :9, :9] = -mr2 * _swap(l_map) @ hat(omega) @ l_map
+        l_map = _rotation_map(g)
+        out = np.zeros(g.shape[:-2] + (FULL_DIM, FULL_DIM))
+        out[..., :9, :9] = -mr2 * _swap(l_map) @ hat(omega_from_K(params, g[..., 2, :], K)) @ l_map
         return out
 
-    return FormPatch(degree=2, dim=FULL_DIM, entries=entries, name="B_full")
+    def partials(s):
+        g, _, K = split_full(s)
+        l_map = _rotation_map(g)
+        lt = _swap(l_map)[..., None, :, :]
+        omega, d_gamma, d_k = _omega_and_jacobians(params, g[..., 2, :], K)
+        d_omega = np.zeros(g.shape[:-2] + (FULL_DIM, 3))  # Omega sees g only through gamma
+        d_omega[..., RHO_INDEX, :] = _swap(np.concatenate([d_gamma, d_k], axis=-1))
+        y = lt @ hat(omega)[..., None, :, :] @ d_l_map
+        out = np.zeros(g.shape[:-2] + (FULL_DIM,) * 3)
+        out[..., :9, :9] = -mr2 * (y - _swap(y) + lt @ hat(d_omega) @ l_map[..., None, :, :])
+        return out
+
+    return FormPatch(degree=2, dim=FULL_DIM, entries=entries, partials=partials, name="B_full")
 
 
 def horizontal_lift(params: BodyParams, full_state, reduced_tangent) -> np.ndarray:
@@ -784,10 +801,9 @@ def horizontal_lift(params: BodyParams, full_state, reduced_tangent) -> np.ndarr
     w_gamma . gamma = 0, i.e. a genuine tangent to the gamma-sphere, and
     gamma != 0.
     """
-    g, _, _ = split_full(full_state)
+    g, _, _ = split_full(_one(full_state, FULL_DIM, "full state"))
     gamma = g[2]
-    w = np.asarray(reduced_tangent, dtype=float)
-    w_gamma, w_k = w[:3], w[3:]
+    w_gamma, w_k = split_reduced(_one(reduced_tangent, REDUCED_DIM, "reduced tangent"))
     if abs(float(w_gamma @ gamma)) > 1e-8:
         raise ValueError("reduced tangent leaves the gamma-sphere")
     g2 = float(gamma @ gamma)
@@ -821,8 +837,8 @@ def _reduction_gap(params: BodyParams, variant: str, p_full: np.ndarray, full_st
     return np.abs(p_full[..., RHO_INDEX[:, None], RHO_INDEX] - p_red)
 
 
-def reduction_consistency(params: BodyParams, variant: str, full_state, i: int, j: int) -> float:
-    """Entry (i, j) of ``reduction_defect``."""
+def reduction_consistency(params: BodyParams, variant: str, full_state, i: int, j: int):
+    """Entry (i, j) of ``reduction_defect``: a float for one state, one per state of a stack."""
     if not (0 <= i < REDUCED_DIM and 0 <= j < REDUCED_DIM):
         raise IndexError("reduced coordinate index out of range")
-    return float(reduction_defect(params, variant, full_state)[i, j])
+    return reduction_defect(params, variant, full_state)[..., i, j][()]

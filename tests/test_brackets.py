@@ -64,7 +64,8 @@ def constant_two_form(mat: np.ndarray) -> FormPatch:
 
 
 def test_matrix_antisymmetry_enforced():
-    bad = BivectorPatch(dim=2, structure=lambda s: np.array([[0.0, 1.0], [1.0, 0.0]]))
+    symmetric = np.array([[0.0, 1.0], [1.0, 0.0]])
+    bad = BivectorPatch(dim=2, structure=lambda s: symmetric, jet=lambda s: (symmetric, np.zeros((2, 2, 2))))
     with pytest.raises(SymmetricInput):
         bad.matrix(np.zeros(2))
 
@@ -76,12 +77,6 @@ def test_bracket_of_coordinates_reads_entries():
     assert pi.bracket(q, p, s) == pytest.approx(1.0)
     assert pi.bracket(p, q, s) == pytest.approx(-1.0)
     assert pi.bracket(q, q, s) == 0.0
-
-
-def test_scalar_field_fd_gradient_fallback():
-    f = ScalarField(value=lambda s: float(s[0] ** 3 + s[1]))
-    s = np.array([0.5, 2.0])
-    assert np.max(np.abs(f.grad(s) - np.array([3 * 0.25, 1.0]))) <= 1e-8
 
 
 def test_ham_vf_sign_convention():
@@ -162,7 +157,7 @@ def _chart_cases(make_body, rank, chart):
     else:
         m = rng.standard_normal((dim,) * 3)
         phi_t = sum(_SIGNS[p] * np.transpose(m, p) for p in _SIGNS)
-    phi = FormPatch(degree=3, dim=dim, entries=lambda s: phi_t.copy())
+    phi = FormPatch(degree=3, dim=dim, entries=lambda s: phi_t.copy(), partials=lambda s: np.zeros((dim,) * 4))
     factor = ScalarField(value=lambda s: float(1.0 + s @ s), gradient=lambda s: 2.0 * np.asarray(s))
     cases = []
     for pi in brackets:
@@ -305,7 +300,7 @@ def test_stack_errors_name_the_first_offending_row():
 
     states = np.array([[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(SymmetricInput, match="in row 2$"):
-        BivectorPatch(dim=2, structure=structure).matrix(states)
+        BivectorPatch(dim=2, structure=structure, jet=lambda s: (structure(s), np.zeros((2, 2, 2)))).matrix(states)
 
     p = np.array([_CANONICAL, _CANONICAL, _CANONICAL])
     b = np.array([np.zeros((2, 2)), 0.5 * _CANONICAL, _CANONICAL])  # E + B P = 0 in row 2
@@ -339,7 +334,7 @@ def test_gauge_round_trip():
 def test_gauge_preserves_range():
     m4 = np.zeros((4, 4))
     m4[0, 1], m4[1, 0] = 1.0, -1.0
-    pi = BivectorPatch(dim=4, structure=lambda s: m4.copy())
+    pi = BivectorPatch(dim=4, structure=lambda s: m4.copy(), jet=lambda s: (m4.copy(), np.zeros((4, 4, 4))))
     rng = np.random.default_rng(22)
     b = 0.4 * rng.standard_normal((4, 4))
     gauged = gauge_transform(pi, constant_two_form(b - b.T))
@@ -404,6 +399,6 @@ def test_casimir_defect_canonical_coordinate():
 
 def test_distribution_probe_rejects_nonannihilating_form():
     pi = canonical_patch()
-    chi = FormPatch(degree=1, dim=2, entries=lambda s: np.array([1.0, 0.0]))
+    chi = FormPatch(degree=1, dim=2, entries=lambda s: np.array([1.0, 0.0]), partials=lambda s: np.zeros((2, 2)))
     with pytest.raises(AnnihilationViolated):
         distribution_probe(pi, chi, coordinate_field(2, 0), coordinate_field(2, 1), np.zeros(2))

@@ -1,10 +1,16 @@
 """Vector algebra, hat map, finite-difference exterior calculus, samplers."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chaplygin
 from chaplygin import (
+    BivectorPatch,
     FormPatch,
+    ScalarField,
     SymmetricInput,
     annihilator_one_form,
     fd_exterior_derivative,
@@ -91,30 +97,62 @@ def test_fd_partials_matches_analytic():
     assert np.max(np.abs(fd_partials(f, s) - exact)) <= 1e-8
 
 
+# ---------------------------------------------------------- one derivative path
+
+_FD_HELPERS = {"fd_step", "fd_partials", "fd_gradient"}
+
+
+def test_only_the_fd_helpers_use_finite_differences():
+    """Every patch in the package carries closed-form derivatives: no module
+    refers to the finite-difference helpers except those helpers themselves."""
+    offenders = []
+    for path in sorted(Path(chaplygin.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if path.name == "geometry.py" and isinstance(top, ast.FunctionDef) and top.name in _FD_HELPERS:
+                continue
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name in _FD_HELPERS:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
+def test_patches_require_their_derivative_hook():
+    with pytest.raises(TypeError, match="partials"):
+        FormPatch(degree=1, dim=2, entries=lambda s: np.zeros(2))
+    with pytest.raises(TypeError, match="jet"):
+        BivectorPatch(dim=2, structure=lambda s: np.zeros((2, 2)))
+    with pytest.raises(TypeError, match="gradient"):
+        ScalarField(value=lambda s: 0.0)
+
+
 # -------------------------------------------------------------------- FormPatch
 
 
 def test_form_patch_rejects_symmetric_output():
-    bad = FormPatch(degree=2, dim=2, entries=lambda s: np.array([[0.0, 1.0], [0.5, 0.0]]))
+    bad = FormPatch(
+        degree=2, dim=2, entries=lambda s: np.array([[0.0, 1.0], [0.5, 0.0]]), partials=lambda s: np.zeros((2, 2, 2))
+    )
     with pytest.raises(SymmetricInput):
         bad(np.zeros(2))
 
 
 def test_form_patch_rejects_bad_degree():
     with pytest.raises(ValueError):
-        FormPatch(degree=4, dim=3, entries=lambda s: np.zeros((3, 3, 3, 3)))
+        FormPatch(degree=4, dim=3, entries=lambda s: np.zeros((3, 3, 3, 3)), partials=lambda s: np.zeros((3,) * 5))
 
 
 def test_form_patch_evaluate_contracts():
     entries = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    form = FormPatch(degree=2, dim=2, entries=lambda s: entries)
+    form = FormPatch(degree=2, dim=2, entries=lambda s: entries, partials=lambda s: np.zeros((2, 2, 2)))
     u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     assert form.evaluate(np.zeros(2), u, v) == pytest.approx(2.0)
     assert form.evaluate(np.zeros(2), v, u) == pytest.approx(-2.0)
 
 
 def _cubic_one_form(dim: int, seed: int, with_partials: bool) -> FormPatch:
-    """Random one-form with cubic polynomial coefficients."""
+    """Random one-form with cubic polynomial coefficients; its partials are
+    analytic, or finite differences of its entries."""
     rng = np.random.default_rng(seed)
     c0 = rng.standard_normal(dim)
     c1 = rng.standard_normal((dim, dim))
@@ -132,14 +170,16 @@ def _cubic_one_form(dim: int, seed: int, with_partials: bool) -> FormPatch:
         )
         return lin + cub
 
-    return FormPatch(degree=1, dim=dim, entries=entries, partials=partials if with_partials else None)
+    if not with_partials:
+        return FormPatch(degree=1, dim=dim, entries=entries, partials=lambda s: fd_partials(entries, s))
+    return FormPatch(degree=1, dim=dim, entries=entries, partials=partials)
 
 
 def test_exterior_derivative_of_constant_two_form_vanishes():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 4))
     entries = m - m.T
-    form = FormPatch(degree=2, dim=4, entries=lambda s: entries)
+    form = FormPatch(degree=2, dim=4, entries=lambda s: entries, partials=lambda s: fd_partials(form, s))
     d = fd_exterior_derivative(form, rng.standard_normal(4))
     assert np.max(np.abs(d)) <= 1e-10
 
@@ -151,11 +191,11 @@ def test_exterior_derivative_output_antisymmetric():
 
 
 def test_exterior_derivative_fd_matches_analytic_partials():
-    # The momentum-sphere annihilator one-form carries analytic partials; strip
-    # them and check the pure finite-difference derivative agrees.
+    # The momentum-sphere annihilator one-form carries analytic partials;
+    # replace them by finite differences and check the derivative agrees.
     body = standard_body(3)
     chi = annihilator_one_form(body, "plain")
-    chi_fd = FormPatch(degree=1, dim=6, entries=chi.entries)
+    chi_fd = FormPatch(degree=1, dim=6, entries=chi.entries, partials=lambda s: fd_partials(chi.entries, s))
     state = sample_reduced_state(seed=7)
     d_exact = fd_exterior_derivative(chi, state)
     d_fd = fd_exterior_derivative(chi_fd, state)
@@ -164,7 +204,10 @@ def test_exterior_derivative_fd_matches_analytic_partials():
 
 def _d_patch(form):
     """d(form) as a 2-form patch whose partials are finite differences."""
-    return FormPatch(degree=2, dim=form.dim, entries=lambda s: fd_exterior_derivative(form, s))
+    def entries(s):
+        return fd_exterior_derivative(form, s)
+
+    return FormPatch(degree=2, dim=form.dim, entries=entries, partials=lambda s: fd_partials(entries, s))
 
 
 def test_d_squared_zero_fd():

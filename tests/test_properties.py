@@ -19,12 +19,15 @@ from chaplygin import (
     FormPatch,
     K_from_omega,
     X_nh_full,
+    annihilator_one_form,
     casimir_defect,
     casimir_gamma_norm,
     casimir_kgamma,
     conformal_factor,
     coordinate_field,
     divergence_defect,
+    fd_exterior_derivative,
+    fd_partials,
     gauge_form_on_M,
     gauge_matrix,
     gauge_transform,
@@ -34,6 +37,7 @@ from chaplygin import (
     hamiltonizable_variant,
     hat,
     jacobi_tensor,
+    leafwise_two_form,
     matrix_A,
     nh_bracket_full,
     omega_from_K,
@@ -158,9 +162,46 @@ def test_full_jacobi_tensor_alternates_exactly(body, state, form):
 def test_gauge_round_trip(body, state):
     pi = nh_bracket_full(body, "plain")
     b_form = gauge_form_on_M(body)
-    minus_b = FormPatch(degree=2, dim=15, entries=lambda s: -b_form(s))
+    minus_b = FormPatch(degree=2, dim=15, entries=lambda s: -b_form(s), partials=lambda s: -b_form.partial_tensor(s))
     back = gauge_transform(gauge_transform(pi, b_form), minus_b)
     assert np.max(np.abs(back.matrix(state) - pi.matrix(state))) <= 1e-10
+
+
+@settings(PROPERTY, max_examples=40)
+@given(body=bodies, states=full_stacks)
+def test_gauge_changes_the_jacobiator_by_minus_dB(body, states):
+    """The gauge identity on the full space: with M = E + B P, the Jacobiator
+    of P^B = P M^{-1} twisted by -dB is the Jacobiator of P with each slot
+    carried by M^{-1}, sum J_P[i,j,k] M^{-1}[i,a] M^{-1}[j,b] M^{-1}[k,c].
+    -dB is assembled from B's closed-form partials, so the two sides agree
+    to round-off of the terms the Jacobiator sums, |P^B| |dP^B| (with +dB,
+    or with M^{-T}, they differ at O(1))."""
+    pi = nh_bracket_full(body, "plain")
+    b_form = gauge_form_on_M(body)
+    gauged = gauge_transform(pi, b_form)
+
+    def minus_db(s):
+        return -fd_exterior_derivative(b_form, s)
+
+    # jacobi_tensor reads only the entries of the twist
+    twist = FormPatch(degree=3, dim=15, entries=minus_db, partials=lambda s: fd_partials(minus_db, s))
+    m_inv = np.linalg.inv(np.eye(15) + b_form(states) @ pi.matrix(states))
+    expected = np.einsum("nijk,nia,njb,nkc->nabc", jacobi_tensor(pi, states), m_inv, m_inv, m_inv, optimize=True)
+    got = jacobi_tensor(gauged, states, twist)
+    p, dp = gauged.matrix_and_partials(states)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(p)) * np.max(np.abs(dp)))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(body=bodies, state=full_states)
+def test_gauge_partials_match_fd(body, state):
+    """The closed-form partials of B and the jet of the gauged bracket
+    against the finite-difference oracle, relative to their size."""
+    b_form = gauge_form_on_M(body)
+    gauged = gauge_transform(nh_bracket_full(body, "plain"), b_form)
+    for exact, fd in ((b_form.partial_tensor(state), fd_partials(b_form, state)),
+                      (gauged.partial_tensor(state), fd_partials(gauged.matrix, state))):
+        assert np.max(np.abs(exact - fd)) <= 1e-8 * max(1.0, np.max(np.abs(exact)))
 
 
 @PROPERTY
@@ -266,14 +307,20 @@ def test_stacked_gauge_matrix_equals_rows(body, states):
     g = gauge_matrix(p, bm)
     assert _rows_equal(g, [gauge_matrix(x, y) for x, y in zip(p, bm)])
     assert _rows_equal(gauge_matrix(g, -bm), [gauge_matrix(x, -y) for x, y in zip(g, bm)])
+    gauged = gauge_transform(nh_bracket_full(body, "plain"), gauge_form_on_M(body))
+    jet, rows = gauged.matrix_and_partials(states), [gauged.matrix_and_partials(s) for s in states]
+    assert _rows_equal(jet[0], [r[0] for r in rows]) and _rows_equal(jet[1], [r[1] for r in rows])
+    assert _rows_equal(jet[0], g)
 
 
 @settings(PROPERTY, max_examples=60)
-@given(body=bodies, reduced=reduced_stacks, full=full_stacks)
-def test_stacked_forms_equal_rows(body, reduced, full):
-    forms = [(gauge_form_on_M(body), full)]
+@given(body=bodies, reduced=reduced_stacks, full=full_stacks, variant=variants)
+def test_stacked_forms_equal_rows(body, reduced, full, variant):
+    forms = [(gauge_form_on_M(body), full), (annihilator_one_form(body, variant), reduced)]
     if poisson_variant(body.rank) is None:
         forms += [(twist_two_form(body), reduced), (twist_three_form(body), reduced)]
+    if body.rank == 2:
+        forms.append((leafwise_two_form(body), reduced))
     for form, states in forms:
         assert _rows_equal(form(states), [form(s) for s in states])
         assert _rows_equal(form.partial_tensor(states), [form.partial_tensor(s) for s in states])

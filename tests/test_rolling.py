@@ -609,7 +609,7 @@ def test_probe_detects_nonintegrable_annihilators(rank_v, variant):
 def test_probe_rejects_nonannihilating_one_form():
     body = standard_body(3)
     pi = reduced_bracket(body, "plain")
-    bad = FormPatch(degree=1, dim=6, entries=lambda s: np.eye(6)[0])
+    bad = FormPatch(degree=1, dim=6, entries=lambda s: np.eye(6)[0], partials=lambda s: np.zeros((6, 6)))
     s = sample_reduced_state(seed=240)
     with pytest.raises(AnnihilationViolated):
         distribution_probe(pi, bad, coordinate_field(6, 4), coordinate_field(6, 5), s)
@@ -680,7 +680,7 @@ def test_twist_three_form_is_closed(rank_t):
     body = standard_body(rank_t)
     phi = twist_three_form(body)
     # the nested route: differences of the entries, themselves dB from B's partials
-    nested_fd = FormPatch(degree=3, dim=6, entries=phi.entries)
+    nested_fd = FormPatch(degree=3, dim=6, entries=phi.entries, partials=lambda s: fd_partials(phi.entries, s))
     for seed in range(2):
         s = sample_reduced_state(seed=280 + seed)
         assert np.max(np.abs(fd_exterior_derivative(phi, s))) <= 1e-14
@@ -781,6 +781,21 @@ def test_lift_is_a_section_of_rho():
 def test_lift_rejects_off_sphere_states():
     with pytest.raises(ValueError):
         lift_reduced_state(np.array([0.0, 0.0, 2.0, 0.1, 0.2, 0.3]))
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_lifts_reject_stacks(rows):
+    """Both lifts take one state and one tangent; a stack is a ValueError
+    naming its shape (not a norm over the whole stack, nor a bare matmul error)."""
+    reduced = np.array([sample_reduced_state(seed=320 + i) for i in range(rows)])
+    full = np.array([sample_full_state(seed=320 + i) for i in range(rows)])
+    body = standard_body(2)
+    with pytest.raises(ValueError, match=rf"expected one 6-dim reduced state, got shape \({rows}, 6\)"):
+        lift_reduced_state(reduced)
+    with pytest.raises(ValueError, match=rf"expected one 15-dim full state, got shape \({rows}, 15\)"):
+        horizontal_lift(body, full, np.zeros(6))
+    with pytest.raises(ValueError, match=rf"expected one 6-dim reduced tangent, got shape \({rows}, 6\)"):
+        horizontal_lift(body, full[0], np.zeros((rows, 6)))
 
 
 def test_sample_full_state_properties():
@@ -984,6 +999,17 @@ def test_reduction_consistency_all_pairs(rank, variant):
         for i, j in itertools.combinations(range(6), 2):
             worst = max(worst, reduction_consistency(body, variant, s, i, j))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_reduction_consistency_reads_each_row_of_a_stack(rank, variant):
+    body = asymmetric_body(rank)
+    states = np.array([sample_full_state(seed=460 + i) for i in range(4)])
+    for i, j in ((0, 4), (3, 5), (2, 2)):
+        stacked = reduction_consistency(body, variant, states, i, j)
+        rows = [reduction_consistency(body, variant, s, i, j) for s in states]
+        assert all(isinstance(r, float) for r in rows)
+        assert stacked.shape == (4,) and np.array_equal(stacked, rows)
 
 
 def test_variant_tables():

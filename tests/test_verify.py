@@ -35,8 +35,10 @@ def _oracle_gauge_residuals(body, states):
     pi_gauged = nh_bracket_full(body, "gauged")
     b_form = gauge_form_on_M(body)
     transformed = gauge_transform(pi_plain, b_form)
-    back = gauge_transform(transformed, FormPatch(degree=2, dim=15, entries=lambda s: -b_form(s)))
-    ident = gauge_transform(pi_plain, FormPatch(degree=2, dim=15, entries=lambda s: np.zeros((15, 15))))
+    minus_b = FormPatch(degree=2, dim=15, entries=lambda s: -b_form(s), partials=lambda s: -b_form.partial_tensor(s))
+    zero = FormPatch(degree=2, dim=15, entries=lambda s: np.zeros((15, 15)), partials=lambda s: np.zeros((15,) * 3))
+    back = gauge_transform(transformed, minus_b)
+    ident = gauge_transform(pi_plain, zero)
     records = dynamical_gauge_check(pi_plain, b_form, full_hamiltonian_field(body), states)
     return {
         "gauge-match": max(float(np.max(np.abs(transformed.matrix(s) - pi_gauged.matrix(s)))) for s in states),
@@ -69,7 +71,7 @@ def test_tol_scale_loosens_the_dynamical_gauge_bound(rank, make_body, monkeypatc
 
     def perturbed(params):
         b_form = base(params)
-        return FormPatch(degree=2, dim=15, entries=lambda s: b_form(s) + delta)
+        return FormPatch(degree=2, dim=15, entries=lambda s: b_form(s) + delta, partials=b_form.partials)
 
     monkeypatch.setattr(verify, "gauge_form_on_M", perturbed)
     body = make_body(rank)
