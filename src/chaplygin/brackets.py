@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AnnihilationViolated, NonPositiveFactor, SingularGauge, SymmetricInput
-from .geometry import FormPatch, _first_bad, _mv, _swap, fd_exterior_derivative
+from .geometry import FormPatch, _first_bad, _mv, _one, _swap, fd_exterior_derivative
 
 __all__ = [
     "BivectorPatch",
@@ -90,7 +90,8 @@ class BivectorPatch:
         return t
 
     def bracket(self, f: "ScalarField", g: "ScalarField", state: np.ndarray) -> float:
-        """{f, g} at state."""
+        """{f, g} at one state."""
+        state = _one(state, self.dim, "state")
         p = self.matrix(state)
         return float(f.grad(state) @ p @ g.grad(state))
 
@@ -365,6 +366,7 @@ def distribution_probe(
     """
     if chi.degree != 1 or chi.dim != pi.dim:
         raise ValueError("probe form must be a 1-form on the same chart")
+    state = _one(state, pi.dim, "state")
     xf = ham_vf(pi, f, state)
     xg = ham_vf(pi, g, state)
     c = chi(state)

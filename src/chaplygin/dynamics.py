@@ -6,13 +6,12 @@ Gram-Schmidt on rows); on the reduced space an optional per-step
 renormalization keeps gamma on the unit sphere (default off, so that
 conservation of |gamma|^2 stays observable).
 
-The stepper runs on lists of Python floats: each stage of a straight-line
-RK4 step calls the body's vector-field kernel (built once per body in
-``rolling``), every sum rounds left to right, each step is checked with ``math.isfinite``,
-and the sampled states become one array at the end of the run.  Python
-floats never warn, and no division is reached with a zero divisor: the
-kernels raise DegenerateDenominator and the renormalizations NonFiniteState
-first.
+One generated function per state dimension marches a whole run on lists
+of Python floats: per step four calls of the body's kernel (built once per
+body in ``rolling``), sums rounded left to right, one finiteness test and
+the renormalization.  Python floats never warn, and no division is reached
+with a zero divisor: the kernels raise DegenerateDenominator and the
+renormalizations NonFiniteState first.
 
 Monitored quantities: H, C1 = K . gamma, C2 = |gamma|^2, F = |K|^2.
 """
@@ -20,6 +19,7 @@ Monitored quantities: H, C1 = K . gamma, C2 = |gamma|^2, F = |K|^2.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -124,53 +124,80 @@ class Trajectory:
         return self.states.shape[1]
 
 
-# One classical RK4 step of y' = f(y), written out per entry so that it runs no
-# loop, zip or slice: each <...> stands for its text at i = 0 .. dim - 1, comma-separated.
-_RK4_TEMPLATE = """\
-def step(f, y, dt):
-    [<a{i}>] = y
-    h = 0.5 * dt
-    [<p{i}>] = f(y)
-    [<q{i}>] = f([<a{i} + h * p{i}>])
-    [<r{i}>] = f([<a{i} + h * q{i}>])
-    [<s{i}>] = f([<a{i} + dt * r{i}>])
-    c = dt / 6.0
-    return [<a{i} + c * (p{i} + 2.0 * q{i} + 2.0 * r{i} + s{i})>]
+# RK4 of y' = f(y) over the step sizes ``steps``, with no loop, zip or slice
+# inside a step: each <...> stands for its text at i = 0 .. dim - 1,
+# concatenated.  0.0 * a is nan unless a is finite, so the sum of those is
+# finite exactly when every entry is, and it cannot overflow.
+_RK4_MARCH = """\
+def march(f, y, steps, renormalize):
+    rows = [y]
+    [<a{i}, >] = y
+    for dt in steps:
+        h = 0.5 * dt
+        [<p{i}, >] = f(y)
+        [<q{i}, >] = f([<a{i} + h * p{i}, >])
+        [<r{i}, >] = f([<a{i} + h * q{i}, >])
+        [<s{i}, >] = f([<a{i} + dt * r{i}, >])
+        c = dt / 6.0
+        y = [<a{i} + c * (p{i} + 2.0 * q{i} + 2.0 * r{i} + s{i}), >]
+        [<a{i}, >] = y
+        if not isfinite(<0.0 * a{i} + >0.0):
+            rows.append(y)
+            return rows, len(rows) - 1
+        if renormalize is not None:
+            y = renormalize(y)
+            [<a{i}, >] = y
+        rows.append(y)
+    return rows, None
 """
 
 
 @functools.cache
-def _rk4_step_of_dim(dim: int) -> Callable:
-    """The RK4 step for states of dim entries; its source depends on dim alone."""
-    source = re.sub(r"<([^>]*)>", lambda m: ", ".join(m[1].format(i=i) for i in range(dim)), _RK4_TEMPLATE)
-    exec(compile(source, f"<rk4_step dim={dim}>", "exec"), namespace := {})
-    return namespace["step"]
+def _march_of_dim(dim: int) -> Callable:
+    """march(f, y, steps, renormalize) -> (rows, None), or (rows up to the
+    first non-finite one, its index); the source depends on dim alone."""
+    source = re.sub(r"<([^>]*)>", lambda m: "".join(m[1].format(i=i) for i in range(dim)), _RK4_MARCH)
+    exec(compile(source, f"<rk4 march dim={dim}>", "exec"), namespace := {"isfinite": math.isfinite})
+    return namespace["march"]
 
 
 def rk4_step(f: Callable[[list], list], y: list, dt: float) -> list:
-    """One classical RK4 step of y' = f(y) on a list of Python floats; f maps
-    a sequence of len(y) floats to a sequence of as many."""
-    return _rk4_step_of_dim(len(y))(f, y, dt)
+    """One classical RK4 step of y' = f(y) on a list of Python floats, the
+    march of one step; f maps a sequence of len(y) floats to as many."""
+    return _march_of_dim(len(y))(f, y, (dt,), None)[0][-1]
+
+
+_DEGENERATE = "degenerate attitude matrix during renormalization"
 
 
 def _orthonormal_rows(y: list) -> list:
-    """A full state with the rows of g = y[:9] replaced by their modified
-    Gram-Schmidt basis.  A row left with at most 1e-12 of its length after
-    the projections (a rank-deficient g; rounding rarely leaves exactly 0)
-    raises NonFiniteState."""
-    rows = []
-    for i in (0, 3, 6):
-        r1, r2, r3 = y[i : i + 3]
-        before = r1 * r1 + r2 * r2 + r3 * r3
-        for q1, q2, q3 in rows:
-            d = r1 * q1 + r2 * q2 + r3 * q3
-            r1, r2, r3 = r1 - d * q1, r2 - d * q2, r3 - d * q3
-        after = r1 * r1 + r2 * r2 + r3 * r3
-        if after <= 1e-24 * before:
-            raise NonFiniteState("degenerate attitude matrix during renormalization")
-        norm = math.sqrt(after)
-        rows.append((r1 / norm, r2 / norm, r3 / norm))
-    return [*rows[0], *rows[1], *rows[2], *y[9:]]
+    """A full state with the rows a, b, c of g = y[:9] replaced by their
+    modified Gram-Schmidt basis.  A row left with at most 1e-12 of its length
+    after the projections (a rank-deficient g) raises NonFiniteState."""
+    a1, a2, a3, b1, b2, b3, c1, c2, c3, x1, x2, x3, k1, k2, k3 = y
+    after = a1 * a1 + a2 * a2 + a3 * a3
+    if after <= 1e-24 * after:
+        raise NonFiniteState(_DEGENERATE)
+    n = math.sqrt(after)
+    a1, a2, a3 = a1 / n, a2 / n, a3 / n
+    before = b1 * b1 + b2 * b2 + b3 * b3
+    d = b1 * a1 + b2 * a2 + b3 * a3
+    b1, b2, b3 = b1 - d * a1, b2 - d * a2, b3 - d * a3
+    after = b1 * b1 + b2 * b2 + b3 * b3
+    if after <= 1e-24 * before:
+        raise NonFiniteState(_DEGENERATE)
+    n = math.sqrt(after)
+    b1, b2, b3 = b1 / n, b2 / n, b3 / n
+    before = c1 * c1 + c2 * c2 + c3 * c3
+    d = c1 * a1 + c2 * a2 + c3 * a3
+    c1, c2, c3 = c1 - d * a1, c2 - d * a2, c3 - d * a3
+    d = c1 * b1 + c2 * b2 + c3 * b3
+    c1, c2, c3 = c1 - d * b1, c2 - d * b2, c3 - d * b3
+    after = c1 * c1 + c2 * c2 + c3 * c3
+    if after <= 1e-24 * before:
+        raise NonFiniteState(_DEGENERATE)
+    n = math.sqrt(after)
+    return [a1, a2, a3, b1, b2, b3, c1 / n, c2 / n, c3 / n, x1, x2, x3, k1, k2, k3]
 
 
 def _unit_gamma(y: list) -> list:
@@ -184,22 +211,18 @@ def _unit_gamma(y: list) -> list:
 def _march(f, y: list, config: IntegratorConfig, renormalize) -> tuple:
     """RK4 from y along the schedule of config; returns (times, states).
 
-    Steps Python floats, which never warn: the finiteness check after each
-    step raises NonFiniteState instead.  ``renormalize`` (or None) maps each
-    finite step back to the constraint manifold.
+    Steps Python floats, which never warn: a non-finite step raises
+    NonFiniteState instead.  ``renormalize`` (or None) maps each finite step
+    back to the constraint manifold.
     """
     if not all(map(math.isfinite, y)):
         raise NonFiniteState("initial state has non-finite entries")
     times, steps = _schedule(config)
-    rows = [y]
-    for k, dt in enumerate(steps):
-        y = rk4_step(f, y, dt)
-        if not all(map(math.isfinite, y)):
-            raise NonFiniteState(f"non-finite state after step {k + 1} (at {times[k + 1]:g})")
-        if renormalize is not None:
-            y = renormalize(y)
-        rows.append(y)
-    return times, np.array(rows)
+    rows, bad = _march_of_dim(len(y))(f, y, steps, renormalize)
+    if bad is not None:
+        raise NonFiniteState(f"non-finite state after step {bad} (at {times[bad]:g})")
+    states = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * len(y))
+    return times, states.reshape(len(rows), len(y))
 
 
 def integrate(params: BodyParams, initial, config: IntegratorConfig) -> Trajectory:
@@ -232,17 +255,9 @@ def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConf
     y0 = np.asarray(initial, dtype=float)
     if y0.shape != (REDUCED_DIM,):
         raise ValueError("reparametrized integration is defined on the reduced space")
-    field, phi = params._kernels.reduced, conformal_factor(params).value
-
-    def f_aug(z):
-        s = z[:REDUCED_DIM]
-        p = phi(s)
-        v1, v2, v3, v4, v5, v6 = field(s)
-        return [p * v1, p * v2, p * v3, p * v4, p * v5, p * v6, p]
-
     # _unit_gamma touches only gamma = z[:3], never the physical time z[6]
     renormalize = _unit_gamma if config.renormalize_gamma else None
-    times, rows = _march(f_aug, y0.tolist() + [0.0], config, renormalize)
+    times, rows = _march(params._kernels.reparam, y0.tolist() + [0.0], config, renormalize)
     return Trajectory(times=times, states=rows[:, :REDUCED_DIM], t_recovered=rows[:, REDUCED_DIM])
 
 

@@ -64,6 +64,13 @@ def _first_bad(bad):
     return i, f" in row {i}" if bad.ndim else ""
 
 
+def _one(vector, dim: int, what: str) -> np.ndarray:
+    """One vector (dim,), not a stack."""
+    if np.shape(vector) != (dim,):
+        raise ValueError(f"expected one {dim}-dim {what}, got shape {np.shape(vector)}")
+    return np.asarray(vector, dtype=float)
+
+
 def _swap(m: np.ndarray) -> np.ndarray:
     """The transpose of each matrix of a stack (the last two axes)."""
     return m.swapaxes(-1, -2)
@@ -157,9 +164,10 @@ class FormPatch:
         return t
 
     def evaluate(self, state: np.ndarray, *vectors: np.ndarray) -> float:
+        """The form on the vectors at one state."""
         if len(vectors) != self.degree:
             raise ValueError(f"need {self.degree} vectors, got {len(vectors)}")
-        t = self(state)
+        t = self(_one(state, self.dim, "state"))
         for v in vectors:
             t = np.tensordot(t, np.asarray(v, dtype=float), axes=([0], [0]))
         return float(t)
@@ -206,24 +214,30 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample_reduced_state(seed=None) -> np.ndarray:
-    """Random reduced state (gamma, K): gamma uniform on S^2, K uniform in [-1,1]^3."""
+def sample_reduced_state(seed=None, n=None) -> np.ndarray:
+    """Random reduced state (gamma, K): gamma uniform on S^2, K uniform in
+    [-1,1]^3; with a count n, the stack of n such draws (n, 6)."""
     rng = _as_rng(seed)
-    while True:
-        g = rng.standard_normal(3)
-        norm = np.linalg.norm(g)
-        if norm > 1e-8:
-            break
-    gamma = g / norm
-    k = rng.uniform(-1.0, 1.0, size=3)
-    return np.concatenate([gamma, k])
+    out = np.empty((1 if n is None else n, 6))
+    for row in out:
+        while True:
+            g = rng.standard_normal(3)
+            norm = np.linalg.norm(g)
+            if norm > 1e-8:
+                break
+        row[:3] = g / norm
+        row[3:] = rng.uniform(-1.0, 1.0, size=3)
+    return out[0] if n is None else out
 
 
 def random_rotation(seed=None) -> np.ndarray:
     """Haar-ish random rotation matrix (QR of a Gaussian matrix, sign-fixed)."""
-    rng = _as_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0.0:
-        q[:, 2] = -q[:, 2]
+    return _rotations(_as_rng(seed).standard_normal((3, 3)))
+
+
+def _rotations(a: np.ndarray) -> np.ndarray:
+    """``random_rotation`` of each Gaussian matrix of a stack."""
+    q, r = np.linalg.qr(a)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[np.linalg.det(q) < 0.0, :, 2] *= -1.0
     return q

@@ -37,12 +37,14 @@ from .errors import DegenerateDenominator, NonFiniteState, UnsupportedRank
 from .geometry import (
     EPSILON,
     FormPatch,
+    _as_rng,
     _first_bad,
     _mv,
+    _one,
+    _rotations,
     _swap,
     fd_exterior_derivative,
     hat,
-    random_rotation,
 )
 
 __all__ = [
@@ -223,6 +225,9 @@ class _Kernels(NamedTuple):
     omega: Callable  # (gamma, K) -> (Omega, u, den, c)
     reduced: Callable  # 6 floats (gamma, K) -> their 6 time derivatives
     full: Callable  # 15 floats (g, x, K) -> their 15 time derivatives
+    phi: Callable  # gamma_1, gamma_2, gamma_3 -> the conformal factor (1.0 if sign = 0)
+    phi_weight: tuple  # w with phi^2 = sum_i w_i gamma_i^2
+    reparam: Callable  # 7 floats (gamma, K, t) -> d/dtau = phi d/dt of each
 
 
 def _build_kernels(params: BodyParams) -> _Kernels:
@@ -230,6 +235,7 @@ def _build_kernels(params: BodyParams) -> _Kernels:
     smr2 = sign * params.mr2
     rank, inf = params.rank, math.inf
     (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = (params.radius * matrix_A(params)).tolist()
+    w1, w2, w3 = weight = tuple(1.0 + smr2 / n_i for n_i in (n1, n2, n3))
 
     def omega(gamma, k):
         """Omega = K/n - sign m r^2 c u with u = gamma/n, den = |gamma|^2 + sign
@@ -277,7 +283,19 @@ def _build_kernels(params: BodyParams) -> _Kernels:
             k2 * w3 - k3 * w2, k3 * w1 - k1 * w3, k1 * w2 - k2 * w1,
         )
 
-    return _Kernels(omega, reduced, full)
+    def phi(g1, g2, g3):
+        if not sign:
+            return 1.0
+        q = g1 * (w1 * g1) + g2 * (w2 * g2) + g3 * (w3 * g3)
+        return math.sqrt(q) if isinstance(q, float) else np.sqrt(q)
+
+    def reparam(z):
+        g1, g2, g3, k1, k2, k3, _ = z
+        p = phi(g1, g2, g3)
+        v1, v2, v3, v4, v5, v6 = reduced((g1, g2, g3, k1, k2, k3))
+        return p * v1, p * v2, p * v3, p * v4, p * v5, p * v6, p
+
+    return _Kernels(omega, reduced, full, phi, weight, reparam)
 
 
 def K_from_omega(params: BodyParams, gamma, omega) -> np.ndarray:
@@ -459,24 +477,19 @@ def conformal_factor(params: BodyParams) -> ScalarField:
     sqrt(|gamma|^2 - m r^2 gamma . (I + m r^2)^-1 gamma) for rank 2 (the
     denominator of omega_from_K), and the constant 1 for ranks 0 and 3.
     """
-    sign, n = params._rank_terms
-    if not sign:
+    if not params._rank_terms[0]:
         return ScalarField(value=lambda s: 1.0, gradient=lambda s: np.zeros(s.shape), name="phi=1")
-    w1, w2, w3 = weight = [1.0 + sign * params.mr2 / n_i for n_i in n]
+    kernels = params._kernels
 
     def value(s):
-        # Python floats, left to right: this is the factor the reparametrized
-        # stepper uses on lists; an array takes its columns (same bits per row)
-        g1, g2, g3 = s[:3] if type(s) is list else (s[..., 0], s[..., 1], s[..., 2])
-        q = g1 * (w1 * g1) + g2 * (w2 * g2) + g3 * (w3 * g3)
-        return math.sqrt(q) if isinstance(q, float) else np.sqrt(q)
+        return kernels.phi(s[..., 0], s[..., 1], s[..., 2])
 
     def gradient(s):
         phi = np.asarray(value(s))
         if bad := _first_bad(phi == 0.0):
             raise DegenerateDenominator(f"rank-{params.rank} conformal factor vanishes at gamma = 0{bad[1]}")
         out = np.zeros(s.shape)
-        out[..., :3] = np.array(weight) * s[..., :3] / phi[..., None]
+        out[..., :3] = np.array(kernels.phi_weight) * s[..., :3] / phi[..., None]
         return out
 
     return ScalarField(value=value, gradient=gradient, name=f"phi_rank{params.rank}")
@@ -639,13 +652,6 @@ def project_rho(state) -> np.ndarray:
     return _checked(state, FULL_DIM, "full")[..., RHO_INDEX]
 
 
-def _one(vector, dim: int, what: str) -> np.ndarray:
-    """One vector (dim,), not a stack."""
-    if np.shape(vector) != (dim,):
-        raise ValueError(f"expected one {dim}-dim {what}, got shape {np.shape(vector)}")
-    return np.asarray(vector, dtype=float)
-
-
 def lift_reduced_state(state) -> np.ndarray:
     """Deterministic section of rho: a rotation with third row gamma, x = 0."""
     gamma, K = split_reduced(_one(state, REDUCED_DIM, "reduced state"))
@@ -663,13 +669,16 @@ def lift_reduced_state(state) -> np.ndarray:
     return pack_full(g, np.zeros(3), K)
 
 
-def sample_full_state(seed=None) -> np.ndarray:
-    """Random full state: Haar-ish rotation, x and K uniform in [-1,1]^3."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = random_rotation(rng)
-    x = rng.uniform(-1.0, 1.0, size=3)
-    k = rng.uniform(-1.0, 1.0, size=3)
-    return pack_full(g, x, k)
+def sample_full_state(seed=None, n=None) -> np.ndarray:
+    """Random full state: Haar-ish rotation, x and K uniform in [-1,1]^3;
+    with a count n, the stack of n such draws (n, 15)."""
+    rng = _as_rng(seed)
+    out = np.empty((1 if n is None else n, FULL_DIM))
+    for row in out:
+        row[:9] = rng.standard_normal(9)
+        row[9:] = rng.uniform(-1.0, 1.0, size=6)
+    out[:, :9] = _rotations(out[:, :9].reshape(-1, 3, 3)).reshape(-1, 9)
+    return out[0] if n is None else out
 
 
 def full_hamiltonian_field(params: BodyParams) -> ScalarField:

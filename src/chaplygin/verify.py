@@ -80,15 +80,9 @@ class _Run:
         return self._memo[key]
 
     def states(self, sample) -> np.ndarray:
-        """A stack (trials, d) of states from ``sample`` and a generator seeded
-        with the run's seed.  ``sample`` draws one state per call, so the
-        states are those of the generator's sequence in order."""
-
-        def draw():
-            rng = np.random.default_rng(self._seed)
-            return np.array([sample(rng) for _ in range(self._trials)])
-
-        return self._shared(sample, draw)
+        """The stack (trials, d) of states that ``sample`` draws in one call
+        from a generator seeded with the run's seed."""
+        return self._shared(sample, lambda: sample(np.random.default_rng(self._seed), self._trials))
 
     @property
     def reduced(self) -> np.ndarray:

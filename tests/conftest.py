@@ -1,4 +1,4 @@
-"""Shared fixtures: body parameter sets and state samplers used across tests."""
+"""Shared fixtures: body parameter sets, state samplers and the list RK4 step used across tests."""
 
 import pytest
 
@@ -30,3 +30,14 @@ def body(rank) -> BodyParams:
 @pytest.fixture
 def skew_body(rank) -> BodyParams:
     return asymmetric_body(rank)
+
+
+def list_rk4_step(f, y, dt):
+    """The list-comprehension RK4 step that the straight-line step replaced."""
+    h = 0.5 * dt
+    k1 = f(y)
+    k2 = f([a + h * b for a, b in zip(y, k1)])
+    k3 = f([a + h * b for a, b in zip(y, k2)])
+    k4 = f([a + dt * b for a, b in zip(y, k3)])
+    c = dt / 6.0
+    return [a + c * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]

@@ -16,6 +16,7 @@ from chaplygin import (
     brackets,
     conformal_factor,
     divergence_defect,
+    dynamics,
     fd_partials,
     hamiltonian,
     hermite_sample,
@@ -34,7 +35,7 @@ from chaplygin import (
     split_full,
 )
 
-from conftest import asymmetric_body, standard_body
+from conftest import asymmetric_body, list_rk4_step, standard_body
 
 CHAPLYGIN_START = np.array([0.0, 0.0, 1.0, 0.3, -0.1, 0.2])
 
@@ -264,6 +265,157 @@ def test_float_stepper_matches_numpy_oracle(factory, rank_s, kind):
         got = integrate(body, start, config).states
     assert got.shape == expected.shape == (251, start.size + (kind == "reparametrized"))
     assert np.max(np.abs(got - expected)) <= 1e-13
+
+
+# ------------------------------------------- the per-step loop as the march's oracle
+
+
+def _loop_orthonormal_rows(y):
+    """The looped, slicing Gram-Schmidt that the straight-line one replaced."""
+    rows = []
+    for i in (0, 3, 6):
+        r1, r2, r3 = y[i : i + 3]
+        before = r1 * r1 + r2 * r2 + r3 * r3
+        for q1, q2, q3 in rows:
+            d = r1 * q1 + r2 * q2 + r3 * q3
+            r1, r2, r3 = r1 - d * q1, r2 - d * q2, r3 - d * q3
+        after = r1 * r1 + r2 * r2 + r3 * r3
+        if after <= 1e-24 * before:
+            raise NonFiniteState("degenerate attitude matrix during renormalization")
+        norm = math.sqrt(after)
+        rows.append((r1 / norm, r2 / norm, r3 / norm))
+    return [*rows[0], *rows[1], *rows[2], *y[9:]]
+
+
+def _loop_march(f, y, config, renormalize):
+    """The per-step loop that the generated march replaced: one list RK4 step
+    at a time, each checked with math.isfinite entry by entry."""
+    if not all(map(math.isfinite, y)):
+        raise NonFiniteState("initial state has non-finite entries")
+    times, steps = dynamics._schedule(config)
+    rows = [y]
+    for k, dt in enumerate(steps):
+        y = list_rk4_step(f, y, dt)
+        if not all(map(math.isfinite, y)):
+            raise NonFiniteState(f"non-finite state after step {k + 1} (at {times[k + 1]:g})")
+        if renormalize is not None:
+            y = renormalize(y)
+        rows.append(y)
+    return times, np.array(rows)
+
+
+def _loop_phi(body):
+    """The conformal factor as written out before the reparam kernel: Python
+    floats, left to right; 1.0 for ranks 0 and 3."""
+    sign, n = body._rank_terms
+    w1, w2, w3 = [1.0 + sign * body.mr2 / n_i for n_i in n]
+
+    def phi(s):
+        g1, g2, g3 = s[:3]
+        return math.sqrt(g1 * (w1 * g1) + g2 * (w2 * g2) + g3 * (w3 * g3)) if sign else 1.0
+
+    return phi
+
+
+def _package_run(body, start, config, kind):
+    """(times, states) of integrate, or of reparametrized_integrate with
+    physical time as the last column."""
+    if kind != "reparametrized":
+        traj = integrate(body, start, config)
+        return traj.times, traj.states
+    traj = reparametrized_integrate(body, start, config)
+    return traj.times, np.column_stack([traj.states, traj.t_recovered])
+
+
+def _loop_run(body, start, config, kind):
+    """(times, states) of the same run through the per-step loop."""
+    y = np.asarray(start, dtype=float).tolist()
+    renormalize = dynamics._unit_gamma if config.renormalize_gamma else None
+    if kind == "full":
+        return _loop_march(body._kernels.full, y, config, _loop_orthonormal_rows)
+    if kind == "reduced":
+        return _loop_march(body._kernels.reduced, y, config, renormalize)
+    phi, field = _loop_phi(body), body._kernels.reduced
+
+    def f_aug(z):
+        s = z[:6]
+        p = phi(s)
+        return [p * v for v in field(s)] + [p]
+
+    return _loop_march(f_aug, y + [0.0], config, renormalize)
+
+
+@pytest.mark.parametrize(
+    "kind, renormalize",
+    [("reduced", False), ("reduced", True), ("reparametrized", False), ("reparametrized", True), ("full", False)],
+    ids=["reduced", "reduced-unit-gamma", "reparametrized", "reparametrized-unit-gamma", "full"],
+)
+@pytest.mark.parametrize("dt", [1e-3, 0.03], ids=["dividing", "non-dividing"])
+def test_march_equals_the_step_loop(rank, kind, renormalize, dt):
+    config = IntegratorConfig(dt=dt, t_final=0.25 if dt == 1e-3 else 1.0, renormalize_gamma=renormalize)
+    for factory in (standard_body, asymmetric_body):
+        start = sample_reduced_state(seed=60 + rank)
+        if kind == "full":
+            start = lift_reduced_state(start)
+            start[:9] *= 1.1  # off SO(3), so that the first pass scales and projects rows
+            start[3:6] += 0.05 * start[0:3]
+            start[9:12] = [0.4, -0.2, 0.1]
+        times, got = _package_run(factory(rank), start, config, kind)
+        times_loop, expected = _loop_run(factory(rank), start, config, kind)
+        assert times.tobytes() == times_loop.tobytes()
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["reduced", "reparametrized", "full"])
+def test_blow_up_message_equals_the_step_loop(rank, kind):
+    body = standard_body(rank)
+    huge = np.concatenate([CHAPLYGIN_START[:3], 1e200 * CHAPLYGIN_START[3:]])
+    runs = [
+        (CHAPLYGIN_START, IntegratorConfig(dt=1e6, t_final=2e6)),
+        (huge, IntegratorConfig(dt=1e-3, t_final=0.01)),
+        (CHAPLYGIN_START, IntegratorConfig(dt=7e5, t_final=2e6)),  # a short last step
+    ]
+    for start, config in runs:
+        start = lift_reduced_state(start) if kind == "full" else start
+        messages = []
+        for run in (_package_run, _loop_run):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as info:
+                run(body, start, config, kind)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("dim", [1, 6, 7, 15])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_march_stops_at_a_non_finite_entry_anywhere(dim, bad):
+    config = IntegratorConfig(dt=0.5, t_final=2.0)
+    for i in range(dim):
+        def field(y):
+            return [bad if j == i and y[0] >= 1.4 else 0.25 for j in range(dim)]
+
+        messages = []
+        for march in (dynamics._march, _loop_march):
+            with pytest.raises(NonFiniteState) as info:
+                march(field, [1.0] * dim, config, None)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == "non-finite state after step 4 (at 2)"
+
+
+def test_straight_line_gram_schmidt_equals_the_loop():
+    rng = np.random.default_rng(77)
+    cases = [rng.normal(size=15) for _ in range(300)]
+    e = np.eye(3)
+    for g in ([e[0], e[0], e[2]], [0 * e[0], e[1], e[2]], [e[0], e[1], e[0] + 1e-13 * e[2]], [e[0], e[1], 1e-20 * e[1]],
+              [1e200 * e[0], e[1], e[2]], [1e-160 * e[0], e[1], e[2]], [e[0], e[0] + 1e-11 * e[1], e[2]]):
+        cases.append(np.concatenate([np.ravel(g), rng.normal(size=6)]))
+    for y in cases:
+        outcomes = []
+        for gram_schmidt in (dynamics._orthonormal_rows, _loop_orthonormal_rows):
+            try:
+                outcomes.append(np.array(gram_schmidt(y.tolist())).tobytes())
+            except NonFiniteState as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 # ------------------------------------------------- Python-float edge behaviour

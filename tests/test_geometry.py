@@ -17,7 +17,9 @@ from chaplygin import (
     fd_gradient,
     fd_partials,
     hat,
+    pack_full,
     random_rotation,
+    sample_full_state,
     sample_reduced_state,
     unhat,
     wedge_1_2,
@@ -273,6 +275,38 @@ def test_sample_reduced_state_sphere_uniformity():
     for _ in range(n):
         total += sample_reduced_state(seed=rng)[:3]
     assert np.max(np.abs(total / n)) <= 0.05
+
+
+def _one_by_one(kind, rng):
+    """One state per call, as the samplers drew before they took a count."""
+    if kind == "full":
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        q = q @ np.diag(np.sign(np.diag(r)))
+        if np.linalg.det(q) < 0.0:
+            q[:, 2] = -q[:, 2]
+        x = rng.uniform(-1.0, 1.0, size=3)
+        return pack_full(q, x, rng.uniform(-1.0, 1.0, size=3))
+    while True:
+        g = rng.standard_normal(3)
+        norm = np.linalg.norm(g)
+        if norm > 1e-8:
+            break
+    return np.concatenate([g / norm, rng.uniform(-1.0, 1.0, size=3)])
+
+
+@pytest.mark.parametrize("kind", ["reduced", "full"])
+def test_stacked_draw_equals_single_draws(kind):
+    """A count n gives, bit for bit, the n states that n single draws on one
+    generator give, and the generator ends in the same place."""
+    sample = sample_full_state if kind == "full" else sample_reduced_state
+    for seed in range(6):
+        for n in range(1, 13):
+            rng, oracle, single = (np.random.default_rng([seed, n]) for _ in range(3))
+            stacked = sample(rng, n)
+            expected = np.array([_one_by_one(kind, oracle) for _ in range(n)])
+            assert stacked.shape == expected.shape and stacked.tobytes() == expected.tobytes()
+            assert np.array([sample(single) for _ in range(n)]).tobytes() == expected.tobytes()
+            assert rng.random() == oracle.random() == single.random()
 
 
 def test_random_rotation_properties():

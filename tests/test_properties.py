@@ -54,6 +54,8 @@ from chaplygin import (
     twist_two_form,
 )
 
+from conftest import list_rk4_step
+
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -366,17 +368,6 @@ def test_stacked_coordinate_fields_equal_rows(states, i):
 # ------------------------------------------------------------------ stepper
 
 
-def _list_rk4_step(f, y, dt):
-    """The list-comprehension RK4 step that the straight-line step replaced."""
-    h = 0.5 * dt
-    k1 = f(y)
-    k2 = f([a + h * b for a, b in zip(y, k1)])
-    k3 = f([a + h * b for a, b in zip(y, k2)])
-    k4 = f([a + dt * b for a, b in zip(y, k3)])
-    c = dt / 6.0
-    return [a + c * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-
-
 def _polynomial_field(seed: int, dim: int, quadratic: bool):
     """y -> b + A y (+ the quadratic terms y_j Q_jk y_k) on Python floats, and
     the list of arguments it was called with."""
@@ -408,7 +399,7 @@ def test_rk4_step_equals_list_oracle(dim, seed, dt, quadratic):
     f, seen = _polynomial_field(seed, dim, quadratic)
     got = rk4_step(f, y, dt)
     f_oracle, seen_oracle = _polynomial_field(seed, dim, quadratic)
-    expected = _list_rk4_step(f_oracle, y, dt)
+    expected = list_rk4_step(f_oracle, y, dt)
     assert type(got) is list and got == expected
     assert seen == seen_oracle
 

@@ -798,6 +798,25 @@ def test_lifts_reject_stacks(rows):
         horizontal_lift(body, full[0], np.zeros((rows, 6)))
 
 
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("call", ["form-evaluate", "bracket", "distribution-probe"])
+def test_one_state_evaluations_reject_stacks(call, rows):
+    """FormPatch.evaluate, BivectorPatch.bracket and distribution_probe take one
+    state; a stack is a ValueError naming its shape (not a bare numpy error)."""
+    body = standard_body(2)
+    pi, chi = reduced_bracket(body), annihilator_one_form(body)
+    f, g = coordinate_field(6, 0), coordinate_field(6, 3)
+    evaluate = {
+        "form-evaluate": lambda s: twist_two_form(body).evaluate(s, np.eye(6)[0], np.eye(6)[4]),
+        "bracket": lambda s: pi.bracket(f, g, s),
+        "distribution-probe": lambda s: distribution_probe(pi, chi, f, g, s),
+    }[call]
+    states = sample_reduced_state(seed=330, n=rows)
+    with pytest.raises(ValueError, match=rf"expected one 6-dim state, got shape \({rows}, 6\)"):
+        evaluate(states)
+    assert math.isfinite(evaluate(states[0]))
+
+
 def test_sample_full_state_properties():
     assert np.array_equal(sample_full_state(seed=4), sample_full_state(seed=4))
     g, x, k = split_full(sample_full_state(seed=5))

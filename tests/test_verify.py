@@ -98,9 +98,10 @@ def test_states_are_drawn_once_per_run(monkeypatch):
     counts = collections.Counter()
 
     def counting(kind, sampler):
-        def wrapped(rng):
+        def wrapped(rng, n):
             counts[kind] += 1
-            return sampler(rng)
+            counts[kind + " states"] += n
+            return sampler(rng, n)
 
         return wrapped
 
@@ -108,11 +109,11 @@ def test_states_are_drawn_once_per_run(monkeypatch):
     monkeypatch.setattr(verify, "sample_full_state", counting("full", verify.sample_full_state))
     body = standard_body(2)
     run_all_suites(body, trials=3)
-    assert counts == {"reduced": 3, "full": 3}
+    assert counts == {"reduced": 1, "reduced states": 3, "full": 1, "full states": 3}
     for name, kind in (("gauge", "full"), ("reduction", "full"), ("jacobi", "reduced"), ("twisted", "reduced")):
         counts.clear()
         run_suite(name, body, trials=3)
-        assert counts == {kind: 3}
+        assert counts == {kind: 1, kind + " states": 3}
 
 
 def _poisoned_bracket(monkeypatch, state, value):
