@@ -90,10 +90,10 @@ class BivectorPatch:
         return t
 
     def bracket(self, f: "ScalarField", g: "ScalarField", state: np.ndarray) -> float:
-        """{f, g} at one state."""
+        """{f, g} at one state; each gradient must be one dim-vector."""
         state = _one(state, self.dim, "state")
         p = self.matrix(state)
-        return float(f.grad(state) @ p @ g.grad(state))
+        return float(_one(f.grad(state), self.dim, "gradient") @ p @ _one(g.grad(state), self.dim, "gradient"))
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,13 @@ def coordinate_field(dim: int, i: int) -> ScalarField:
     e = np.zeros(dim)
     e[i] = 1.0
     e.setflags(write=False)
-    return ScalarField(value=lambda s: s[..., i], gradient=lambda s: np.zeros(s.shape) + e, name=f"x{i}")
+
+    def gradient(s):
+        if s.shape[-1:] != (dim,):
+            raise ValueError(f"coordinate x{i} of a {dim}-dim chart at a state of shape {s.shape}")
+        return np.zeros(s.shape) + e
+
+    return ScalarField(value=lambda s: s[..., i], gradient=gradient, name=f"x{i}")
 
 
 def _flow(p: np.ndarray, df: np.ndarray) -> np.ndarray:

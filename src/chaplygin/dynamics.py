@@ -6,12 +6,12 @@ Gram-Schmidt on rows); on the reduced space an optional per-step
 renormalization keeps gamma on the unit sphere (default off, so that
 conservation of |gamma|^2 stays observable).
 
-One generated function per state dimension marches a whole run on lists
-of Python floats: per step four calls of the body's kernel (built once per
-body in ``rolling``), sums rounded left to right, one finiteness test and
-the renormalization.  Python floats never warn, and no division is reached
-with a zero divisor: the kernels raise DegenerateDenominator and the
-renormalizations NonFiniteState first.
+One generated function per chart marches a whole run on Python floats: the
+RK4 template with the body's field, written once as text in ``rolling``,
+inline as each stage, so a step calls no Python function before its
+finiteness test and renormalization.  Python floats never warn, and no
+division meets a zero divisor: the denominator test raises
+DegenerateDenominator and the renormalizations NonFiniteState first.
 
 Monitored quantities: H, C1 = K . gamma, C2 = |gamma|^2, F = |K|^2.
 """
@@ -35,6 +35,9 @@ from .rolling import (
     RHO_INDEX,
     BodyParams,
     X_nh_full,
+    _chart,
+    _compile,
+    _stage,
     casimir_gamma_norm,
     casimir_kgamma,
     conformal_factor,
@@ -124,47 +127,73 @@ class Trajectory:
         return self.states.shape[1]
 
 
-# RK4 of y' = f(y) over the step sizes ``steps``, with no loop, zip or slice
-# inside a step: each <...> stands for its text at i = 0 .. dim - 1,
-# concatenated.  0.0 * a is nan unless a is finite, so the sum of those is
-# finite exactly when every entry is, and it cannot overflow.
+# RK4 of y' = f(y) over the step sizes ``steps``, with no loop, zip, slice
+# or call inside a step: each <...> stands for its text at i = 0 .. dim - 1,
+# concatenated, and {stages} for the lines of _RK4_STAGES.  0.0 * a is nan
+# unless a is finite, so the sum of those is finite exactly when every entry
+# is, and it cannot overflow.
 _RK4_MARCH = """\
-def march(f, y, steps, renormalize):
+def march(y, steps, renormalize):
     rows = [y]
-    [<a{i}, >] = y
+    [<y{i}, >] = y
     for dt in steps:
         h = 0.5 * dt
-        [<p{i}, >] = f(y)
-        [<q{i}, >] = f([<a{i} + h * p{i}, >])
-        [<r{i}, >] = f([<a{i} + h * q{i}, >])
-        [<s{i}, >] = f([<a{i} + dt * r{i}, >])
-        c = dt / 6.0
-        y = [<a{i} + c * (p{i} + 2.0 * q{i} + 2.0 * r{i} + s{i}), >]
-        [<a{i}, >] = y
-        if not isfinite(<0.0 * a{i} + >0.0):
+{stages}
+        sixth = dt / 6.0
+        y = [<y{i} + sixth * (p{i} + 2.0 * q{i} + 2.0 * r{i} + s{i}), >]
+        [<y{i}, >] = y
+        if not isfinite(<0.0 * y{i} + >0.0):
             rows.append(y)
             return rows, len(rows) - 1
         if renormalize is not None:
             y = renormalize(y)
-            [<a{i}, >] = y
+            [<y{i}, >] = y
         rows.append(y)
     return rows, None
 """
+# k1 = p = f(y), k2 = q = f(y + h p), k3 = r = f(y + h q), k4 = s = f(y + dt r)
+_RK4_STAGES = (("p", ""), ("q", " + h * p"), ("r", " + h * q"), ("s", " + dt * r"))
+
+
+def _march_source(field: tuple) -> str:
+    """march(y, steps, renormalize), giving (rows, None) or (rows up to the
+    first non-finite one, its index), with the field's text as each stage."""
+    dim = len(field[0])
+    source = re.sub(r"<([^>]*)>", lambda m: "".join(m[1].format(i=i) for i in range(dim)), _RK4_MARCH)
+    stages = (_stage(field, out, [f"y{i}{offset and offset + str(i)}" for i in range(dim)])
+              for out, offset in _RK4_STAGES)
+    return source.replace("{stages}\n", "".join(f"        {line}\n" for lines in stages for line in lines))
+
+
+_MARCH_GLOBALS = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf}
 
 
 @functools.cache
 def _march_of_dim(dim: int) -> Callable:
-    """march(f, y, steps, renormalize) -> (rows, None), or (rows up to the
-    first non-finite one, its index); the source depends on dim alone."""
-    source = re.sub(r"<([^>]*)>", lambda m: "".join(m[1].format(i=i) for i in range(dim)), _RK4_MARCH)
-    exec(compile(source, f"<rk4 march dim={dim}>", "exec"), namespace := {"isfinite": math.isfinite})
-    return namespace["march"]
+    """bind(f) -> the march of y' = f(y), each stage a call of f."""
+    names = tuple(f"x{i}" for i in range(dim))
+    call = f"[{''.join(f'd{i}, ' for i in range(dim))}] = f([{', '.join(names)}])\n"
+    field = names, call, tuple(f"d{i}" for i in range(dim))
+    return _compile(_march_source(field), "march", f"<rk4 march dim={dim}>", _MARCH_GLOBALS, ("f",))
+
+
+@functools.cache
+def _chart_march(chart: str, zero: bool) -> Callable:
+    """bind(**constants) -> the march of a body's field on ``chart`` with the
+    chart's text inline, for every body with sign == 0, or with sign != 0."""
+    source = _march_source(_chart(chart, zero))
+    return _compile(source, "march", f"<rk4 march {chart} zero={zero}>", _MARCH_GLOBALS)
+
+
+def _body_march(params: BodyParams, chart: str) -> Callable:
+    """The march of the body's field on ``chart``, bound to its constants."""
+    return _chart_march(chart, not params._rank_terms[0])(**params._constants)
 
 
 def rk4_step(f: Callable[[list], list], y: list, dt: float) -> list:
     """One classical RK4 step of y' = f(y) on a list of Python floats, the
     march of one step; f maps a sequence of len(y) floats to as many."""
-    return _march_of_dim(len(y))(f, y, (dt,), None)[0][-1]
+    return _march_of_dim(len(y))(f)(y, (dt,), None)[0][-1]
 
 
 _DEGENERATE = "degenerate attitude matrix during renormalization"
@@ -208,8 +237,9 @@ def _unit_gamma(y: list) -> list:
     return [y[0] / norm, y[1] / norm, y[2] / norm] + y[3:]
 
 
-def _march(f, y: list, config: IntegratorConfig, renormalize) -> tuple:
-    """RK4 from y along the schedule of config; returns (times, states).
+def _march(march, y: list, config: IntegratorConfig, renormalize) -> tuple:
+    """RK4 from y along the schedule of config with a compiled march; returns
+    (times, states).
 
     Steps Python floats, which never warn: a non-finite step raises
     NonFiniteState instead.  ``renormalize`` (or None) maps each finite step
@@ -218,7 +248,7 @@ def _march(f, y: list, config: IntegratorConfig, renormalize) -> tuple:
     if not all(map(math.isfinite, y)):
         raise NonFiniteState("initial state has non-finite entries")
     times, steps = _schedule(config)
-    rows, bad = _march_of_dim(len(y))(f, y, steps, renormalize)
+    rows, bad = march(y, steps, renormalize)
     if bad is not None:
         raise NonFiniteState(f"non-finite state after step {bad} (at {times[bad]:g})")
     states = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * len(y))
@@ -236,11 +266,11 @@ def integrate(params: BodyParams, initial, config: IntegratorConfig) -> Trajecto
     if y.shape not in ((REDUCED_DIM,), (FULL_DIM,)):
         raise ValueError(f"initial state has shape {y.shape}; expected (6,) or (15,)")
     if y.size == FULL_DIM:
-        field, renormalize = params._kernels.full, _orthonormal_rows
+        march, renormalize = _body_march(params, "full"), _orthonormal_rows
     else:
-        field = params._kernels.reduced
+        march = _body_march(params, "reduced")
         renormalize = _unit_gamma if config.renormalize_gamma else None
-    times, states = _march(field, y.tolist(), config, renormalize)
+    times, states = _march(march, y.tolist(), config, renormalize)
     return Trajectory(times=times, states=states)
 
 
@@ -257,7 +287,7 @@ def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConf
         raise ValueError("reparametrized integration is defined on the reduced space")
     # _unit_gamma touches only gamma = z[:3], never the physical time z[6]
     renormalize = _unit_gamma if config.renormalize_gamma else None
-    times, rows = _march(params._kernels.reparam, y0.tolist() + [0.0], config, renormalize)
+    times, rows = _march(_body_march(params, "reparam"), y0.tolist() + [0.0], config, renormalize)
     return Trajectory(times=times, states=rows[:, :REDUCED_DIM], t_recovered=rows[:, REDUCED_DIM])
 
 

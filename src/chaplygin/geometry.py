@@ -164,12 +164,12 @@ class FormPatch:
         return t
 
     def evaluate(self, state: np.ndarray, *vectors: np.ndarray) -> float:
-        """The form on the vectors at one state."""
+        """The form on the vectors at one state, each one dim-vector."""
         if len(vectors) != self.degree:
             raise ValueError(f"need {self.degree} vectors, got {len(vectors)}")
         t = self(_one(state, self.dim, "state"))
         for v in vectors:
-            t = np.tensordot(t, np.asarray(v, dtype=float), axes=([0], [0]))
+            t = np.tensordot(t, _one(v, self.dim, "vector"), axes=([0], [0]))
         return float(t)
 
     def partial_tensor(self, state: np.ndarray) -> np.ndarray:

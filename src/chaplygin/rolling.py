@@ -20,15 +20,17 @@ from these two bits (``_rank_bits``).  Rank 2 with an SO(2) angle of -pi/2
 is the Chaplygin sphere.
 
 Brackets, forms, fields and the Omega helpers also take a stack (N, d) of
-states; the stepper's kernels (``BodyParams._kernels``) stay on Python floats.
+states.  The per-step formulas are written once as source text (``_chart``):
+the stepper splices them into its RK4 march, and ``BodyParams._kernels``
+compiles them into callables on Python floats or numpy columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, NamedTuple
+from functools import cache, cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -172,9 +174,17 @@ class BodyParams:
         return x - p, tuple(float(i) + shift for i in self.inertia)
 
     @cached_property
+    def _constants(self) -> dict:
+        """This body's values of _CONSTANTS, which the chart texts read."""
+        sign, n = self._rank_terms
+        smr2 = sign * self.mr2
+        values = (*n, smr2, *(self.radius * matrix_A(self)).ravel().tolist(), *(1.0 + smr2 / n_i for n_i in n))
+        return dict(zip(_CONSTANTS, values), check=partial(_check_denominator, self.rank))
+
+    @cached_property
     def _kernels(self) -> "_Kernels":
-        """The per-step kernels of this body on Python floats; built once."""
-        return _build_kernels(self)
+        """The callables of this body, each compiled on first use."""
+        return _Kernels(self)
 
 
 def _checked(state, dim: int, chart: str) -> np.ndarray:
@@ -219,83 +229,115 @@ def _check_denominator(rank: int, den, g2):
         )
 
 
-class _Kernels(NamedTuple):
-    """Per-body kernels on Python floats (see _build_kernels)."""
+# The per-step formulas, written once as source text on gamma g1..g3, K
+# k1..k3, rows a1..a3 and b1..b3 of g, and the constants: n, smr2 = sign m r^2,
+# m11..m33 = r A, the weights w of phi^2 and the denominator check, which a
+# closure binds to a body's values (_compile).
+_CONSTANTS = ("n1", "n2", "n3", "smr2", *(f"m{i}{j}" for i in "123" for j in "123"), "w1", "w2", "w3", "check")
+# Omega = K/n - sign m r^2 c u, u = gamma/n, c = K . u / den, by Sherman-Morrison
+# (den = |gamma|^2 + sign m r^2 gamma . u is phi^2 on the unit sphere).  Floats
+# passing the test pass check; {floats} is the callables' type test.
+_OMEGA = """\
+u1, u2, u3 = g1 / n1, g2 / n2, g3 / n3
+gg = g1 * g1 + g2 * g2 + g3 * g3
+den = gg + smr2 * (g1 * u1 + g2 * u2 + g3 * u3)
+if not ({floats}1e-300 <= gg < inf and 1e-12 * gg < den < inf):
+    check(den, gg)
+c = (k1 * u1 + k2 * u2 + k3 * u3) / den
+s = smr2 * c
+o1, o2, o3 = k1 / n1 - s * u1, k2 / n2 - s * u2, k3 / n3 - s * u3
+"""
+_OMEGA_ZERO = "o1, o2, o3 = k1 / n1, k2 / n2, k3 / n3\n"
+_PHI = "phi = sqrt(g1 * (w1 * g1) + g2 * (w2 * g2) + g3 * (w3 * g3))\n"
+_PHI_ZERO = "phi = 1.0\n"
 
-    omega: Callable  # (gamma, K) -> (Omega, u, den, c)
-    reduced: Callable  # 6 floats (gamma, K) -> their 6 time derivatives
-    full: Callable  # 15 floats (g, x, K) -> their 15 time derivatives
-    phi: Callable  # gamma_1, gamma_2, gamma_3 -> the conformal factor (1.0 if sign = 0)
-    phi_weight: tuple  # w with phi^2 = sum_i w_i gamma_i^2
-    reparam: Callable  # 7 floats (gamma, K, t) -> d/dtau = phi d/dt of each
+
+def _cross(v: str) -> tuple:
+    """The components of v x Omega."""
+    return f"{v}2 * o3 - {v}3 * o2", f"{v}3 * o1 - {v}1 * o3", f"{v}1 * o2 - {v}2 * o1"
 
 
-def _build_kernels(params: BodyParams) -> _Kernels:
-    sign, (n1, n2, n3) = params._rank_terms
-    smr2 = sign * params.mr2
-    rank, inf = params.rank, math.inf
-    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = (params.radius * matrix_A(params)).tolist()
-    w1, w2, w3 = weight = tuple(1.0 + smr2 / n_i for n_i in (n1, n2, n3))
+_REDUCED = ("g1", "g2", "g3", "k1", "k2", "k3"), (*_cross("g"), *_cross("k"))
+# g' = g x Omega row by row (gamma is the third row), x' = r A v with v = g Omega, K' = K x Omega
+_FULL_V = "".join(f"v{i} = {r}1 * o1 + {r}2 * o2 + {r}3 * o3\n" for i, r in zip("123", "abg"))
+_FULL = (*(f"{r}{j}" for r in "abg" for j in "123"), None, None, None, "k1", "k2", "k3"), (
+    *_cross("a"), *_cross("b"), *_cross("g"), *(f"m{i}1 * v1 + m{i}2 * v2 + m{i}3 * v3" for i in "123"), *_cross("k"))
 
-    def omega(gamma, k):
-        """Omega = K/n - sign m r^2 c u with u = gamma/n, den = |gamma|^2 + sign
-        m r^2 gamma . u (the Sherman-Morrison denominator of diag(n) + sign m r^2
-        gamma gamma^T, phi^2 on the unit sphere) and c = K . u / den.
 
-        The components are Python floats for one state or numpy columns for
-        many; both round left to right, so a batch equals its rows bit for
-        bit.  Returns (Omega, u, den, c); u, den, c are None when sign = 0.
-        """
-        k1, k2, k3 = k
-        if not sign:
-            return (k1 / n1, k2 / n2, k3 / n3), None, None, None
-        g1, g2, g3 = gamma
-        u1, u2, u3 = g1 / n1, g2 / n2, g3 / n3
-        gg = g1 * g1 + g2 * g2 + g3 * g3
-        den = gg + smr2 * (g1 * u1 + g2 * u2 + g3 * u3)
-        # floats that pass this test are ones _check_denominator lets through
-        if not (isinstance(den, float) and 1e-300 <= gg < inf and 1e-12 * gg < den < inf):
-            _check_denominator(rank, den, gg)
-        c = (k1 * u1 + k2 * u2 + k3 * u3) / den
-        s = smr2 * c
-        return (k1 / n1 - s * u1, k2 / n2 - s * u2, k3 / n3 - s * u3), (u1, u2, u3), den, c
+def _chart(chart: str, zero: bool, omega: str = "") -> tuple[tuple, str, tuple]:
+    """(names of the state entries, None where unread; body text; derivative
+    expressions) of the field on ``chart``: "reduced" (gamma, K), "reparam"
+    (gamma, K, t) with d/dtau = phi d/dt, phi first, or "full" (g, x, K).
+    ``omega`` replaces the text of Omega when given."""
+    names, derivatives = _FULL if chart == "full" else _REDUCED
+    body = omega or (_OMEGA_ZERO if zero else _OMEGA).format(floats="")
+    if chart == "full":
+        body += _FULL_V
+    elif chart == "reparam":
+        names, body = (*names, None), (_PHI_ZERO if zero else _PHI) + body
+        derivatives = (*(f"phi * ({d})" for d in derivatives), "phi")
+    return names, body, derivatives
 
-    def reduced(y):
-        g1, g2, g3, k1, k2, k3 = y
-        w1, w2, w3 = omega((g1, g2, g3), (k1, k2, k3))[0]
-        return (
-            g2 * w3 - g3 * w2, g3 * w1 - g1 * w3, g1 * w2 - g2 * w1,
-            k2 * w3 - k3 * w2, k3 * w1 - k1 * w3, k1 * w2 - k2 * w1,
-        )
 
-    # g' = g x Omega row by row (gamma is the third row), x' = r A g Omega, K' = K x Omega
-    def full(y):
-        a1, a2, a3, b1, b2, b3, g1, g2, g3, _, _, _, k1, k2, k3 = y
-        w1, w2, w3 = omega((g1, g2, g3), (k1, k2, k3))[0]
-        v1 = a1 * w1 + a2 * w2 + a3 * w3
-        v2 = b1 * w1 + b2 * w2 + b3 * w3
-        v3 = g1 * w1 + g2 * w2 + g3 * w3
-        return (
-            a2 * w3 - a3 * w2, a3 * w1 - a1 * w3, a1 * w2 - a2 * w1,
-            b2 * w3 - b3 * w2, b3 * w1 - b1 * w3, b1 * w2 - b2 * w1,
-            g2 * w3 - g3 * w2, g3 * w1 - g1 * w3, g1 * w2 - g2 * w1,
-            r11 * v1 + r12 * v2 + r13 * v3, r21 * v1 + r22 * v2 + r23 * v3, r31 * v1 + r32 * v2 + r33 * v3,
-            k2 * w3 - k3 * w2, k3 * w1 - k1 * w3, k1 * w2 - k2 * w1,
-        )
+def _stage(field: tuple, out: str, args: list) -> list:
+    """The lines that evaluate a field of _chart at the entries ``args``
+    (expressions) into out0, out1, ...: its names set to the arguments, its
+    body, its derivatives."""
+    names, body, derivatives = field
+    lines = [f"{n} = {a}" for n, a in zip(names, args) if n]
+    return [*lines, *body.splitlines(), *(f"{out}{i} = {d}" for i, d in enumerate(derivatives))]
 
-    def phi(g1, g2, g3):
-        if not sign:
-            return 1.0
-        q = g1 * (w1 * g1) + g2 * (w2 * g2) + g3 * (w3 * g3)
-        return math.sqrt(q) if isinstance(q, float) else np.sqrt(q)
 
-    def reparam(z):
-        g1, g2, g3, k1, k2, k3, _ = z
-        p = phi(g1, g2, g3)
-        v1, v2, v3, v4, v5, v6 = reduced((g1, g2, g3, k1, k2, k3))
-        return p * v1, p * v2, p * v3, p * v4, p * v5, p * v6, p
+def _function(header: str, *blocks: str) -> str:
+    """Source of a function: the header, then the blocks of lines indented."""
+    return header + "\n" + "".join(f"    {line}\n" for b in blocks for line in b.splitlines())
 
-    return _Kernels(omega, reduced, full, phi, weight, reparam)
+
+def _compile(function: str, name: str, filename: str, namespace: dict, constants: tuple = _CONSTANTS) -> Callable:
+    """bind(*constants) -> the function ``name`` of the source ``function``,
+    with the constants as closure cells and a copy of ``namespace`` as its
+    globals: one compiled text serves every body."""
+    source = _function(f"def bind({', '.join(constants)}):", function, f"return {name}")
+    exec(compile(source, filename, "exec"), namespace := dict(namespace))
+    return namespace["bind"]
+
+
+@cache
+def _kernel_factory(name: str, zero: bool) -> Callable:
+    """bind(**constants) -> omega(gamma, k) -> (Omega, u, den, c) (u, den, c
+    None if sign = 0), reduced(y) or full(y) -> y' (through a bound omega),
+    or phi(g1, g2, g3), for the bodies with sign == 0 or with sign != 0.  On
+    Python floats or numpy columns, which round alike: a batch equals its
+    rows bit for bit."""
+    constants = _CONSTANTS
+    if name == "omega":
+        text = (_OMEGA_ZERO if zero else _OMEGA).format(floats="isinstance(den, float) and ")
+        gamma, terms = ("", "None, None, None") if zero else ("g1, g2, g3 = gamma", "(u1, u2, u3), den, c")
+        blocks = "def omega(gamma, k):", "k1, k2, k3 = k", gamma, text, f"return (o1, o2, o3), {terms}"
+    elif name == "phi":
+        blocks = "def phi(g1, g2, g3):", _PHI_ZERO if zero else _PHI, "return phi"
+    else:
+        names, body, derivatives = _chart(name, zero, "(o1, o2, o3), _, _, _ = omega((g1, g2, g3), (k1, k2, k3))\n")
+        unpack = f"{', '.join(n or '_' for n in names)} = y"
+        blocks = f"def {name}(y):", unpack, body, f"return {', '.join(derivatives)}"
+        constants += ("omega",)
+    return _compile(_function(*blocks), name, f"<{name} zero={zero}>", {"sqrt": np.sqrt, "inf": math.inf}, constants)
+
+
+class _Kernels:
+    """A body's callables (see _kernel_factory), each compiled on first use
+    and bound to the body's constants: simulate needs omega alone."""
+
+    def __init__(self, params: BodyParams):
+        self._constants, self._zero = params._constants, not params._rank_terms[0]
+
+    def _bind(self, name: str, **callables) -> Callable:
+        return _kernel_factory(name, self._zero)(**self._constants, **callables)
+
+    omega = cached_property(lambda self: self._bind("omega"))
+    reduced = cached_property(lambda self: self._bind("reduced", omega=self.omega))
+    full = cached_property(lambda self: self._bind("full", omega=self.omega))
+    phi = cached_property(lambda self: self._bind("phi"))
 
 
 def K_from_omega(params: BodyParams, gamma, omega) -> np.ndarray:
@@ -480,6 +522,7 @@ def conformal_factor(params: BodyParams) -> ScalarField:
     if not params._rank_terms[0]:
         return ScalarField(value=lambda s: 1.0, gradient=lambda s: np.zeros(s.shape), name="phi=1")
     kernels = params._kernels
+    weight = np.array([params._constants[w] for w in ("w1", "w2", "w3")])  # phi^2 = sum_i w_i gamma_i^2
 
     def value(s):
         return kernels.phi(s[..., 0], s[..., 1], s[..., 2])
@@ -489,7 +532,7 @@ def conformal_factor(params: BodyParams) -> ScalarField:
         if bad := _first_bad(phi == 0.0):
             raise DegenerateDenominator(f"rank-{params.rank} conformal factor vanishes at gamma = 0{bad[1]}")
         out = np.zeros(s.shape)
-        out[..., :3] = np.array(kernels.phi_weight) * s[..., :3] / phi[..., None]
+        out[..., :3] = weight * s[..., :3] / phi[..., None]
         return out
 
     return ScalarField(value=value, gradient=gradient, name=f"phi_rank{params.rank}")

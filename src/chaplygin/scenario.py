@@ -151,7 +151,11 @@ def load_scenario(path) -> Scenario:
     if not path.exists():
         raise ScenarioError("<file>", f"no such file: {path}")
     try:
-        data = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise ScenarioError("<file>", f"cannot read {path}: {exc}")
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError("<file>", f"invalid JSON: {exc}")
     return scenario_from_dict(data)

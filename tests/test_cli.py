@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chaplygin
-from chaplygin import DegenerateDenominator, NonPositiveFactor, SingularGauge, SymmetricInput, cli
+from chaplygin import DegenerateDenominator, NonPositiveFactor, SingularGauge, SymmetricInput, cli, dynamics, rolling
 from chaplygin.cli import main
 
 REDUCED_HEADER = "t,gamma1,gamma2,gamma3,K1,K2,K3,H,C1,C2,F"
@@ -166,6 +166,32 @@ def test_simulate_rejects_unknown_integrator_method(tmp_path, capsys):
 def test_simulate_rejects_missing_file(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_simulate_rejects_unreadable_file(tmp_path, capsys, kind):
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff" + write_scenario(tmp_path, name="ok.json").read_bytes())
+    assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario field '<file>': cannot read") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--reparametrize"], ["--full"]], ids=["reduced", "reparam", "full"])
+def test_second_simulate_compiles_nothing(tmp_path, flags):
+    """Each chart's march and the kernels compile once per process: a second
+    run, on a body of other inertia, adds no cache miss."""
+    caches = (dynamics._chart_march, dynamics._march_of_dim, rolling._kernel_factory)
+    first = write_scenario(tmp_path, name="first.json")
+    assert main(["simulate", str(first), *flags, "--out", str(tmp_path / "a")]) == 0
+    misses = [f.cache_info().misses for f in caches]
+    second = write_scenario(tmp_path, name="second.json", inertia=[0.7, 1.9, 2.6], mass=1.4)
+    assert main(["simulate", str(second), *flags, "--out", str(tmp_path / "b")]) == 0
+    assert [f.cache_info().misses for f in caches] == misses
 
 
 def test_simulate_reports_runtime_blowup(tmp_path, capsys):

@@ -1,13 +1,24 @@
 """Integrators, conservation monitors, measure diagnostics, interpolation."""
 
+import functools
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import chaplygin
 
 from chaplygin import (
     MONITOR_NAMES,
+    BodyParams,
     DegenerateDenominator,
     IntegratorConfig,
     NonFiniteState,
@@ -317,6 +328,53 @@ def _loop_phi(body):
     return phi
 
 
+def _frozen_kernels(body):
+    """The hand-written float kernels that the chart texts replaced, frozen as
+    oracles: (omega, reduced, full) on Python floats or numpy columns."""
+    sign, (n1, n2, n3) = body._rank_terms
+    smr2 = sign * body.mr2
+    rank, inf = body.rank, math.inf
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = (body.radius * rolling.matrix_A(body)).tolist()
+
+    def omega(gamma, k):
+        k1, k2, k3 = k
+        if not sign:
+            return (k1 / n1, k2 / n2, k3 / n3), None, None, None
+        g1, g2, g3 = gamma
+        u1, u2, u3 = g1 / n1, g2 / n2, g3 / n3
+        gg = g1 * g1 + g2 * g2 + g3 * g3
+        den = gg + smr2 * (g1 * u1 + g2 * u2 + g3 * u3)
+        if not (isinstance(den, float) and 1e-300 <= gg < inf and 1e-12 * gg < den < inf):
+            rolling._check_denominator(rank, den, gg)
+        c = (k1 * u1 + k2 * u2 + k3 * u3) / den
+        s = smr2 * c
+        return (k1 / n1 - s * u1, k2 / n2 - s * u2, k3 / n3 - s * u3), (u1, u2, u3), den, c
+
+    def reduced(y):
+        g1, g2, g3, k1, k2, k3 = y
+        w1, w2, w3 = omega((g1, g2, g3), (k1, k2, k3))[0]
+        return (
+            g2 * w3 - g3 * w2, g3 * w1 - g1 * w3, g1 * w2 - g2 * w1,
+            k2 * w3 - k3 * w2, k3 * w1 - k1 * w3, k1 * w2 - k2 * w1,
+        )
+
+    def full(y):
+        a1, a2, a3, b1, b2, b3, g1, g2, g3, _, _, _, k1, k2, k3 = y
+        w1, w2, w3 = omega((g1, g2, g3), (k1, k2, k3))[0]
+        v1 = a1 * w1 + a2 * w2 + a3 * w3
+        v2 = b1 * w1 + b2 * w2 + b3 * w3
+        v3 = g1 * w1 + g2 * w2 + g3 * w3
+        return (
+            a2 * w3 - a3 * w2, a3 * w1 - a1 * w3, a1 * w2 - a2 * w1,
+            b2 * w3 - b3 * w2, b3 * w1 - b1 * w3, b1 * w2 - b2 * w1,
+            g2 * w3 - g3 * w2, g3 * w1 - g1 * w3, g1 * w2 - g2 * w1,
+            r11 * v1 + r12 * v2 + r13 * v3, r21 * v1 + r22 * v2 + r23 * v3, r31 * v1 + r32 * v2 + r33 * v3,
+            k2 * w3 - k3 * w2, k3 * w1 - k1 * w3, k1 * w2 - k2 * w1,
+        )
+
+    return omega, reduced, full
+
+
 def _package_run(body, start, config, kind):
     """(times, states) of integrate, or of reparametrized_integrate with
     physical time as the last column."""
@@ -328,14 +386,15 @@ def _package_run(body, start, config, kind):
 
 
 def _loop_run(body, start, config, kind):
-    """(times, states) of the same run through the per-step loop."""
+    """(times, states) of the same run through the per-step loop and the frozen kernels."""
     y = np.asarray(start, dtype=float).tolist()
     renormalize = dynamics._unit_gamma if config.renormalize_gamma else None
+    _, reduced, full = _frozen_kernels(body)
     if kind == "full":
-        return _loop_march(body._kernels.full, y, config, _loop_orthonormal_rows)
+        return _loop_march(full, y, config, _loop_orthonormal_rows)
     if kind == "reduced":
-        return _loop_march(body._kernels.reduced, y, config, renormalize)
-    phi, field = _loop_phi(body), body._kernels.reduced
+        return _loop_march(reduced, y, config, renormalize)
+    phi, field = _loop_phi(body), reduced
 
     def f_aug(z):
         s = z[:6]
@@ -385,6 +444,11 @@ def test_blow_up_message_equals_the_step_loop(rank, kind):
         assert messages[0] == messages[1]
 
 
+def _field_march(f, y, config, renormalize):
+    """The package's march of y' = f(y), compiled for any field of len(y) floats."""
+    return dynamics._march(dynamics._march_of_dim(len(y))(f), y, config, renormalize)
+
+
 @pytest.mark.parametrize("dim", [1, 6, 7, 15])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_march_stops_at_a_non_finite_entry_anywhere(dim, bad):
@@ -394,7 +458,7 @@ def test_march_stops_at_a_non_finite_entry_anywhere(dim, bad):
             return [bad if j == i and y[0] >= 1.4 else 0.25 for j in range(dim)]
 
         messages = []
-        for march in (dynamics._march, _loop_march):
+        for march in (_field_march, _loop_march):
             with pytest.raises(NonFiniteState) as info:
                 march(field, [1.0] * dim, config, None)
             messages.append(str(info.value))
@@ -685,3 +749,115 @@ def test_hermite_sample_rejects_out_of_range():
     for trajectory, t in ((traj, 0.6), (one_sample, 0.0)):
         with pytest.raises(ValueError):
             hermite_sample(body, trajectory, t)
+
+
+# ------------------------------------- compiled chart texts against frozen kernels
+
+
+def _bits(value):
+    """A value's type names and bytes, recursing into tuples."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if value is None:
+        return None
+    return type(value).__name__, np.asarray(value, dtype=float).tobytes()
+
+
+def _outcome(fn, *args):
+    """The bits of fn(*args), or the type and message of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return _bits(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_coords = st.floats(-1.0, 1.0, allow_nan=False).map(float)
+_scales = st.sampled_from([0.0, 1e-160, 1e-6, 1.0, 1e3, 1e160, 1e200])
+# gamma scaled into the degenerate, overflowing and ordinary ranges of the denominator test
+_gammas = st.tuples(st.tuples(_coords, _coords, _coords), _scales).map(lambda p: [p[1] * v for v in p[0]])
+_kernel_rows = st.tuples(_gammas, st.lists(_coords, min_size=12, max_size=12)).map(lambda p: p[0] + p[1])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    inertia=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+    mass=st.floats(0.1, 10.0),
+    radius=st.floats(0.1, 2.0),
+    rank=st.integers(0, 3),
+    rows=st.lists(_kernel_rows, min_size=1, max_size=5),
+)
+# a rank-2 denominator of 1e-13 |gamma|^2 along a tiny moment, just below the 1e-12 bound
+@example(inertia=(1e-13, 1.0, 2.0), mass=1.0, radius=1.0, rank=2, rows=[[1.0, 0.0, 0.0] + [0.5] * 12])
+def test_compiled_kernels_equal_the_frozen_ones(inertia, mass, radius, rank, rows):
+    """omega, reduced and full compiled from the chart texts equal the frozen
+    hand-written kernels bit for bit, in type, or in the error they raise, on
+    Python floats (one state) and on numpy columns (a stack)."""
+    body = BodyParams(inertia=inertia, mass=mass, radius=radius, rank=rank)
+    kernels, frozen = body._kernels, _frozen_kernels(body)
+    # a row: gamma (3), K (3) and the first rows of g and x (9) of a full state
+    full_rows = [r[6:12] + r[:3] + r[12:15] + r[3:6] for r in rows]
+    for row, full_row in zip(rows, full_rows):
+        for got, expected, args in (
+            (kernels.omega, frozen[0], (row[:3], row[3:6])),
+            (kernels.reduced, frozen[1], (row[:6],)),
+            (kernels.full, frozen[2], (full_row,)),
+        ):
+            assert _outcome(got, *args) == _outcome(expected, *args)
+    columns = np.array(rows).T
+    full_columns = list(np.array(full_rows).T)
+    for got, expected, args in (
+        (kernels.omega, frozen[0], (columns[:3], columns[3:6])),
+        (kernels.reduced, frozen[1], (list(columns[:6]),)),
+        (kernels.full, frozen[2], (full_columns,)),
+    ):
+        assert _outcome(got, *args) == _outcome(expected, *args)
+
+
+# ------------------------------------------------- compiled once per process
+
+
+def test_import_and_load_compile_nothing(tmp_path):
+    """Compiling is lazy: importing the package and loading a scenario build
+    no march and no kernel, and a simulate run then compiles its chart's
+    march and the omega of its monitors, nothing else."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"inertia": [1.0, 2.0, 3.0], "mass": 1.0, "radius": 1.0, "rank": 2,
+                                "initial": {"gamma": [0.0, 0.0, 1.0], "K": [0.3, -0.1, 0.2]},
+                                "integrator": {"dt": 1e-3, "T": 0.01}}))
+    code = ("import sys, chaplygin\n"
+            "from chaplygin import cli, dynamics, rolling\n"
+            "caches = (dynamics._chart_march, dynamics._march_of_dim, rolling._kernel_factory)\n"
+            "chaplygin.load_scenario(sys.argv[1])\n"
+            "print([f.cache_info().currsize for f in caches])\n"
+            "assert cli.main(['simulate', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print([f.cache_info().currsize for f in caches])\n"
+            "dynamics._chart_march('reduced', False), rolling._kernel_factory('omega', False)\n"
+            "print([f.cache_info().misses for f in caches])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(chaplygin.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    printed = [line for line in done.stdout.splitlines() if line.startswith("[")]
+    assert printed == ["[0, 0, 0]", "[1, 0, 1]", "[1, 0, 1]"]
+
+
+def test_bodies_share_one_compiled_march_per_chart_and_zero_sign(monkeypatch):
+    """One compiled text per (chart, sign == 0): ranks 1 and 2 (sign != 0)
+    share one, ranks 0 and 3 (sign = 0) the other, whatever the inertia."""
+    compiled = []
+    fresh = functools.cache(dynamics._chart_march.__wrapped__)
+    monkeypatch.setattr(dynamics, "_chart_march", fresh)
+    config = IntegratorConfig(dt=1e-2, t_final=0.05)
+    for ranks, kind in (((1, 2), "reduced"), ((0, 3), "reduced"), ((1, 2), "reparam"), ((1, 2), "full")):
+        for rank_s in ranks:
+            for factory in (standard_body, asymmetric_body):
+                body, start = factory(rank_s), CHAPLYGIN_START
+                if kind == "full":
+                    integrate(body, lift_reduced_state(start), config)
+                elif kind == "reparam":
+                    reparametrized_integrate(body, start, config)
+                else:
+                    integrate(body, start, config)
+        compiled.append(fresh.cache_info().misses)
+    assert compiled == [1, 2, 3, 4]

@@ -58,6 +58,7 @@ from chaplygin import (
     wedge_1_2,
 )
 from chaplygin.errors import DegenerateDenominator, NonFiniteState
+from chaplygin.brackets import ScalarField
 from chaplygin.rolling import BodyParams
 
 from conftest import VARIANTS, asymmetric_body, standard_body
@@ -815,6 +816,25 @@ def test_one_state_evaluations_reject_stacks(call, rows):
     with pytest.raises(ValueError, match=rf"expected one 6-dim state, got shape \({rows}, 6\)"):
         evaluate(states)
     assert math.isfinite(evaluate(states[0]))
+
+
+def test_vectors_and_gradients_of_the_wrong_shape_are_named():
+    """FormPatch.evaluate takes one dim-vector per slot and BivectorPatch.bracket
+    two dim-gradients; anything else is a ValueError naming its shape."""
+    body, state, e = standard_body(2), sample_reduced_state(seed=1), np.eye(6)
+    form, pi = twist_two_form(body), reduced_bracket(body)
+    with pytest.raises(ValueError, match=r"expected one 6-dim vector, got shape \(5,\)"):
+        form.evaluate(state, np.ones(5), e[1])
+    with pytest.raises(ValueError, match=r"expected one 6-dim vector, got shape \(6, 2\)"):
+        form.evaluate(state, e[:, :2], e[1])
+    with pytest.raises(ValueError, match=r"coordinate x0 of a 5-dim chart at a state of shape \(6,\)"):
+        pi.bracket(coordinate_field(5, 0), coordinate_field(6, 1), state)
+    short = ScalarField(value=lambda s: 0.0, gradient=lambda s: np.ones(5), name="short")
+    for f, g in ((short, coordinate_field(6, 1)), (coordinate_field(6, 1), short)):
+        with pytest.raises(ValueError, match=r"expected one 6-dim gradient, got shape \(5,\)"):
+            pi.bracket(f, g, state)
+    assert math.isfinite(form.evaluate(state, e[0], e[4]))
+    assert math.isfinite(pi.bracket(coordinate_field(6, 0), coordinate_field(6, 3), state))
 
 
 def test_sample_full_state_properties():

@@ -138,6 +138,18 @@ def test_load_scenario_bad_json(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_load_scenario_unreadable_file(tmp_path, kind):
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff" + json.dumps(reduced_scenario()).encode())
+    with pytest.raises(ScenarioError, match="cannot read") as err:
+        load_scenario(path)
+    assert err.value.field == "<file>"
+
+
 def test_load_scenario_round_trip(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(reduced_scenario()))
