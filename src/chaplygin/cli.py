@@ -8,6 +8,12 @@ Exit codes: 0 success / all checks passed, 1 runtime failure or a failed
 check, 2 invalid input.  All file writes are atomic (temp file in the target
 directory, then rename) and byte-identical across repeated runs with the
 same inputs.
+
+trajectory.csv writes every float as "%.17g" prints it.  Exact zeros and
+the cells it prints in fixed notation (finite |x| in [1e-4, 1e16)) are
+converted to those bytes in numpy, with exact integer arithmetic, 128 rows
+at a time; every other cell (subnormals, |x| < 1e-4, |x| >= 1e16, inf and
+nan) is formatted by "%.17g" itself.
 """
 
 from __future__ import annotations
@@ -73,12 +79,152 @@ def _trajectory_csv(traj: Trajectory, series: dict) -> str:
     if traj.t_recovered is not None:
         header.append("t_recovered")
         columns.append(traj.t_recovered)
-    # Python floats format exactly as the float64 cells: "%.17g" round-trips
-    # (and gives the bytes of f"{x:.17g}", including -0, inf, nan and subnormals)
-    row_format = ",".join(["%.17g"] * len(columns))
-    lines = [",".join(header)]
-    lines.extend(row_format % tuple(row) for row in np.column_stack(columns).tolist())
-    return "\n".join(lines) + "\n"
+    return ",".join(header) + "\n" + _g17_rows(np.column_stack(columns)).decode()
+
+
+# ------------------------------------------------------------------ CSV text
+#
+# Every trajectory.csv cell reads as "%.17g" prints it, which round-trips the
+# float64.  Exact zeros and the cells "%.17g" prints in fixed notation, finite
+# |x| in [1e-4, 1e16), are converted in numpy with exact integer arithmetic;
+# the rest (subnormals, |x| < 1e-4, |x| >= 1e16, inf, nan) by "%.17g" itself.
+#
+# A converted cell is 17 digits d0..d16 and a decimal exponent E in [-4, 16]
+# (|x| rounds to d0.d1...d16 10**E).  It is laid out in a frame of 40 bytes,
+# five little-endian uint64 words, in which a NUL stands for "nothing here":
+#   0      "-" or NUL
+#   1-2    "0." if E < 0
+#   3-5    "0" at 3, 4, 5 if E < -1, -2, -3
+#   6-39   d0, p0, d1, p1, ..., d16, p16: digit k unless it is a trailing
+#          zero after the point; pk = "." if k = E and a digit follows,
+#          and p16 = "," or, ending a row, a newline
+# A fallback cell's text (at most 24 bytes) fills the frame's first bytes
+# instead.  Dropping the NULs of the frames leaves the text.
+
+_BLOCK_ROWS = 128  # rows converted at a time, so the temporaries stay small
+_LAYOUT_GRID = (21, 17)  # E = -4..16 by the index of the last nonzero digit
+_ZERO_ROW = _LAYOUT_GRID[0] * _LAYOUT_GRID[1]
+_FALLBACK_ROW = _ZERO_ROW + 1
+_ABS_MASK, _FRAC_MASK, _HIDDEN = 2**63 - 1, 2**52 - 1, 2**52
+_ONE_BITS, _LOW32 = 0x3FF0000000000000, 2**32 - 1
+
+
+@functools.cache  # built by the first CSV of a process; verify builds none
+def _g17_tables() -> tuple:
+    """(pow5, pow10_bits, window, digits, layouts), all uint64:
+    pow5[s] = 5**s for s = 0..21;
+    pow10_bits[k + 4], the bits of the float 10**k for k = -4..16;
+    window, the bits of 1e-4 and 1e16;
+    digits[i], the four ASCII digits of i < 10**4 in bytes 0, 2, 4, 6 and
+    their count of trailing zeros (4 for 0000) in byte 7;
+    layouts[(E + 4) * 17 + z] for a cell whose last nonzero digit is dz,
+    then one row for exact zeros and one for fallback text: five words
+    that keep the frame's digit bytes (0xFF) and five that fill in its
+    other bytes, with a comma as the separator."""
+    pow5 = np.array([5**s for s in range(22)], dtype=np.uint64)
+    powers = np.array([10.0**k for k in range(17)])
+    # 1 / 10**k is the float nearest 10**-k: IEEE division rounds correctly
+    pow10 = np.concatenate([1.0 / powers[4:0:-1], powers])
+    window = np.array([1e-4, 1e16]).view(np.uint64)
+
+    ascii10 = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    ascii4 = np.stack(np.meshgrid(ascii10, ascii10, ascii10, ascii10, indexing="ij"), axis=-1).reshape(-1, 4)
+    digits = np.zeros((10**4, 8), dtype=np.uint8)
+    digits[:, 0::2] = ascii4
+    i = np.arange(10**4, dtype=np.uint16)
+    digits[:, 7] = sum((i % 10**j == 0).view(np.uint8) for j in range(1, 5))
+
+    exp = np.arange(-4, 17)[:, None, None]
+    last = np.arange(17)[None, :, None]
+    k = np.arange(17)
+    layouts = np.zeros((_FALLBACK_ROW + 1, 2, 40), dtype=np.uint8)
+    grid = layouts[:_ZERO_ROW].reshape(*_LAYOUT_GRID, 2, 40)  # a view: the rows are contiguous
+    keep, fill = grid[..., 0, :], grid[..., 1, :]
+    keep[..., 6::2] = np.where(k <= np.maximum(exp, last), 0xFF, 0)
+    fill[..., 1:6] = np.where(exp < [0, 0, -1, -2, -3], np.array([ord("0"), ord(".")] + [ord("0")] * 3), 0)
+    fill[..., 7::2] = np.where((k == exp) & (last > exp), ord("."), 0)
+    layouts[_ZERO_ROW, 1, 6] = ord("0")
+    layouts[:, 1, 39] = ord(",")
+    return pow5, pow10.view(np.uint64), window, digits.view("<u8").ravel(), layouts.view("<u8").reshape(-1, 10)
+
+
+def _g17_scaled(pow5, m, e2, exp) -> tuple:
+    """floor(m 2**e2 10**s) with s = 16 - exp, and whether round-half-even
+    takes it up one, computed exactly: m < 2**53 times 5**s < 2**49 in two
+    uint64 limbs, then a shift by e2 + s."""
+    s = 16 - exp
+    p = pow5[s]
+    ml, mh, pl, ph = m & _LOW32, m >> 32, p & _LOW32, p >> 32
+    mid = ml * ph + mh * pl
+    hi = mh * ph + (mid >> 32)
+    lo = ml * pl + (mid << 32)  # wraps modulo 2**64
+    hi += lo < (mid << 32)  # the carry of that sum
+    shift = -(e2 + s)
+    right = np.maximum(shift, 0).astype(np.uint64)
+    left = np.maximum(-shift, 0).astype(np.uint64)
+    q = ((hi << (64 - right)) | (lo >> right)) << left  # hi is 0 where right is 0
+    one = np.uint64(1) << right
+    rem2 = (lo & (one - 1)) << 1  # twice the remainder, against one = twice the half
+    return q, (rem2 > one) | ((rem2 == one) & ((q & 1) == 1))
+
+
+def _g17_block(block: np.ndarray) -> bytes:
+    pow5, pow10_bits, window, digits, layouts = _g17_tables()
+    rows, cols = block.shape
+    bits = block.view(np.uint64).ravel()
+    magnitude = bits & _ABS_MASK
+    zero = magnitude == 0
+    fixed = (magnitude >= window[0]) & (magnitude < window[1])
+    # the other cells run through as 1.0 and take other layouts below
+    mag = np.where(fixed, magnitude, _ONE_BITS)
+    biased = (mag >> 52).astype(np.int64)
+    m, e2 = (mag & _FRAC_MASK) | _HIDDEN, biased - 1075
+    est = ((biased - 1023) * 78913) >> 18  # floor(log10 2**(biased - 1023))
+    exp = est + (mag >= pow10_bits[est + 5])  # floor(log10 |x|)
+    q, up = _g17_scaled(pow5, m, e2, exp)
+    off = (q < 10**16).astype(np.int64) - (q >= 10**17)
+    if off.any():  # exp must put floor(|x| 10**(16 - exp)) in [1e16, 1e17)
+        exp -= off
+        q, up = _g17_scaled(pow5, m, e2, exp)
+    q += up
+    carry = q == 10**17  # rounded up to 10**(exp + 1)
+    q[carry] = 10**16
+    exp += carry
+
+    d0 = q // 10**16
+    low16 = q - d0 * 10**16
+    high8 = low16 // 10**8
+    low8 = low16 - high8 * 10**8
+    frame = np.empty((rows * cols, 5), dtype="<u8")
+    frame[:, 0] = (d0 + ord("0")) << 48
+    frame[:, 1] = digits[high8 // 10**4]
+    frame[:, 2] = digits[high8 % 10**4]
+    frame[:, 3] = digits[low8 // 10**4]
+    frame[:, 4] = digits[low8 % 10**4]
+    t1, t2, t3, t4 = (frame[:, 1:] >> 56).astype(np.int64).T  # trailing zeros per group
+    trailing = t4 + (t4 == 4) * (t3 + (t3 == 4) * (t2 + (t2 == 4) * t1))
+    row = (exp + 4) * 17 + 16 - trailing
+    row[zero] = _ZERO_ROW
+    fallback = np.flatnonzero(~(fixed | zero))
+    row[fallback] = _FALLBACK_ROW
+    layout = layouts[row]
+    frame &= layout[:, :5]
+    frame |= layout[:, 5:]
+    frame[:, 0] |= (bits >> 63) * ord("-")
+    frame[cols - 1 :: cols, 4] ^= (ord(",") ^ ord("\n")) << 56
+    text = frame.view(np.uint8)
+    if fallback.size:
+        cells = ["%.17g" % x for x in block.ravel()[fallback].tolist()]
+        text[fallback, :24] = np.array(cells, dtype="S24").view(np.uint8).reshape(-1, 24)
+    text = text.ravel()
+    return np.compress(text != 0, text).tobytes()
+
+
+def _g17_rows(table: np.ndarray) -> bytes:
+    """The rows of a float64 table as ASCII text: per row, its cells as
+    "%.17g" prints them joined by commas, then a newline."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    return b"".join(_g17_block(table[i : i + _BLOCK_ROWS]) for i in range(0, table.shape[0], _BLOCK_ROWS))
 
 
 def _json_text(payload: dict) -> str:

@@ -371,6 +371,11 @@ def _omega_terms(params: BodyParams, gamma, K) -> tuple:
     are None when sign = 0."""
     gamma = np.asarray(gamma, dtype=float)
     K = np.asarray(K, dtype=float)
+    if gamma.shape[-1:] != (3,) or K.shape != gamma.shape:
+        raise ValueError(
+            f"expected gamma and K of shape (..., 3) with the same leading axes, "
+            f"got shapes {gamma.shape} and {K.shape}"
+        )
     kernel = params._kernels.omega
     if gamma.ndim == 1 and K.ndim == 1:
         omega, u, den, c = kernel(gamma.tolist(), K.tolist())

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chaplygin
 from chaplygin import DegenerateDenominator, NonPositiveFactor, SingularGauge, SymmetricInput, cli, dynamics, rolling
@@ -303,6 +305,88 @@ def test_concurrent_simulate_runs_share_an_output_directory(tmp_path):
     for artifact in ("trajectory.csv", "summary.json"):
         assert (tmp_path / "shared" / artifact).read_bytes() == (tmp_path / "single" / artifact).read_bytes()
     assert sorted(p.name for p in (tmp_path / "shared").iterdir()) == ["summary.json", "trajectory.csv"]
+
+
+# ------------------------------------------------------------------ CSV text
+
+
+def _reference_rows(table) -> str:
+    """The reference text: every cell by f"{x:.17g}", one Python call each."""
+    return "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in table.tolist())
+
+
+def _edge_values() -> list:
+    """Cells at the corners of the numpy path and of its fallback."""
+    tiny, huge = 5e-324, np.finfo(np.float64).max
+    values = [0.0, tiny, 2 * tiny, 2.2250738585072009e-308, 2.2250738585072014e-308, huge,
+              np.inf, np.nan, -np.nan, 1e15 + 0.25, 1e15 + 0.75, 1e15 + 0.5, 1e15 + 1.5, 0.5, 2.5,
+              9007199254740993.0, 2.0**53, 2.0**53 + 2, 0.1, 1 / 3, 2 / 3,
+              1e-14, 1e98]  # floats just below 10**k that round up to it; none is in the window
+    for k in range(-6, 19):
+        power = float(f"1e{k}")
+        values += [power, np.nextafter(power, 0), np.nextafter(power, np.inf)]
+    for edge in (1e-4, 1e16):  # the window of the numpy path
+        values += [edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf)]
+    values += [-v for v in values]
+    return [float(v) for v in values]
+
+
+def test_g17_text_of_edge_values_matches_format():
+    cells = _edge_values()
+    for cols in (1, 7, 17):  # 17 cells a row over 300 rows: three blocks
+        table = np.resize(np.array(cells), (300, cols))
+        assert cli._g17_rows(table).decode() == _reference_rows(table)
+    # ties round half to even, as "%.17g" does
+    assert cli._g17_rows(np.array([[1e15 + 0.25, 1e15 + 0.75]])) == b"1000000000000000.2,1000000000000000.8\n"
+
+
+@pytest.mark.parametrize("estimate", ["low", "high"])
+def test_g17_exponent_check_corrects_a_wrong_estimate(monkeypatch, estimate):
+    """The decimal exponent from the power-of-ten compare is checked exactly;
+    with every compare forced one way it is corrected, and the text holds."""
+    pow5, pow10_bits, *rest = cli._g17_tables()
+    forced = np.full_like(pow10_bits, 2**63 - 1 if estimate == "low" else 0)
+    monkeypatch.setattr(cli, "_g17_tables", lambda: (pow5, forced, *rest))
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((40, 9)) * 10.0 ** rng.integers(-4, 16, (40, 9))
+    assert cli._g17_rows(table).decode() == _reference_rows(table)
+
+
+_WINDOW_BITS = st.builds(  # sign, an exponent around [1e-4, 1e16), any fraction
+    lambda sign, biased, fraction: sign << 63 | biased << 52 | fraction,
+    st.integers(0, 1), st.integers(1008, 1078), st.integers(0, 2**52 - 1),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 17).flatmap(
+    lambda cols: st.lists(st.lists(st.one_of(st.integers(0, 2**64 - 1), _WINDOW_BITS), min_size=cols, max_size=cols),
+                          min_size=1, max_size=6)))
+def test_g17_text_of_any_bit_pattern_matches_format(rows):
+    table = np.array(rows, dtype=np.uint64).view(np.float64)
+    assert cli._g17_rows(table).decode() == _reference_rows(table)
+
+
+def test_formatter_tables_are_built_by_the_first_csv_only(tmp_path):
+    """Importing the package and loading a scenario import no cli and build
+    no formatter table; verify --suite all builds none either; the first
+    simulate builds them once."""
+    path = write_scenario(tmp_path)
+    code = ("import sys, chaplygin\n"
+            "chaplygin.load_scenario(sys.argv[1])\n"
+            "print('cli' in dir(chaplygin), 'chaplygin.cli' in sys.modules)\n"
+            "from chaplygin import cli\n"
+            "argv = [sys.argv[1], '--out', sys.argv[2]]\n"
+            "assert cli.main(['verify', *argv, '--suite', 'all', '--trials', '3']) == 0\n"
+            "print(cli._g17_tables.cache_info().currsize)\n"
+            "assert cli.main(['simulate', *argv]) == 0 and cli.main(['simulate', *argv, '--full']) == 0\n"
+            "print(cli._g17_tables.cache_info().misses)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(chaplygin.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    printed = [line for line in done.stdout.splitlines() if not line.startswith(("PASS", "overall", "wrote"))]
+    assert printed == ["False False", "0", "1"]
 
 
 # --------------------------------------------------------------------- verify

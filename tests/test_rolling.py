@@ -3,6 +3,7 @@ factors, Casimirs, annihilators, twist forms, gauge forms and reduction."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -835,6 +836,22 @@ def test_vectors_and_gradients_of_the_wrong_shape_are_named():
             pi.bracket(f, g, state)
     assert math.isfinite(form.evaluate(state, e[0], e[4]))
     assert math.isfinite(pi.bracket(coordinate_field(6, 0), coordinate_field(6, 3), state))
+
+
+@pytest.mark.parametrize(
+    "gamma_shape, k_shape",
+    [((2,), (3,)), ((3,), (2,)), ((4, 5), (4, 3)), ((4, 3), (4, 5)), ((4, 3), (3,)), ((3,), (4, 3)),
+     ((4, 3), (5, 3)), ((), (3,))],
+)
+def test_omega_rejects_gamma_and_K_of_the_wrong_shape(rank, gamma_shape, k_shape):
+    """At every rank, also where Omega never reads gamma (sign = 0), gamma and
+    K must be (..., 3) with the same leading axes; the error names both shapes."""
+    body = standard_body(rank)
+    gamma, K = np.full(gamma_shape, 0.5), np.full(k_shape, 0.25)
+    message = re.escape(f"got shapes {gamma.shape} and {K.shape}")
+    for call in (omega_from_K, omega_jacobians):
+        with pytest.raises(ValueError, match=message):
+            call(body, gamma, K)
 
 
 def test_sample_full_state_properties():
