@@ -198,7 +198,8 @@ def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch]
 
 
 def jacobiator(pi: BivectorPatch, i: int, j: int, k: int, state: np.ndarray) -> float:
-    """Cyclic Jacobi defect {x_i,{x_j,x_k}} + {x_j,{x_k,x_i}} + {x_k,{x_i,x_j}}.
+    """Cyclic Jacobi defect {x_i,{x_j,x_k}} + {x_j,{x_k,x_i}} + {x_k,{x_i,x_j}}
+    at one state.
 
     In coordinates this is sum_l [pi_il d_l pi_jk + pi_jl d_l pi_ki + pi_kl d_l pi_ij],
     entry [i, j, k] of ``jacobi_tensor``: it alternates exactly under index
@@ -317,7 +318,8 @@ def dynamical_gauge_check(
 def twisted_defect(
     pi: BivectorPatch, phi: Optional[FormPatch], i: int, j: int, k: int, state: np.ndarray
 ) -> float:
-    """Jacobiator plus phi(X_i, X_j, X_k) on coordinate Hamiltonian fields.
+    """Jacobiator plus phi(X_i, X_j, X_k) on coordinate Hamiltonian fields,
+    at one state.
 
     Vanishes exactly when the bracket is twisted-Poisson with background
     3-form phi.  Entry [i, j, k] of ``jacobi_tensor(pi, state, phi)``, so
@@ -329,18 +331,19 @@ def twisted_defect(
     for idx in (i, j, k):
         if not 0 <= idx < pi.dim:
             raise IndexError(f"index {idx} out of range for dim {pi.dim}")
-    return float(jacobi_tensor(pi, state, phi)[i, j, k])
+    return float(jacobi_tensor(pi, _one(state, pi.dim, "state"), phi)[i, j, k])
 
 
 def conformal_jacobiator(
     pi: BivectorPatch, factor: ScalarField, i: int, j: int, k: int, state: np.ndarray
 ) -> float:
-    """Jacobiator of the rescaled bivector factor * pi.
+    """Jacobiator of the rescaled bivector factor * pi at one state.
 
     The factor must be strictly positive at the state (NonPositiveFactor
     otherwise): a conformal rescaling by a vanishing or negative function
     would change the characteristic distribution.
     """
+    state = _one(state, pi.dim, "state")
     phi = factor(state)
     if not phi > 0.0:
         raise NonPositiveFactor(f"conformal factor {phi!r} at state is not positive")

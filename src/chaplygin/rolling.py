@@ -28,6 +28,7 @@ compiles them into callables on Python floats or numpy columns.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Callable
@@ -349,6 +350,56 @@ def K_from_omega(params: BodyParams, gamma, omega) -> np.ndarray:
     return np.array(n) * omega + (sign * params.mr2 * np.vecdot(gamma, omega))[..., None] * gamma
 
 
+# The evaluations shared by the suites of one verify run: a dict from
+# (kind, params, shape, gamma bytes, K bytes) to a value, set by
+# ``verify._run_suites`` around its suites and reset when they end; None
+# outside a run.
+_run_memo: ContextVar[dict | None] = ContextVar("_run_memo", default=None)
+
+
+def _memoized(kind, params: BodyParams, gamma: np.ndarray, K: np.ndarray, compute: Callable):
+    """compute(), once per kind and content of a stack (gamma, K) inside a
+    verify run, its arrays then read-only and shared; outside a run, or for
+    one state, compute() alone.  A first computation that raises stores
+    nothing, so the same inputs raise again."""
+    memo = _run_memo.get()
+    if memo is None or gamma.ndim == 1:
+        return compute()
+    key = (kind, params, gamma.shape, gamma.tobytes(), K.tobytes())
+    if key not in memo:
+        value = compute()
+        for a in value:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        memo[key] = value
+    return memo[key]
+
+
+def _columns(a: np.ndarray) -> tuple:
+    """The views a[..., i] of the last axis, the numpy columns a kernel takes."""
+    return tuple(a[..., i] for i in range(a.shape[-1]))
+
+
+def _assemble(columns) -> np.ndarray:
+    """The array (..., len(columns)) whose last axis holds the columns."""
+    out = np.empty(np.shape(columns[0]) + (len(columns),))
+    for i, c in enumerate(columns):
+        out[..., i] = c
+    return out
+
+
+def _omega_args(gamma, K) -> tuple[np.ndarray, np.ndarray]:
+    """gamma and K as float arrays of one shape (..., 3)."""
+    gamma = np.asarray(gamma, dtype=float)
+    K = np.asarray(K, dtype=float)
+    if gamma.shape[-1:] != (3,) or K.shape != gamma.shape:
+        raise ValueError(
+            f"expected gamma and K of shape (..., 3) with the same leading axes, "
+            f"got shapes {gamma.shape} and {K.shape}"
+        )
+    return gamma, K
+
+
 def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:
     """Angular velocity from constrained momentum, in closed form.
 
@@ -361,7 +412,7 @@ def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:
     equals the 1-d call on that row bit for bit (one component formula on
     floats or columns).  Raises DegenerateDenominator if any row is degenerate.
     """
-    return _omega_terms(params, gamma, K)[0]
+    return _omega_terms(params, gamma, K)[0].copy()
 
 
 def _omega_terms(params: BodyParams, gamma, K) -> tuple:
@@ -369,28 +420,30 @@ def _omega_terms(params: BodyParams, gamma, K) -> tuple:
     one state or numpy columns for a stack: (Omega, u, den, c) with Omega
     and u as arrays (..., 3) and den, c floats or arrays (...,); u, den, c
     are None when sign = 0."""
-    gamma = np.asarray(gamma, dtype=float)
-    K = np.asarray(K, dtype=float)
-    if gamma.shape[-1:] != (3,) or K.shape != gamma.shape:
-        raise ValueError(
-            f"expected gamma and K of shape (..., 3) with the same leading axes, "
-            f"got shapes {gamma.shape} and {K.shape}"
-        )
+    gamma, K = _omega_args(gamma, K)
     kernel = params._kernels.omega
     if gamma.ndim == 1 and K.ndim == 1:
         omega, u, den, c = kernel(gamma.tolist(), K.tolist())
         return np.array(omega), None if u is None else np.array(u), den, c
-    # the kernel's denominator check raises on an overflow, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        omega, u, den, c = kernel(np.moveaxis(gamma, -1, 0), np.moveaxis(K, -1, 0))
-    return np.stack(omega, axis=-1), None if u is None else np.stack(u, axis=-1), den, c
+
+    def compute():
+        # the kernel's denominator check raises on an overflow, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega, u, den, c = kernel(_columns(gamma), _columns(K))
+        return _assemble(omega), None if u is None else _assemble(u), den, c
+
+    return _memoized("terms", params, gamma, K, compute)
 
 
 def _omega_and_jacobians(params: BodyParams, gamma, K) -> tuple:
     """(Omega, d Omega / d gamma, d Omega / d K) at one state or a stack, from
     one evaluation of the Sherman-Morrison terms."""
-    gamma = np.asarray(gamma, dtype=float)
-    K = np.asarray(K, dtype=float)
+    gamma, K = _omega_args(gamma, K)
+    return _memoized("jacobians", params, gamma, K, lambda: _jacobians(params, gamma, K))
+
+
+def _jacobians(params: BodyParams, gamma: np.ndarray, K: np.ndarray) -> tuple:
+    """``_omega_and_jacobians`` of checked gamma and K, computed."""
     sign, n = params._rank_terms
     omega, u, den, c = _omega_terms(params, gamma, K)
     n = np.array(n)
@@ -408,7 +461,7 @@ def _omega_and_jacobians(params: BodyParams, gamma, K) -> tuple:
 
 def omega_jacobians(params: BodyParams, gamma, K) -> tuple[np.ndarray, np.ndarray]:
     """(d Omega / d gamma, d Omega / d K), both 3x3 with [i, j] = d Omega_i / d coord_j."""
-    return _omega_and_jacobians(params, gamma, K)[1:]
+    return tuple(d.copy() for d in _omega_and_jacobians(params, gamma, K)[1:])
 
 
 def hamiltonian(params: BodyParams, state):
@@ -435,7 +488,7 @@ def reduced_vf(params: BodyParams, state) -> np.ndarray:
     state = _checked(state, REDUCED_DIM, "reduced")
     if state.ndim == 1:
         return np.array(params._kernels.reduced(state.tolist()))
-    return np.stack(params._kernels.reduced(list(np.moveaxis(state, -1, 0))), axis=-1)
+    return _assemble(params._kernels.reduced(_columns(state)))
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -509,11 +562,15 @@ def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch
 
     def jet(s):
         gamma, K = split_reduced(s)
-        v, dv_gamma, dv_k = _v_jet(params, gamma, K, variant)
-        dp = np.broadcast_to(_BRACKET_BASE, gamma.shape[:-1] + _BRACKET_BASE.shape).copy()
-        # d_l hat(V) = hat(d_l V)
-        dp[..., 3:, 3:] = hat(_swap(np.concatenate([dv_gamma, dv_k], axis=-1)))
-        return matrix(gamma, v), dp
+
+        def compute():
+            v, dv_gamma, dv_k = _v_jet(params, gamma, K, variant)
+            dp = np.broadcast_to(_BRACKET_BASE, gamma.shape[:-1] + _BRACKET_BASE.shape).copy()
+            # d_l hat(V) = hat(d_l V)
+            dp[..., 3:, 3:] = hat(_swap(np.concatenate([dv_gamma, dv_k], axis=-1)))
+            return matrix(gamma, v), dp
+
+        return _memoized(("jet", variant), params, gamma, K, compute)
 
     return BivectorPatch(dim=REDUCED_DIM, structure=structure, name=f"rank{params.rank}-{variant}", jet=jet)
 

@@ -30,6 +30,7 @@ from .rolling import (
     BodyParams,
     _full_form,
     _reduction_gap,
+    _run_memo,
     conformal_factor,
     full_hamiltonian_field,
     gauge_form_on_M,
@@ -67,7 +68,14 @@ class _Run:
     share, each computed on first use and then reused: the Jacobi tensor of
     a reduced bracket (the jacobi suite, and the twisted suite at ranks 0
     and 3) and the plain and gauged full bracket matrices (the gauge and
-    reduction suites).  Every evaluation takes the whole stack of states."""
+    reduction suites).  Every evaluation takes the whole stack of states.
+
+    Below the suites, Omega's terms, Omega with its Jacobians and the jet of
+    each reduced bracket are also computed once per stack of states: while
+    ``_run_suites`` runs its suites, the context variable
+    ``rolling._run_memo`` holds a dict keyed by the kind of evaluation, the
+    body and the shape and bytes of gamma and K, whose arrays are read-only.
+    It is reset when the suites end or raise, so nothing outlives the run."""
 
     def __init__(self, params: BodyParams, trials: int, seed: int):
         self.params = params
@@ -272,9 +280,13 @@ def _run_suites(names, params: BodyParams, trials: int, seed: int, tol_scale: fl
     if not 0.0 < tol_scale < math.inf:
         raise ValueError("tol-scale must be positive and finite")
     run = _Run(params, trials, seed)
+    scope = _run_memo.set({})
+    try:
+        suites = [(name, _SUITE_FNS[name](run, variant)) for name in names]
+    finally:
+        _run_memo.reset(scope)
     reports = []
-    for name in names:
-        checks = _SUITE_FNS[name](run, variant)
+    for name, checks in suites:
         for c in checks:
             r = c["max_residual"]
             if c["comparison"] == "le":

@@ -119,6 +119,41 @@ def test_only_the_fd_helpers_use_finite_differences():
     assert offenders == []
 
 
+def _references(name: str) -> list:
+    """(module, enclosing function path, node) of every Name or Attribute
+    ``name`` in the package; the path is "" at module level."""
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            ident = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and ident == name:
+                found.append((module, where, child))
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, f"{where}.{child.name}" if where else child.name)
+            else:
+                visit(child, module, where)
+
+    for path in sorted(Path(chaplygin.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_run_sharing_stays_inside_verify_runs():
+    """Only the Omega helpers and the reduced bracket jet consult the memo of
+    a verify run, and only verify._run_suites enters one: no cache outlives a
+    run or reaches simulate and the CLI."""
+    assert {(m, w) for m, w, _ in _references("_memoized")} == {
+        ("rolling", "_omega_terms"),
+        ("rolling", "_omega_and_jacobians"),
+        ("rolling", "reduced_bracket.jet"),
+    }
+    refs = _references("_run_memo")
+    assert {(m, w) for m, w, _ in refs} == {("rolling", ""), ("rolling", "_memoized"), ("verify", "_run_suites")}
+    entered = {(m, w) for m, w, node in _references("set") if getattr(node.value, "id", None) == "_run_memo"}
+    assert entered == {("verify", "_run_suites")}
+
+
 def test_patches_require_their_derivative_hook():
     with pytest.raises(TypeError, match="partials"):
         FormPatch(degree=1, dim=2, entries=lambda s: np.zeros(2))

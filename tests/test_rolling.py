@@ -801,10 +801,14 @@ def test_lifts_reject_stacks(rows):
 
 
 @pytest.mark.parametrize("rows", [1, 4])
-@pytest.mark.parametrize("call", ["form-evaluate", "bracket", "distribution-probe"])
+@pytest.mark.parametrize(
+    "call",
+    ["form-evaluate", "bracket", "distribution-probe", "jacobiator", "twisted-defect", "conformal-jacobiator"],
+)
 def test_one_state_evaluations_reject_stacks(call, rows):
-    """FormPatch.evaluate, BivectorPatch.bracket and distribution_probe take one
-    state; a stack is a ValueError naming its shape (not a bare numpy error)."""
+    """FormPatch.evaluate, BivectorPatch.bracket, distribution_probe and the
+    per-triple Jacobi defects take one state; a stack is a ValueError naming
+    its shape (not a bare numpy error)."""
     body = standard_body(2)
     pi, chi = reduced_bracket(body), annihilator_one_form(body)
     f, g = coordinate_field(6, 0), coordinate_field(6, 3)
@@ -812,6 +816,9 @@ def test_one_state_evaluations_reject_stacks(call, rows):
         "form-evaluate": lambda s: twist_two_form(body).evaluate(s, np.eye(6)[0], np.eye(6)[4]),
         "bracket": lambda s: pi.bracket(f, g, s),
         "distribution-probe": lambda s: distribution_probe(pi, chi, f, g, s),
+        "jacobiator": lambda s: jacobiator(pi, 0, 1, 3, s),
+        "twisted-defect": lambda s: twisted_defect(pi, twist_three_form(body), 0, 1, 3, s),
+        "conformal-jacobiator": lambda s: conformal_jacobiator(pi, conformal_factor(body), 0, 1, 3, s),
     }[call]
     states = sample_reduced_state(seed=330, n=rows)
     with pytest.raises(ValueError, match=rf"expected one 6-dim state, got shape \({rows}, 6\)"):

@@ -1,7 +1,11 @@
 """Verification suites: the gauge suite against its per-patch oracle route,
-one draw of states per run, and run_suite / run_all_suites agreement."""
+one draw of states and one evaluation per stack of states per run, and
+run_suite / run_all_suites agreement."""
 
 import collections
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import pytest
 from chaplygin import (
     SUITE_NAMES,
     BivectorPatch,
+    DegenerateDenominator,
     FormPatch,
     dynamical_gauge_check,
     full_hamiltonian_field,
@@ -16,12 +21,14 @@ from chaplygin import (
     gauge_matrix,
     gauge_transform,
     nh_bracket_full,
+    omega_from_K,
+    omega_jacobians,
     run_all_suites,
     run_suite,
     sample_full_state,
     sample_reduced_state,
 )
-from chaplygin import verify
+from chaplygin import rolling, verify
 
 from conftest import asymmetric_body, standard_body
 
@@ -114,6 +121,121 @@ def test_states_are_drawn_once_per_run(monkeypatch):
         counts.clear()
         run_suite(name, body, trials=3)
         assert counts == {kind: 1, kind + " states": 3}
+
+
+def _count_column_omega(monkeypatch, body) -> collections.Counter:
+    """Count the calls of the body's omega kernel, on numpy columns (a stack)
+    and on Python floats (one state); the body's other kernels, compiled
+    later, call it too."""
+    kernels, counts = body._kernels, collections.Counter()
+    base = kernels.omega
+
+    def counting(gamma, k):
+        counts["columns" if isinstance(gamma[0], np.ndarray) else "floats"] += 1
+        return base(gamma, k)
+
+    monkeypatch.setattr(kernels, "omega", counting)
+    return counts
+
+
+def test_a_run_evaluates_omega_once_per_stack(monkeypatch):
+    """A rank-2 run of 6 trials has four stacks of states: the reduced and the
+    full states, the first five reduced states (twisted-closed) and the
+    reduced states in the kernel of reduced_vf (measure).  Evaluated per
+    suite, that would be 15 kernel calls and 4 reduced bracket jets, not one
+    per variant.  A second run on the same body shares nothing with the
+    first."""
+    body = standard_body(2)
+    counts = _count_column_omega(monkeypatch, body)
+    v_jet = rolling._v_jet
+
+    def counting_v_jet(params, gamma, K, variant):
+        counts[f"jet {variant}"] += 1
+        return v_jet(params, gamma, K, variant)
+
+    monkeypatch.setattr(rolling, "_v_jet", counting_v_jet)
+    first = run_all_suites(body, trials=6)
+    assert set(counts) == {"columns", "jet plain", "jet primed"} and counts["columns"] <= 4
+    assert counts["jet plain"] == counts["jet primed"] == 1
+    once = counts.copy()
+    counts.clear()
+    assert run_all_suites(body, trials=6) == first
+    assert counts == once
+
+
+def test_nothing_is_shared_after_a_run_that_raises(monkeypatch):
+    """The gauge suite raises on a full state with gamma = 0 after three suites
+    have shared evaluations; afterwards nothing is memoized: the same stack
+    costs one evaluation per call, and a new run as many as on a fresh body."""
+    body, other = standard_body(2), standard_body(2)
+    fresh = _count_column_omega(monkeypatch, other)
+    run_all_suites(other, trials=6)
+    real = verify.sample_full_state
+
+    def degenerate(rng, n):
+        states = real(rng, n)
+        states[-1, 6:9] = 0.0
+        return states
+
+    monkeypatch.setattr(verify, "sample_full_state", degenerate)
+    with pytest.raises(DegenerateDenominator, match=r"in row 5"):
+        run_all_suites(body, trials=6)
+    monkeypatch.setattr(verify, "sample_full_state", real)
+    assert rolling._run_memo.get() is None
+    counts = _count_column_omega(monkeypatch, body)
+    states = sample_reduced_state(np.random.default_rng(0), 6)  # the failed run's reduced states
+    for expected in (1, 2):
+        omega_from_K(body, states[:, :3], states[:, 3:])
+        assert counts == {"columns": expected}
+    counts.clear()
+    run_all_suites(body, trials=6)
+    assert counts == fresh
+
+
+def test_public_omega_arrays_are_writable_and_unshared(monkeypatch):
+    """Inside a run, omega_from_K and omega_jacobians return fresh writable
+    arrays with the values of a call outside a run; the shared entries
+    are read-only."""
+    body = standard_body(2)
+    seen = {}
+
+    def probe(run, variant=None):
+        gamma, K = run.reduced[:, :3], run.reduced[:, 3:]
+        seen["arrays"] = [(omega_from_K(body, gamma, K), *omega_jacobians(body, gamma, K)) for _ in range(2)]
+        seen["shared"] = [a for value in rolling._run_memo.get().values() for a in value if isinstance(a, np.ndarray)]
+        return []
+
+    monkeypatch.setitem(verify._SUITE_FNS, "measure", probe)
+    run_suite("measure", body, trials=6)
+    states = sample_reduced_state(np.random.default_rng(0), 6)
+    outside = (omega_from_K(body, states[:, :3], states[:, 3:]), *omega_jacobians(body, states[:, :3], states[:, 3:]))
+    assert seen["shared"] and not any(a.flags.writeable for a in seen["shared"])
+    for arrays in seen["arrays"]:  # computed, then read from the memo
+        for a, expected in zip(arrays, outside):
+            assert np.array_equal(a, expected) and a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in seen["shared"])
+
+
+def test_threads_running_suites_on_one_body_give_the_serial_reports():
+    """Each thread's run has its own memo (a context variable): four threads,
+    more than the cores, switching every microsecond, report as one run alone."""
+    body = standard_body(2)
+    serial = run_all_suites(body, trials=6)
+    start = threading.Barrier(4)
+
+    def run():
+        start.wait(timeout=30)
+        return run_all_suites(body, trials=6)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(run) for _ in range(4)]
+            reports = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [serial] * 4
 
 
 def _poisoned_bracket(monkeypatch, state, value):
