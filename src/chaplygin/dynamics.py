@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonFiniteState
-from .geometry import _swap, unhat
+from .geometry import _one, _swap, unhat
 from .rolling import (
     FULL_DIM,
     REDUCED_DIM,
@@ -264,7 +264,7 @@ def integrate(params: BodyParams, initial, config: IntegratorConfig) -> Trajecto
     """
     y = np.asarray(initial, dtype=float)
     if y.shape not in ((REDUCED_DIM,), (FULL_DIM,)):
-        raise ValueError(f"initial state has shape {y.shape}; expected (6,) or (15,)")
+        raise ValueError(f"expected one 6- or 15-dim initial state, got shape {y.shape}")
     if y.size == FULL_DIM:
         march, renormalize = _body_march(params, "full"), _orthonormal_rows
     else:
@@ -282,9 +282,7 @@ def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConf
     0 and 3, so the run coincides with ``integrate`` there).  Only reduced
     states are supported; dt and t_final refer to the new time.
     """
-    y0 = np.asarray(initial, dtype=float)
-    if y0.shape != (REDUCED_DIM,):
-        raise ValueError("reparametrized integration is defined on the reduced space")
+    y0 = _one(initial, REDUCED_DIM, "reduced initial state")
     # _unit_gamma touches only gamma = z[:3], never the physical time z[6]
     renormalize = _unit_gamma if config.renormalize_gamma else None
     times, rows = _march(_body_march(params, "reparam"), y0.tolist() + [0.0], config, renormalize)

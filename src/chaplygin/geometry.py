@@ -120,7 +120,8 @@ def fd_partials(func: Callable[[np.ndarray], np.ndarray], state: np.ndarray) -> 
 
 
 def fd_gradient(func: Callable[[np.ndarray], float], state: np.ndarray) -> np.ndarray:
-    return fd_partials(lambda s: float(func(s)), state)
+    """The gradient of a scalar function at one state."""
+    return fd_partials(lambda s: float(func(s)), _one(state, np.shape(state)[-1], "state"))
 
 
 @dataclass(frozen=True)
@@ -198,13 +199,14 @@ def fd_exterior_derivative(form: FormPatch, state: np.ndarray) -> np.ndarray:
 
 
 def wedge_1_2(alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Component tensor of alpha ^ omega for a 1-form alpha and 2-form omega."""
+    """Component tensor of alpha ^ omega for a 1-form alpha and 2-form omega
+    (of each pair of a stack)."""
     alpha = np.asarray(alpha, dtype=float)
     omega = np.asarray(omega, dtype=float)
     return (
-        np.einsum("a,bc->abc", alpha, omega)
-        + np.einsum("b,ca->abc", alpha, omega)
-        + np.einsum("c,ab->abc", alpha, omega)
+        np.einsum("...a,...bc->...abc", alpha, omega)
+        + np.einsum("...b,...ca->...abc", alpha, omega)
+        + np.einsum("...c,...ab->...abc", alpha, omega)
     )
 
 

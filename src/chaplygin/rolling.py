@@ -344,8 +344,7 @@ class _Kernels:
 def K_from_omega(params: BodyParams, gamma, omega) -> np.ndarray:
     """K = n Omega + sign m r^2 (gamma . Omega) gamma = (I + m r^2 S(gamma)) Omega,
     for one state or each row of a stack (..., 3) (bit for bit)."""
-    gamma = np.asarray(gamma, dtype=float)
-    omega = np.asarray(omega, dtype=float)
+    gamma, omega = _omega_args(gamma, omega)
     sign, n = params._rank_terms
     return np.array(n) * omega + (sign * params.mr2 * np.vecdot(gamma, omega))[..., None] * gamma
 
@@ -481,14 +480,19 @@ def hamiltonian_field(params: BodyParams) -> ScalarField:
     return ScalarField(value=lambda s: hamiltonian(params, s), gradient=gradient, name="H")
 
 
+def _field(kernel: Callable, state, dim: int, chart: str) -> np.ndarray:
+    """A chart kernel's field at one state, on Python floats, or at each row
+    of a stack, on numpy columns."""
+    state = _checked(state, dim, chart)
+    if state.ndim == 1:
+        return np.array(kernel(state.tolist()))
+    return _assemble(kernel(_columns(state)))
+
+
 def reduced_vf(params: BodyParams, state) -> np.ndarray:
     """Equations of motion on the reduced space: (gamma, K)' = (gamma x Omega, K x Omega),
-    evaluated on Python floats by the body's reduced kernel (on numpy columns
-    for a stack of states)."""
-    state = _checked(state, REDUCED_DIM, "reduced")
-    if state.ndim == 1:
-        return np.array(params._kernels.reduced(state.tolist()))
-    return _assemble(params._kernels.reduced(_columns(state)))
+    evaluated by the body's reduced kernel."""
+    return _field(params._kernels.reduced, state, REDUCED_DIM, "reduced")
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -743,8 +747,11 @@ def leafwise_two_form(params: BodyParams) -> FormPatch:
 
 
 def pack_full(g, x, K) -> np.ndarray:
+    """The full state (g row-major, x, K), or the stack of them."""
     g = np.asarray(g, dtype=float)
-    return np.concatenate([g.reshape(9), np.asarray(x, dtype=float), np.asarray(K, dtype=float)])
+    return np.concatenate(
+        [g.reshape(g.shape[:-2] + (9,)), np.asarray(x, dtype=float), np.asarray(K, dtype=float)], axis=-1
+    )
 
 
 def split_full(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -860,13 +867,13 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
 def X_nh_full(params: BodyParams, state) -> np.ndarray:
     """Constrained equations of motion on the full space, in closed form:
     g' = g hat(Omega) (row i of g' is g_i x Omega), x' = r A g Omega and
-    K' = K x Omega, with Omega = omega_from_K(gamma = g[2], K), evaluated on
-    Python floats by the body's full kernel.
+    K' = K x Omega, with Omega = omega_from_K(gamma = g[2], K), evaluated by
+    the body's full kernel.
 
     This is the bracket flow -ham_vf(nh_bracket_full(params, "plain"),
     full_hamiltonian_field(params)), which the tests keep as its oracle.
     """
-    return np.array(params._kernels.full(_checked(state, FULL_DIM, "full").tolist()))
+    return _field(params._kernels.full, state, FULL_DIM, "full")
 
 
 def _rotation_map(g) -> np.ndarray:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import IntegratorConfig
-from .errors import ScenarioError, UnsupportedRank
+from .errors import ScenarioError
 from .rolling import BodyParams, pack_full
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
@@ -84,12 +84,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     angle = _number(data.get("so2_angle", -0.5 * math.pi), "so2_angle")
 
-    try:
-        params = BodyParams(
-            inertia=tuple(inertia.tolist()), mass=mass, radius=radius, rank=rank, so2_angle=angle
-        )
-    except (ValueError, UnsupportedRank) as exc:  # pragma: no cover - prevalidated
-        raise ScenarioError("<body>", str(exc))
+    params = BodyParams(inertia=tuple(inertia.tolist()), mass=mass, radius=radius, rank=rank, so2_angle=angle)
 
     initial = _require(data, "initial")
     if not isinstance(initial, dict):

@@ -1,23 +1,31 @@
-"""Property tests over random bodies, ranks and states (hypothesis).
+"""Property tests over random bodies, ranks and states (hypothesis), and
+the registry of the stack contract of every public callable.
 
 The example tests elsewhere use two fixed bodies; these draw the body as
 well.  Runs are derandomized and keep no example database, so the suite
 stays deterministic.
 """
 
+import functools
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chaplygin
 from chaplygin import (
     RHO_INDEX,
     BodyParams,
+    BivectorPatch,
     DegenerateDenominator,
     FormPatch,
+    IntegratorConfig,
     K_from_omega,
+    ScalarField,
     X_nh_full,
     annihilator_one_form,
     casimir_defect,
@@ -25,17 +33,16 @@ from chaplygin import (
     casimir_kgamma,
     conformal_factor,
     coordinate_field,
-    divergence_defect,
     fd_exterior_derivative,
     fd_partials,
+    full_hamiltonian_field,
     gauge_form_on_M,
     gauge_matrix,
     gauge_transform,
-    ham_vf,
-    hamiltonian,
     hamiltonian_field,
     hamiltonizable_variant,
     hat,
+    invariant_density,
     jacobi_tensor,
     leafwise_two_form,
     matrix_A,
@@ -49,12 +56,16 @@ from chaplygin import (
     reduced_vf,
     reduction_defect,
     rk4_step,
+    sample_full_state,
+    sample_reduced_state,
     scale_bivector,
+    split_full,
     twist_three_form,
     twist_two_form,
 )
+from chaplygin import brackets, dynamics, errors, geometry, rolling, scenario, verify
 
-from conftest import list_rk4_step
+from conftest import list_rk4_step, standard_body
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -94,31 +105,13 @@ def _alternates_exactly(tensor) -> bool:
 
 
 @PROPERTY
-@given(body=bodies, gamma=unit_gammas, omega=momenta)
-def test_omega_inverts_the_momentum_map(body, gamma, omega):
-    back = omega_from_K(body, gamma, K_from_omega(body, gamma, omega))
-    assert np.max(np.abs(back - omega)) <= 1e-12 * max(np.max(np.abs(omega)), 1e-300)
-
-
-@PROPERTY
 @given(body=bodies, states=st.lists(st.tuples(unit_gammas, momenta), min_size=1, max_size=8))
-def test_stacked_momentum_map_equals_rows_and_round_trips(body, states):
-    gamma = np.array([g for g, _ in states])
-    omega = np.array([w for _, w in states])
-    k = K_from_omega(body, gamma, omega)
-    assert _rows_equal(k, [K_from_omega(body, g, w) for g, w in zip(gamma, omega)])
-    back = omega_from_K(body, gamma, k)
-    scale = np.maximum(np.max(np.abs(omega), axis=1), 1e-300)
-    assert np.all(np.max(np.abs(back - omega), axis=1) <= 1e-12 * scale)
-
-
-@PROPERTY
-@given(body=bodies, states=st.lists(st.tuples(gammas, momenta), min_size=1, max_size=8))
-def test_batched_omega_equals_row_calls(body, states):
-    gamma = np.array([g for g, _ in states])
-    k = np.array([kk for _, kk in states])
-    rows = [omega_from_K(body, g, kk) for g, kk in zip(gamma, k)]
-    assert np.array_equal(omega_from_K(body, gamma, k), rows)
+def test_omega_inverts_the_momentum_map(body, states):
+    """At one state and at a stack, relative to the largest |Omega_i| of each state."""
+    gamma, omega = map(np.array, zip(*states))
+    for g, w in ((gamma[0], omega[0]), (gamma, omega)):
+        back = omega_from_K(body, g, K_from_omega(body, g, w))
+        assert np.all(np.max(np.abs(back - w), axis=-1) <= 1e-12 * np.maximum(np.max(np.abs(w), axis=-1), 1e-300))
 
 
 @PROPERTY
@@ -146,6 +139,12 @@ def test_casimirs(body, state, variant):
 
 @PROPERTY
 @given(body=bodies, state=reduced_states, variant=variants)
+@example(  # the Poisson variants' tensor was 0.0 in all 2550 draws that check it; the first
+    body=BodyParams((0.99999, 2.0, 1.1901390095671374), 3.0, 1.801978017052929, 3, -1.7148282165150435),
+    state=np.array([-0.6064018115391446, 1.098257967282098e-151, -2.2250738585072014e-308, -0.5,
+                    1.7297006817460492e-261, -0.6584212822182129]),
+    variant="primed",
+)
 def test_reduced_jacobi_tensor(body, state, variant):
     tensor = jacobi_tensor(reduced_bracket(body, variant), state)
     assert _alternates_exactly(tensor)
@@ -161,6 +160,12 @@ def test_full_jacobi_tensor_alternates_exactly(body, state, form):
 
 @PROPERTY
 @given(body=bodies, state=full_states)
+@example(  # the worst of 8000 draws, 1.92e-13
+    body=BodyParams((0.10000000000000002, 8.192250626880728, 1.9546688058913035), 10.0, 1.9243571803810142, 0,
+                    0.10000000000000002),
+    state=pack_full(random_rotation(np.random.default_rng(558)),
+                    *[[-0.7916664030257738, -1.3461674742853288e-230, -0.6062396638715656]] * 2),
+)
 def test_gauge_round_trip(body, state):
     pi = nh_bracket_full(body, "plain")
     b_form = gauge_form_on_M(body)
@@ -177,7 +182,7 @@ def test_gauge_changes_the_jacobiator_by_minus_dB(body, states):
     carried by M^{-1}, sum J_P[i,j,k] M^{-1}[i,a] M^{-1}[j,b] M^{-1}[k,c].
     -dB is assembled from B's closed-form partials, so the two sides agree
     to round-off of the terms the Jacobiator sums, |P^B| |dP^B| (with +dB,
-    or with M^{-T}, they differ at O(1))."""
+    or with M^{-T}, they differ at O(1)).  The jet's matrix is gauge_matrix's."""
     pi = nh_bracket_full(body, "plain")
     b_form = gauge_form_on_M(body)
     gauged = gauge_transform(pi, b_form)
@@ -191,6 +196,7 @@ def test_gauge_changes_the_jacobiator_by_minus_dB(body, states):
     expected = np.einsum("nijk,nia,njb,nkc->nabc", jacobi_tensor(pi, states), m_inv, m_inv, m_inv, optimize=True)
     got = jacobi_tensor(gauged, states, twist)
     p, dp = gauged.matrix_and_partials(states)
+    assert np.array_equal(p, gauge_matrix(pi.matrix(states), b_form(states)))
     assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(p)) * np.max(np.abs(dp)))
 
 
@@ -208,6 +214,11 @@ def test_gauge_partials_match_fd(body, state):
 
 @PROPERTY
 @given(body=bodies, state=full_states, variant=variants)
+@example(  # the worst of 8000 draws, 2.84e-14
+    body=BodyParams((0.5881344376578812, 0.1, 0.1), 3.635139857729753, 1.812287745075937, 2, 0.40952728342486067),
+    state=pack_full(random_rotation(np.random.default_rng(2)), *[[0.5881344376578812, -1.0, -0.2273191111797208]] * 2),
+    variant="primed",
+)
 def test_reduction_defect_vanishes(body, state, variant):
     assert np.max(reduction_defect(body, variant, state)) <= 1e-12
 
@@ -266,103 +277,158 @@ def test_rank_rule_reproduces_the_rank_tables(body, state, omega, variant):
     assert np.array_equal(reduced_bracket(body, variant).matrix(state), expected)
 
 
-# A stack of states (N, d) goes through the same code as one state: each row
-# of a stacked result must equal the call on that row, bit for bit.
+# The stack contract: every public callable is in one kind.  STACK: row i of
+# the result on a stack (N, d) equals the call on state i bit for bit, or the
+# stack raises a named error (errors.py), as a row alone does.  ONE_STATE: a
+# stack is a ValueError("<message>, got shape (N, d)") and one state works.
+# NO_STATE: why it takes no state.  An entry is called with the callable its
+# key names: STACK's as (fn, body, variant, reduced, full), on stacks of as
+# many rows or on one state of each; ONE_STATE's as (fn, state).
 
 
-def _rows_equal(stacked, per_row) -> bool:
-    return len(stacked) == len(per_row) and all(np.array_equal(x, y) for x, y in zip(stacked, per_row))
+def _public(name):
+    """The public callable a key names: a function or class of the package, or Class.method."""
+    return functools.reduce(getattr, name.split("."), chaplygin)
 
 
-def _reduced_brackets(body, variant):
-    """The reduced brackets a verify run differentiates, each with its 3-form or None."""
-    pi = reduced_bracket(body, variant)
-    out = [(pi, None), (scale_bivector(pi, conformal_factor(body)), None)]
-    if poisson_variant(body.rank) is None:
-        out.append((pi, twist_three_form(body)))
-    return out
+def _fields(body):
+    """H and the Casimir fields C1 and C2."""
+    return [hamiltonian_field(body), casimir_kgamma(), casimir_gamma_norm()]
 
 
-@settings(PROPERTY, max_examples=60)
-@given(body=bodies, states=reduced_stacks, variant=variants)
-def test_stacked_reduced_jacobi_tensor_equals_rows(body, states, variant):
-    for pi, phi in _reduced_brackets(body, variant):
-        assert _rows_equal(jacobi_tensor(pi, states, phi), [jacobi_tensor(pi, s, phi) for s in states])
-        p, dp = pi.matrix_and_partials(states)
-        rows = [pi.matrix_and_partials(s) for s in states]
-        assert _rows_equal(p, [r[0] for r in rows]) and _rows_equal(dp, [r[1] for r in rows])
+def _patches(body, variant, reduced, full):
+    """Every bracket, form and field the package builds for the body, each with its states."""
+    pi, phi, plain, b_form = (reduced_bracket(body, variant), conformal_factor(body), nh_bracket_full(body),
+                              gauge_form_on_M(body))
+    twists = [twist_two_form(body), twist_three_form(body)] if poisson_variant(body.rank) is None else []
+    on_reduced = [pi, scale_bivector(pi, phi), annihilator_one_form(body, variant), *twists,
+                  *([leafwise_two_form(body)] if body.rank == 2 else []), *_fields(body), phi,
+                  invariant_density(body), *(coordinate_field(6, i) for i in range(6))]
+    on_full = [plain, nh_bracket_full(body, "gauged"), gauge_transform(plain, b_form), b_form,
+               full_hamiltonian_field(body), coordinate_field(15, 7)]
+    return [(x, reduced) for x in on_reduced] + [(x, full) for x in on_full]
 
 
+def _each(cls):
+    """The entry that calls fn(x, states) for each patch x of the class."""
+    return lambda fn, b, v, r, f: [fn(x, s) for x, s in _patches(b, v, r, f) if isinstance(x, cls)]
+
+
+def _jacobi(fn, b, v, r, f):
+    """The Jacobi tensors of every bracket, and of the reduced one twisted by its 3-form."""
+    twisted = [fn(reduced_bracket(b, v), r, twist_three_form(b))] if poisson_variant(b.rank) is None else []
+    return _each(BivectorPatch)(fn, b, v, r, f) + twisted
+
+
+def _gauge_and_back(fn, b, v, r, f):
+    """The gauge matrix of the full bracket by B, and of that by -B."""
+    p, bm = nh_bracket_full(b).matrix(f), gauge_form_on_M(b)(f)
+    return [g := fn(p, bm), fn(g, -bm)]
+
+
+STACK = {name: call for names, call in [
+    ("BivectorPatch.matrix BivectorPatch.partial_tensor BivectorPatch.matrix_and_partials", _each(BivectorPatch)),
+    ("FormPatch.__call__ FormPatch.partial_tensor fd_exterior_derivative", _each(FormPatch)),
+    ("ScalarField.__call__ ScalarField.grad", _each(ScalarField)),
+    ("jacobi_tensor", _jacobi),
+    ("gauge_matrix", _gauge_and_back),
+    ("ham_vf casimir_defect", lambda fn, b, v, r, f: [fn(reduced_bracket(b, v), x, r) for x in _fields(b)]),
+    ("fd_partials", lambda fn, b, v, r, f: [fn(x, r) for x in (reduced_bracket(b, v).matrix, hamiltonian_field(b))]),
+    ("divergence_defect", lambda fn, b, v, r, f: [fn(b, r, density=d) for d in ("invariant", "uniform")]),
+    ("reduction_consistency", lambda fn, b, v, r, f: [fn(b, v, f, i, j) for i, j in ((0, 4), (3, 5), (2, 2))]),
+    ("reduction_defect", lambda fn, b, v, r, f: fn(b, v, f)),
+    ("K_from_omega omega_from_K omega_jacobians", lambda fn, b, v, r, f: fn(b, r[..., :3], r[..., 3:])),
+    ("hamiltonian reduced_vf", lambda fn, b, v, r, f: fn(b, r)),
+    ("X_nh_full", lambda fn, b, v, r, f: fn(b, f)),
+    ("hat", lambda fn, b, v, r, f: fn(r[..., 3:])),
+    ("unhat", lambda fn, b, v, r, f: fn(hat(r[..., 3:]))),
+    ("wedge_1_2", lambda fn, b, v, r, f: fn(r, reduced_bracket(b, v).matrix(r))),
+    ("split_reduced", lambda fn, b, v, r, f: fn(r)),
+    ("split_full project_rho", lambda fn, b, v, r, f: fn(f)),
+    ("pack_full", lambda fn, b, v, r, f: fn(*split_full(f))),
+] for name in names.split()}
+_BODY = standard_body(2)
+_PI, _X0, _X3, _RUN = reduced_bracket(_BODY), coordinate_field(6, 0), coordinate_field(6, 3), IntegratorConfig(0.1, 0.2)
+_STATE = "expected one 6-dim state"
+ONE_STATE = {  # name: (dimension of a state, the error message before ", got shape", the call)
+    "BivectorPatch.bracket": (6, _STATE, lambda fn, s: fn(_PI, _X0, _X3, s)),
+    "FormPatch.evaluate": (6, _STATE, lambda fn, s: fn(twist_two_form(_BODY), s, *np.eye(6)[[0, 4]])),
+    "distribution_probe": (6, _STATE, lambda fn, s: fn(_PI, annihilator_one_form(_BODY), _X0, _X3, s)),
+    "jacobiator": (6, _STATE, lambda fn, s: fn(_PI, 0, 1, 3, s)),
+    "twisted_defect": (6, _STATE, lambda fn, s: fn(_PI, twist_three_form(_BODY), 0, 1, 3, s)),
+    "conformal_jacobiator": (6, _STATE, lambda fn, s: fn(_PI, conformal_factor(_BODY), 0, 1, 3, s)),
+    "fd_gradient": (6, _STATE, lambda fn, s: fn(hamiltonian_field(_BODY), s)),
+    "lift_reduced_state": (6, "expected one 6-dim reduced state", lambda fn, s: fn(s)),
+    "horizontal_lift": (15, "expected one 15-dim full state", lambda fn, s: fn(_BODY, s, np.zeros(6))),
+    "integrate": (6, "expected one 6- or 15-dim initial state", lambda fn, s: fn(_BODY, s, _RUN).states),
+    "reparametrized_integrate": (6, "expected one 6-dim reduced initial state",
+                                 lambda fn, s: fn(_BODY, s, _RUN).states),
+}
+NO_STATE = {name: why for why, names in {
+    "a class; its state methods are entries": "BivectorPatch FormPatch ScalarField",
+    "builds a bracket, form or field, whose state methods are entries": (
+        "annihilator_one_form casimir_gamma_norm casimir_kgamma conformal_factor coordinate_field "
+        "full_hamiltonian_field gauge_form_on_M gauge_transform hamiltonian_field invariant_density "
+        "leafwise_two_form nh_bracket_full reduced_bracket scale_bivector twist_three_form twist_two_form"),
+    "a record of data": "BodyParams IntegratorConfig Scenario Trajectory",
+    "reads a rank or a body": "hamiltonizable_variant poisson_variant matrix_A",
+    "reads a Trajectory": "hermite_sample invariant_drift monitor_series",
+    "reads a file or a dict": "load_scenario scenario_from_dict series_drift",
+    "draws from a seed (stacked draws: test_stacked_draw_equals_single_draws)":
+        "random_rotation sample_full_state sample_reduced_state run_suite run_all_suites",
+    "reads a sequence of states, one report each": "dynamical_gauge_check",
+    "steps a list of Python floats with the caller's field (test_rk4_step_equals_list_oracle)": "rk4_step",
+}.items() for name in names.split()}
+
+
+def test_every_public_callable_is_in_one_kind():
+    """The callables in the modules' __all__, and the public and call methods of the patch and field classes."""
+    public = [n for m in (brackets, dynamics, geometry, rolling, scenario, verify)
+              for n, _ in inspect.getmembers(m, callable) if n in m.__all__] + [
+        f"{cls.__name__}.{n}" for cls in (FormPatch, BivectorPatch, ScalarField)
+        for n, _ in inspect.getmembers(cls, inspect.isfunction) if not n.startswith("_") or n == "__call__"]
+    listed = [*STACK, *ONE_STATE, *NO_STATE]
+    assert sorted(set(public) ^ set(listed)) == [] and len(listed) == len(set(listed))
+
+
+def _rows_equal(stacked, rows) -> bool:
+    """Whether row i of a stacked result (an array, or a list or tuple of them) equals rows[i] bit for bit."""
+    if isinstance(stacked, (list, tuple)):
+        return all(map(_rows_equal, stacked, zip(*rows)))
+    return np.shape(stacked)[:1] == (len(rows),) and all(map(np.array_equal, stacked, rows))
+
+
+# a reduced stack and a full stack of as many rows, the full one drawn from a seed
+stacks = st.tuples(reduced_stacks, st.integers(0, 2**32 - 1)).map(lambda p: (p[0], sample_full_state(p[1], len(p[0]))))
+
+
+@pytest.mark.parametrize("name", sorted(STACK))
 @settings(PROPERTY, max_examples=20)
-@given(body=bodies, states=full_stacks, form=st.sampled_from(["plain", "gauged"]))
-def test_stacked_full_jacobi_tensor_equals_rows(body, states, form):
-    pi = nh_bracket_full(body, form)
-    assert _rows_equal(jacobi_tensor(pi, states), [jacobi_tensor(pi, s) for s in states])
-    assert _rows_equal(pi.matrix(states), [pi.matrix(s) for s in states])
-
-
-@settings(PROPERTY, max_examples=60)
-@given(body=bodies, states=full_stacks)
-def test_stacked_gauge_matrix_equals_rows(body, states):
-    p = nh_bracket_full(body, "plain").matrix(states)
-    bm = gauge_form_on_M(body)(states)
-    g = gauge_matrix(p, bm)
-    assert _rows_equal(g, [gauge_matrix(x, y) for x, y in zip(p, bm)])
-    assert _rows_equal(gauge_matrix(g, -bm), [gauge_matrix(x, -y) for x, y in zip(g, bm)])
-    gauged = gauge_transform(nh_bracket_full(body, "plain"), gauge_form_on_M(body))
-    jet, rows = gauged.matrix_and_partials(states), [gauged.matrix_and_partials(s) for s in states]
-    assert _rows_equal(jet[0], [r[0] for r in rows]) and _rows_equal(jet[1], [r[1] for r in rows])
-    assert _rows_equal(jet[0], g)
-
-
-@settings(PROPERTY, max_examples=60)
-@given(body=bodies, reduced=reduced_stacks, full=full_stacks, variant=variants)
-def test_stacked_forms_equal_rows(body, reduced, full, variant):
-    forms = [(gauge_form_on_M(body), full), (annihilator_one_form(body, variant), reduced)]
-    if poisson_variant(body.rank) is None:
-        forms += [(twist_two_form(body), reduced), (twist_three_form(body), reduced)]
-    if body.rank == 2:
-        forms.append((leafwise_two_form(body), reduced))
-    for form, states in forms:
-        assert _rows_equal(form(states), [form(s) for s in states])
-        assert _rows_equal(form.partial_tensor(states), [form.partial_tensor(s) for s in states])
-
-
-@PROPERTY
-@given(body=bodies, states=reduced_stacks, density=st.sampled_from(["invariant", "uniform"]))
-def test_stacked_hat_and_divergence_defect_equal_rows(body, states, density):
-    assert _rows_equal(hat(states[:, 3:]), [hat(s[3:]) for s in states])
-    stacked = divergence_defect(body, states, density=density)
-    assert _rows_equal(stacked, [divergence_defect(body, s, density=density) for s in states])
-
-
-@PROPERTY
-@given(body=bodies, states=reduced_stacks, variant=variants)
-@example(
-    body=BodyParams(inertia=(1.0, 2.0, 3.0), mass=1.0, radius=0.5, rank=2),
-    states=np.random.default_rng(6).uniform(-1.0, 1.0, (6, 6)),
-    variant="plain",
+@given(body=bodies, variant=variants, states=stacks)
+@example(  # 6 reduced states make a 6 x 6 stack, the shape of one matrix
+    body=BodyParams((1.0, 2.0, 3.0), 1.0, 0.5, 2), variant="plain",
+    states=(np.random.default_rng(6).uniform(-1.0, 1.0, (6, 6)), sample_full_state(7, 6)),
 )
-def test_stacked_fields_and_flows_equal_rows(body, states, variant):
-    """H, the Casimir fields, their Hamiltonian vector fields and Casimir
-    defects; a stack of 6 states is also 6 x 6, the shape of a matrix stack,
-    so one such stack is always tried."""
-    pi = reduced_bracket(body, variant)
-    assert _rows_equal(hamiltonian(body, states), [hamiltonian(body, s) for s in states])
-    for field in (hamiltonian_field(body), casimir_kgamma(), casimir_gamma_norm()):
-        assert _rows_equal(field(states), [field(s) for s in states])
-        assert _rows_equal(field.grad(states), [field.grad(s) for s in states])
-        assert _rows_equal(ham_vf(pi, field, states), [ham_vf(pi, field, s) for s in states])
-        assert _rows_equal(casimir_defect(pi, field, states), [casimir_defect(pi, field, s) for s in states])
+def test_a_stack_gives_its_rows(name, body, variant, states):
+    call = functools.partial(STACK[name], _public(name), body, variant)
+    try:
+        stacked = call(*states)
+    except Exception as exc:  # a named error, which a row raises alone too
+        assert type(exc).__module__ == errors.__name__, f"bare error on a stack: {exc!r}"
+        with pytest.raises(type(exc)):
+            [call(*row) for row in zip(*states)]
+    else:
+        assert _rows_equal(stacked, [call(*row) for row in zip(*states)])
 
 
-@PROPERTY
-@given(states=reduced_stacks, i=st.integers(0, 5))
-@example(states=np.random.default_rng(4).uniform(-1.0, 1.0, (4, 6)), i=2)
-def test_stacked_coordinate_fields_equal_rows(states, i):
-    field = coordinate_field(6, i)
-    assert _rows_equal(field(states), [field(s) for s in states])
-    assert _rows_equal(field.grad(states), [field.grad(s) for s in states])
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("name", sorted(ONE_STATE))
+def test_a_one_state_function_rejects_a_stack_by_its_shape(name, rows):
+    (dim, message, call), fn = ONE_STATE[name], _public(name)
+    states = (sample_reduced_state if dim == 6 else sample_full_state)(seed=330, n=rows)
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got shape ({rows}, {dim})")):
+        call(fn, states)
+    assert np.all(np.isfinite(call(fn, states[0])))
 
 
 # ------------------------------------------------------------------ stepper
