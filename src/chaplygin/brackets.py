@@ -11,6 +11,7 @@ Patches, fields, ``jacobi_tensor`` and ``gauge_matrix`` also take a stack
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+_SETTLED_NORM = 0.99  # ||B pi||_F at most this: condition at most 199
 _CONTRACTION_TOL = 1e-9  # |i_{X_h} B| of a dynamical gauge
 _ANNIHILATION_TOL = 1e-8  # |chi(X_f)| of a distribution probe
 
@@ -150,25 +152,52 @@ def _check_twist(pi: BivectorPatch, phi: Optional[FormPatch]):
         raise ValueError("twist form must be a 3-form on the same chart")
 
 
-def _cyclic_sum(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch], a, b, c):
+def _triple_index(triples: Sequence) -> tuple:
+    """Read-only index arrays for a tuple of sorted triples (a, b, c): the
+    triples' a, b and c; the distinct third indices; the distinct (b, c)
+    pairs, as b and the position of c among the thirds; each triple's pair.
+    Sets and sorts in Python: for one triple that costs a sixth of np.unique."""
+    pairs = sorted({t[1:] for t in triples})
+    thirds = sorted({c for _, c in pairs})
+    pair_at = {pair: n for n, pair in enumerate(pairs)}
+    third_at = {c: n for n, c in enumerate(thirds)}
+    derived = (thirds, [b for b, _ in pairs], [third_at[c] for _, c in pairs], [pair_at[t[1:]] for t in triples])
+    index = (
+        *np.array(triples, dtype=np.intp).reshape(-1, 3).T,
+        *(np.array(x, dtype=np.intp) for x in derived),
+    )
+    for x in index:
+        x.setflags(write=False)
+    return index
+
+
+@functools.cache
+def _sorted_triples(dim: int) -> tuple:
+    """``_triple_index`` of every sorted triple of a dim-dim chart."""
+    return _triple_index(tuple(itertools.combinations(range(dim), 3)))
+
+
+def _cyclic_sum(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch], index: tuple):
     """sum_l [pi_al d_l pi_bc + pi_bl d_l pi_ca + pi_cl d_l pi_ab], plus
     phi(X_a, X_b, X_c) with X_a = -pi e_a when a 3-form is given.
 
-    a, b, c are equal-length index arrays, one value per triple; a stack of
-    states adds its axis in front.  Every sum is a reduction over the last
-    axis of a fresh product (``_dot``), so one state gives the same bits on
-    its own as in a stack.
+    ``index`` (``_triple_index``) names the sorted triples, one value per
+    triple; a stack of states adds its axis in front.  The twist contracts
+    phi with X_c for the distinct thirds c, then with X_b for the (b, c)
+    pairs, then with X_a for the triples.  Every sum is a reduction over the
+    last axis of a fresh product (``_dot``), so a value has the same bits
+    for one state as in a stack, and for one triple as among all of them.
     """
+    a, b, c, thirds, pair_b, pair_third, pair_of = index
     p, dp = pi.matrix_and_partials(state)
     dp = np.moveaxis(dp, -3, -1)  # dp[..., b, c, l] = d_l pi_bc
     pa, pb, pc = p[..., a, :], p[..., b, :], p[..., c, :]
     out = _dot(pa, dp[..., b, c, :]) + _dot(pb, dp[..., c, a, :]) + _dot(pc, dp[..., a, b, :])
     if phi is not None:
-        x = -_swap(p)[..., :, None, None, :]  # row a is X_a
-        t = phi(state)
-        for _ in range(3):  # t[..., i, j, k] -> t[..., a, i, j] = t(e_i, e_j, X_a)
-            t = _dot(t[..., None, :, :, :], x)
-        out = out + t[..., a, b, c]  # t[..., a, b, c] = phi(X_a, X_b, X_c)
+        x = -_swap(p)  # row a is X_a
+        t = _dot(phi(state)[..., None, :, :, :], x[..., thirds, None, None, :])  # phi(e_i, e_j, X_c)
+        t = _dot(t[..., pair_third, :, :], x[..., pair_b, None, :])  # phi(e_i, X_b, X_c)
+        out = out + _dot(t[..., pair_of, :], x[..., a, :])  # phi(X_a, X_b, X_c)
     return out
 
 
@@ -176,6 +205,19 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_l u[..., l] v[..., l], summed the same way for every broadcast shape
     and memory layout: the product is laid out in C order, so l runs last."""
     return np.add.reduce(np.multiply(u, v, order="C"), axis=-1)
+
+
+def _odd(t) -> bool:
+    """Whether three distinct indices come in an odd permutation of their
+    sorted order: the sign of a Jacobi tensor entry against its sorted triple."""
+    return (t[0] > t[1]) ^ (t[0] > t[2]) ^ (t[1] > t[2])
+
+
+def _sorted_defects(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch] = None) -> np.ndarray:
+    """The cyclic Jacobi defects (plus the twist by phi) at every sorted triple
+    a < b < c of the chart, in ``itertools.combinations`` order: (..., n)."""
+    _check_twist(pi, phi)
+    return _cyclic_sum(pi, state, phi, _sorted_triples(pi.dim))
 
 
 def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch] = None) -> np.ndarray:
@@ -188,12 +230,11 @@ def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch]
     permutation, so the tensor alternates exactly and is exactly 0.0 on
     repeated indices.
     """
-    _check_twist(pi, phi)
-    a, b, c = np.array(list(itertools.combinations(range(pi.dim), 3)), dtype=np.intp).reshape(-1, 3).T
-    v = _cyclic_sum(pi, state, phi, a, b, c)
+    v = _sorted_defects(pi, state, phi)
     out = np.zeros(v.shape[:-1] + (pi.dim,) * 3)
-    out[..., a, b, c] = out[..., b, c, a] = out[..., c, a, b] = v
-    out[..., b, a, c] = out[..., a, c, b] = out[..., c, b, a] = -v
+    triple = _sorted_triples(pi.dim)[:3]
+    for perm in itertools.permutations(range(3)):
+        out[(..., *(triple[m] for m in perm))] = -v if _odd(perm) else v
     return out
 
 
@@ -243,13 +284,25 @@ def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> np.ndarray:
     number of E + bm p is above 1e12 (or nan).  The result is
     re-antisymmetrized; a symmetric residue above 1e-10 before that step is
     an error (SymmetricInput).
+
+    The condition number needs an SVD only where a norm bound cannot settle
+    it.  By Weyl's inequality every singular value of E + X, X = bm p, lies
+    within ||X||_2 <= ||X||_F of 1, so where ||X||_F <= 0.99 the condition
+    number is at most 1.99 / 0.01 = 199, far below 1e12: such a pair passes
+    exactly as its SVD would, and only the other pairs (nan included) go
+    through ``_conditioning``, which names the same row and condition.
     """
     if bad := _first_bad(~(np.isfinite(p).all(axis=(-2, -1)) & np.isfinite(bm).all(axis=(-2, -1)))):
         raise SingularGauge(f"non-finite bracket or 2-form entries{bad[1]}")
-    m = np.eye(p.shape[-1]) + bm @ p
-    condition = _conditioning(m)[1]
-    if bad := _first_bad(~(condition <= _COND_LIMIT)):
-        raise SingularGauge(f"E + B pi has condition {condition.flat[bad[0]]:.3e}{bad[1]}")
+    x = bm @ p
+    m = np.eye(p.shape[-1]) + x
+    with np.errstate(over="ignore"):  # an overflowing norm is unsettled
+        unsettled = ~(np.sqrt(np.sum(x * x, axis=(-2, -1))) <= _SETTLED_NORM)
+    if unsettled.any():
+        condition = np.zeros(unsettled.shape)  # 0.0 where the bound settles it
+        condition[unsettled] = _conditioning(m[unsettled])[1]
+        if bad := _first_bad(~(condition <= _COND_LIMIT)):
+            raise SingularGauge(f"E + B pi has condition {condition.flat[bad[0]]:.3e}{bad[1]}")
     # p @ inv(m), computed by a solve on the transposed system
     g = _swap(np.linalg.solve(_swap(m), _swap(p)))
     residue = np.max(np.abs(g + _swap(g)), axis=(-2, -1))
@@ -322,16 +375,21 @@ def twisted_defect(
     at one state.
 
     Vanishes exactly when the bracket is twisted-Poisson with background
-    3-form phi.  Entry [i, j, k] of ``jacobi_tensor(pi, state, phi)``, so
-    with phi = None this is the plain Jacobiator.  Each call evaluates the
-    whole tensor (as ``jacobiator`` and ``conformal_jacobiator`` do): to read
-    many triples, call ``jacobi_tensor`` once and index it.
+    3-form phi.  Entry [i, j, k] of ``jacobi_tensor(pi, state, phi)``, bit for
+    bit, so with phi = None this is the plain Jacobiator.  A call evaluates
+    the one sorted triple of (i, j, k) (the bracket's jet and phi are still
+    evaluated once, also for a repeated index, which gives exactly 0.0).
     """
     _check_twist(pi, phi)
     for idx in (i, j, k):
         if not 0 <= idx < pi.dim:
             raise IndexError(f"index {idx} out of range for dim {pi.dim}")
-    return float(jacobi_tensor(pi, _one(state, pi.dim, "state"), phi)[i, j, k])
+    triple = tuple(sorted((i, j, k)))
+    distinct = triple[0] < triple[1] < triple[2]
+    v = _cyclic_sum(pi, _one(state, pi.dim, "state"), phi, _triple_index((triple,) if distinct else ()))
+    if not distinct:
+        return 0.0
+    return float(-v[0] if _odd((i, j, k)) else v[0])
 
 
 def conformal_jacobiator(

@@ -193,6 +193,8 @@ def _body_march(params: BodyParams, chart: str) -> Callable:
 def rk4_step(f: Callable[[list], list], y: list, dt: float) -> list:
     """One classical RK4 step of y' = f(y) on a list of Python floats, the
     march of one step; f maps a sequence of len(y) floats to as many."""
+    if np.ndim(y) != 1:
+        raise ValueError(f"expected one state, got shape {np.shape(y)}")
     return _march_of_dim(len(y))(f)(y, (dt,), None)[0][-1]
 
 

@@ -747,11 +747,14 @@ def leafwise_two_form(params: BodyParams) -> FormPatch:
 
 
 def pack_full(g, x, K) -> np.ndarray:
-    """The full state (g row-major, x, K), or the stack of them."""
+    """The full state (g row-major, x, K), or the stack of them; g is (..., 3, 3)
+    or flat (..., 9)."""
     g = np.asarray(g, dtype=float)
-    return np.concatenate(
-        [g.reshape(g.shape[:-2] + (9,)), np.asarray(x, dtype=float), np.asarray(K, dtype=float)], axis=-1
-    )
+    if g.shape[-2:] == (3, 3):
+        g = g.reshape(g.shape[:-2] + (9,))
+    elif g.shape[-1:] != (9,):
+        raise ValueError(f"expected g of shape (..., 3, 3) or (..., 9), got shape {g.shape}")
+    return np.concatenate([g, np.asarray(x, dtype=float), np.asarray(K, dtype=float)], axis=-1)
 
 
 def split_full(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .brackets import _flow, gauge_matrix, jacobi_tensor, scale_bivector
+from .brackets import _flow, _sorted_defects, gauge_matrix, scale_bivector
 from .dynamics import divergence_defect
 from .geometry import fd_exterior_derivative, sample_reduced_state
 from .rolling import (
@@ -65,10 +65,10 @@ def _max_abs(values) -> float:
 
 class _Run:
     """The sampled states of one verify run and the evaluations its suites
-    share, each computed on first use and then reused: the Jacobi tensor of
-    a reduced bracket (the jacobi suite, and the twisted suite at ranks 0
-    and 3) and the plain and gauged full bracket matrices (the gauge and
-    reduction suites).  Every evaluation takes the whole stack of states.
+    share, each computed on first use and then reused: the largest Jacobi
+    defect of a reduced bracket (the jacobi suite, and the twisted suite at
+    ranks 0 and 3) and the plain and gauged full bracket matrices (the gauge
+    and reduction suites).  Every evaluation takes the whole stack of states.
 
     Below the suites, Omega's terms, Omega with its Jacobians and the jet of
     each reduced bracket are also computed once per stack of states: while
@@ -103,7 +103,7 @@ class _Run:
     def jacobi_residual(self, variant: str) -> float:
         """Largest |Jacobiator| of the reduced ``variant`` bracket over the reduced states."""
         def compute():
-            return _max_abs(jacobi_tensor(reduced_bracket(self.params, variant), self.reduced))
+            return _max_abs(_sorted_defects(reduced_bracket(self.params, variant), self.reduced))
 
         return self._shared(("jacobi", variant), compute)
 
@@ -148,7 +148,7 @@ def _conformal_suite(run: _Run, variant=None) -> list:
         _check(
             f"conformal-jacobi-{v}",
             f"Jacobiator of (conformal factor) x (rank-{params.rank} {v} bracket) vanishes",
-            _max_abs(jacobi_tensor(scaled, states)),
+            _max_abs(_sorted_defects(scaled, states)),
             1e-9 if poisson_variant(params.rank) else 1e-7,
         ),
     ]
@@ -173,7 +173,7 @@ def _twisted_suite(run: _Run, variant=None) -> list:
         _check(
             f"twisted-defect-{v}",
             f"rank-{params.rank} {v} bracket is twisted-Poisson against the derived 3-form",
-            _max_abs(jacobi_tensor(reduced_bracket(params, v), states, phi)),
+            _max_abs(_sorted_defects(reduced_bracket(params, v), states, phi)),
             1e-6,
         ),
         _check(

@@ -27,11 +27,6 @@ def body(rank) -> BodyParams:
     return standard_body(rank)
 
 
-@pytest.fixture
-def skew_body(rank) -> BodyParams:
-    return asymmetric_body(rank)
-
-
 def list_rk4_step(f, y, dt):
     """The list-comprehension RK4 step that the straight-line step replaced."""
     h = 0.5 * dt

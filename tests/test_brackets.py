@@ -30,12 +30,16 @@ from chaplygin import (
     jacobiator,
     nh_bracket_full,
     reduced_bracket,
+    run_all_suites,
     sample_full_state,
     sample_reduced_state,
     scale_bivector,
     twist_three_form,
     twisted_defect,
 )
+from chaplygin import brackets
+from chaplygin.geometry import _first_bad, _swap
+from chaplygin.rolling import gauge_form_on_M
 
 from conftest import VARIANTS, asymmetric_body, standard_body
 
@@ -315,6 +319,118 @@ def test_gauge_singular_combination_raises():
     pi = canonical_patch()
     with pytest.raises(SingularGauge):
         gauge_transform(pi, constant_two_form(_CANONICAL)).matrix(np.zeros(2))
+
+
+def _svd_gauge_matrix(p, bm):
+    """gauge_matrix with an SVD of every E + bm p, as it was before the norm bound."""
+    if bad := _first_bad(~(np.isfinite(p).all(axis=(-2, -1)) & np.isfinite(bm).all(axis=(-2, -1)))):
+        raise SingularGauge(f"non-finite bracket or 2-form entries{bad[1]}")
+    m = np.eye(p.shape[-1]) + bm @ p
+    svals = np.linalg.svd(m, compute_uv=False)
+    smallest, largest = svals[..., -1], svals[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = np.where(smallest > 0.0, largest / smallest, np.inf)
+    if bad := _first_bad(~(condition <= 1e12)):
+        raise SingularGauge(f"E + B pi has condition {condition.flat[bad[0]]:.3e}{bad[1]}")
+    g = _swap(np.linalg.solve(_swap(m), _swap(p)))
+    residue = np.max(np.abs(g + _swap(g)), axis=(-2, -1))
+    if bad := _first_bad(residue > 1e-10):
+        raise SymmetricInput(f"gauged matrix has symmetric residue {residue.flat[bad[0]]:.3e}{bad[1]}")
+    return 0.5 * (g - _swap(g))
+
+
+_J2 = np.kron(np.eye(2), _CANONICAL)  # J + J on R^4: J2 @ J2 = -E
+
+
+def _gauge_rows() -> dict:
+    """Named (p, bm) pairs on R^4: ||bm p||_F at f times the bound below which
+    gauge_matrix makes no SVD, f below, at and above 1; E + bm p exactly
+    singular, or of condition about 1e11 to 1e13; non-finite entries, and
+    finite entries whose product overflows."""
+    rng = np.random.default_rng(71)
+    rows = {}
+    for k in range(3):
+        a, c = rng.standard_normal((2, 4, 4))
+        p, b = a - a.T, c - c.T
+        norm = np.linalg.norm(b @ p)
+        for f in (0.0, 0.5, 0.99, 1 - 1e-15, 1.0, 1 + 1e-15, 1.005, 1.5, 10.0):
+            rows[f"random{k}-{f!r}"] = (p, (f * brackets._SETTLED_NORM / norm) * b)
+    rows["singular"] = (_J2, _J2)
+    rows["singular-block"] = (_J2, np.kron(np.diag([1.0, 0.0]), _CANONICAL))
+    for delta in (1e-11, 3e-12, 1e-12, 3e-13, 1e-13):
+        rows[f"condition-{1 / delta:.0e}"] = (_J2, np.kron(np.diag([1.0 - delta, 0.0]), _CANONICAL))
+    rows["nan"] = (np.where(_J2 > 0, np.nan, _J2), _J2)
+    rows["inf"] = (_J2, np.where(_J2 > 0, np.inf, _J2))
+    rows["overflow"] = (1e200 * _J2, 1e200 * _J2)
+    a, c = rng.standard_normal((2, 4, 4))
+    rows["overflow-nan"] = (1e300 * (a - a.T), 1e300 * (c - c.T))
+    return rows
+
+
+_ROWS = _gauge_rows()
+
+
+def _assert_as_svd_oracle(p, bm):
+    """gauge_matrix(p, bm) has the bits of the oracle's result, or raises its
+    exception with its message."""
+    try:
+        expected = _svd_gauge_matrix(p, bm)
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            gauge_matrix(p, bm)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+    else:
+        got = gauge_matrix(p, bm)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_ROWS))
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_gauge_matrix_of_one_pair_equals_the_svd_oracle(name):
+    _assert_as_svd_oracle(*_ROWS[name])
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_gauge_matrix_of_a_stack_equals_the_svd_oracle(seed):
+    rng = np.random.default_rng(seed)
+    names = rng.choice(sorted(_ROWS), size=rng.integers(1, 7))
+    if seed % 2:  # half the stacks draw only finite, well-conditioned or unsettled random rows
+        names = rng.choice([n for n in sorted(_ROWS) if n.startswith("random")], size=rng.integers(1, 7))
+    _assert_as_svd_oracle(*(np.array([_ROWS[n][i] for n in names]) for i in (0, 1)))
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.3, 0.9, 1.0, 1.1, 3.0, 100.0])
+def test_gauge_matrix_of_the_full_bracket_equals_the_svd_oracle(scale):
+    """The full bracket by its gauge form, scaled so ||B P||_F moves across the bound."""
+    states = sample_full_state(seed=72, n=6)
+    body = standard_body(2)
+    p, bm = nh_bracket_full(body).matrix(states), gauge_form_on_M(body)(states)
+    norm = np.sqrt(np.sum((bm @ p) ** 2, axis=(-2, -1)))[:, None, None]
+    _assert_as_svd_oracle(p, (scale * brackets._SETTLED_NORM / norm) * bm)
+
+
+def _count_conditioning(monkeypatch) -> list:
+    """The shapes that brackets._conditioning is called on from now on."""
+    calls, conditioning = [], brackets._conditioning
+    monkeypatch.setattr(brackets, "_conditioning", lambda m: calls.append(m.shape) or conditioning(m))
+    return calls
+
+
+@pytest.mark.parametrize("make_body", [standard_body, asymmetric_body], ids=["standard", "asymmetric"])
+def test_a_verify_run_settles_its_gauges_by_the_norm_bound(monkeypatch, rank, make_body):
+    calls = _count_conditioning(monkeypatch)
+    reports = run_all_suites(make_body(rank), trials=6, seed=0)
+    assert all(r["passed"] for r in reports)
+    assert calls == []
+
+
+def test_gauge_matrix_runs_the_svd_on_the_unsettled_rows_only(monkeypatch):
+    names = ["random0-0.5", "random1-0.99", "random2-0.0", "random1-1.5", "random0-0.99"]
+    p, bm = (np.array([_ROWS[n][i] for n in names]) for i in (0, 1))
+    calls = _count_conditioning(monkeypatch)
+    assert gauge_matrix(p, bm).tobytes() == _svd_gauge_matrix(p, bm).tobytes()
+    assert calls == [(1, 4, 4)]
 
 
 def test_gauge_round_trip():

@@ -139,6 +139,14 @@ def _references(name: str) -> list:
     return found
 
 
+def test_svd_and_whole_jacobi_tensors_stay_out_of_the_verify_path():
+    """Only brackets._conditioning runs an SVD, which gauge_matrix calls only
+    where its norm bound cannot settle the conditioning; verify reads the
+    Jacobi defects at the sorted triples and never builds the whole tensor."""
+    assert {(m, w) for m, w, _ in _references("svd")} == {("brackets", "_conditioning")}
+    assert [w for m, w, _ in _references("jacobi_tensor") if m == "verify"] == []
+
+
 def test_run_sharing_stays_inside_verify_runs():
     """Only the Omega helpers and the reduced bracket jet consult the memo of
     a verify run, and only verify._run_suites enters one: no cache outlives a

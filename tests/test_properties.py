@@ -345,7 +345,7 @@ STACK = {name: call for names, call in [
     ("wedge_1_2", lambda fn, b, v, r, f: fn(r, reduced_bracket(b, v).matrix(r))),
     ("split_reduced", lambda fn, b, v, r, f: fn(r)),
     ("split_full project_rho", lambda fn, b, v, r, f: fn(f)),
-    ("pack_full", lambda fn, b, v, r, f: fn(*split_full(f))),
+    ("pack_full", lambda fn, b, v, r, f: [fn(*split_full(f)), fn(f[..., :9], f[..., 9:12], f[..., 12:])]),
 ] for name in names.split()}
 _BODY = standard_body(2)
 _PI, _X0, _X3, _RUN = reduced_bracket(_BODY), coordinate_field(6, 0), coordinate_field(6, 3), IntegratorConfig(0.1, 0.2)
@@ -363,6 +363,7 @@ ONE_STATE = {  # name: (dimension of a state, the error message before ", got sh
     "integrate": (6, "expected one 6- or 15-dim initial state", lambda fn, s: fn(_BODY, s, _RUN).states),
     "reparametrized_integrate": (6, "expected one 6-dim reduced initial state",
                                  lambda fn, s: fn(_BODY, s, _RUN).states),
+    "rk4_step": (6, "expected one state", lambda fn, s: fn(lambda y: [0.5 * v for v in y], s, 0.1)),
 }
 NO_STATE = {name: why for why, names in {
     "a class; its state methods are entries": "BivectorPatch FormPatch ScalarField",
@@ -377,7 +378,6 @@ NO_STATE = {name: why for why, names in {
     "draws from a seed (stacked draws: test_stacked_draw_equals_single_draws)":
         "random_rotation sample_full_state sample_reduced_state run_suite run_all_suites",
     "reads a sequence of states, one report each": "dynamical_gauge_check",
-    "steps a list of Python floats with the caller's field (test_rk4_step_equals_list_oracle)": "rk4_step",
 }.items() for name in names.split()}
 
 
