@@ -3,7 +3,7 @@ gauge transformations by 2-forms, conformal rescaling and twisted defects.
 
 The structure matrix convention is pi[i, j] = {x_i, x_j}.  Hamiltonian
 vector fields follow (X_f)_i = -sum_j pi[i, j] d_j f, so the bracket flow
-of a Hamiltonian h is -ham_vf(pi, h, state); see ``rolling.reduced_vf``.
+of a Hamiltonian h is -ham_vf(pi, h, state); see ``body.reduced_vf``.
 
 Patches, fields, ``jacobi_tensor`` and ``gauge_matrix`` also take a stack
 (N, d) of states (N matrices); a failed check names the first offending row.
@@ -19,11 +19,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AnnihilationViolated, NonPositiveFactor, SingularGauge, SymmetricInput
-from .geometry import FormPatch, _first_bad, _mv, _one, _swap, fd_exterior_derivative
+from .geometry import FormPatch, ScalarField, _first_bad, _mv, _one, _swap, fd_exterior_derivative
 
 __all__ = [
     "BivectorPatch",
-    "ScalarField",
     "casimir_defect",
     "conformal_jacobiator",
     "coordinate_field",
@@ -96,29 +95,6 @@ class BivectorPatch:
         state = _one(state, self.dim, "state")
         p = self.matrix(state)
         return float(_one(f.grad(state), self.dim, "gradient") @ p @ _one(g.grad(state), self.dim, "gradient"))
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Scalar function on the chart with its analytic gradient.
-
-    A field whose ``value`` and ``gradient`` take a stack of states gives one
-    value (gradient) per row; a constant ``value`` stands for every row.
-    """
-
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-
-    def __call__(self, state: np.ndarray):
-        state = np.asarray(state, dtype=float)
-        value = self.value(state)
-        if state.ndim == 1:
-            return float(value)
-        return np.full(state.shape[:-1], value, dtype=float)
-
-    def grad(self, state: np.ndarray) -> np.ndarray:
-        return np.asarray(self.gradient(np.asarray(state, dtype=float)), dtype=float)
 
 
 def coordinate_field(dim: int, i: int) -> ScalarField:
@@ -280,10 +256,11 @@ def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> np.ndarray:
     """p (E + bm p)^{-1} for a structure matrix p and a 2-form matrix bm, or
     for each pair of a stack.
 
-    Raises SingularGauge where p or bm is not finite, or where the condition
-    number of E + bm p is above 1e12 (or nan).  The result is
-    re-antisymmetrized; a symmetric residue above 1e-10 before that step is
-    an error (SymmetricInput).
+    Raises SingularGauge where p or bm is not finite, where their product
+    overflows (before any LAPACK call), or where the condition number of
+    E + bm p is above 1e12 (or nan).  The result is re-antisymmetrized; a
+    symmetric residue above 1e-10 before that step is an error
+    (SymmetricInput).
 
     The condition number needs an SVD only where a norm bound cannot settle
     it.  By Weyl's inequality every singular value of E + X, X = bm p, lies
@@ -294,7 +271,10 @@ def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> np.ndarray:
     """
     if bad := _first_bad(~(np.isfinite(p).all(axis=(-2, -1)) & np.isfinite(bm).all(axis=(-2, -1)))):
         raise SingularGauge(f"non-finite bracket or 2-form entries{bad[1]}")
-    x = bm @ p
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        x = bm @ p
+    if bad := _first_bad(~np.isfinite(x).all(axis=(-2, -1))):
+        raise SingularGauge(f"the product B pi overflows{bad[1]}")
     m = np.eye(p.shape[-1]) + x
     with np.errstate(over="ignore"):  # an overflowing norm is unsettled
         unsettled = ~(np.sqrt(np.sum(x * x, axis=(-2, -1))) <= _SETTLED_NORM)

@@ -7,7 +7,7 @@ renormalization keeps gamma on the unit sphere (default off, so that
 conservation of |gamma|^2 stays observable).
 
 One generated function per chart marches a whole run on Python floats: the
-RK4 template with the body's field, written once as text in ``rolling``,
+RK4 template with the body's field, written once as text in ``body``,
 inline as each stage, so a step calls no Python function before its
 finiteness test and renormalization.  Python floats never warn, and no
 division meets a zero divisor: the denominator test raises
@@ -27,9 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteState
-from .geometry import _one, _swap, unhat
-from .rolling import (
+from .body import (
     FULL_DIM,
     REDUCED_DIM,
     RHO_INDEX,
@@ -46,6 +44,8 @@ from .rolling import (
     omega_jacobians,
     reduced_vf,
 )
+from .errors import NonFiniteState
+from .geometry import _one, _swap, unhat
 
 __all__ = [
     "MONITOR_NAMES",

@@ -29,6 +29,7 @@ from .errors import SymmetricInput
 
 __all__ = [
     "FormPatch",
+    "ScalarField",
     "fd_exterior_derivative",
     "fd_gradient",
     "fd_partials",
@@ -181,6 +182,29 @@ class FormPatch:
         if p.shape != expect:
             raise ValueError(f"partials of '{self.name}' have shape {p.shape}, expected {expect}")
         return p
+
+
+@dataclass(frozen=True)
+class ScalarField:
+    """Scalar function on the chart with its analytic gradient.
+
+    A field whose ``value`` and ``gradient`` take a stack of states gives one
+    value (gradient) per row; a constant ``value`` stands for every row.
+    """
+
+    value: Callable[[np.ndarray], float]
+    gradient: Callable[[np.ndarray], np.ndarray]
+    name: str = ""
+
+    def __call__(self, state: np.ndarray):
+        state = np.asarray(state, dtype=float)
+        value = self.value(state)
+        if state.ndim == 1:
+            return float(value)
+        return np.full(state.shape[:-1], value, dtype=float)
+
+    def grad(self, state: np.ndarray) -> np.ndarray:
+        return np.asarray(self.gradient(np.asarray(state, dtype=float)), dtype=float)
 
 
 def fd_exterior_derivative(form: FormPatch, state: np.ndarray) -> np.ndarray:

@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .body import BodyParams, pack_full
 from .dynamics import IntegratorConfig
 from .errors import ScenarioError
-from .rolling import BodyParams, pack_full
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
 

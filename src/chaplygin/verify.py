@@ -22,16 +22,13 @@ import math
 
 import numpy as np
 
+from .body import FULL_DIM, BodyParams, _run_memo, conformal_factor
 from .brackets import _flow, _sorted_defects, gauge_matrix, scale_bivector
 from .dynamics import divergence_defect
 from .geometry import fd_exterior_derivative, sample_reduced_state
 from .rolling import (
-    FULL_DIM,
-    BodyParams,
     _full_form,
     _reduction_gap,
-    _run_memo,
-    conformal_factor,
     full_hamiltonian_field,
     gauge_form_on_M,
     hamiltonizable_variant,
@@ -73,7 +70,7 @@ class _Run:
     Below the suites, Omega's terms, Omega with its Jacobians and the jet of
     each reduced bracket are also computed once per stack of states: while
     ``_run_suites`` runs its suites, the context variable
-    ``rolling._run_memo`` holds a dict keyed by the kind of evaluation, the
+    ``body._run_memo`` holds a dict keyed by the kind of evaluation, the
     body and the shape and bytes of gamma and K, whose arrays are read-only.
     It is reset when the suites end or raise, so nothing outlives the run."""
 

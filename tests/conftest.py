@@ -1,7 +1,14 @@
-"""Shared fixtures: body parameter sets, state samplers and the list RK4 step used across tests."""
+"""Shared fixtures: body parameter sets, state samplers, the list RK4 step and
+a fresh-interpreter probe used across tests."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chaplygin
 from chaplygin import BodyParams
 
 VARIANTS = ("plain", "primed")
@@ -36,3 +43,12 @@ def list_rk4_step(f, y, dt):
     k4 = f([a + dt * b for a, b in zip(y, k3)])
     c = dt / 6.0
     return [a + c * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+
+
+def fresh_modules(code: str, *args: str) -> list:
+    """The chaplygin modules in sys.modules after ``code`` runs in a fresh interpreter."""
+    code += "\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'chaplygin'))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(chaplygin.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", "import sys\n" + code, *args], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()

@@ -2,6 +2,7 @@
 twisted/conformal defects, Casimir defects, distribution probes."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -322,10 +323,14 @@ def test_gauge_singular_combination_raises():
 
 
 def _svd_gauge_matrix(p, bm):
-    """gauge_matrix with an SVD of every E + bm p, as it was before the norm bound."""
+    """gauge_matrix with an SVD of every E + bm p, as it was before the norm
+    bound, and with the overflow test of its product first."""
     if bad := _first_bad(~(np.isfinite(p).all(axis=(-2, -1)) & np.isfinite(bm).all(axis=(-2, -1)))):
         raise SingularGauge(f"non-finite bracket or 2-form entries{bad[1]}")
-    m = np.eye(p.shape[-1]) + bm @ p
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.eye(p.shape[-1]) + bm @ p
+    if bad := _first_bad(~np.isfinite(m).all(axis=(-2, -1))):
+        raise SingularGauge(f"the product B pi overflows{bad[1]}")
     svals = np.linalg.svd(m, compute_uv=False)
     smallest, largest = svals[..., -1], svals[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -398,6 +403,19 @@ def test_gauge_matrix_of_a_stack_equals_the_svd_oracle(seed):
     if seed % 2:  # half the stacks draw only finite, well-conditioned or unsettled random rows
         names = rng.choice([n for n in sorted(_ROWS) if n.startswith("random")], size=rng.integers(1, 7))
     _assert_as_svd_oracle(*(np.array([_ROWS[n][i] for n in names]) for i in (0, 1)))
+
+
+def test_gauge_matrix_reports_an_overflowing_product_before_lapack(capfd):
+    """Finite P and B whose product overflows raise SingularGauge naming the
+    overflow and its row, with no numpy warning and no LAPACK message."""
+    a = np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [-2.0, -3.0, 0.0]])
+    p, b = 1e300 * a, 1e300 * a.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args, where in (((p, b), ""), ((np.array([a, p]), np.array([0.1 * a, b])), " in row 1")):
+            with pytest.raises(SingularGauge, match=f"overflows{where}$"):
+                gauge_matrix(*args)
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("scale", [0.0, 0.3, 0.9, 1.0, 1.1, 3.0, 100.0])

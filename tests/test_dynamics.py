@@ -45,6 +45,7 @@ from chaplygin import (
     sample_reduced_state,
     split_full,
 )
+from chaplygin import body as body_module
 
 from conftest import asymmetric_body, list_rk4_step, standard_body
 
@@ -334,7 +335,7 @@ def _frozen_kernels(body):
     sign, (n1, n2, n3) = body._rank_terms
     smr2 = sign * body.mr2
     rank, inf = body.rank, math.inf
-    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = (body.radius * rolling.matrix_A(body)).tolist()
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = (body.radius * body_module.matrix_A(body)).tolist()
 
     def omega(gamma, k):
         k1, k2, k3 = k
@@ -345,7 +346,7 @@ def _frozen_kernels(body):
         gg = g1 * g1 + g2 * g2 + g3 * g3
         den = gg + smr2 * (g1 * u1 + g2 * u2 + g3 * u3)
         if not (isinstance(den, float) and 1e-300 <= gg < inf and 1e-12 * gg < den < inf):
-            rolling._check_denominator(rank, den, gg)
+            body_module._check_denominator(rank, den, gg)
         c = (k1 * u1 + k2 * u2 + k3 * u3) / den
         s = smr2 * c
         return (k1 / n1 - s * u1, k2 / n2 - s * u2, k3 / n3 - s * u3), (u1, u2, u3), den, c
@@ -576,13 +577,13 @@ def test_monitor_series_solves_omega_once(monkeypatch, kind):
     body = standard_body(2)
     traj = _run(body, kind)
     calls = []
-    solve = rolling.omega_from_K
+    solve = body_module.omega_from_K
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(rolling, "omega_from_K", counting)
+    monkeypatch.setattr(body_module, "omega_from_K", counting)
     monitor_series(body, traj)
     assert len(calls) == 1
 
@@ -826,13 +827,13 @@ def test_import_and_load_compile_nothing(tmp_path):
                                 "initial": {"gamma": [0.0, 0.0, 1.0], "K": [0.3, -0.1, 0.2]},
                                 "integrator": {"dt": 1e-3, "T": 0.01}}))
     code = ("import sys, chaplygin\n"
-            "from chaplygin import cli, dynamics, rolling\n"
-            "caches = (dynamics._chart_march, dynamics._march_of_dim, rolling._kernel_factory)\n"
+            "from chaplygin import body, cli, dynamics\n"
+            "caches = (dynamics._chart_march, dynamics._march_of_dim, body._kernel_factory)\n"
             "chaplygin.load_scenario(sys.argv[1])\n"
             "print([f.cache_info().currsize for f in caches])\n"
             "assert cli.main(['simulate', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
             "print([f.cache_info().currsize for f in caches])\n"
-            "dynamics._chart_march('reduced', False), rolling._kernel_factory('omega', False)\n"
+            "dynamics._chart_march('reduced', False), body._kernel_factory('omega', False)\n"
             "print([f.cache_info().misses for f in caches])\n")
     env = dict(os.environ, PYTHONPATH=str(Path(chaplygin.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out")],

@@ -152,12 +152,12 @@ def test_run_sharing_stays_inside_verify_runs():
     a verify run, and only verify._run_suites enters one: no cache outlives a
     run or reaches simulate and the CLI."""
     assert {(m, w) for m, w, _ in _references("_memoized")} == {
-        ("rolling", "_omega_terms"),
-        ("rolling", "_omega_and_jacobians"),
+        ("body", "_omega_terms"),
+        ("body", "_omega_and_jacobians"),
         ("rolling", "reduced_bracket.jet"),
     }
     refs = _references("_run_memo")
-    assert {(m, w) for m, w, _ in refs} == {("rolling", ""), ("rolling", "_memoized"), ("verify", "_run_suites")}
+    assert {(m, w) for m, w, _ in refs} == {("body", ""), ("body", "_memoized"), ("verify", "_run_suites")}
     entered = {(m, w) for m, w, node in _references("set") if getattr(node.value, "id", None) == "_run_memo"}
     assert entered == {("verify", "_run_suites")}
 

@@ -63,6 +63,7 @@ from chaplygin import (
     twist_three_form,
     twist_two_form,
 )
+from chaplygin import body as body_module
 from chaplygin import brackets, dynamics, errors, geometry, rolling, scenario, verify
 
 from conftest import list_rk4_step, standard_body
@@ -383,7 +384,7 @@ NO_STATE = {name: why for why, names in {
 
 def test_every_public_callable_is_in_one_kind():
     """The callables in the modules' __all__, and the public and call methods of the patch and field classes."""
-    public = [n for m in (brackets, dynamics, geometry, rolling, scenario, verify)
+    public = [n for m in (body_module, brackets, dynamics, geometry, rolling, scenario, verify)
               for n, _ in inspect.getmembers(m, callable) if n in m.__all__] + [
         f"{cls.__name__}.{n}" for cls in (FormPatch, BivectorPatch, ScalarField)
         for n, _ in inspect.getmembers(cls, inspect.isfunction) if not n.startswith("_") or n == "__call__"]

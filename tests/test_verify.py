@@ -13,6 +13,7 @@ import pytest
 from chaplygin import (
     SUITE_NAMES,
     BivectorPatch,
+    BodyParams,
     DegenerateDenominator,
     FormPatch,
     dynamical_gauge_check,
@@ -28,6 +29,7 @@ from chaplygin import (
     sample_full_state,
     sample_reduced_state,
 )
+from chaplygin import body as body_module
 from chaplygin import rolling, verify
 
 from conftest import asymmetric_body, standard_body
@@ -99,6 +101,17 @@ def test_run_all_suites_equals_run_suite(rank, make_body):
     body = make_body(rank)
     for kwargs in ({"trials": 4, "seed": 5}, {"trials": 3, "seed": 9, "tol_scale": 2.0, "variant": "primed"}):
         assert run_all_suites(body, **kwargs) == [run_suite(n, body, **kwargs) for n in SUITE_NAMES]
+
+
+@pytest.mark.parametrize("inertia", [[1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0])], ids=["list", "ndarray"])
+def test_a_body_given_list_or_array_inertia_runs_verify(inertia):
+    """The body keeps its inertia as a tuple of floats, so it stays hashable
+    and a run, which keys its shared evaluations by the body, reports as for
+    the tuple."""
+    body = BodyParams(inertia=inertia, mass=1.0, radius=1.0, rank=2)
+    assert body.inertia == (1.0, 2.0, 3.0) and body == standard_body(2)
+    assert run_all_suites(body, trials=3) == run_all_suites(standard_body(2), trials=3)
+    assert run_suite("gauge", body, trials=3) == run_suite("gauge", standard_body(2), trials=3)
 
 
 def test_states_are_drawn_once_per_run(monkeypatch):
@@ -181,7 +194,7 @@ def test_nothing_is_shared_after_a_run_that_raises(monkeypatch):
     with pytest.raises(DegenerateDenominator, match=r"in row 5"):
         run_all_suites(body, trials=6)
     monkeypatch.setattr(verify, "sample_full_state", real)
-    assert rolling._run_memo.get() is None
+    assert body_module._run_memo.get() is None
     counts = _count_column_omega(monkeypatch, body)
     states = sample_reduced_state(np.random.default_rng(0), 6)  # the failed run's reduced states
     for expected in (1, 2):
@@ -202,7 +215,7 @@ def test_public_omega_arrays_are_writable_and_unshared(monkeypatch):
     def probe(run, variant=None):
         gamma, K = run.reduced[:, :3], run.reduced[:, 3:]
         seen["arrays"] = [(omega_from_K(body, gamma, K), *omega_jacobians(body, gamma, K)) for _ in range(2)]
-        seen["shared"] = [a for value in rolling._run_memo.get().values() for a in value if isinstance(a, np.ndarray)]
+        seen["shared"] = [a for value in body_module._run_memo.get().values() for a in value if isinstance(a, np.ndarray)]
         return []
 
     monkeypatch.setitem(verify._SUITE_FNS, "measure", probe)
