@@ -99,6 +99,12 @@ class BodyParams:
         if not math.isfinite(self.so2_angle):
             raise ValueError(f"so2_angle must be finite, got {self.so2_angle}")
         _rank_bits(self.rank)  # raises UnsupportedRank unless an int in 0..3
+        try:  # radius**2 raises OverflowError where the product would be inf
+            finite = math.isfinite(self.mr2 + max(self.inertia))  # so is every inertia_i + m r^2
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"mass * radius**2 + inertia overflows: mass {self.mass}, radius {self.radius}")
 
     @cached_property
     def mr2(self) -> float:
@@ -203,13 +209,13 @@ _FULL = (*(f"{r}{j}" for r in "abg" for j in "123"), None, None, None, "k1", "k2
     *_cross("a"), *_cross("b"), *_cross("g"), *(f"m{i}1 * v1 + m{i}2 * v2 + m{i}3 * v3" for i in "123"), *_cross("k"))
 
 
-def _chart(chart: str, zero: bool, omega: str = "") -> tuple[tuple, str, tuple]:
+def _chart(chart: str, zero: bool, floats: str = "") -> tuple[tuple, str, tuple]:
     """(names of the state entries, None where unread; body text; derivative
     expressions) of the field on ``chart``: "reduced" (gamma, K), "reparam"
     (gamma, K, t) with d/dtau = phi d/dt, phi first, or "full" (g, x, K).
-    ``omega`` replaces the text of Omega when given."""
+    ``floats`` is the type test of Omega's denominator check (_OMEGA)."""
     names, derivatives = _FULL if chart == "full" else _REDUCED
-    body = omega or (_OMEGA_ZERO if zero else _OMEGA).format(floats="")
+    body = (_OMEGA_ZERO if zero else _OMEGA).format(floats=floats)
     if chart == "full":
         body += _FULL_V
     elif chart == "reparam":
@@ -244,23 +250,22 @@ def _compile(function: str, name: str, filename: str, namespace: dict, constants
 @cache
 def _kernel_factory(name: str, zero: bool) -> Callable:
     """bind(**constants) -> omega(gamma, k) -> (Omega, u, den, c) (u, den, c
-    None if sign = 0), reduced(y) or full(y) -> y' (through a bound omega),
-    or phi(g1, g2, g3), for the bodies with sign == 0 or with sign != 0.  On
-    Python floats or numpy columns, which round alike: a batch equals its
-    rows bit for bit."""
-    constants = _CONSTANTS
+    None if sign = 0), reduced(y) or full(y) -> y' (Omega inline, as in each
+    stage of the march), or phi(g1, g2, g3), for the bodies with sign == 0
+    or with sign != 0.  On Python floats or numpy columns, which round alike:
+    a batch equals its rows bit for bit."""
+    floats = "isinstance(den, float) and "
     if name == "omega":
-        text = (_OMEGA_ZERO if zero else _OMEGA).format(floats="isinstance(den, float) and ")
+        text = (_OMEGA_ZERO if zero else _OMEGA).format(floats=floats)
         gamma, terms = ("", "None, None, None") if zero else ("g1, g2, g3 = gamma", "(u1, u2, u3), den, c")
         blocks = "def omega(gamma, k):", "k1, k2, k3 = k", gamma, text, f"return (o1, o2, o3), {terms}"
     elif name == "phi":
         blocks = "def phi(g1, g2, g3):", _PHI_ZERO if zero else _PHI, "return phi"
     else:
-        names, body, derivatives = _chart(name, zero, "(o1, o2, o3), _, _, _ = omega((g1, g2, g3), (k1, k2, k3))\n")
+        names, body, derivatives = _chart(name, zero, floats)
         unpack = f"{', '.join(n or '_' for n in names)} = y"
         blocks = f"def {name}(y):", unpack, body, f"return {', '.join(derivatives)}"
-        constants += ("omega",)
-    return _compile(_function(*blocks), name, f"<{name} zero={zero}>", {"sqrt": np.sqrt, "inf": math.inf}, constants)
+    return _compile(_function(*blocks), name, f"<{name} zero={zero}>", {"sqrt": np.sqrt, "inf": math.inf})
 
 
 class _Kernels:
@@ -270,12 +275,12 @@ class _Kernels:
     def __init__(self, params: BodyParams):
         self._constants, self._zero = params._constants, not params._rank_terms[0]
 
-    def _bind(self, name: str, **callables) -> Callable:
-        return _kernel_factory(name, self._zero)(**self._constants, **callables)
+    def _bind(self, name: str) -> Callable:
+        return _kernel_factory(name, self._zero)(**self._constants)
 
     omega = cached_property(lambda self: self._bind("omega"))
-    reduced = cached_property(lambda self: self._bind("reduced", omega=self.omega))
-    full = cached_property(lambda self: self._bind("full", omega=self.omega))
+    reduced = cached_property(lambda self: self._bind("reduced"))
+    full = cached_property(lambda self: self._bind("full"))
     phi = cached_property(lambda self: self._bind("phi"))
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AnnihilationViolated, NonPositiveFactor, SingularGauge, SymmetricInput
-from .geometry import FormPatch, ScalarField, _first_bad, _mv, _one, _swap, fd_exterior_derivative
+from .geometry import FormPatch, ScalarField, _first_bad, _mv, _one, _Patch, _swap, fd_exterior_derivative
 
 __all__ = [
     "BivectorPatch",
@@ -44,13 +44,13 @@ _ANNIHILATION_TOL = 1e-8  # |chi(X_f)| of a distribution probe
 
 
 @dataclass(frozen=True)
-class BivectorPatch:
+class BivectorPatch(_Patch):
     """An almost-Poisson bivector on a chart of R^dim.
 
     ``structure(state)`` is the matrix pi[i, j] = {x_i, x_j}; it must be
-    antisymmetric to 1e-12 (checked on every evaluation).  ``jet`` returns
-    (structure(state), partials) from one evaluation of what they share,
-    with the derivative index first: partials[l, i, j] = d_l pi[i, j].
+    antisymmetric to 1e-12 (checked on every evaluation, ``_Patch._checked``).
+    ``jet`` returns (structure(state), partials) from one evaluation of what
+    they share, with the derivative index first: partials[l, i, j] = d_l pi[i, j].
     """
 
     dim: int
@@ -60,7 +60,7 @@ class BivectorPatch:
 
     def matrix(self, state: np.ndarray) -> np.ndarray:
         state = np.asarray(state, dtype=float)
-        return self._checked_matrix(self.structure(state), state.shape[:-1])
+        return self._checked(self.structure(state), state, 2, "bivector")
 
     def partial_tensor(self, state: np.ndarray) -> np.ndarray:
         return self.matrix_and_partials(state)[1]
@@ -69,26 +69,7 @@ class BivectorPatch:
         """(matrix(state), partial_tensor(state)), from one ``jet`` call."""
         state = np.asarray(state, dtype=float)
         p, t = self.jet(state)
-        return self._checked_matrix(p, state.shape[:-1]), self._checked_partials(t, state.shape[:-1])
-
-    def _checked_matrix(self, p, stack: tuple) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        expect = stack + (self.dim, self.dim)
-        if p.shape != expect:
-            raise ValueError(f"bivector '{self.name}' returned shape {p.shape}, expected {expect}")
-        residue = np.max(np.abs(p + _swap(p)), axis=(-2, -1))
-        if bad := _first_bad(residue > 1e-12):
-            raise SymmetricInput(
-                f"bivector '{self.name}' is not antisymmetric: residue {residue.flat[bad[0]]:.3e}{bad[1]}"
-            )
-        return p
-
-    def _checked_partials(self, t, stack: tuple) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        expect = stack + (self.dim,) * 3
-        if t.shape != expect:
-            raise ValueError(f"partials of '{self.name}' have shape {t.shape}, expected {expect}")
-        return t
+        return self._checked(p, state, 2, "bivector"), self._checked(t, state, 3, "partials of", antisymmetric=False)
 
     def bracket(self, f: "ScalarField", g: "ScalarField", state: np.ndarray) -> float:
         """{f, g} at one state; each gradient must be one dim-vector."""
@@ -123,9 +104,10 @@ def ham_vf(pi: BivectorPatch, f: ScalarField, state: np.ndarray) -> np.ndarray:
     return _flow(pi.matrix(state), f.grad(state))
 
 
-def _check_twist(pi: BivectorPatch, phi: Optional[FormPatch]):
-    if phi is not None and (phi.degree != 3 or phi.dim != pi.dim):
-        raise ValueError("twist form must be a 3-form on the same chart")
+def _on_chart(pi: BivectorPatch, form: FormPatch, degree: int, what: str):
+    """Raise ValueError unless ``form`` is a degree-form on the chart of pi."""
+    if form.degree != degree or form.dim != pi.dim:
+        raise ValueError(f"{what} form must be a {degree}-form on the same chart")
 
 
 def _triple_index(triples: Sequence) -> tuple:
@@ -164,6 +146,8 @@ def _cyclic_sum(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch], 
     last axis of a fresh product (``_dot``), so a value has the same bits
     for one state as in a stack, and for one triple as among all of them.
     """
+    if phi is not None:
+        _on_chart(pi, phi, 3, "twist")
     a, b, c, thirds, pair_b, pair_third, pair_of = index
     p, dp = pi.matrix_and_partials(state)
     dp = np.moveaxis(dp, -3, -1)  # dp[..., b, c, l] = d_l pi_bc
@@ -192,7 +176,6 @@ def _odd(t) -> bool:
 def _sorted_defects(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch] = None) -> np.ndarray:
     """The cyclic Jacobi defects (plus the twist by phi) at every sorted triple
     a < b < c of the chart, in ``itertools.combinations`` order: (..., n)."""
-    _check_twist(pi, phi)
     return _cyclic_sum(pi, state, phi, _sorted_triples(pi.dim))
 
 
@@ -298,8 +281,7 @@ def gauge_transform(pi: BivectorPatch, b_form: FormPatch) -> BivectorPatch:
     Its jet is d_l G = x_l M^{-1}, x_l = d_l P - G (d_l B P + B d_l P), with no
     solve: M^{-1} = E - B G, as P = G M = G + P B G; antisymmetrized, as G is.
     """
-    if b_form.degree != 2 or b_form.dim != pi.dim:
-        raise ValueError("gauge form must be a 2-form on the same chart")
+    _on_chart(pi, b_form, 2, "gauge")
 
     def jet(s):
         (p, dp), bm = pi.matrix_and_partials(s), b_form(s)
@@ -360,7 +342,6 @@ def twisted_defect(
     the one sorted triple of (i, j, k) (the bracket's jet and phi are still
     evaluated once, also for a repeated index, which gives exactly 0.0).
     """
-    _check_twist(pi, phi)
     for idx in (i, j, k):
         if not 0 <= idx < pi.dim:
             raise IndexError(f"index {idx} out of range for dim {pi.dim}")
@@ -411,8 +392,7 @@ def distribution_probe(
     annihilate either Hamiltonian field at the state (to 1e-8), since then
     the probe would be meaningless.
     """
-    if chi.degree != 1 or chi.dim != pi.dim:
-        raise ValueError("probe form must be a 1-form on the same chart")
+    _on_chart(pi, chi, 1, "probe")
     state = _one(state, pi.dim, "state")
     xf = ham_vf(pi, f, state)
     xg = ham_vf(pi, g, state)

@@ -43,6 +43,7 @@ from .body import (
     invariant_density,
     omega_jacobians,
     reduced_vf,
+    split_reduced,
 )
 from .errors import NonFiniteState
 from .geometry import _one, _swap, unhat
@@ -337,9 +338,7 @@ def divergence_defect(params: BodyParams, state, density: str = "invariant"):
     (1/conformal_factor); density='uniform' uses mu = 1, which for ranks 1
     and 2 is NOT preserved and yields an order-one defect.
     """
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1:] != (REDUCED_DIM,):
-        raise ValueError("divergence_defect works on reduced states")
+    gamma, K = split_reduced(state)
     if density == "invariant":
         mu = invariant_density(params)
     elif density == "uniform":
@@ -347,7 +346,6 @@ def divergence_defect(params: BodyParams, state, density: str = "invariant"):
     else:
         raise ValueError(f"unknown density {density!r}")
 
-    gamma, K = state[..., :3], state[..., 3:]
     d_gamma, d_k = omega_jacobians(params, gamma, K)
     div_x = -np.vecdot(gamma, unhat(d_gamma - _swap(d_gamma))) - np.vecdot(K, unhat(d_k - _swap(d_k)))
     if mu is None:

@@ -125,15 +125,43 @@ def fd_gradient(func: Callable[[np.ndarray], float], state: np.ndarray) -> np.nd
     return fd_partials(lambda s: float(func(s)), _one(state, np.shape(state)[-1], "state"))
 
 
+class _Patch:
+    """The contract of every patch on a chart of R^dim: dim >= 1, and each
+    output checked against the state it was evaluated at (``_checked``)."""
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be positive")
+
+    def _checked(self, t, state: np.ndarray, k: int, what: str, antisymmetric: bool = True) -> np.ndarray:
+        """The raw output t at ``state`` as a float array, checked: its shape
+        is state.shape[:-1] + (dim,) * k and, when ``antisymmetric``, it is
+        antisymmetric to 1e-12 in each adjacent pair of its k slots
+        (SymmetricInput names the first offending row)."""
+        t = np.asarray(t, dtype=float)
+        expect = state.shape[:-1] + (self.dim,) * k
+        what = f"{what} '{self.name}'"
+        if t.shape != expect:
+            raise ValueError(f"{what} has shape {t.shape}, expected {expect}")
+        slots = tuple(range(-k, 0))
+        for ax in range(k - 1 if antisymmetric else 0):
+            residue = np.max(np.abs(t + np.swapaxes(t, slots[ax], slots[ax + 1])), axis=slots)
+            if bad := _first_bad(residue > 1e-12):
+                raise SymmetricInput(
+                    f"{what} is not antisymmetric in axes ({ax},{ax + 1}): residue {residue.flat[bad[0]]:.3e}{bad[1]}"
+                )
+        return t
+
+
 @dataclass(frozen=True)
-class FormPatch:
+class FormPatch(_Patch):
     """A differential k-form on a chart of R^dim, k in {1, 2, 3}.
 
     ``entries(state)`` returns the full component tensor (shape (dim,)*degree)
     and ``partials(state)`` the derivative tensor with the derivative index
     first (shape (dim,)*(degree+1)).  Component tensors must be antisymmetric
     to 1e-12 in every pair of adjacent indices; this is checked on each
-    evaluation.
+    evaluation (``_Patch._checked``).
     """
 
     degree: int
@@ -145,25 +173,11 @@ class FormPatch:
     def __post_init__(self):
         if self.degree not in (1, 2, 3):
             raise ValueError(f"degree must be 1, 2 or 3, got {self.degree}")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        super().__post_init__()
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
         state = np.asarray(state, dtype=float)
-        t = np.asarray(self.entries(state), dtype=float)
-        expect = state.shape[:-1] + (self.dim,) * self.degree
-        if t.shape != expect:
-            raise ValueError(f"form '{self.name}' returned shape {t.shape}, expected {expect}")
-        slots = tuple(range(-self.degree, 0))
-        for ax in range(self.degree - 1):
-            pair = slots[ax], slots[ax + 1]
-            residue = np.max(np.abs(t + np.swapaxes(t, *pair)), axis=slots)
-            if bad := _first_bad(residue > 1e-12):
-                raise SymmetricInput(
-                    f"form '{self.name}' is not antisymmetric in axes ({ax},{ax + 1}): "
-                    f"residue {residue.flat[bad[0]]:.3e}{bad[1]}"
-                )
-        return t
+        return self._checked(self.entries(state), state, self.degree, "form")
 
     def evaluate(self, state: np.ndarray, *vectors: np.ndarray) -> float:
         """The form on the vectors at one state, each one dim-vector."""
@@ -177,11 +191,7 @@ class FormPatch:
     def partial_tensor(self, state: np.ndarray) -> np.ndarray:
         """d/dx_l of the component tensor, derivative index first."""
         state = np.asarray(state, dtype=float)
-        p = np.asarray(self.partials(state), dtype=float)
-        expect = state.shape[:-1] + (self.dim,) * (self.degree + 1)
-        if p.shape != expect:
-            raise ValueError(f"partials of '{self.name}' have shape {p.shape}, expected {expect}")
-        return p
+        return self._checked(self.partials(state), state, self.degree + 1, "partials of", antisymmetric=False)
 
 
 @dataclass(frozen=True)
@@ -210,8 +220,10 @@ class ScalarField:
 def fd_exterior_derivative(form: FormPatch, state: np.ndarray) -> np.ndarray:
     """Component tensor of d(form) at state, shape (dim,)*(degree+1).
 
-    Assembled from the form's partials; the alternating assembly makes the
-    result antisymmetric to the last bit.
+    Assembled from the form's partials.  For a 1-form the assembly p - p^T is
+    antisymmetric to the last bit; from a 2-form on it is so only to
+    round-off (d of the rank-1 twist 2-form, the twist 3-form, shows a
+    2.2e-16 residue in axes (1, 2) over 50 states).
     """
     p = form.partial_tensor(state)
     out = np.zeros_like(p)

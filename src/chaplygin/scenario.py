@@ -84,7 +84,10 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     angle = _number(data.get("so2_angle", -0.5 * math.pi), "so2_angle")
 
-    params = BodyParams(inertia=tuple(inertia.tolist()), mass=mass, radius=radius, rank=rank, so2_angle=angle)
+    try:  # every field is checked above but the overflow of mass * radius**2
+        params = BodyParams(inertia=tuple(inertia.tolist()), mass=mass, radius=radius, rank=rank, so2_angle=angle)
+    except ValueError as exc:
+        raise ScenarioError("mass", str(exc))
 
     initial = _require(data, "initial")
     if not isinstance(initial, dict):

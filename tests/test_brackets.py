@@ -229,6 +229,22 @@ def test_jacobi_tensor_through_jet_equals_matrix_route(rank, make_body):
                 assert np.array_equal(jacobi_tensor(with_jet, s, phi), jacobi_tensor(without, s, phi))
 
 
+def test_forms_must_live_on_the_bracket_chart():
+    pi = canonical_patch()
+    one = FormPatch(degree=1, dim=2, entries=lambda s: np.zeros(2), partials=lambda s: np.zeros((2, 2)))
+    three = FormPatch(degree=3, dim=3, entries=lambda s: np.zeros((3,) * 3), partials=lambda s: np.zeros((3,) * 4))
+    x = coordinate_field(2, 0)
+    for call, message in (
+        (lambda: jacobi_tensor(pi, np.zeros(2), three), "twist form must be a 3-form on the same chart"),
+        (lambda: twisted_defect(pi, one, 0, 1, 0, np.zeros(2)), "twist form must be a 3-form on the same chart"),
+        (lambda: gauge_transform(pi, one), "gauge form must be a 2-form on the same chart"),
+        (lambda: distribution_probe(pi, constant_two_form(_CANONICAL), x, x, np.zeros(2)),
+         "probe form must be a 1-form on the same chart"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_jet_output_is_checked():
     bad = BivectorPatch(
         dim=2, structure=lambda s: _CANONICAL, jet=lambda s: (np.ones((2, 2)), np.zeros((2, 2, 2)))

@@ -159,6 +159,16 @@ def test_simulate_rejects_malformed_scenario(tmp_path, capsys):
     assert "rank" in err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "--suite", "all"]])
+def test_a_body_whose_m_r2_overflows_is_a_scenario_error(tmp_path, capsys, command):
+    """Not a non-finite state after step 1 or a non-finite bracket (exit 1)."""
+    path = write_scenario(tmp_path, mass=1e300, radius=1e10)
+    assert main([command[0], str(path), *command[1:], "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario field 'mass': mass * radius**2 + inertia overflows")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_rejects_unknown_integrator_method(tmp_path, capsys):
     path = write_scenario(tmp_path, integrator={"dt": 1e-3, "T": 0.05, "method": "euler"})
     assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -703,7 +703,7 @@ def test_divergence_defect_matches_fd_oracle(rank, factory):
 
 def test_divergence_defect_argument_validation():
     body = standard_body(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected a 6-dim reduced state, got shape \(15,\)$"):
         divergence_defect(body, np.zeros(15))
     with pytest.raises(ValueError):
         divergence_defect(body, sample_reduced_state(seed=0), density="bogus")

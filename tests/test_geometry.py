@@ -162,6 +162,56 @@ def test_run_sharing_stays_inside_verify_runs():
     assert entered == {("verify", "_run_suites")}
 
 
+def test_one_function_checks_every_patch_output():
+    """Forms and bivectors check shape and antisymmetry in _Patch._checked
+    alone; SymmetricInput is raised nowhere else but unhat and gauge_matrix,
+    so a second copy of the patch check fails here."""
+    assert {(m, w) for m, w, _ in _references("SymmetricInput")} == {
+        ("geometry", "_Patch._checked"),
+        ("geometry", "unhat"),
+        ("brackets", "gauge_matrix"),
+        ("errors", ""),
+    }
+    assert {(m, w) for m, w, _ in _references("_checked") if m != "body"} == {
+        ("geometry", "FormPatch.__call__"),
+        ("geometry", "FormPatch.partial_tensor"),
+        ("brackets", "BivectorPatch.matrix"),
+        ("brackets", "BivectorPatch.matrix_and_partials"),
+    }
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda dim: FormPatch(degree=1, dim=dim, entries=lambda s: np.zeros(0), partials=lambda s: np.zeros((0, 0))),
+        lambda dim: BivectorPatch(dim=dim, structure=lambda s: np.zeros((0, 0)), jet=lambda s: None),
+    ],
+    ids=["form", "bivector"],
+)
+def test_patches_need_a_positive_dim(make):
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim must be positive"):
+            make(dim)
+
+
+def test_patch_outputs_fail_with_one_message_per_kind():
+    two = np.zeros((2, 2))
+    symmetric = np.array([[0.0, 1.0], [1.0, 0.0]])
+    form = FormPatch(degree=2, dim=2, entries=lambda s: np.zeros((len(s), 2, 2)), partials=lambda s: two, name="b")
+    with pytest.raises(ValueError, match=r"^form 'b' has shape \(3, 2, 2\), expected \(2, 2\)$"):
+        form(np.zeros(3))
+    with pytest.raises(ValueError, match=r"^partials of 'b' has shape \(2, 2\), expected \(2, 2, 2\)$"):
+        form.partial_tensor(np.zeros(2))
+    pi = BivectorPatch(dim=2, structure=lambda s: np.zeros(3), jet=lambda s: (symmetric, two), name="p")
+    with pytest.raises(ValueError, match=r"^bivector 'p' has shape \(3,\), expected \(2, 2\)$"):
+        pi.matrix(np.zeros(2))
+    with pytest.raises(SymmetricInput, match=r"^bivector 'p' is not antisymmetric in axes \(0,1\): residue 2.000e\+00$"):
+        pi.matrix_and_partials(np.zeros(2))
+    pi = BivectorPatch(dim=2, structure=lambda s: np.zeros((2, 2)), jet=lambda s: (np.zeros((2, 2)), two), name="p")
+    with pytest.raises(ValueError, match=r"^partials of 'p' has shape \(2, 2\), expected \(2, 2, 2\)$"):
+        pi.matrix_and_partials(np.zeros(2))
+
+
 def test_patches_require_their_derivative_hook():
     with pytest.raises(TypeError, match="partials"):
         FormPatch(degree=1, dim=2, entries=lambda s: np.zeros(2))

@@ -101,6 +101,21 @@ def test_body_params_validation():
             BodyParams(**{"inertia": (1.0, 2.0, 3.0), "mass": 1.0, "radius": 1.0, "rank": 2, **bad})
 
 
+@pytest.mark.parametrize("rank", range(4))
+def test_body_whose_m_r2_overflows_is_rejected(rank):
+    """m r^2 = inf made Omega nan (0.0 * inf at rank 0) or zero (rank 3)
+    with no error; radius**2 past the float range raised OverflowError on
+    first use; I + m r^2 overflows alone in the last case."""
+    for inertia, mass, radius in (
+        ((1.0, 2.0, 3.0), 1e300, 1e10),
+        ((1.0, 2.0, 3.0), 1e-300, 1e200),
+        ((1.7e308, 2.0, 3.0), 1.0, 1e154),
+    ):
+        with pytest.raises(ValueError, match=r"mass \* radius\*\*2 \+ inertia overflows"):
+            BodyParams(inertia=inertia, mass=mass, radius=radius, rank=rank)
+    assert BodyParams(inertia=(1.0, 2.0, 3.0), mass=1e300, radius=1e4, rank=rank).mr2 == 1e308
+
+
 def test_mr2_property():
     assert asymmetric_body(2).mr2 == pytest.approx(1.4 * 0.36)
 

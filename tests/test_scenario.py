@@ -74,6 +74,7 @@ def test_optional_fields_defaults():
         (lambda d: d.update(inertia=[1.0, -2.0, 3.0]), "inertia"),
         (lambda d: d.update(mass=0.0), "mass"),
         (lambda d: d.update(mass="heavy"), "mass"),
+        (lambda d: d.update(mass=1e300, radius=1e10), "mass"),
         (lambda d: d.update(radius=-1.0), "radius"),
         (lambda d: d.update(rank=7), "rank"),
         (lambda d: d.update(rank="two"), "rank"),

@@ -138,8 +138,8 @@ def test_states_are_drawn_once_per_run(monkeypatch):
 
 def _count_column_omega(monkeypatch, body) -> collections.Counter:
     """Count the calls of the body's omega kernel, on numpy columns (a stack)
-    and on Python floats (one state); the body's other kernels, compiled
-    later, call it too."""
+    and on Python floats (one state); the field kernels have Omega inline
+    and do not call it."""
     kernels, counts = body._kernels, collections.Counter()
     base = kernels.omega
 
@@ -152,11 +152,11 @@ def _count_column_omega(monkeypatch, body) -> collections.Counter:
 
 
 def test_a_run_evaluates_omega_once_per_stack(monkeypatch):
-    """A rank-2 run of 6 trials has four stacks of states: the reduced and the
-    full states, the first five reduced states (twisted-closed) and the
-    reduced states in the kernel of reduced_vf (measure).  Evaluated per
-    suite, that would be 15 kernel calls and 4 reduced bracket jets, not one
-    per variant.  A second run on the same body shares nothing with the
+    """A rank-2 run of 6 trials calls the omega kernel on two stacks of
+    states, the reduced and the full states, once each (twisted-closed reads
+    the reduced states too; the reduced_vf kernel of the measure suite has
+    Omega inline).  Evaluated per suite, each suite would call the kernel
+    again, and the reduced bracket would take 4 jets, not one per variant.  A second run on the same body shares nothing with the
     first."""
     body = standard_body(2)
     counts = _count_column_omega(monkeypatch, body)
@@ -168,7 +168,7 @@ def test_a_run_evaluates_omega_once_per_stack(monkeypatch):
 
     monkeypatch.setattr(rolling, "_v_jet", counting_v_jet)
     first = run_all_suites(body, trials=6)
-    assert set(counts) == {"columns", "jet plain", "jet primed"} and counts["columns"] <= 4
+    assert set(counts) == {"columns", "jet plain", "jet primed"} and counts["columns"] <= 2
     assert counts["jet plain"] == counts["jet primed"] == 1
     once = counts.copy()
     counts.clear()
