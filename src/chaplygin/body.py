@@ -238,11 +238,11 @@ def _function(header: str, *blocks: str) -> str:
     return header + "\n" + "".join(f"    {line}\n" for b in blocks for line in b.splitlines())
 
 
-def _compile(function: str, name: str, filename: str, namespace: dict, constants: tuple = _CONSTANTS) -> Callable:
-    """bind(*constants) -> the function ``name`` of the source ``function``,
-    with the constants as closure cells and a copy of ``namespace`` as its
+def _compile(function: str, name: str, filename: str, namespace: dict) -> Callable:
+    """bind(**constants) -> the function ``name`` of the source ``function``,
+    with _CONSTANTS as closure cells and a copy of ``namespace`` as its
     globals: one compiled text serves every body."""
-    source = _function(f"def bind({', '.join(constants)}):", function, f"return {name}")
+    source = _function(f"def bind({', '.join(_CONSTANTS)}):", function, f"return {name}")
     exec(compile(source, filename, "exec"), namespace := dict(namespace))
     return namespace["bind"]
 
@@ -293,24 +293,25 @@ def K_from_omega(params: BodyParams, gamma, omega) -> np.ndarray:
 
 
 # The evaluations shared by the suites of one verify run: a dict from
-# (kind, params, shape, gamma bytes, K bytes) to a value, set by
+# (kind, params, (shape, bytes) of each stack) to a value, set by
 # ``verify._run_suites`` around its suites and reset when they end; None
 # outside a run.
 _run_memo: ContextVar[dict | None] = ContextVar("_run_memo", default=None)
 
 
-def _memoized(kind, params: BodyParams, gamma: np.ndarray, K: np.ndarray, compute: Callable):
-    """compute(), once per kind and content of a stack (gamma, K) inside a
-    verify run, its arrays then read-only and shared; outside a run, or for
-    one state, compute() alone.  A first computation that raises stores
+def _memoized(kind, params: BodyParams, arrays: tuple, compute: Callable):
+    """compute(), once per kind and content of the stacks ``arrays`` (gamma
+    and K, or one stack of states) inside a verify run; the value (a tuple,
+    an array or a float) is shared, its arrays read-only.  Outside a run, or
+    for one state, compute() alone.  A first computation that raises stores
     nothing, so the same inputs raise again."""
     memo = _run_memo.get()
-    if memo is None or gamma.ndim == 1:
+    if memo is None or arrays[0].ndim == 1:
         return compute()
-    key = (kind, params, gamma.shape, gamma.tobytes(), K.tobytes())
+    key = (kind, params, *((a.shape, a.tobytes()) for a in arrays))
     if key not in memo:
         value = compute()
-        for a in value:
+        for a in value if isinstance(value, tuple) else (value,):
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
         memo[key] = value
@@ -374,14 +375,14 @@ def _omega_terms(params: BodyParams, gamma, K) -> tuple:
             omega, u, den, c = kernel(_columns(gamma), _columns(K))
         return _assemble(omega), None if u is None else _assemble(u), den, c
 
-    return _memoized("terms", params, gamma, K, compute)
+    return _memoized("terms", params, (gamma, K), compute)
 
 
 def _omega_and_jacobians(params: BodyParams, gamma, K) -> tuple:
     """(Omega, d Omega / d gamma, d Omega / d K) at one state or a stack, from
     one evaluation of the Sherman-Morrison terms."""
     gamma, K = _omega_args(gamma, K)
-    return _memoized("jacobians", params, gamma, K, lambda: _jacobians(params, gamma, K))
+    return _memoized("jacobians", params, (gamma, K), lambda: _jacobians(params, gamma, K))
 
 
 def _jacobians(params: BodyParams, gamma: np.ndarray, K: np.ndarray) -> tuple:

@@ -170,15 +170,6 @@ _MARCH_GLOBALS = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf}
 
 
 @functools.cache
-def _march_of_dim(dim: int) -> Callable:
-    """bind(f) -> the march of y' = f(y), each stage a call of f."""
-    names = tuple(f"x{i}" for i in range(dim))
-    call = f"[{''.join(f'd{i}, ' for i in range(dim))}] = f([{', '.join(names)}])\n"
-    field = names, call, tuple(f"d{i}" for i in range(dim))
-    return _compile(_march_source(field), "march", f"<rk4 march dim={dim}>", _MARCH_GLOBALS, ("f",))
-
-
-@functools.cache
 def _chart_march(chart: str, zero: bool) -> Callable:
     """bind(**constants) -> the march of a body's field on ``chart`` with the
     chart's text inline, for every body with sign == 0, or with sign != 0."""
@@ -192,11 +183,18 @@ def _body_march(params: BodyParams, chart: str) -> Callable:
 
 
 def rk4_step(f: Callable[[list], list], y: list, dt: float) -> list:
-    """One classical RK4 step of y' = f(y) on a list of Python floats, the
-    march of one step; f maps a sequence of len(y) floats to as many."""
+    """One classical RK4 step of y' = f(y) on a list of Python floats, with
+    the march's arithmetic; f maps a sequence of len(y) floats to as many
+    (ValueError otherwise)."""
     if np.ndim(y) != 1:
         raise ValueError(f"expected one state, got shape {np.shape(y)}")
-    return _march_of_dim(len(y))(f)(y, (dt,), None)[0][-1]
+    h = 0.5 * dt
+    k1 = f(y)
+    k2 = f([a + h * b for a, b in zip(y, k1, strict=True)])
+    k3 = f([a + h * b for a, b in zip(y, k2, strict=True)])
+    k4 = f([a + dt * b for a, b in zip(y, k3, strict=True)])
+    sixth = dt / 6.0
+    return [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4, strict=True)]
 
 
 _DEGENERATE = "degenerate attitude matrix during renormalization"

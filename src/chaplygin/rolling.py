@@ -175,7 +175,7 @@ def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch
             dp[..., 3:, 3:] = hat(_swap(np.concatenate([dv_gamma, dv_k], axis=-1)))
             return matrix(gamma, v), dp
 
-        return _memoized(("jet", variant), params, gamma, K, compute)
+        return _memoized(("jet", variant), params, (gamma, K), compute)
 
     return BivectorPatch(dim=REDUCED_DIM, structure=structure, name=f"rank{params.rank}-{variant}", jet=jet)
 
@@ -325,13 +325,6 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
     mr2 = params.mr2
     shift = 0.0 if form == "plain" else 1.0
     eye = np.eye(3)
-    # the constant part of the partials: d{g_ij, K_m}/dg_ab = -eps_jmb delta_ia and
-    # d{x_i, K_m}/dg_ab = r A_ia delta_mb, l = 3a + b, and their antisymmetric partners
-    base = np.zeros((FULL_DIM,) * 3)
-    base[:9, :9, 12:] = -np.einsum("ia,jmb->abijm", eye, EPSILON).reshape(9, 9, 3)
-    base[:9, 9:12, 12:] = params.radius * np.einsum("ia,mb->abim", a_mat, eye).reshape(9, 3, 3)
-    base = base - base.transpose(0, 2, 1)
-
     def matrix(g, K, t_eff, omega):
         stack = g.shape[:-2]
         p = np.zeros(stack + (FULL_DIM, FULL_DIM))
@@ -343,8 +336,11 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
         return p
 
     def structure(s):
-        g, _, K = split_full(s)
-        return matrix(g, K, _swap(g) @ q @ g - shift * eye, omega_from_K(params, g[..., 2, :], K))
+        def compute():
+            g, _, K = split_full(s)
+            return matrix(g, K, _swap(g) @ q @ g - shift * eye, omega_from_K(params, g[..., 2, :], K))
+
+        return _memoized(("full", form), params, (s,), compute)
 
     def jet(s):
         g, _, K = split_full(s)
@@ -360,7 +356,13 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
         dw[..., 6:9, :] += _swap(t_eff @ d_omega_gamma)
         dw[..., :9, :] *= mr2
         dw[..., 12:, :] = eye + mr2 * _swap(t_eff @ d_omega_k)
-        out = np.broadcast_to(base, stack + base.shape).copy()
+        # the constant part of the partials, built here as verify reads no full jet:
+        # d{g_ij, K_m}/dg_ab = -eps_jmb delta_ia and d{x_i, K_m}/dg_ab = r A_ia delta_mb,
+        # l = 3a + b, and their antisymmetric partners
+        base = np.zeros((FULL_DIM,) * 3)
+        base[:9, :9, 12:] = -np.einsum("ia,jmb->abijm", eye, EPSILON).reshape(9, 9, 3)
+        base[:9, 9:12, 12:] = params.radius * np.einsum("ia,mb->abim", a_mat, eye).reshape(9, 3, 3)
+        out = np.broadcast_to(base - base.transpose(0, 2, 1), stack + base.shape).copy()
         # d_l hat(W) = hat(d_l W)
         out[..., 12:, 12:] = hat(dw)
         return matrix(g, K, t_eff, omega), out
@@ -441,11 +443,6 @@ def reduction_defect(params: BodyParams, variant: str, full_state) -> np.ndarray
     'primed' pairs the gauged full bracket with the primed reduced one.
     """
     p_full = nh_bracket_full(params, _full_form(variant)).matrix(full_state)
-    return _reduction_gap(params, variant, p_full, full_state)
-
-
-def _reduction_gap(params: BodyParams, variant: str, p_full: np.ndarray, full_state) -> np.ndarray:
-    """``reduction_defect`` from the full bracket matrix p_full at full_state."""
     p_red = reduced_bracket(params, variant).matrix(project_rho(full_state))
     return np.abs(p_full[..., RHO_INDEX[:, None], RHO_INDEX] - p_red)
 

@@ -11,30 +11,31 @@ pass rule: it multiplies every upper bound by ``tol_scale`` (never a
 floor) and sets ``passed`` to residual <= bound, or finite residual >
 floor, so a nan or infinite residual fails either comparison.
 
-Each suite evaluates its brackets, forms and fields on the whole stack of
-sampled states in one call and takes the maximum over the stack; a nan at
-any state makes that maximum nan.
+A suite is called as ``suite(params, states, variant)`` with the stack of
+sampled states of its chart (``_SUITE_FNS``).  It evaluates its brackets,
+forms and fields on the whole stack in one call and takes the maximum over
+the stack; a nan at any state makes that maximum nan.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .body import FULL_DIM, BodyParams, _run_memo, conformal_factor
+from .body import FULL_DIM, BodyParams, _memoized, _run_memo, conformal_factor
 from .brackets import _flow, _sorted_defects, gauge_matrix, scale_bivector
 from .dynamics import divergence_defect
 from .geometry import fd_exterior_derivative, sample_reduced_state
 from .rolling import (
-    _full_form,
-    _reduction_gap,
     full_hamiltonian_field,
     gauge_form_on_M,
     hamiltonizable_variant,
     nh_bracket_full,
     poisson_variant,
     reduced_bracket,
+    reduction_defect,
     sample_full_state,
     twist_three_form,
 )
@@ -60,64 +61,25 @@ def _max_abs(values) -> float:
     return float(np.max(np.abs(values)))
 
 
-class _Run:
-    """The sampled states of one verify run and the evaluations its suites
-    share, each computed on first use and then reused: the largest Jacobi
-    defect of a reduced bracket (the jacobi suite, and the twisted suite at
-    ranks 0 and 3) and the plain and gauged full bracket matrices (the gauge
-    and reduction suites).  Every evaluation takes the whole stack of states.
+def _jacobi_residual(params: BodyParams, states: np.ndarray, variant: str) -> float:
+    """Largest |Jacobiator| of the reduced ``variant`` bracket over the
+    reduced states, evaluated once per run: the jacobi suite reads it, and
+    so does the twisted suite at ranks 0 and 3."""
+    def compute():
+        return _max_abs(_sorted_defects(reduced_bracket(params, variant), states))
 
-    Below the suites, Omega's terms, Omega with its Jacobians and the jet of
-    each reduced bracket are also computed once per stack of states: while
-    ``_run_suites`` runs its suites, the context variable
-    ``body._run_memo`` holds a dict keyed by the kind of evaluation, the
-    body and the shape and bytes of gamma and K, whose arrays are read-only.
-    It is reset when the suites end or raise, so nothing outlives the run."""
-
-    def __init__(self, params: BodyParams, trials: int, seed: int):
-        self.params = params
-        self._trials, self._seed = trials, seed
-        self._memo = {}
-
-    def _shared(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    def states(self, sample) -> np.ndarray:
-        """The stack (trials, d) of states that ``sample`` draws in one call
-        from a generator seeded with the run's seed."""
-        return self._shared(sample, lambda: sample(np.random.default_rng(self._seed), self._trials))
-
-    @property
-    def reduced(self) -> np.ndarray:
-        return self.states(sample_reduced_state)
-
-    @property
-    def full(self) -> np.ndarray:
-        return self.states(sample_full_state)
-
-    def jacobi_residual(self, variant: str) -> float:
-        """Largest |Jacobiator| of the reduced ``variant`` bracket over the reduced states."""
-        def compute():
-            return _max_abs(_sorted_defects(reduced_bracket(self.params, variant), self.reduced))
-
-        return self._shared(("jacobi", variant), compute)
-
-    def full_matrix(self, form: str) -> np.ndarray:
-        """The ``form`` full bracket matrices at the full states."""
-        return self._shared(("full", form), lambda: nh_bracket_full(self.params, form).matrix(self.full))
+    return _memoized(("jacobi", variant), params, (states,), compute)
 
 
-def _jacobi_suite(run: _Run, variant=None) -> list:
+def _jacobi_suite(params: BodyParams, states: np.ndarray, variant=None) -> list:
     """A forced variant must be Poisson; otherwise the Poisson variant of the
     rank (if any) must be, and every other variant is a positive control."""
-    rank = run.params.rank
+    rank = params.rank
     poisson = variant or poisson_variant(rank)
     checks = []
     # the Poisson variant first
     for v in (variant,) if variant else sorted(("plain", "primed"), key=lambda v: v != poisson):
-        worst = run.jacobi_residual(v)
+        worst = _jacobi_residual(params, states, v)
         if v == poisson:
             note = "" if variant else " (Poisson)"
             anchor = f"Jacobiator of the rank-{rank} {v} bracket vanishes identically{note}"
@@ -129,8 +91,7 @@ def _jacobi_suite(run: _Run, variant=None) -> list:
     return checks
 
 
-def _conformal_suite(run: _Run, variant=None) -> list:
-    params, states = run.params, run.reduced
+def _conformal_suite(params: BodyParams, states: np.ndarray, variant=None) -> list:
     v = variant or hamiltonizable_variant(params.rank)
     phi = conformal_factor(params)
     scaled = scale_bivector(reduced_bracket(params, v), phi)
@@ -151,17 +112,16 @@ def _conformal_suite(run: _Run, variant=None) -> list:
     ]
 
 
-def _twisted_suite(run: _Run, variant=None) -> list:
+def _twisted_suite(params: BodyParams, states: np.ndarray, variant=None) -> list:
     """At ranks 0 and 3 the bracket is Poisson (``hamiltonizable_variant`` is
     ``poisson_variant`` there) and the twist 3-form vanishes."""
-    params, states = run.params, run.reduced
     v = variant or hamiltonizable_variant(params.rank)
     if poisson_variant(params.rank):
         return [
             _check(
                 f"twisted-zero-form-{v}",
                 f"twisted defect with vanishing 3-form reduces to the Jacobiator (rank {params.rank})",
-                run.jacobi_residual(v),
+                _jacobi_residual(params, states, v),
                 1e-9,
             )
         ]
@@ -182,22 +142,22 @@ def _twisted_suite(run: _Run, variant=None) -> list:
     ]
 
 
-def _gauge_suite(run: _Run, variant=None) -> list:
+def _gauge_suite(params: BodyParams, states: np.ndarray, variant=None) -> list:
     """P, B and the gauged bracket are evaluated once on the stack of full
     states; the gauges by B, B then -B, and 0 are solves on those values.
     ``gauge_matrix`` raises SingularGauge where E + B P is not invertible,
     so the dynamical check bounds the contraction alone."""
-    p = run.full_matrix("plain")
-    bm = gauge_form_on_M(run.params)(run.full)
+    p = nh_bracket_full(params, "plain").matrix(states)
+    bm = gauge_form_on_M(params)(states)
     g = gauge_matrix(p, bm)
-    x_h = _flow(p, full_hamiltonian_field(run.params).grad(run.full))
+    x_h = _flow(p, full_hamiltonian_field(params).grad(states))
     i_x_b = (x_h[..., None, :] @ bm)[..., 0, :]
     return [
         _check(
             "gauge-match",
             "gauge transformation of the plain bracket by the semi-basic 2-form "
             "reproduces the gauged bracket",
-            _max_abs(g - run.full_matrix("gauged")),
+            _max_abs(g - nh_bracket_full(params, "gauged").matrix(states)),
             1e-9,
         ),
         _check(
@@ -222,22 +182,20 @@ def _gauge_suite(run: _Run, variant=None) -> list:
     ]
 
 
-def _reduction_suite(run: _Run, variant=None) -> list:
-    params = run.params
+def _reduction_suite(params: BodyParams, states: np.ndarray, variant=None) -> list:
     return [
         _check(
             f"reduction-{v}",
             f"brackets of the reduced coordinates on the full space match the "
             f"rank-{params.rank} {v} reduced bracket entrywise",
-            _max_abs(_reduction_gap(params, v, run.full_matrix(_full_form(v)), run.full)),
+            _max_abs(reduction_defect(params, v, states)),
             1e-9,
         )
         for v in ((variant,) if variant else ("plain", "primed"))
     ]
 
 
-def _measure_suite(run: _Run, variant=None) -> list:
-    params, states = run.params, run.reduced
+def _measure_suite(params: BodyParams, states: np.ndarray, variant=None) -> list:
     checks = [
         _check(
             "measure-invariant",
@@ -259,27 +217,47 @@ def _measure_suite(run: _Run, variant=None) -> list:
     return checks
 
 
+# each suite and the chart of the states it reads
 _SUITE_FNS = {
-    "jacobi": _jacobi_suite,
-    "conformal": _conformal_suite,
-    "twisted": _twisted_suite,
-    "gauge": _gauge_suite,
-    "reduction": _reduction_suite,
-    "measure": _measure_suite,
+    "jacobi": (_jacobi_suite, "reduced"),
+    "conformal": (_conformal_suite, "reduced"),
+    "twisted": (_twisted_suite, "reduced"),
+    "gauge": (_gauge_suite, "full"),
+    "reduction": (_reduction_suite, "full"),
+    "measure": (_measure_suite, "reduced"),
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _run_suites(names, params: BodyParams, trials: int, seed: int, tol_scale: float, variant) -> list[dict]:
-    """Report dicts of the named suites, which share one draw of states."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    """Report dicts of the named suites.  Every argument is checked first.
+    Then each chart's stack of states is drawn once, only if a named suite
+    reads it, and the suites share their evaluations through
+    ``body._memoized``: the context variable ``body._run_memo`` holds a
+    store while they run and is reset when they end or raise, so nothing
+    outlives the run."""
+    if not (_is_int(trials) and trials >= 1):
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     # finite: the exact gauge-zero bound 0.0 would scale to nan at infinity
-    if not 0.0 < tol_scale < math.inf:
-        raise ValueError("tol-scale must be positive and finite")
-    run = _Run(params, trials, seed)
+    if not (isinstance(tol_scale, numbers.Real) and 0.0 < tol_scale < math.inf):
+        raise ValueError(f"tol-scale must be positive and finite, got {tol_scale!r}")
+    if variant not in (None, "plain", "primed"):
+        raise ValueError(f"variant must be 'plain', 'primed' or None, got {variant!r}")
+    # looked up per run, so that a sampler patched into this module is the one drawn
+    samplers = {"reduced": sample_reduced_state, "full": sample_full_state}
+    charts = {_SUITE_FNS[name][1] for name in names}
+    states = {chart: samplers[chart](np.random.default_rng(seed), trials) for chart in charts}
     scope = _run_memo.set({})
     try:
-        suites = [(name, _SUITE_FNS[name](run, variant)) for name in names]
+        suites = []
+        for name in names:
+            suite, chart = _SUITE_FNS[name]
+            suites.append((name, suite(params, states[chart], variant)))
     finally:
         _run_memo.reset(scope)
     reports = []

@@ -1,5 +1,5 @@
-"""Shared fixtures: body parameter sets, state samplers, the list RK4 step and
-a fresh-interpreter probe used across tests."""
+"""Shared fixtures: body parameter sets, state samplers, the list RK4 step,
+a fresh-interpreter probe and the benchmark modules used across tests."""
 
 import os
 import subprocess
@@ -22,6 +22,22 @@ def standard_body(rank: int) -> BodyParams:
 def asymmetric_body(rank: int) -> BodyParams:
     """Second parameter set, with nothing equal to 1, to catch lucky cancellations."""
     return BodyParams(inertia=(0.7, 1.9, 2.6), mass=1.4, radius=0.6, rank=rank)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """The benchmark's tracer and workloads modules (workloads imports tracer
+    by its bare name); they are only read."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return tracer, workloads
 
 
 @pytest.fixture(params=[0, 1, 2, 3], ids=["rank0", "rank1", "rank2", "rank3"])

@@ -3,28 +3,10 @@ wraps exists, and ``verify --suite all`` reports the check ids its oracle
 expects at each rank.  The benchmark files are only read here."""
 
 import importlib
-import sys
-from pathlib import Path
-
-import pytest
 
 from chaplygin import run_all_suites
 
 from conftest import fresh_modules, standard_body
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def perfbench():
-    """The tracer and workloads modules (workloads imports tracer by its bare name)."""
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import tracer
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return tracer, workloads
 
 
 def test_tracer_targets_resolve(perfbench):

@@ -198,7 +198,7 @@ def test_simulate_rejects_unreadable_file(tmp_path, capsys, kind):
 def test_second_simulate_compiles_nothing(tmp_path, flags):
     """Each chart's march and the kernels compile once per process: a second
     run, on a body of other inertia, adds no cache miss."""
-    caches = (dynamics._chart_march, dynamics._march_of_dim, body_module._kernel_factory)
+    caches = (dynamics._chart_march, body_module._kernel_factory)
     first = write_scenario(tmp_path, name="first.json")
     assert main(["simulate", str(first), *flags, "--out", str(tmp_path / "a")]) == 0
     misses = [f.cache_info().misses for f in caches]

@@ -148,18 +148,29 @@ def test_svd_and_whole_jacobi_tensors_stay_out_of_the_verify_path():
 
 
 def test_run_sharing_stays_inside_verify_runs():
-    """Only the Omega helpers and the reduced bracket jet consult the memo of
-    a verify run, and only verify._run_suites enters one: no cache outlives a
-    run or reaches simulate and the CLI."""
+    """One store serves a verify run: only the Omega helpers, the reduced
+    bracket jet, the full bracket matrix and verify's Jacobi residual consult
+    it, and only verify._run_suites enters one, so no cache outlives a run or
+    reaches simulate and the CLI.  verify defines no class and keeps no store
+    of its own: its module-level names are its registry and constants."""
     assert {(m, w) for m, w, _ in _references("_memoized")} == {
         ("body", "_omega_terms"),
         ("body", "_omega_and_jacobians"),
         ("rolling", "reduced_bracket.jet"),
+        ("rolling", "nh_bracket_full.structure"),
+        ("verify", "_jacobi_residual"),
     }
     refs = _references("_run_memo")
     assert {(m, w) for m, w, _ in refs} == {("body", ""), ("body", "_memoized"), ("verify", "_run_suites")}
     entered = {(m, w) for m, w, node in _references("set") if getattr(node.value, "id", None) == "_run_memo"}
     assert entered == {("verify", "_run_suites")}
+    tree = ast.parse((Path(chaplygin.__file__).parent / "verify.py").read_text())
+    assert not any(isinstance(node, ast.ClassDef) for node in ast.walk(tree))
+    names = {getattr(n, k, None) for n in ast.walk(tree) for k in ("id", "attr", "name")}
+    assert not names & {"cache", "lru_cache", "cached_property", "ContextVar", "WeakKeyDictionary"}
+    assigned = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])}
+    assert assigned == {"__all__", "SUITE_NAMES", "_SUITE_FNS"}
 
 
 def test_one_function_checks_every_patch_output():

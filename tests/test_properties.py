@@ -472,6 +472,19 @@ def test_rk4_step_equals_list_oracle(dim, seed, dt, quadratic):
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_rk4_step_rejects_a_field_of_another_length(stage, extra):
+    calls = []
+
+    def f(y):
+        calls.append(y)
+        return [0.5] * (len(y) + (extra if len(calls) == stage else 0))
+
+    with pytest.raises(ValueError):
+        rk4_step(f, [1.0] * 6, 0.1)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
 @pytest.mark.parametrize("dim", [1, 6, 7, 15])
 def test_rk4_step_propagates_field_errors(stage, dim):
     error = DegenerateDenominator("raised by the field")

@@ -1,8 +1,9 @@
 """Verification suites: the gauge suite against its per-patch oracle route,
-one draw of states and one evaluation per stack of states per run, and
-run_suite / run_all_suites agreement."""
+one draw of states and one evaluation per stack of states per run, the
+argument checks, and run_suite / run_all_suites agreement."""
 
 import collections
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -176,6 +177,68 @@ def test_a_run_evaluates_omega_once_per_stack(monkeypatch):
     assert counts == once
 
 
+def test_a_run_evaluates_each_full_matrix_and_jacobi_defect_once(rank, monkeypatch):
+    """The gauge and reduction suites share one plain and one gauged full
+    bracket matrix, and the jacobi and twisted suites one Jacobi defect per
+    variant: each computed once per run, and again by the next run."""
+    counts = collections.Counter()
+
+    def counting(kind, params, arrays, compute):
+        def counted():
+            counts[kind] += 1
+            return compute()
+
+        return body_module._memoized(kind, params, arrays, counted)
+
+    monkeypatch.setattr(rolling, "_memoized", counting)
+    monkeypatch.setattr(verify, "_memoized", counting)
+    body = standard_body(rank)
+    first = run_all_suites(body, trials=6)
+    shared = {("full", "plain"), ("full", "gauged"), ("jacobi", "plain"), ("jacobi", "primed")}
+    assert {k: counts[k] for k in shared} == dict.fromkeys(shared, 1)
+    once = counts.copy()
+    counts.clear()
+    assert run_all_suites(body, trials=6) == first and counts == once
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("variant", "bogus"),
+        ("variant", 1),
+        ("trials", 2.5),
+        ("trials", 0),
+        ("trials", True),
+        ("trials", "3"),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("seed", None),
+        ("tol_scale", "1"),
+        ("tol_scale", 0.0),
+    ],
+)
+def test_every_argument_is_checked_before_states_are_drawn(name, value, monkeypatch):
+    """Each suite, including those that read no variant, raises a ValueError
+    naming the bad argument and its value, and no state is drawn first."""
+
+    def never(rng, n):
+        raise AssertionError("states drawn before the arguments were checked")
+
+    monkeypatch.setattr(verify, "sample_reduced_state", never)
+    monkeypatch.setattr(verify, "sample_full_state", never)
+    body, message = standard_body(2), rf"^{name.replace('_', '-')} must be .*, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        run_all_suites(body, **{name: value})
+    for suite in SUITE_NAMES:
+        with pytest.raises(ValueError, match=message):
+            run_suite(suite, body, **{name: value})
+
+
+def test_integer_types_of_numpy_are_accepted_as_trials_and_seed():
+    body = standard_body(1)
+    assert run_all_suites(body, trials=np.int64(3), seed=np.uint32(7)) == run_all_suites(body, trials=3, seed=7)
+
+
 def test_nothing_is_shared_after_a_run_that_raises(monkeypatch):
     """The gauge suite raises on a full state with gamma = 0 after three suites
     have shared evaluations; afterwards nothing is memoized: the same stack
@@ -212,13 +275,13 @@ def test_public_omega_arrays_are_writable_and_unshared(monkeypatch):
     body = standard_body(2)
     seen = {}
 
-    def probe(run, variant=None):
-        gamma, K = run.reduced[:, :3], run.reduced[:, 3:]
+    def probe(params, states, variant=None):
+        gamma, K = states[:, :3], states[:, 3:]
         seen["arrays"] = [(omega_from_K(body, gamma, K), *omega_jacobians(body, gamma, K)) for _ in range(2)]
         seen["shared"] = [a for value in body_module._run_memo.get().values() for a in value if isinstance(a, np.ndarray)]
         return []
 
-    monkeypatch.setitem(verify._SUITE_FNS, "measure", probe)
+    monkeypatch.setitem(verify._SUITE_FNS, "measure", (probe, "reduced"))
     run_suite("measure", body, trials=6)
     states = sample_reduced_state(np.random.default_rng(0), 6)
     outside = (omega_from_K(body, states[:, :3], states[:, 3:]), *omega_jacobians(body, states[:, :3], states[:, 3:]))
