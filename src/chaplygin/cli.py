@@ -5,9 +5,10 @@
               [--tol-scale X] [--variant plain|primed] [--out DIR]
 
 Exit codes: 0 success / all checks passed, 1 runtime failure or a failed
-check, 2 invalid input.  All file writes are atomic (temp file in the target
-directory, then rename) and byte-identical across repeated runs with the
-same inputs.
+check, 2 invalid input or an --out that cannot be made or written to.  The
+--out directory is made before the run.  All file writes are atomic (temp
+file in the target directory, then rename) and byte-identical across
+repeated runs with the same inputs.
 
 trajectory.csv writes every float as "%.17g" prints it.  Exact zeros and
 the cells it prints in fixed notation (finite |x| in [1e-4, 1e16)) are
@@ -39,7 +40,7 @@ from .dynamics import (
 from .errors import RUNTIME_ERRORS, ScenarioError
 from .scenario import load_scenario
 # verify stays a module-level import: perfbench's tracer looks every layer up in sys.modules
-from .verify import SUITE_NAMES, run_all_suites, run_suite
+from .verify import SUITE_NAMES, _check_options, run_all_suites, run_suite
 
 __all__ = ["main"]
 
@@ -53,9 +54,36 @@ _FULL_HEADER = [
 ]
 
 
+def _cannot_use(out: Path, exc: OSError) -> None:
+    print(f"error: cannot use --out {out}: {exc.strerror or exc}", file=sys.stderr)
+
+
+def _output_dir(path: str) -> Path | None:
+    """The --out directory, made if missing; None, after one error line,
+    where it cannot be (a file, or a path below one)."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _cannot_use(out, exc)
+        return None
+    return out
+
+
+def _write_outputs(out: Path, texts: dict) -> bool:
+    """Write each named text into out atomically; False, after one error
+    line, where the system refuses."""
+    try:
+        for name, text in texts.items():
+            _atomic_write(out / name, text)
+    except OSError as exc:
+        _cannot_use(out, exc)
+        return False
+    return True
+
+
 def _atomic_write(path: Path, text: str):
     """Write text to a temp file unique to this call, then rename it over path."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "x") as fh:
@@ -247,6 +275,8 @@ def _cmd_simulate(args, scenario) -> int:
         )
         return 2
 
+    if (out := _output_dir(args.out)) is None:
+        return 2
     initial = scenario.initial
     if full_mode and not scenario.is_full:
         initial = lift_reduced_state(initial)
@@ -260,10 +290,8 @@ def _cmd_simulate(args, scenario) -> int:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 1
 
-    out = Path(args.out)
     series = monitor_series(scenario.params, traj)
     drifts = series_drift(series)
-    _atomic_write(out / "trajectory.csv", _trajectory_csv(traj, series))
     summary = {
         "mode": "full" if full_mode else "reduced",
         "reparametrized": bool(args.reparametrize),
@@ -273,7 +301,8 @@ def _cmd_simulate(args, scenario) -> int:
         "samples": int(traj.times.shape[0]),
         "drifts": {k: float(v) for k, v in sorted(drifts.items())},
     }
-    _atomic_write(out / "summary.json", _json_text(summary))
+    if not _write_outputs(out, {"trajectory.csv": _trajectory_csv(traj, series), "summary.json": _json_text(summary)}):
+        return 2
     worst = max(drifts.values())
     print(f"wrote {out / 'trajectory.csv'} ({summary['samples']} samples), max drift {worst:.3e}")
     return 0
@@ -282,6 +311,13 @@ def _cmd_simulate(args, scenario) -> int:
 def _cmd_verify(args, scenario) -> int:
     options = {"trials": args.trials, "seed": args.seed, "tol_scale": args.tol_scale, "variant": args.variant}
     try:
+        _check_options(**options)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if (out := _output_dir(args.out)) is None:
+        return 2
+    try:
         if args.suite == "all":
             suites = run_all_suites(scenario.params, **options)
         else:
@@ -289,9 +325,6 @@ def _cmd_verify(args, scenario) -> int:
     except RUNTIME_ERRORS as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # run_suite rejected an argument
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     passed = all(s["passed"] for s in suites)
     report = {
@@ -303,7 +336,8 @@ def _cmd_verify(args, scenario) -> int:
         "suites": suites,
         "passed": bool(passed),
     }
-    _atomic_write(Path(args.out) / "report.json", _json_text(report))
+    if not _write_outputs(out, {"report.json": _json_text(report)}):
+        return 2
     for suite in suites:
         for check in suite["checks"]:
             rel = "<=" if check["comparison"] == "le" else ">"

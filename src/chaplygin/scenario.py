@@ -54,7 +54,10 @@ def _require(data: dict, key: str, where: str = ""):
 def _number(value, field: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(field, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(field, "must be finite")
     if positive and not value > 0.0:
@@ -154,6 +157,6 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("<file>", f"cannot read {path}: {exc}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int() reads
         raise ScenarioError("<file>", f"invalid JSON: {exc}")
     return scenario_from_dict(data)

@@ -144,9 +144,9 @@ def _twisted_suite(params: BodyParams, states: np.ndarray, variant=None) -> list
 
 def _gauge_suite(params: BodyParams, states: np.ndarray, variant=None) -> list:
     """P, B and the gauged bracket are evaluated once on the stack of full
-    states; the gauges by B, B then -B, and 0 are solves on those values.
-    ``gauge_matrix`` raises SingularGauge where E + B P is not invertible,
-    so the dynamical check bounds the contraction alone."""
+    states; the gauges by B, B then -B, and 0 are ``gauge_matrix`` calls on
+    those values.  B P squares to 0, so E + B P is invertible and each gauge
+    is P - P B P; the dynamical check bounds the contraction alone."""
     p = nh_bracket_full(params, "plain").matrix(states)
     bm = gauge_form_on_M(params)(states)
     g = gauge_matrix(p, bm)
@@ -232,13 +232,8 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _run_suites(names, params: BodyParams, trials: int, seed: int, tol_scale: float, variant) -> list[dict]:
-    """Report dicts of the named suites.  Every argument is checked first.
-    Then each chart's stack of states is drawn once, only if a named suite
-    reads it, and the suites share their evaluations through
-    ``body._memoized``: the context variable ``body._run_memo`` holds a
-    store while they run and is reset when they end or raise, so nothing
-    outlives the run."""
+def _check_options(trials, seed, tol_scale, variant):
+    """Raise ValueError on an option that the suites cannot run with."""
     if not (_is_int(trials) and trials >= 1):
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     if not (_is_int(seed) and seed >= 0):
@@ -248,6 +243,16 @@ def _run_suites(names, params: BodyParams, trials: int, seed: int, tol_scale: fl
         raise ValueError(f"tol-scale must be positive and finite, got {tol_scale!r}")
     if variant not in (None, "plain", "primed"):
         raise ValueError(f"variant must be 'plain', 'primed' or None, got {variant!r}")
+
+
+def _run_suites(names, params: BodyParams, trials: int, seed: int, tol_scale: float, variant) -> list[dict]:
+    """Report dicts of the named suites.  Every argument is checked first.
+    Then each chart's stack of states is drawn once, only if a named suite
+    reads it, and the suites share their evaluations through
+    ``body._memoized``: the context variable ``body._run_memo`` holds a
+    store while they run and is reset when they end or raise, so nothing
+    outlives the run."""
+    _check_options(trials, seed, tol_scale, variant)
     # looked up per run, so that a sampler patched into this module is the one drawn
     samplers = {"reduced": sample_reduced_state, "full": sample_full_state}
     charts = {_SUITE_FNS[name][1] for name in names}

@@ -467,6 +467,55 @@ def test_gauge_matrix_runs_the_svd_on_the_unsettled_rows_only(monkeypatch):
     assert calls == [(1, 4, 4)]
 
 
+def _count_lapack(monkeypatch) -> list:
+    """The names of the numpy solves and SVDs called from now on."""
+    calls = []
+    for name in ("solve", "svd"):
+        base = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, base=base, name=name, **k: calls.append(name) or base(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("make_body", [standard_body, asymmetric_body], ids=["standard", "asymmetric"])
+def test_a_verify_run_makes_no_solve_and_no_svd(monkeypatch, rank, make_body):
+    """The paper's gauge is closed: B P squares to 0, so every gauge of a verify
+    run is p - p B P."""
+    calls = _count_lapack(monkeypatch)
+    reports = run_all_suites(make_body(rank), trials=6, seed=0)
+    assert all(r["passed"] for r in reports)
+    assert calls == []
+
+
+@pytest.mark.parametrize("scale, n_closed", [(2.0, 6), (2.5, 2), (3.0, 0)])
+def test_gauge_matrix_of_closed_and_pivoting_rows_equals_the_svd_oracle(monkeypatch, scale, n_closed):
+    """Full-bracket rows past the norm bound, as in the oracle test above: a
+    row is closed where no |(B P)_ij| exceeds 1, and pivots in LU elsewhere.
+    Each row alone, and the stack (mixed at 2.5), has the oracle's bits; only
+    a pair or stack that is not all closed makes a solve."""
+    states = sample_full_state(seed=72, n=6)
+    body = standard_body(2)
+    p, bm = nh_bracket_full(body).matrix(states), gauge_form_on_M(body)(states)
+    norm = np.sqrt(np.sum((bm @ p) ** 2, axis=(-2, -1)))[:, None, None]
+    bm = (scale * brackets._SETTLED_NORM / norm) * bm
+    assert np.sum(np.max(np.abs(bm @ p), axis=(-2, -1)) <= 1.0) == n_closed
+    calls = _count_lapack(monkeypatch)
+    for i in range(len(p)):
+        _assert_as_svd_oracle(p[i], bm[i])
+    _assert_as_svd_oracle(p, bm)
+    solves = calls.count("solve") - (len(p) + 1)  # less the oracle's, one per call
+    assert solves == len(p) - n_closed + (n_closed < len(p))
+
+
+def test_a_square_that_overflows_is_not_closed():
+    """X = B P = -1e200 E is finite, X @ X overflows: no warning, and the
+    solve gives the oracle's p / (1 - 1e200)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, bm in ((_CANONICAL, 1e200 * _CANONICAL), (_J2, 1e200 * _J2)):
+            _assert_as_svd_oracle(p, bm)
+            assert np.array_equal(gauge_matrix(p, bm), p / (1.0 - 1e200))
+
+
 def test_gauge_round_trip():
     pi = reduced_bracket(standard_body(2), "plain")
     rng = np.random.default_rng(21)

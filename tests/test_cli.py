@@ -169,6 +169,46 @@ def test_a_body_whose_m_r2_overflows_is_a_scenario_error(tmp_path, capsys, comma
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "--suite", "all"]])
+@pytest.mark.parametrize("where", ["mass", "initial.K"])
+def test_a_json_integer_beyond_the_floats_is_a_scenario_error(tmp_path, capsys, command, where):
+    """Not an OverflowError traceback (exit 1)."""
+    huge = 10**400
+    overrides = {"mass": huge} if where == "mass" else {"initial": {"gamma": [0.0, 0.0, 1.0], "K": [0.3, huge, 0.2]}}
+    path = write_scenario(tmp_path, **overrides)
+    assert main([command[0], str(path), *command[1:], "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: scenario field '{where}': must be finite\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "--suite", "all", "--trials", "2"]])
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_an_unusable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch, command, below):
+    """An --out that names a file, or a path below one, gives one error line
+    and exit 2, before the run: neither integrate nor verify is called."""
+    path = write_scenario(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / "file" / "o" if below else tmp_path / "file"
+    for name in ("integrate", "run_all_suites"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("the run started"))
+    assert main([command[0], str(path), *command[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot use --out {out}: ") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_an_out_that_refuses_writes_exits_2(tmp_path, capsys, monkeypatch):
+    """A write that the system refuses after the run gives one error line and exit 2."""
+    def refuse(path, text):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "_atomic_write", refuse)
+    path = write_scenario(tmp_path)
+    for command in (["simulate"], ["verify", "--suite", "jacobi", "--trials", "2"]):
+        assert main([command[0], str(path), *command[1:], "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot use --out {tmp_path / 'o'}: Permission denied\n")
+
+
 def test_simulate_rejects_unknown_integrator_method(tmp_path, capsys):
     path = write_scenario(tmp_path, integrator={"dt": 1e-3, "T": 0.05, "method": "euler"})
     assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chaplygin import FormPatch, ScalarField, conformal_factor, hamiltonizable_variant, run_all_suites, scale_bivector
-from chaplygin import dynamics, rolling, verify
+from chaplygin import brackets, dynamics, rolling, verify
 
 from conftest import standard_body
 
@@ -100,6 +100,13 @@ def _offset_gauge_matrix(monkeypatch):
     _wrap(monkeypatch, (verify,), "gauge_matrix", lambda base: lambda p, bm: base(p, bm) + delta)
 
 
+def _scaled_closed_gauge(monkeypatch):
+    """p - p B P, the formula behind every gauge of a verify run, times 1 + 1e-6.
+    (p - (1 + 1e-6) p B P would pass gauge-roundtrip: gauging by -B still
+    undoes it exactly, as (E - c X)(E + c X) = E where X @ X = 0.)"""
+    _wrap(monkeypatch, (brackets,), "_closed_gauge", lambda base: lambda p, x: (1.0 + 1e-6) * base(p, x))
+
+
 def _poisson_reduced_brackets(monkeypatch):
     """Every reduced bracket is the conformally rescaled Hamiltonizable one, a Poisson bracket."""
     def wrap(base):
@@ -149,7 +156,8 @@ def _pairs(ids, ranks) -> frozenset:
 
 
 # name -> (patch, the (check id, rank) pairs that must fail under it); each
-# entry alone reaches one of its pairs, so dropping it fails the coverage test
+# entry but the last alone reaches one of its pairs, so dropping it fails the
+# coverage test; the last guards the closed gauge formula, which no other reaches
 
 MUTATIONS = {
     "twist 3-form x 1.5": (
@@ -204,6 +212,10 @@ MUTATIONS = {
     "Omega's Jacobians symmetrized, divergence-free": (
         _symmetrized_omega_jacobians,
         _pairs("measure-wrong-density", (1, 2)),
+    ),
+    "closed gauge p - p B P x (1 + 1e-6)": (
+        _scaled_closed_gauge,
+        _pairs(("gauge-match", "gauge-roundtrip", "gauge-zero"), ALL),
     ),
 }
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,11 +76,15 @@ def test_optional_fields_defaults():
         (lambda d: d.update(mass=0.0), "mass"),
         (lambda d: d.update(mass="heavy"), "mass"),
         (lambda d: d.update(mass=1e300, radius=1e10), "mass"),
+        pytest.param(lambda d: d.update(mass=10**400), "mass", id="huge-mass"),
+        pytest.param(lambda d: d.update(inertia=[1.0, -(10**400), 3.0]), "inertia", id="huge-inertia"),
+        pytest.param(lambda d: d.update(so2_angle=10**400), "so2_angle", id="huge-so2_angle"),
         (lambda d: d.update(radius=-1.0), "radius"),
         (lambda d: d.update(rank=7), "rank"),
         (lambda d: d.update(rank="two"), "rank"),
         (lambda d: d.pop("initial"), "initial"),
         (lambda d: d["initial"].pop("K"), "initial.K"),
+        pytest.param(lambda d: d["initial"].update(K=[0.3, 10**400, 0.2]), "initial.K", id="huge-initial.K"),
         (lambda d: d["initial"].update(gamma=[0.0, 0.0, 2.0]), "initial.gamma"),
         (lambda d: d["integrator"].update(dt=0.0), "integrator.dt"),
         (lambda d: d["integrator"].update(dt=20.0), "integrator"),
@@ -137,6 +142,16 @@ def test_load_scenario_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioError):
         load_scenario(path)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int digits before 3.10.7")
+def test_load_scenario_integer_too_long_for_int(tmp_path):
+    """json.loads reads at most 4300 digits of an integer (a ValueError past that)."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(reduced_scenario()).replace('"mass": 1.0', '"mass": 1' + "0" * 5000))
+    with pytest.raises(ScenarioError, match="invalid JSON") as err:
+        load_scenario(path)
+    assert err.value.field == "<file>"
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
