@@ -28,8 +28,7 @@ def __getattr__(name: str):
     if name in _MODULES:
         return _module(name)
     if name == "__all__":
-        # rolling re-exports the names of body
-        return list(dict.fromkeys([*_MODULES, *(n for m in _MODULES for n in _module(m).__all__)]))
+        return [*_MODULES, *(n for m in _MODULES for n in _module(m).__all__)]
     for m in _MODULES:
         module = _module(m)
         if name in module.__all__:

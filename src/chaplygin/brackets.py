@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-_SETTLED_NORM = 0.99  # ||B pi||_F at most this: condition at most 199
 _CONTRACTION_TOL = 1e-9  # |i_{X_h} B| of a dynamical gauge
 _ANNIHILATION_TOL = 1e-8  # |chi(X_f)| of a distribution probe
 
@@ -241,8 +240,8 @@ def _closed_gauge(p: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> np.ndarray:
-    """p (E + bm p)^{-1} for a structure matrix p and a 2-form matrix bm, or
-    for each pair of a stack.
+    """p (E + bm p)^{-1} for a structure matrix p and a 2-form matrix bm of
+    one shape (..., d, d): one pair, or each pair of a stack.
 
     Raises SingularGauge where p or bm is not finite, where their product
     overflows (before any LAPACK call), or where the condition number of
@@ -253,39 +252,35 @@ def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> np.ndarray:
     A pair is closed where X = bm p has X @ X exactly 0 and no entry above 1
     in size.  Then (E + X)^{-1} = E - X, and partial-pivoting LU of the
     transposed system makes no row swap, so the solve reduces to the
-    substitution p - p X (the tests hold the two to the same bits, against
-    an SVD-and-solve oracle).  The paper's semi-basic B is closed: its
+    substitution p - p X (the tests hold the two to the same values, and
+    to the same bits on the rows of an SVD-and-solve oracle; a zero entry
+    may differ in sign).  The paper's semi-basic B is closed: its
     X is nonzero only in rows 0-8 and columns 12-14 of the full chart, so
-    X @ X = 0 is a theorem and E + B pi is always invertible.  Where every
-    pair is closed, the result is p - p X, with no SVD and no solve;
-    otherwise the whole stack is solved.
-
-    A condition number needs an SVD only where no bound settles it.  A closed
-    pair has condition at most (1 + ||X||_F)^2 <= (1 + dim)^2, 256 at dim 15.
-    By Weyl's inequality every singular value of E + X lies within ||X||_2
-    <= ||X||_F of 1, so where ||X||_F <= 0.99 the condition number is at most
-    1.99 / 0.01 = 199.  Both are far below 1e12: such a pair passes exactly as
-    its SVD would, and only the other pairs (nan included) go through
-    ``_conditioning``, which names the same row and condition.
+    X @ X = 0 is a theorem and E + B pi is always invertible.  A closed pair
+    is finite (an inf or nan in p or bm makes a column or row of X
+    non-finite) and has condition at most (1 + ||X||_F)^2 <= (1 + d)^2, far
+    below 1e12.  Where every pair is closed, the result is p - p X, with no
+    SVD and no solve; otherwise every pair is tested for finite entries, the
+    pairs that are not closed are conditioned by one SVD, and the whole
+    stack is solved.
     """
-    if bad := _first_bad(~(np.isfinite(p).all(axis=(-2, -1)) & np.isfinite(bm).all(axis=(-2, -1)))):
-        raise SingularGauge(f"non-finite bracket or 2-form entries{bad[1]}")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below; a square that overflows is not 0
+    if bm.shape != p.shape or p.ndim < 2 or p.shape[-1] != p.shape[-2]:
+        raise ValueError(f"expected p and bm of one shape (..., d, d), got shapes {p.shape} and {bm.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below; a square that overflows is not 0
         x = bm @ p
-        closed = ~(x @ x).any(axis=(-2, -1)) & (np.abs(x) <= 1.0).all(axis=(-2, -1))
-    if bad := _first_bad(~np.isfinite(x).all(axis=(-2, -1))):
-        raise SingularGauge(f"the product B pi overflows{bad[1]}")
+        closed = ((x @ x == 0.0) & (np.abs(x) <= 1.0)).all(axis=(-2, -1))
     if closed.all():
         g = _closed_gauge(p, x)
     else:
+        if bad := _first_bad(~(np.isfinite(p) & np.isfinite(bm)).all(axis=(-2, -1))):
+            raise SingularGauge(f"non-finite bracket or 2-form entries{bad[1]}")
+        if bad := _first_bad(~np.isfinite(x).all(axis=(-2, -1))):
+            raise SingularGauge(f"the product B pi overflows{bad[1]}")
         m = np.eye(p.shape[-1]) + x
-        with np.errstate(over="ignore"):  # an overflowing norm is unsettled
-            unsettled = ~closed & ~(np.sqrt(np.sum(x * x, axis=(-2, -1))) <= _SETTLED_NORM)
-        if unsettled.any():
-            condition = np.zeros(unsettled.shape)  # 0.0 where a bound settles it
-            condition[unsettled] = _conditioning(m[unsettled])[1]
-            if bad := _first_bad(~(condition <= _COND_LIMIT)):
-                raise SingularGauge(f"E + B pi has condition {condition.flat[bad[0]]:.3e}{bad[1]}")
+        condition = np.zeros(closed.shape)  # 0.0 where the pair is closed
+        condition[~closed] = _conditioning(m[~closed])[1]
+        if bad := _first_bad(~(condition <= _COND_LIMIT)):
+            raise SingularGauge(f"E + B pi has condition {condition.flat[bad[0]]:.3e}{bad[1]}")
         # p @ inv(m), computed by a solve on the transposed system
         g = _swap(np.linalg.solve(_swap(m), _swap(p)))
     residue = np.max(np.abs(g + _swap(g)), axis=(-2, -1))

@@ -78,24 +78,29 @@ class IntegratorConfig:
             raise ValueError(f"t_final must be finite and positive, got {self.t_final}")
         if self.dt > self.t_final:
             raise ValueError(f"dt = {self.dt} exceeds the horizon t_final = {self.t_final}")
+        ratio = self.t_final / self.dt
+        if not ratio < np.iinfo(np.intp).max // 8 - 2:  # inf, or more float64 samples than one array holds
+            raise ValueError(f"t_final/dt = {ratio} steps: more samples than numpy can allocate")
+        # (whole steps of dt, RK4 steps): one more RK4 step, shortened to land on
+        # t_final, where t_final/dt is more than 1e-9 relative away from an integer
+        n = round(ratio)
+        exact = abs(ratio - n) <= 1e-9 * ratio
+        object.__setattr__(self, "_steps", (n, n) if exact else (int(ratio), int(ratio) + 1))
 
     @property
     def n_steps(self) -> int:
         """RK4 steps to t_final: t_final/dt, one more when dt does not divide it."""
-        return len(_schedule(self)[1])
+        return self._steps[1]
 
 
 def _schedule(config: IntegratorConfig) -> tuple[np.ndarray, list]:
     """Sample times and step sizes from 0 to t_final: steps of dt, the last
-    one shortened to land exactly on t_final when dt does not divide it
-    (t_final/dt more than 1e-9 relative away from an integer)."""
-    dt = config.dt
-    ratio = config.t_final / dt
-    n = round(ratio)
-    if abs(ratio - n) <= 1e-9 * ratio:
-        return dt * np.arange(n + 1), [dt] * n
-    n = int(ratio)
-    return np.append(dt * np.arange(n + 1), config.t_final), [dt] * n + [config.t_final - n * dt]
+    one shortened to land exactly on t_final when dt does not divide it."""
+    dt, (n, n_steps) = config.dt, config._steps
+    times, steps = dt * np.arange(n + 1), [dt] * n
+    if n == n_steps:
+        return times, steps
+    return np.append(times, config.t_final), steps + [config.t_final - n * dt]
 
 
 @dataclass

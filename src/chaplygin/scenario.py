@@ -133,8 +133,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("integrator", "must be an object")
     dt = _number(_require(integ, "dt", "integrator."), "integrator.dt", positive=True)
     t_final = _number(_require(integ, "T", "integrator."), "integrator.T", positive=True)
-    if dt > t_final:
-        raise ScenarioError("integrator.dt", f"dt = {dt} exceeds the horizon T = {t_final}")
     method = integ.get("method", "rk4")
     if method != "rk4":
         raise ScenarioError("integrator.method", f"unknown method {method!r}")
@@ -143,7 +141,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     renormalize_gamma = integ.get("renormalize_gamma", False)
     if not isinstance(renormalize_gamma, bool):
         raise ScenarioError("integrator.renormalize_gamma", "must be a boolean")
-    config = IntegratorConfig(dt=dt, t_final=t_final, renormalize_gamma=renormalize_gamma)
+    try:  # dt and T are positive and finite here: dt > T, or a step count that cannot be run
+        config = IntegratorConfig(dt=dt, t_final=t_final, renormalize_gamma=renormalize_gamma)
+    except ValueError as exc:
+        raise ScenarioError("integrator.dt", str(exc))
     return Scenario(params=params, initial=state, config=config)
 
 

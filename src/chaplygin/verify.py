@@ -24,7 +24,7 @@ import numbers
 
 import numpy as np
 
-from .body import FULL_DIM, BodyParams, _memoized, _run_memo, conformal_factor
+from .body import BodyParams, _memoized, _run_memo, conformal_factor
 from .brackets import _flow, _sorted_defects, gauge_matrix, scale_bivector
 from .dynamics import divergence_defect
 from .geometry import fd_exterior_derivative, sample_reduced_state
@@ -169,7 +169,7 @@ def _gauge_suite(params: BodyParams, states: np.ndarray, variant=None) -> list:
         _check(
             "gauge-zero",
             "gauging by the zero form is the identity, exactly",
-            _max_abs(gauge_matrix(p, np.zeros((FULL_DIM, FULL_DIM))) - p),
+            _max_abs(gauge_matrix(p, np.zeros_like(p)) - p),
             0.0,
         ),
         _check(

@@ -304,6 +304,18 @@ def test_simulate_non_dividing_step_ends_at_horizon(tmp_path):
     assert summary["samples"] == len(lines) - 1 == 5
 
 
+@pytest.mark.parametrize(
+    "dt, t_final", [(5e-324, 1e-3), (1e-300, 1.0), (1e-3, 1e300)], ids=["inf-steps", "too-many-samples", "far-horizon"]
+)
+def test_a_step_count_that_cannot_be_run_is_a_scenario_error(tmp_path, capsys, dt, t_final):
+    """Not an OverflowError or a numpy ValueError traceback (exit 1)."""
+    path = write_scenario(tmp_path, integrator={"dt": dt, "T": t_final})
+    assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario field 'integrator.dt': t_final/dt = ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_atomic_write_uses_unique_temp_files(tmp_path, monkeypatch):
     temps = []
     real_replace = os.replace

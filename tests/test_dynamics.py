@@ -76,6 +76,17 @@ def test_config_step_count():
     assert IntegratorConfig(dt=0.3, t_final=1.0).n_steps == 4  # three of dt, one of 0.1
 
 
+def test_config_rejects_a_step_count_that_cannot_be_run(monkeypatch):
+    """t_final/dt is inf, or more samples than one numpy array holds: a
+    ValueError from the count alone, with no schedule built."""
+    monkeypatch.setattr(dynamics, "_schedule", lambda config: pytest.fail("a schedule was built"))
+    with pytest.raises(ValueError, match="t_final/dt = inf steps"):
+        IntegratorConfig(dt=5e-324, t_final=1e-3)
+    with pytest.raises(ValueError, match="more samples than numpy can allocate"):
+        IntegratorConfig(dt=1e-300, t_final=1.0)
+    assert IntegratorConfig(dt=1e-300, t_final=1e-290).n_steps == 10**10
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 6)))

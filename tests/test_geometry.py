@@ -141,8 +141,8 @@ def _references(name: str) -> list:
 
 def test_svd_and_whole_jacobi_tensors_stay_out_of_the_verify_path():
     """Only brackets._conditioning runs an SVD, which gauge_matrix calls only
-    where its norm bound cannot settle the conditioning; verify reads the
-    Jacobi defects at the sorted triples and never builds the whole tensor."""
+    on pairs that are not closed; verify reads the Jacobi defects at the
+    sorted triples and never builds the whole tensor."""
     assert {(m, w) for m, w, _ in _references("svd")} == {("brackets", "_conditioning")}
     assert [w for m, w, _ in _references("jacobi_tensor") if m == "verify"] == []
 

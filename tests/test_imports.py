@@ -58,6 +58,15 @@ def test_star_import_binds_every_public_name():
         chaplygin.reduced_field
 
 
+def test_every_public_name_has_one_home():
+    """No name is in the __all__ of two modules, so each resolves where it is defined."""
+    homes = {}
+    for m in chaplygin._MODULES:
+        for name in chaplygin._module(m).__all__:
+            homes.setdefault(name, []).append(m)
+    assert {name: ms for name, ms in homes.items() if len(ms) > 1} == {}
+
+
 BODY_SIDE = ("body", "dynamics", "scenario", "geometry", "errors")
 STRUCTURE_SIDE = {"brackets", "rolling", "verify", "cli"}
 

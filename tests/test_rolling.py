@@ -58,9 +58,9 @@ from chaplygin import (
     twisted_defect,
     wedge_1_2,
 )
+from chaplygin.body import BodyParams
 from chaplygin.errors import DegenerateDenominator, NonFiniteState
-from chaplygin.brackets import ScalarField
-from chaplygin.rolling import BodyParams
+from chaplygin.geometry import ScalarField
 
 from conftest import VARIANTS, asymmetric_body, standard_body
 
