@@ -122,8 +122,7 @@ class BodyParams:
     def _constants(self) -> dict:
         """This body's values of _CONSTANTS, which the chart texts read."""
         sign, n = self._rank_terms
-        smr2 = sign * self.mr2
-        values = (*n, smr2, *(self.radius * matrix_A(self)).ravel().tolist(), *(1.0 + smr2 / n_i for n_i in n))
+        values = (*n, sign * self.mr2, *(self.radius * matrix_A(self)).ravel().tolist())
         return dict(zip(_CONSTANTS, values), check=partial(_check_denominator, self.rank))
 
     @cached_property
@@ -176,12 +175,12 @@ def _check_denominator(rank: int, den, g2):
 
 # The per-step formulas, written once as source text on gamma g1..g3, K
 # k1..k3, rows a1..a3 and b1..b3 of g, and the constants: n, smr2 = sign m r^2,
-# m11..m33 = r A, the weights w of phi^2 and the denominator check, which a
-# closure binds to a body's values (_compile).
-_CONSTANTS = ("n1", "n2", "n3", "smr2", *(f"m{i}{j}" for i in "123" for j in "123"), "w1", "w2", "w3", "check")
-# Omega = K/n - sign m r^2 c u, u = gamma/n, c = K . u / den, by Sherman-Morrison
-# (den = |gamma|^2 + sign m r^2 gamma . u is phi^2 on the unit sphere).  Floats
-# passing the test pass check; {floats} is the callables' type test.
+# m11..m33 = r A and the denominator check, which a closure binds to a body's
+# values (_compile).
+_CONSTANTS = ("n1", "n2", "n3", "smr2", *(f"m{i}{j}" for i in "123" for j in "123"), "check")
+# Omega = K/n - sign m r^2 c u, u = gamma/n, c = K . u / den, by Sherman-Morrison;
+# den = |gamma|^2 + sign m r^2 gamma . u is phi^2, the square of the conformal
+# factor.  Floats passing the test pass check; {floats} is the callables' type test.
 _OMEGA = """\
 u1, u2, u3 = g1 / n1, g2 / n2, g3 / n3
 gg = g1 * g1 + g2 * g2 + g3 * g3
@@ -193,7 +192,7 @@ s = smr2 * c
 o1, o2, o3 = k1 / n1 - s * u1, k2 / n2 - s * u2, k3 / n3 - s * u3
 """
 _OMEGA_ZERO = "o1, o2, o3 = k1 / n1, k2 / n2, k3 / n3\n"
-_PHI = "phi = sqrt(g1 * (w1 * g1) + g2 * (w2 * g2) + g3 * (w3 * g3))\n"
+_PHI = "phi = sqrt(den)\n"
 _PHI_ZERO = "phi = 1.0\n"
 
 
@@ -212,14 +211,14 @@ _FULL = (*(f"{r}{j}" for r in "abg" for j in "123"), None, None, None, "k1", "k2
 def _chart(chart: str, zero: bool, floats: str = "") -> tuple[tuple, str, tuple]:
     """(names of the state entries, None where unread; body text; derivative
     expressions) of the field on ``chart``: "reduced" (gamma, K), "reparam"
-    (gamma, K, t) with d/dtau = phi d/dt, phi first, or "full" (g, x, K).
+    (gamma, K, t) with d/dtau = phi d/dt, phi after Omega, or "full" (g, x, K).
     ``floats`` is the type test of Omega's denominator check (_OMEGA)."""
     names, derivatives = _FULL if chart == "full" else _REDUCED
     body = (_OMEGA_ZERO if zero else _OMEGA).format(floats=floats)
     if chart == "full":
         body += _FULL_V
     elif chart == "reparam":
-        names, body = (*names, None), (_PHI_ZERO if zero else _PHI) + body
+        names, body = (*names, None), body + (_PHI_ZERO if zero else _PHI)
         derivatives = (*(f"phi * ({d})" for d in derivatives), "phi")
     return names, body, derivatives
 
@@ -250,22 +249,20 @@ def _compile(function: str, name: str, filename: str, namespace: dict) -> Callab
 @cache
 def _kernel_factory(name: str, zero: bool) -> Callable:
     """bind(**constants) -> omega(gamma, k) -> (Omega, u, den, c) (u, den, c
-    None if sign = 0), reduced(y) or full(y) -> y' (Omega inline, as in each
-    stage of the march), or phi(g1, g2, g3), for the bodies with sign == 0
-    or with sign != 0.  On Python floats or numpy columns, which round alike:
-    a batch equals its rows bit for bit."""
+    None if sign = 0), or reduced(y) or full(y) -> y' (Omega inline, as in
+    each stage of the march), for the bodies with sign == 0 or with sign !=
+    0.  On Python floats or numpy columns, which round alike: a batch equals
+    its rows bit for bit."""
     floats = "isinstance(den, float) and "
     if name == "omega":
         text = (_OMEGA_ZERO if zero else _OMEGA).format(floats=floats)
         gamma, terms = ("", "None, None, None") if zero else ("g1, g2, g3 = gamma", "(u1, u2, u3), den, c")
         blocks = "def omega(gamma, k):", "k1, k2, k3 = k", gamma, text, f"return (o1, o2, o3), {terms}"
-    elif name == "phi":
-        blocks = "def phi(g1, g2, g3):", _PHI_ZERO if zero else _PHI, "return phi"
     else:
         names, body, derivatives = _chart(name, zero, floats)
         unpack = f"{', '.join(n or '_' for n in names)} = y"
         blocks = f"def {name}(y):", unpack, body, f"return {', '.join(derivatives)}"
-    return _compile(_function(*blocks), name, f"<{name} zero={zero}>", {"sqrt": np.sqrt, "inf": math.inf})
+    return _compile(_function(*blocks), name, f"<{name} zero={zero}>", {"inf": math.inf})
 
 
 class _Kernels:
@@ -281,7 +278,6 @@ class _Kernels:
     omega = cached_property(lambda self: self._bind("omega"))
     reduced = cached_property(lambda self: self._bind("reduced"))
     full = cached_property(lambda self: self._bind("full"))
-    phi = cached_property(lambda self: self._bind("phi"))
 
 
 def K_from_omega(params: BodyParams, gamma, omega) -> np.ndarray:
@@ -441,24 +437,24 @@ def reduced_vf(params: BodyParams, state) -> np.ndarray:
 
 def conformal_factor(params: BodyParams) -> ScalarField:
     """The positive function that rescales the Hamiltonizable bracket into a
-    Poisson one: sqrt(|gamma|^2 + m r^2 gamma . I^-1 gamma) for rank 1,
-    sqrt(|gamma|^2 - m r^2 gamma . (I + m r^2)^-1 gamma) for rank 2 (the
-    denominator of omega_from_K), and the constant 1 for ranks 0 and 3.
+    Poisson one: phi = sqrt(den) with den the Sherman-Morrison denominator of
+    omega_from_K, sqrt(|gamma|^2 + m r^2 gamma . I^-1 gamma) for rank 1 and
+    sqrt(|gamma|^2 - m r^2 gamma . (I + m r^2)^-1 gamma) for rank 2, with
+    gradient (gamma + sign m r^2 u) / phi in gamma; the constant 1 for ranks
+    0 and 3.  Raises as omega_from_K where den degenerates or overflows.
     """
-    if not params._rank_terms[0]:
+    sign = params._rank_terms[0]
+    if not sign:
         return ScalarField(value=lambda s: 1.0, gradient=lambda s: np.zeros(s.shape), name="phi=1")
-    kernels = params._kernels
-    weight = np.array([params._constants[w] for w in ("w1", "w2", "w3")])  # phi^2 = sum_i w_i gamma_i^2
 
     def value(s):
-        return kernels.phi(s[..., 0], s[..., 1], s[..., 2])
+        return np.sqrt(_omega_terms(params, *split_reduced(s))[2])
 
     def gradient(s):
-        phi = np.asarray(value(s))
-        if bad := _first_bad(phi == 0.0):
-            raise DegenerateDenominator(f"rank-{params.rank} conformal factor vanishes at gamma = 0{bad[1]}")
+        gamma, K = split_reduced(s)
+        _, u, den, _ = _omega_terms(params, gamma, K)
         out = np.zeros(s.shape)
-        out[..., :3] = weight * s[..., :3] / phi[..., None]
+        out[..., :3] = (gamma + sign * params.mr2 * u) / np.sqrt(np.asarray(den))[..., None]
         return out
 
     return ScalarField(value=value, gradient=gradient, name=f"phi_rank{params.rank}")
@@ -471,10 +467,7 @@ def invariant_density(params: BodyParams) -> ScalarField:
     phi = conformal_factor(params)
 
     def value(s):
-        p = phi(s)
-        if bad := _first_bad(p == 0.0):
-            raise DegenerateDenominator(f"rank-{params.rank} invariant density 1/phi at phi = 0{bad[1]}")
-        return 1.0 / p
+        return 1.0 / phi(s)
 
     def gradient(s):
         p = np.asarray(phi(s))[..., None]
@@ -509,13 +502,13 @@ def casimir_gamma_norm() -> ScalarField:
 
 def pack_full(g, x, K) -> np.ndarray:
     """The full state (g row-major, x, K), or the stack of them; g is (..., 3, 3)
-    or flat (..., 9)."""
-    g = np.asarray(g, dtype=float)
-    if g.shape[-2:] == (3, 3):
-        g = g.reshape(g.shape[:-2] + (9,))
-    elif g.shape[-1:] != (9,):
-        raise ValueError(f"expected g of shape (..., 3, 3) or (..., 9), got shape {g.shape}")
-    return np.concatenate([g, np.asarray(x, dtype=float), np.asarray(K, dtype=float)], axis=-1)
+    or flat (..., 9), and x and K are (..., 3) with the leading axes of g."""
+    g, x, K = (np.asarray(a, dtype=float) for a in (g, x, K))
+    flat = g.reshape(g.shape[:-2] + (9,)) if g.shape[-2:] == (3, 3) else g
+    if flat.shape[-1:] != (9,) or x.shape != flat.shape[:-1] + (3,) or K.shape != x.shape:
+        raise ValueError(f"expected g (..., 3, 3) or (..., 9), x and K (..., 3) with the leading axes of g, "
+                         f"got shapes {g.shape}, {x.shape} and {K.shape}")
+    return np.concatenate([flat, x, K], axis=-1)
 
 
 def split_full(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

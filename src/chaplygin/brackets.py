@@ -79,6 +79,8 @@ class BivectorPatch(_Patch):
 
 def coordinate_field(dim: int, i: int) -> ScalarField:
     """The coordinate x_i, at one state or each row of a stack (..., dim)."""
+    if not 0 <= i < dim:
+        raise IndexError(f"index {i} out of range for dim {dim}")
     e = np.zeros(dim)
     e[i] = 1.0
     e.setflags(write=False)
@@ -211,13 +213,15 @@ def scale_bivector(pi: BivectorPatch, factor: ScalarField) -> BivectorPatch:
     """The bivector factor * pi, with product-rule partials; its jet takes the
     matrix and partials of pi from one ``matrix_and_partials`` call."""
 
+    # pi first, so that its state check speaks before the factor reads the state
     def structure(s):
-        return np.asarray(factor(s))[..., None, None] * pi.matrix(s)
+        p = pi.matrix(s)
+        return np.asarray(factor(s))[..., None, None] * p
 
     def jet(s):
+        p, dp = pi.matrix_and_partials(s)
         phi = np.asarray(factor(s))[..., None, None]
         dphi = factor.grad(s)
-        p, dp = pi.matrix_and_partials(s)
         return phi * p, dphi[..., None, None] * p[..., None, :, :] + phi[..., None] * dp
 
     return BivectorPatch(

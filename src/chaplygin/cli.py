@@ -350,9 +350,16 @@ def _cmd_verify(args, scenario) -> int:
     return 0 if passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one stderr line, without the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaplygin",
         description="Rolling-body bracket workbench: simulate trajectories and "
         "verify the algebraic identities behind them.",

@@ -46,7 +46,7 @@ from .body import (
     split_reduced,
 )
 from .errors import NonFiniteState
-from .geometry import _one, _swap, unhat
+from .geometry import _allocating, _one, _swap, unhat
 
 __all__ = [
     "MONITOR_NAMES",
@@ -249,15 +249,17 @@ def _march(march, y: list, config: IntegratorConfig, renormalize) -> tuple:
 
     Steps Python floats, which never warn: a non-finite step raises
     NonFiniteState instead.  ``renormalize`` (or None) maps each finite step
-    back to the constraint manifold.
+    back to the constraint manifold.  A run whose samples do not fit in
+    memory raises AllocationFailed naming the shape of its states.
     """
     if not all(map(math.isfinite, y)):
         raise NonFiniteState("initial state has non-finite entries")
-    times, steps = _schedule(config)
-    rows, bad = march(y, steps, renormalize)
-    if bad is not None:
-        raise NonFiniteState(f"non-finite state after step {bad} (at {times[bad]:g})")
-    states = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * len(y))
+    with _allocating((config.n_steps + 1, len(y))):
+        times, steps = _schedule(config)
+        rows, bad = march(y, steps, renormalize)
+        if bad is not None:
+            raise NonFiniteState(f"non-finite state after step {bad} (at {times[bad]:g})")
+        states = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * len(y))
     return times, states.reshape(len(rows), len(y))
 
 
@@ -325,6 +327,9 @@ def invariant_drift(params: BodyParams, traj: Trajectory) -> dict:
 
 def series_drift(series: dict) -> dict:
     """The drifts of ``invariant_drift`` from an already computed ``monitor_series``."""
+    for name, vals in series.items():
+        if np.ndim(vals) != 1 or np.size(vals) == 0:
+            raise ValueError(f"series {name!r} must be 1-d with at least one value, got shape {np.shape(vals)}")
     return {
         name: float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
         for name, vals in series.items()

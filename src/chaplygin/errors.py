@@ -1,9 +1,11 @@
 """Exception types raised by the workbench.
 
-Everything is a subclass of ValueError or ArithmeticError so callers that
-don't care about the distinction can catch the builtin bases.
+Everything is a subclass of ValueError, ArithmeticError or MemoryError
+(AllocationFailed alone), so callers that don't care about the distinction
+can catch the builtin bases.
 """
 
+# AllocationFailed stays out: the package's public names are a fixed set (tests/test_imports.py)
 __all__ = ["AnnihilationViolated", "DegenerateDenominator", "NonFiniteState", "NonPositiveFactor",
            "ScenarioError", "SingularGauge", "SymmetricInput", "UnsupportedRank"]
 
@@ -45,6 +47,14 @@ class ScenarioError(ValueError):
         super().__init__(f"scenario field '{field}': {message}")
 
 
+class AllocationFailed(MemoryError):
+    """An array of the requested shape does not fit in memory."""
+
+    def __init__(self, shape: tuple):
+        self.shape = shape
+        super().__init__(f"cannot allocate an array of shape {shape} (float64)")
+
+
 # Raised on valid input when a computation cannot go on: the CLI exits 1 on these.
 RUNTIME_ERRORS = (SymmetricInput, SingularGauge, NonPositiveFactor, AnnihilationViolated,
-                  DegenerateDenominator, UnsupportedRank, NonFiniteState)
+                  DegenerateDenominator, UnsupportedRank, NonFiniteState, AllocationFailed)

@@ -20,12 +20,15 @@ derivative index; each row equals the call on that row bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import SymmetricInput
+from .errors import AllocationFailed, SymmetricInput
 
 __all__ = [
     "FormPatch",
@@ -86,6 +89,8 @@ def hat(v) -> np.ndarray:
     """Antisymmetric matrix of v: hat(v) w = v x w, i.e. hat(v)_ab = -epsilon_abl v_l.
     A stack (..., 3) of vectors gives a stack (..., 3, 3)."""
     v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise ValueError(f"expected a 3-vector or a stack (..., 3), got shape {v.shape}")
     out = np.zeros(v.shape + (3,))
     out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
     out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
@@ -97,6 +102,8 @@ def unhat(m) -> np.ndarray:
     """Inverse of hat (of each matrix of a stack). Antisymmetrizes first; the
     symmetric residue must stay below 1e-8."""
     m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix or a stack (..., 3, 3), got shape {m.shape}")
     residue = np.max(np.abs(m + _swap(m)), axis=(-2, -1))
     if bad := _first_bad(residue > 1e-8):
         raise SymmetricInput(f"symmetric part {residue.flat[bad[0]]:.3e} exceeds tolerance 1.0e-08{bad[1]}")
@@ -239,6 +246,8 @@ def wedge_1_2(alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
     (of each pair of a stack)."""
     alpha = np.asarray(alpha, dtype=float)
     omega = np.asarray(omega, dtype=float)
+    if not alpha.ndim or omega.shape != alpha.shape + alpha.shape[-1:]:
+        raise ValueError(f"expected alpha (..., d) and omega (..., d, d), got shapes {alpha.shape} and {omega.shape}")
     return (
         np.einsum("...a,...bc->...abc", alpha, omega)
         + np.einsum("...b,...ca->...abc", alpha, omega)
@@ -252,11 +261,34 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+@contextmanager
+def _allocating(shape: tuple):
+    """Run the block that builds an array of float64 ``shape``: a shape of
+    more bytes than numpy can address, or a MemoryError in the block, is
+    AllocationFailed naming the shape."""
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise AllocationFailed(shape)
+    try:
+        yield
+    except MemoryError:
+        raise AllocationFailed(shape) from None
+
+
+def _draws(n, dim: int) -> np.ndarray:
+    """The uninitialized rows of n draws of dim entries, or of one if n is None."""
+    if n is None:
+        n = 1
+    elif isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be a non-negative int or None, got {n!r}")
+    with _allocating(shape := (int(n), dim)):
+        return np.empty(shape)
+
+
 def sample_reduced_state(seed=None, n=None) -> np.ndarray:
     """Random reduced state (gamma, K): gamma uniform on S^2, K uniform in
     [-1,1]^3; with a count n, the stack of n such draws (n, 6)."""
     rng = _as_rng(seed)
-    out = np.empty((1 if n is None else n, 6))
+    out = _draws(n, 6)
     for row in out:
         while True:
             g = rng.standard_normal(3)

@@ -52,6 +52,7 @@ from .geometry import (
     FormPatch,
     ScalarField,
     _as_rng,
+    _draws,
     _mv,
     _one,
     _rotations,
@@ -304,7 +305,7 @@ def sample_full_state(seed=None, n=None) -> np.ndarray:
     """Random full state: Haar-ish rotation, x and K uniform in [-1,1]^3;
     with a count n, the stack of n such draws (n, 15)."""
     rng = _as_rng(seed)
-    out = np.empty((1 if n is None else n, FULL_DIM))
+    out = _draws(n, FULL_DIM)
     for row in out:
         row[:9] = rng.standard_normal(9)
         row[9:] = rng.uniform(-1.0, 1.0, size=6)

@@ -104,7 +104,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     k = _vector(_require(initial, "K", "initial."), "initial.K", 3)
     if reduced_form:
         gamma = _vector(initial["gamma"], "initial.gamma", 3)
-        norm = float(np.linalg.norm(gamma))
+        norm = math.hypot(*gamma)  # inf, not a numpy overflow, past the float range
         if abs(norm - 1.0) > 1e-9:
             raise ScenarioError("initial.gamma", f"|gamma| = {norm!r}, must be 1 to 1e-9")
         state = np.concatenate([gamma, k])
@@ -120,8 +120,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             g = np.vstack([_vector(row, "initial.g", 3) for row in g_rows])
         else:
             raise ScenarioError("initial.g", "expected 9 row-major numbers")
-        defect = float(np.linalg.norm(g.T @ g - np.eye(3)))
-        if defect > 1e-9 or np.linalg.det(g) < 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: a defect of inf or nan
+            defect = float(np.linalg.norm(g.T @ g - np.eye(3)))
+        if not defect <= 1e-9 or np.linalg.det(g) < 0.0:
             raise ScenarioError(
                 "initial.g", f"must be a rotation matrix (orthogonality defect {defect:.3e})"
             )

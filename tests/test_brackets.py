@@ -18,6 +18,7 @@ from chaplygin import (
     SingularGauge,
     SymmetricInput,
     casimir_defect,
+    casimir_kgamma,
     conformal_factor,
     conformal_jacobiator,
     coordinate_field,
@@ -258,6 +259,22 @@ def test_jet_output_is_checked():
 
 
 # -------------------------------------------------------------------- scaling
+
+
+@pytest.mark.parametrize("i", [-1, 6, 7])
+def test_coordinate_field_rejects_an_index_out_of_range(i):
+    """coordinate_field(6, -1) was x5 named "x-1"; coordinate_field(6, 7) raised numpy's IndexError."""
+    with pytest.raises(IndexError, match=re.escape(f"index {i} out of range for dim 6")):
+        coordinate_field(6, i)
+
+
+def test_scale_bivector_checks_the_state_before_the_factor():
+    """The bracket's state check speaks first: the factor C1 = K . gamma at a
+    5-vector raised numpy's vecdot error."""
+    scaled = scale_bivector(reduced_bracket(standard_body(2)), casimir_kgamma())
+    for call in (scaled.matrix, scaled.partial_tensor):
+        with pytest.raises(ValueError, match=re.escape("expected a 6-dim reduced state, got shape (5,)")):
+            call(np.zeros(5))
 
 
 def test_scale_bivector_matrix_and_partials():

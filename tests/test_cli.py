@@ -1,9 +1,13 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -627,3 +631,192 @@ def test_one_process_runs_equal_separate_runs(tmp_path, monkeypatch, capsys):
     for artifact in ("trajectory.csv", "summary.json", "report.json"):
         one_file, separate_file = (tmp_path / run / "out" / artifact for run in ("one", "separate"))
         assert one_file.read_bytes() == separate_file.read_bytes()
+
+
+def test_a_run_that_cannot_allocate_exits_1(tmp_path, monkeypatch, capsys):
+    """A failed allocation is one stderr line and exit 1, not a MemoryError
+    traceback: the states of a run (np.fromiter refuses), the draw of
+    --trials 1000000000 (np.empty refuses above a million entries, so
+    nothing large is allocated) and a draw of more bytes than numpy can
+    address."""
+    path = write_scenario(tmp_path)
+    real_empty = np.empty
+
+    def refusing_empty(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e6:
+            raise MemoryError(f"refused {shape}")
+        return real_empty(shape, *args, **kwargs)
+
+    def refusing(*args, **kwargs):
+        raise MemoryError("refused")
+
+    monkeypatch.setattr(np, "empty", refusing_empty)
+    runs = [(["simulate"], "integration failed: cannot allocate an array of shape (51, 6)")]
+    for trials in ("1000000000", "99999999999999999999"):
+        runs.append((["verify", "--suite", "all", "--trials", trials],
+                     f"verification failed: cannot allocate an array of shape ({trials}, "))
+    for i, (command, message) in enumerate(runs):
+        with monkeypatch.context() as patch:
+            if command == ["simulate"]:
+                patch.setattr(np, "fromiter", refusing)
+            assert main([command[0], str(path), *command[1:], "--out", str(tmp_path / f"o{i}")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert list((tmp_path / f"o{i}").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "initial",
+    [{"gamma": [0.0, 0.0, 1e300], "K": [0.3, -0.1, 0.2]},
+     {"g": [[1e300, 1e300, 0.0], [-1e300, 1e300, 0.0], [0.0, 0.0, 1.0]], "x": [0.0, 0.0, 0.0], "K": [0.3, -0.1, 0.2]}],
+    ids=["gamma-overflows-its-norm", "g-of-a-nan-defect"],
+)
+def test_an_initial_state_of_huge_entries_is_a_scenario_error(tmp_path, capsys, initial):
+    """|gamma| = 1e300 raised numpy's overflow warning in the norm; the g
+    given, whose g^T g - E overflows to inf - inf, passed as a rotation with
+    a defect of nan."""
+    path = write_scenario(tmp_path, initial=initial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario field 'initial.{next(iter(initial))}'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "rank, overrides",
+    [(0, {"inertia": [5e-324, 2.0, 3.0]}), (1, {"inertia": [1e-300, 2.0, 3.0]}), (1, {"mass": 1e150}),
+     (1, {"mass": 1.7976931348623157e308})],
+)
+def test_a_body_at_the_edge_of_the_float_range_exits_1_without_a_warning(tmp_path, capsys, rank, overrides):
+    """Its residuals overflow to inf or nan, which fail their checks, or a
+    named error stops the run; numpy's overflow warnings escaped the suites."""
+    path = write_scenario(tmp_path, rank=rank, **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", str(path), "--suite", "all", "--trials", "2", "--out", str(tmp_path / "o")]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["verify", "S", "--suite", "all", "--trials", "abc"], "--trials"), (["simulate", "S", "--bogus"], "--bogus"),
+     (["verify", "S"], "--suite"), (["simulate"], "scenario")],
+)
+def test_an_option_error_is_one_stderr_line(tmp_path, capsys, argv, option):
+    """argparse's usage lines are gone: one line naming the option, exit 2."""
+    argv = [str(write_scenario(tmp_path)) if a == "S" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.count("\n") == 1 and option in err and err.startswith("chaplygin")
+
+
+# ------------------------------------------------------------- mutation sweep
+
+_SWEEP_BASES = {
+    "reduced": {"gamma": [0.0, 0.6, 0.8], "K": [0.3, -0.1, 0.2]},
+    "full": {"g": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], "x": [0.0, 0.0, 0.0], "K": [0.3, -0.1, 0.2]},
+}
+_SWEEP_FIELDS = (
+    ("inertia",), ("inertia", 0), ("mass",), ("radius",), ("rank",), ("so2_angle",), ("initial",),
+    ("initial", "gamma"), ("initial", "gamma", 2), ("initial", "g"), ("initial", "g", 4), ("initial", "x"),
+    ("initial", "x", 1), ("initial", "K"), ("initial", "K", 0), ("integrator",), ("integrator", "dt"),
+    ("integrator", "T"), ("integrator", "method"), ("integrator", "renormalize_gamma"),
+    ("integrator", "renormalize_g"),
+)
+# extreme and subnormal floats, integers beyond the float range; finite
+# draws of at least 1e-3 in magnitude keep an accepted run at 300 steps or fewer
+_SWEEP_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-150, 1e150, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                     10**400, -(10**400), 2**1024, 0, 1, 2, 3, -1]),
+    st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3),
+)
+_SWEEP_VALUES = st.one_of(
+    _SWEEP_NUMBERS,
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(_SWEEP_NUMBERS, max_size=10),
+    st.lists(st.lists(_SWEEP_NUMBERS, min_size=3, max_size=3), min_size=3, max_size=3),
+    st.dictionaries(st.sampled_from(["gamma", "K", "g", "x", "dt", "T", "extra"]), _SWEEP_NUMBERS, max_size=2),
+)
+_SWEEP_MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_SWEEP_FIELDS), _SWEEP_VALUES),
+    st.tuples(st.just("delete"), st.sampled_from(_SWEEP_FIELDS), st.none()),
+    st.tuples(st.just("extra"), st.sampled_from([(), ("initial",), ("integrator",)]), _SWEEP_VALUES),
+)
+# (option, value): value None adds a flag alone, and a None option drops the scenario path
+_SWEEP_OPTIONS = st.one_of(
+    st.tuples(st.sampled_from(["--full", "--reparametrize", "--bogus"]), st.none()),
+    st.tuples(st.just("--suite"), st.sampled_from(["jacobi", "measure", "all", "bogus", ""])),
+    st.tuples(st.just("--trials"), st.sampled_from(["0", "-1", "1", "12", "abc", "2.5", "", "1e3",
+                                                    "99999999999999999999", str(2**64)])),
+    st.tuples(st.just("--seed"), st.sampled_from(["-1", "0", str(2**64), "abc", "", "1.5"])),
+    st.tuples(st.just("--tol-scale"), st.sampled_from(["0", "-1", "-0", "nan", "inf", "5e-324", "1e308", "abc"])),
+    st.tuples(st.just("--variant"), st.sampled_from(["plain", "primed", "bogus"])),
+    st.tuples(st.none(), st.none()),
+)
+
+
+def _mutated(data: dict, mutation) -> dict:
+    kind, path, value = mutation
+    data = json.loads(json.dumps(data))
+    *head, last = path if kind != "extra" else (*path, "unknown_key")
+    node = data
+    for key in head:
+        node = node.get(key) if isinstance(node, dict) else None
+    if isinstance(node, dict) or (isinstance(node, list) and isinstance(last, int) and last < len(node)):
+        if kind == "delete":
+            if isinstance(node, dict):
+                node.pop(last, None)
+            else:
+                del node[last]
+        else:
+            node[last] = value
+    return data
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["simulate", "verify"]),
+    base=st.sampled_from(sorted(_SWEEP_BASES)),
+    rank=st.integers(0, 3),
+    change=st.one_of(st.tuples(st.just("scenario"), _SWEEP_MUTATIONS), st.tuples(st.just("option"), _SWEEP_OPTIONS)),
+)
+def test_one_mutation_of_a_valid_run_exits_0_1_or_2(command, base, rank, change):
+    """From a small valid scenario and argv, one field or one option changed:
+    main returns or exits 0, 1 or 2; an exit 2 prints one stderr line naming
+    the field or the option; no numpy warning; no temporary file is left."""
+    data = {"inertia": [1.0, 2.0, 3.0], "mass": 1.0, "radius": 1.0, "rank": rank,
+            "initial": _SWEEP_BASES[base], "integrator": {"dt": 0.01, "T": 0.05}}
+    options = []
+    if change[0] == "scenario":
+        data = _mutated(data, change[1])
+        named = change[1][1][0] if change[1][1] else "unknown_key"
+    else:
+        option, value = change[1]
+        options = [] if option is None else [option] if value is None else [option, value]
+        named = "scenario" if option is None else option.lstrip("-")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(data))
+        out = Path(tmp) / "out"
+        argv = [command, str(path), "--out", str(out)]
+        if command == "verify":
+            argv[2:2] = ["--suite", "all", "--trials", "2"]
+        if change[0] == "option" and change[1][0] is None:
+            argv.remove(str(path))
+        argv += options
+        stderr = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), code
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and named in lines[0], (named, lines)
+        assert not [p for p in Path(tmp).rglob("*") if p.name.endswith(".tmp")]

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -46,6 +47,7 @@ from chaplygin import (
     split_full,
 )
 from chaplygin import body as body_module
+from chaplygin import errors
 
 from conftest import asymmetric_body, list_rk4_step, standard_body
 
@@ -85,6 +87,33 @@ def test_config_rejects_a_step_count_that_cannot_be_run(monkeypatch):
     with pytest.raises(ValueError, match="more samples than numpy can allocate"):
         IntegratorConfig(dt=1e-300, t_final=1.0)
     assert IntegratorConfig(dt=1e-300, t_final=1e-290).n_steps == 10**10
+
+
+@pytest.mark.parametrize("kind", ["reduced", "reparametrized", "full"])
+@pytest.mark.parametrize("call", ["np.arange", "np.fromiter"])
+def test_a_run_whose_samples_cannot_be_allocated_raises_allocation_failed(monkeypatch, kind, call):
+    """The schedule's times (np.arange) and the states (np.fromiter) raised a
+    bare MemoryError; the patched call refuses, so nothing large is allocated."""
+
+    def refusing(*args, **kwargs):
+        raise MemoryError("refused")
+
+    monkeypatch.setattr(np, call.split(".")[1], refusing)
+    start = sample_reduced_state(seed=5)
+    config = IntegratorConfig(dt=1e-2, t_final=0.5)
+    dim = {"reduced": 6, "reparametrized": 7, "full": 15}[kind]
+    with pytest.raises(errors.AllocationFailed, match=re.escape(f"shape (51, {dim})")):
+        if kind == "reparametrized":
+            reparametrized_integrate(standard_body(2), start, config)
+        else:
+            integrate(standard_body(2), start if kind == "reduced" else lift_reduced_state(start), config)
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 2), ()])
+def test_series_drift_rejects_a_series_that_is_not_one_nonempty_row(shape):
+    """series_drift({"H": np.zeros(0)}) raised a bare IndexError; a 2-d series gave a number."""
+    with pytest.raises(ValueError, match=re.escape(f"series 'H' must be 1-d with at least one value, got shape {shape}")):
+        dynamics.series_drift({"C1": np.zeros(3), "H": np.zeros(shape)})
 
 
 def test_trajectory_validation():
@@ -328,14 +357,13 @@ def _loop_march(f, y, config, renormalize):
 
 
 def _loop_phi(body):
-    """The conformal factor as written out before the reparam kernel: Python
-    floats, left to right; 1.0 for ranks 0 and 3."""
-    sign, n = body._rank_terms
-    w1, w2, w3 = [1.0 + sign * body.mr2 / n_i for n_i in n]
+    """The conformal factor on Python floats: the square root of the frozen
+    omega kernel's denominator; 1.0 for ranks 0 and 3."""
+    sign = body._rank_terms[0]
+    omega = _frozen_kernels(body)[0]
 
     def phi(s):
-        g1, g2, g3 = s[:3]
-        return math.sqrt(g1 * (w1 * g1) + g2 * (w2 * g2) + g3 * (w3 * g3)) if sign else 1.0
+        return math.sqrt(omega(s[:3], s[3:6])[2]) if sign else 1.0
 
     return phi
 

@@ -1,6 +1,7 @@
 """Vector algebra, hat map, finite-difference exterior calculus, samplers."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from chaplygin import (
     unhat,
     wedge_1_2,
 )
+from chaplygin.errors import AllocationFailed
 from chaplygin.geometry import EPSILON, FD_CBRT_EPS, fd_step
 
 from conftest import standard_body
@@ -71,6 +73,27 @@ def test_hat_of_unhat_on_antisymmetric():
 def test_unhat_rejects_symmetric_input():
     with pytest.raises(SymmetricInput):
         unhat(np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2,), (5, 4), ()])
+def test_hat_rejects_a_last_axis_other_than_3(shape):
+    """hat(np.arange(4.0)) was a (4, 3) array."""
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        hat(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3,), (4, 3, 2), (3, 4)])
+def test_unhat_rejects_a_matrix_other_than_3x3(shape):
+    """unhat(np.zeros((2, 2))) raised a bare IndexError."""
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        unhat(np.zeros(shape))
+
+
+@pytest.mark.parametrize("alpha_shape, omega_shape", [((3,), (4, 4)), ((2, 3), (3, 3, 3)), ((4,), (4, 3)), ((), ())])
+def test_wedge_1_2_names_both_shapes(alpha_shape, omega_shape):
+    """A pair that is not (..., d) and (..., d, d) raised numpy's broadcast error."""
+    with pytest.raises(ValueError, match=re.escape(f"got shapes {alpha_shape} and {omega_shape}")):
+        wedge_1_2(np.ones(alpha_shape), np.zeros(omega_shape))
 
 
 # ----------------------------------------------------------- finite differences
@@ -411,6 +434,35 @@ def test_stacked_draw_equals_single_draws(kind):
             assert stacked.shape == expected.shape and stacked.tobytes() == expected.tobytes()
             assert np.array([sample(single) for _ in range(n)]).tobytes() == expected.tobytes()
             assert rng.random() == oracle.random() == single.random()
+
+
+@pytest.mark.parametrize("sample", [sample_reduced_state, sample_full_state])
+@pytest.mark.parametrize("n", [-2, 2.5, True, "3"])
+def test_samplers_reject_a_count_that_is_not_a_non_negative_int(sample, n):
+    """sample_reduced_state(1, -2) raised numpy's "negative dimensions"."""
+    with pytest.raises(ValueError, match=re.escape(f"n must be a non-negative int or None, got {n!r}")):
+        sample(1, n)
+    assert sample(1, 0).shape[0] == 0
+
+
+@pytest.mark.parametrize("sample, dim", [(sample_reduced_state, 6), (sample_full_state, 15)])
+def test_a_draw_that_cannot_be_allocated_names_its_shape(monkeypatch, sample, dim):
+    """A MemoryError of the allocation, and a count of more bytes than numpy
+    can address (numpy's ValueError), are AllocationFailed; nothing large is
+    allocated: np.empty refuses every request above a million entries."""
+    real = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e6:
+            raise MemoryError(f"refused {shape}")
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    for n in (10**9, 10**20):
+        with pytest.raises(AllocationFailed, match=re.escape(f"shape ({n}, {dim})")) as info:
+            sample(1, n)
+        assert info.value.shape == (n, dim) and isinstance(info.value, MemoryError)
+    assert sample(1, 3).shape == (3, dim)
 
 
 def test_random_rotation_properties():

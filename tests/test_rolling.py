@@ -502,6 +502,57 @@ def test_conformal_factor_positive_and_smooth(rank):
         assert np.max(np.abs(mu.grad(s) - fd_gradient(mu, s))) <= 1e-6
 
 
+@pytest.mark.parametrize("factory", [standard_body, asymmetric_body])
+@pytest.mark.parametrize("rank_c", [1, 2])
+def test_conformal_factor_is_the_root_of_the_omega_denominator(rank_c, factory):
+    """phi = sqrt(den) bit for bit, den the Sherman-Morrison denominator the
+    omega kernel returns, at one state and at each row of a stack (gamma off
+    the unit sphere too)."""
+    body = factory(rank_c)
+    phi, omega = conformal_factor(body), body._kernels.omega
+    states = sample_reduced_state(seed=170, n=8)
+    states[4:, :3] *= 1.3
+
+    def root(s):
+        return math.sqrt(omega(s[:3].tolist(), s[3:].tolist())[2])
+
+    assert phi(states[0]) == root(states[0])
+    assert np.array_equal(phi(states), [root(s) for s in states])
+
+
+@pytest.mark.parametrize("factory", [standard_body, asymmetric_body])
+@pytest.mark.parametrize("rank_c", [1, 2])
+def test_conformal_factor_gradient_matches_fd_off_the_sphere(rank_c, factory):
+    from chaplygin import fd_gradient
+
+    phi = conformal_factor(factory(rank_c))
+    for seed in range(10):
+        s = sample_reduced_state(seed=180 + seed)
+        s[:3] *= 1.3
+        assert np.max(np.abs(phi.grad(s) - fd_gradient(phi, s))) <= 1e-6
+
+
+@pytest.mark.parametrize("rank_c", [1, 2])
+@pytest.mark.parametrize(
+    "gamma, error",
+    [((0.0, 0.0, 0.0), DegenerateDenominator), ((6e159, 0.0, 8e159), NonFiniteState),
+     ((1e-200, 0.0, 0.0), DegenerateDenominator)],
+    ids=["zero", "overflow", "underflow"],
+)
+def test_conformal_factor_raises_as_the_omega_kernel(rank_c, gamma, error):
+    """Where den degenerates or |gamma|^2 overflows or underflows, phi and its
+    gradient raise the named error of omega_from_K, alone and in a stack,
+    and no numpy warning."""
+    phi = conformal_factor(standard_body(rank_c))
+    state = np.array([*gamma, 0.3, -0.1, 0.2])
+    stack = np.array([sample_reduced_state(seed=190), state])
+    for s in (state, stack):
+        with pytest.raises(error):
+            phi(s)
+        with pytest.raises(error):
+            phi.grad(s)
+
+
 @pytest.mark.parametrize("rank_c", [1, 2])
 def test_conformal_rescaling_restores_jacobi(rank_c):
     body = standard_body(rank_c)
@@ -755,6 +806,17 @@ def test_pack_split_round_trip():
     state = pack_full(g, x, k)
     g2, x2, k2 = split_full(state)
     assert np.array_equal(g, g2) and np.array_equal(x, x2) and np.array_equal(k, k2)
+
+
+@pytest.mark.parametrize(
+    "g_shape, x_shape, k_shape",
+    [((3, 3), (2,), (3,)), ((3, 3), (4,), (3,)), ((9,), (3,), (4,)), ((3, 3), (3,), (2, 3)), ((2, 9), (3,), (2, 3))],
+)
+def test_pack_full_rejects_x_and_K_of_the_wrong_shape(g_shape, x_shape, k_shape):
+    """pack_full(np.eye(3), np.zeros(2), np.zeros(3)) was a (14,) "full state"."""
+    message = re.escape(f"got shapes {g_shape}, {x_shape} and {k_shape}")
+    with pytest.raises(ValueError, match=message):
+        pack_full(np.ones(g_shape), np.zeros(x_shape), np.zeros(k_shape))
 
 
 def test_project_rho_reads_third_row():
