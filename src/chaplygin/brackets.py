@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AnnihilationViolated, NonPositiveFactor, SingularGauge, SymmetricInput
-from .geometry import FormPatch, ScalarField, _first_bad, _mv, _one, _Patch, _swap, fd_exterior_derivative
+from .geometry import FormPatch, ScalarField, _first_bad, _indices, _mv, _one, _Patch, _swap, fd_exterior_derivative
 
 __all__ = [
     "BivectorPatch",
@@ -79,8 +79,7 @@ class BivectorPatch(_Patch):
 
 def coordinate_field(dim: int, i: int) -> ScalarField:
     """The coordinate x_i, at one state or each row of a stack (..., dim)."""
-    if not 0 <= i < dim:
-        raise IndexError(f"index {i} out of range for dim {dim}")
+    _indices(dim, i)
     e = np.zeros(dim)
     e[i] = 1.0
     e.setflags(write=False)
@@ -111,54 +110,39 @@ def _on_chart(pi: BivectorPatch, form: FormPatch, degree: int, what: str):
         raise ValueError(f"{what} form must be a {degree}-form on the same chart")
 
 
-def _triple_index(triples: Sequence) -> tuple:
-    """Read-only index arrays for a tuple of sorted triples (a, b, c): the
-    triples' a, b and c; the distinct third indices; the distinct (b, c)
-    pairs, as b and the position of c among the thirds; each triple's pair.
-    Sets and sorts in Python: for one triple that costs a sixth of np.unique."""
-    pairs = sorted({t[1:] for t in triples})
-    thirds = sorted({c for _, c in pairs})
-    pair_at = {pair: n for n, pair in enumerate(pairs)}
-    third_at = {c: n for n, c in enumerate(thirds)}
-    derived = (thirds, [b for b, _ in pairs], [third_at[c] for _, c in pairs], [pair_at[t[1:]] for t in triples])
-    index = (
-        *np.array(triples, dtype=np.intp).reshape(-1, 3).T,
-        *(np.array(x, dtype=np.intp) for x in derived),
-    )
-    for x in index:
-        x.setflags(write=False)
-    return index
-
-
 @functools.cache
 def _sorted_triples(dim: int) -> tuple:
-    """``_triple_index`` of every sorted triple of a dim-dim chart."""
-    return _triple_index(tuple(itertools.combinations(range(dim), 3)))
+    """Read-only index arrays a, b and c of every sorted triple a < b < c of
+    a dim-dim chart, in ``itertools.combinations`` order."""
+    index = np.array(list(itertools.combinations(range(dim), 3)), dtype=np.intp).reshape(-1, 3).T
+    index.setflags(write=False)
+    return tuple(index)
 
 
-def _cyclic_sum(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch], index: tuple):
+def _cyclic_sum(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch] = None, index: Optional[tuple] = None):
     """sum_l [pi_al d_l pi_bc + pi_bl d_l pi_ca + pi_cl d_l pi_ab], plus
     phi(X_a, X_b, X_c) with X_a = -pi e_a when a 3-form is given.
 
-    ``index`` (``_triple_index``) names the sorted triples, one value per
+    ``index`` holds the index arrays a, b and c of the sorted triples (by
+    default ``_sorted_triples``, every one of the chart), one value per
     triple; a stack of states adds its axis in front.  The twist contracts
-    phi with X_c for the distinct thirds c, then with X_b for the (b, c)
-    pairs, then with X_a for the triples.  Every sum is a reduction over the
-    last axis of a fresh product (``_dot``), so a value has the same bits
-    for one state as in a stack, and for one triple as among all of them.
+    phi with every X_c once, then with X_b and X_a at each triple.  Every
+    sum is a reduction over the last axis of a fresh product (``_dot``), so
+    a value has the same bits for one state as in a stack, and for one
+    triple as among all of them.
     """
     if phi is not None:
         _on_chart(pi, phi, 3, "twist")
-    a, b, c, thirds, pair_b, pair_third, pair_of = index
+    a, b, c = _sorted_triples(pi.dim) if index is None else index
     p, dp = pi.matrix_and_partials(state)
     dp = np.moveaxis(dp, -3, -1)  # dp[..., b, c, l] = d_l pi_bc
     pa, pb, pc = p[..., a, :], p[..., b, :], p[..., c, :]
     out = _dot(pa, dp[..., b, c, :]) + _dot(pb, dp[..., c, a, :]) + _dot(pc, dp[..., a, b, :])
     if phi is not None:
         x = -_swap(p)  # row a is X_a
-        t = _dot(phi(state)[..., None, :, :, :], x[..., thirds, None, None, :])  # phi(e_i, e_j, X_c)
-        t = _dot(t[..., pair_third, :, :], x[..., pair_b, None, :])  # phi(e_i, X_b, X_c)
-        out = out + _dot(t[..., pair_of, :], x[..., a, :])  # phi(X_a, X_b, X_c)
+        t = _dot(phi(state)[..., None, :, :, :], x[..., :, None, None, :])  # t[..., c, i, j] = phi(e_i, e_j, X_c)
+        t = _dot(t[..., c, :, :], x[..., b, None, :])  # phi(e_i, X_b, X_c)
+        out = out + _dot(t, x[..., a, :])  # phi(X_a, X_b, X_c)
     return out
 
 
@@ -174,12 +158,6 @@ def _odd(t) -> bool:
     return (t[0] > t[1]) ^ (t[0] > t[2]) ^ (t[1] > t[2])
 
 
-def _sorted_defects(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch] = None) -> np.ndarray:
-    """The cyclic Jacobi defects (plus the twist by phi) at every sorted triple
-    a < b < c of the chart, in ``itertools.combinations`` order: (..., n)."""
-    return _cyclic_sum(pi, state, phi, _sorted_triples(pi.dim))
-
-
 def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch] = None) -> np.ndarray:
     """The (dim, dim, dim) tensor of cyclic Jacobi defects at state, plus
     phi(X_a, X_b, X_c) when a background 3-form phi is given; (N, dim, dim,
@@ -190,9 +168,9 @@ def jacobi_tensor(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch]
     permutation, so the tensor alternates exactly and is exactly 0.0 on
     repeated indices.
     """
-    v = _sorted_defects(pi, state, phi)
+    v = _cyclic_sum(pi, state, phi)
     out = np.zeros(v.shape[:-1] + (pi.dim,) * 3)
-    triple = _sorted_triples(pi.dim)[:3]
+    triple = _sorted_triples(pi.dim)
     for perm in itertools.permutations(range(3)):
         out[(..., *(triple[m] for m in perm))] = -v if _odd(perm) else v
     return out
@@ -361,15 +339,12 @@ def twisted_defect(
     the one sorted triple of (i, j, k) (the bracket's jet and phi are still
     evaluated once, also for a repeated index, which gives exactly 0.0).
     """
-    for idx in (i, j, k):
-        if not 0 <= idx < pi.dim:
-            raise IndexError(f"index {idx} out of range for dim {pi.dim}")
-    triple = tuple(sorted((i, j, k)))
-    distinct = triple[0] < triple[1] < triple[2]
-    v = _cyclic_sum(pi, _one(state, pi.dim, "state"), phi, _triple_index((triple,) if distinct else ()))
-    if not distinct:
-        return 0.0
-    return float(-v[0] if _odd((i, j, k)) else v[0])
+    _indices(pi.dim, i, j, k)
+    a, b, c = _sorted_triples(pi.dim)
+    s, t, u = sorted((i, j, k))
+    hit = (a == s) & (b == t) & (c == u)  # no sorted triple has a repeated index
+    v = _cyclic_sum(pi, _one(state, pi.dim, "state"), phi, (a[hit], b[hit], c[hit]))
+    return float(-v[0] if _odd((i, j, k)) else v[0]) if v.size else 0.0
 
 
 def conformal_jacobiator(

@@ -261,8 +261,18 @@ def _g17_rows(table: np.ndarray) -> bytes:
     return b"".join(_g17_block(table[i : i + _BLOCK_ROWS]) for i in range(0, table.shape[0], _BLOCK_ROWS))
 
 
+def _finite_json(x):
+    """x with each non-finite float as the string of its token, "NaN", "Infinity"
+    or "-Infinity", which float() reads back: RFC 8259 JSON has no such number."""
+    if isinstance(x, dict):
+        return {k: _finite_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return list(map(_finite_json, x))
+    return json.dumps(x) if isinstance(x, float) and not np.isfinite(x) else x
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _cmd_simulate(args, scenario) -> int:
@@ -286,11 +296,11 @@ def _cmd_simulate(args, scenario) -> int:
             traj = reparametrized_integrate(scenario.params, initial, scenario.config)
         else:
             traj = integrate(scenario.params, initial, scenario.config)
+        series = monitor_series(scenario.params, traj)
     except RUNTIME_ERRORS as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return 1
 
-    series = monitor_series(scenario.params, traj)
     drifts = series_drift(series)
     summary = {
         "mode": "full" if full_mode else "reduced",

@@ -46,7 +46,7 @@ from .body import (
     split_reduced,
 )
 from .errors import NonFiniteState
-from .geometry import _allocating, _one, _swap, unhat
+from .geometry import _allocating, _first_bad, _one, _swap, unhat
 
 __all__ = [
     "MONITOR_NAMES",
@@ -300,7 +300,8 @@ def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConf
 def monitor_series(params: BodyParams, traj: Trajectory) -> dict:
     """Time series of the monitored quantities, recomputed from the stored
     states by one stacked call per quantity; each value equals the call on
-    its state bit for bit."""
+    its state bit for bit.  A value that is not finite (a monitor that
+    overflows) raises NonFiniteState naming the monitor and sample."""
     if traj.dim == FULL_DIM:
         reduced = traj.states[:, RHO_INDEX]
     elif traj.dim == REDUCED_DIM:
@@ -308,12 +309,17 @@ def monitor_series(params: BodyParams, traj: Trajectory) -> dict:
     else:
         raise ValueError(f"monitors need 6- or 15-dim states, got {traj.dim}")
     k = reduced[:, 3:]
-    return {
-        "H": hamiltonian(params, reduced),
-        "C1": casimir_kgamma()(reduced),
-        "C2": casimir_gamma_norm()(reduced),
-        "F": np.vecdot(k, k),
-    }
+    with np.errstate(all="ignore"):  # a value that is not finite is reported below
+        series = {
+            "H": hamiltonian(params, reduced),
+            "C1": casimir_kgamma()(reduced),
+            "C2": casimir_gamma_norm()(reduced),
+            "F": np.vecdot(k, k),
+        }
+    for name, values in series.items():
+        if bad := _first_bad(~np.isfinite(values)):
+            raise NonFiniteState(f"monitor {name} is not finite at sample {bad[0]}")
+    return series
 
 
 def invariant_drift(params: BodyParams, traj: Trajectory) -> dict:

@@ -35,7 +35,7 @@ class UnsupportedRank(ValueError):
 
 
 class NonFiniteState(ArithmeticError):
-    """Integration produced a state with NaN or infinite entries, or a state's
+    """Integration or a monitor produced NaN or infinity, or a state's
     |gamma|^2 overflows in the angular-velocity reconstruction."""
 
 

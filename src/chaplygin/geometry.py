@@ -68,6 +68,12 @@ def _first_bad(bad):
     return i, f" in row {i}" if bad.ndim else ""
 
 
+def _indices(dim: int, *indices: int) -> None:
+    """Raise IndexError naming the first index outside 0 <= i < dim."""
+    if bad := [i for i in indices if not 0 <= i < dim]:
+        raise IndexError(f"index {bad[0]} out of range for dim {dim}")
+
+
 def _one(vector, dim: int, what: str) -> np.ndarray:
     """One vector (dim,), not a stack."""
     if np.shape(vector) != (dim,):

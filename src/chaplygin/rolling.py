@@ -53,6 +53,7 @@ from .geometry import (
     ScalarField,
     _as_rng,
     _draws,
+    _indices,
     _mv,
     _one,
     _rotations,
@@ -465,6 +466,5 @@ def reduction_defect(params: BodyParams, variant: str, full_state) -> np.ndarray
 
 def reduction_consistency(params: BodyParams, variant: str, full_state, i: int, j: int):
     """Entry (i, j) of ``reduction_defect``: a float for one state, one per state of a stack."""
-    if not (0 <= i < REDUCED_DIM and 0 <= j < REDUCED_DIM):
-        raise IndexError("reduced coordinate index out of range")
+    _indices(REDUCED_DIM, i, j)
     return reduction_defect(params, variant, full_state)[..., i, j][()]

@@ -25,7 +25,7 @@ import numbers
 import numpy as np
 
 from .body import BodyParams, _memoized, _run_memo, conformal_factor
-from .brackets import _flow, _sorted_defects, gauge_matrix, scale_bivector
+from .brackets import _flow, _cyclic_sum, gauge_matrix, scale_bivector
 from .dynamics import divergence_defect
 from .geometry import fd_exterior_derivative, sample_reduced_state
 from .rolling import (
@@ -66,7 +66,7 @@ def _jacobi_residual(params: BodyParams, states: np.ndarray, variant: str) -> fl
     reduced states, evaluated once per run: the jacobi suite reads it, and
     so does the twisted suite at ranks 0 and 3."""
     def compute():
-        return _max_abs(_sorted_defects(reduced_bracket(params, variant), states))
+        return _max_abs(_cyclic_sum(reduced_bracket(params, variant), states))
 
     return _memoized(("jacobi", variant), params, (states,), compute)
 
@@ -106,7 +106,7 @@ def _conformal_suite(params: BodyParams, states: np.ndarray, variant=None) -> li
         _check(
             f"conformal-jacobi-{v}",
             f"Jacobiator of (conformal factor) x (rank-{params.rank} {v} bracket) vanishes",
-            _max_abs(_sorted_defects(scaled, states)),
+            _max_abs(_cyclic_sum(scaled, states)),
             1e-9 if poisson_variant(params.rank) else 1e-7,
         ),
     ]
@@ -130,7 +130,7 @@ def _twisted_suite(params: BodyParams, states: np.ndarray, variant=None) -> list
         _check(
             f"twisted-defect-{v}",
             f"rank-{params.rank} {v} bracket is twisted-Poisson against the derived 3-form",
-            _max_abs(_sorted_defects(reduced_bracket(params, v), states, phi)),
+            _max_abs(_cyclic_sum(reduced_bracket(params, v), states, phi)),
             1e-6,
         ),
         _check(

@@ -268,6 +268,12 @@ def test_coordinate_field_rejects_an_index_out_of_range(i):
         coordinate_field(6, i)
 
 
+def test_twisted_defect_rejects_an_index_out_of_range():
+    body = standard_body(2)
+    with pytest.raises(IndexError, match=re.escape("index 9 out of range for dim 6")):
+        twisted_defect(reduced_bracket(body), twist_three_form(body), 0, 1, 9, sample_reduced_state(seed=4))
+
+
 def test_scale_bivector_checks_the_state_before_the_factor():
     """The bracket's state check speaks first: the factor C1 = K . gamma at a
     5-vector raised numpy's vecdot error."""
@@ -321,6 +327,12 @@ def test_gauge_matrix_rejects_non_finite_input():
     for bad_p, bad_b in ((np.where(p == p[0, 12], np.nan, p), b), (p, np.where(b != 0.0, np.inf, b))):
         with pytest.raises(SingularGauge, match="non-finite"):
             gauge_matrix(bad_p, bad_b)
+
+
+def test_gauge_matrix_rejects_a_symmetric_structure_matrix():
+    """A symmetric p makes a symmetric gauged matrix: its residue is the error."""
+    with pytest.raises(SymmetricInput, match="symmetric residue"):
+        gauge_matrix(np.eye(3), np.zeros((3, 3)))
 
 
 def test_stack_errors_name_the_first_offending_row():

@@ -698,6 +698,47 @@ def test_a_body_at_the_edge_of_the_float_range_exits_1_without_a_warning(tmp_pat
     capsys.readouterr()
 
 
+def test_a_monitor_that_overflows_on_finite_states_exits_1(tmp_path, capsys):
+    """K = 1.5e154 stays finite at rank 0 with round inertia, but |K|^2 and H
+    overflow: simulate printed numpy warnings and "max drift nan", exited 0,
+    and wrote NaN drifts and inf cells."""
+    path = write_scenario(
+        tmp_path, rank=0, inertia=[1.0, 1.0, 1.0], initial={"gamma": [1.0, 0.0, 0.0], "K": [1.5e154, 0.0, 0.0]},
+        integrator={"dt": 1e-3, "T": 0.003},
+    )
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "integration failed: monitor H is not finite at sample 0\n"
+    assert not (out / "trajectory.csv").exists() and not (out / "summary.json").exists()
+
+
+def test_a_nan_residual_is_written_as_a_json_string(tmp_path, capsys):
+    """json.dumps wrote a bare NaN, which RFC 8259 JSON does not have."""
+    path = write_scenario(tmp_path, rank=1, inertia=[1e-300, 2.0, 3.0])
+    out = tmp_path / "o"
+    assert main(["verify", str(path), "--suite", "all", "--trials", "2", "--out", str(out)]) == 1
+    capsys.readouterr()
+
+    def refuse(constant):
+        raise ValueError(f"bare {constant} in report.json")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    residuals = [c["max_residual"] for s in report["suites"] for c in s["checks"]]
+    assert [r for r in residuals if isinstance(r, str)] == ["NaN"] * 4
+    assert sum(math.isnan(float(r)) for r in residuals) == 4
+
+
+def test_json_text_writes_non_finite_floats_as_strings_and_keeps_finite_bytes():
+    finite = {"a": [0.1, -2.5e-300, 1.7976931348623157e308, 3], "b": {"c": (1e-5, True, None, "x")}}
+    assert cli._json_text(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
+    text = cli._json_text({"d": [math.nan, math.inf], "e": {"f": -math.inf}, "g": (np.float64("nan"),)})
+    assert json.loads(text) == {"d": ["NaN", "Infinity"], "e": {"f": "-Infinity"}, "g": ["NaN"]}
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [(["verify", "S", "--suite", "all", "--trials", "abc"], "--trials"), (["simulate", "S", "--bogus"], "--bogus"),

@@ -125,6 +125,13 @@ def test_trajectory_validation():
         Trajectory(times=np.zeros(0), states=np.zeros((0, 6)))
 
 
+def test_trajectory_rejects_1d_states_and_a_t_recovered_of_another_length():
+    with pytest.raises(ValueError, match="states 2-d"):
+        Trajectory(times=np.array([0.0, 1.0]), states=np.zeros(2))
+    with pytest.raises(ValueError, match="t_recovered"):
+        Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 6)), t_recovered=np.zeros(3))
+
+
 # ------------------------------------------------------------------ RK4 core
 
 
@@ -219,6 +226,13 @@ def test_gamma_renormalization_flag():
     )
     norms = np.linalg.norm(traj.states[:, :3], axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-14
+
+
+def test_gamma_renormalization_from_gamma_zero_raises():
+    """At rank 0 gamma = 0 stays 0 and has no direction to renormalize to."""
+    config = IntegratorConfig(dt=1e-2, t_final=0.1, renormalize_gamma=True)
+    with pytest.raises(NonFiniteState, match="gamma collapsed"):
+        integrate(standard_body(0), [0.0, 0.0, 0.0, 0.3, -0.1, 0.2], config)
 
 
 def test_rk4_order_via_step_halving():
@@ -643,6 +657,17 @@ def test_monitor_series_rejects_other_dimensions():
     traj = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 7)))
     with pytest.raises(ValueError):
         monitor_series(standard_body(2), traj)
+
+
+def test_monitor_series_names_a_monitor_that_overflows_on_finite_states():
+    """K = 1.5e154 is finite, but |K|^2 and H = K . Omega / 2 overflow: the
+    series held inf, with numpy overflow warnings."""
+    states = np.zeros((3, 6))
+    states[:, 0] = 1.0
+    states[2, 3] = 1.5e154
+    traj = Trajectory(times=np.array([0.0, 1.0, 2.0]), states=states)
+    with pytest.raises(NonFiniteState, match=re.escape("monitor H is not finite at sample 2")):
+        monitor_series(BodyParams(inertia=(1.0, 1.0, 1.0), mass=1.0, radius=1.0, rank=0), traj)
 
 
 def test_invariant_drift_detects_tampering():

@@ -279,6 +279,12 @@ def test_form_patch_evaluate_contracts():
     assert form.evaluate(np.zeros(2), v, u) == pytest.approx(-2.0)
 
 
+def test_form_patch_evaluate_rejects_too_few_vectors():
+    form = FormPatch(degree=2, dim=2, entries=lambda s: np.zeros((2, 2)), partials=lambda s: np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="need 2 vectors, got 1"):
+        form.evaluate(np.zeros(2), np.array([1.0, 0.0]))
+
+
 def _cubic_one_form(dim: int, seed: int, with_partials: bool) -> FormPatch:
     """Random one-form with cubic polynomial coefficients; its partials are
     analytic, or finite differences of its entries."""

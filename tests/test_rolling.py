@@ -796,6 +796,25 @@ def test_leafwise_factorization_of_the_twist():
         assert worst <= 1e-8
 
 
+def test_bracket_factories_reject_an_unknown_variant():
+    body = standard_body(2)
+    with pytest.raises(ValueError, match="'gauged'"):
+        reduced_bracket(body, "gauged")
+    with pytest.raises(ValueError, match="'primed'"):
+        nh_bracket_full(body, "primed")
+
+
+def test_leafwise_two_form_is_only_assembled_at_rank_2():
+    with pytest.raises(UnsupportedRank):
+        leafwise_two_form(standard_body(1))
+
+
+@pytest.mark.parametrize("i, j, bad", [(6, 0, 6), (0, -1, -1)])
+def test_reduction_consistency_names_an_index_out_of_range(i, j, bad):
+    with pytest.raises(IndexError, match=re.escape(f"index {bad} out of range for dim 6")):
+        reduction_consistency(standard_body(2), "plain", sample_full_state(seed=5), i, j)
+
+
 # ----------------------------------------------------------- full space plumbing
 
 

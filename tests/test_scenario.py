@@ -132,6 +132,12 @@ def test_full_form_requires_contact_point():
     assert err.value.field == "initial.x"
 
 
+def test_a_scenario_that_is_not_an_object_names_the_root():
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict([1])
+    assert err.value.field == "<root>"
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioError):
         load_scenario(tmp_path / "absent.json")

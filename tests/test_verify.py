@@ -239,6 +239,11 @@ def test_integer_types_of_numpy_are_accepted_as_trials_and_seed():
     assert run_all_suites(body, trials=np.int64(3), seed=np.uint32(7)) == run_all_suites(body, trials=3, seed=7)
 
 
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        run_suite("bogus", standard_body(2))
+
+
 def test_nothing_is_shared_after_a_run_that_raises(monkeypatch):
     """The gauge suite raises on a full state with gamma = 0 after three suites
     have shared evaluations; afterwards nothing is memoized: the same stack
