@@ -525,7 +525,7 @@ def lift_reduced_state(state) -> np.ndarray:
     """Deterministic section of rho: a rotation with third row gamma, x = 0."""
     gamma, K = split_reduced(_one(state, REDUCED_DIM, "reduced state"))
     norm = float(np.linalg.norm(gamma))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # a nan norm fails too
         raise ValueError(f"cannot lift: |gamma| = {norm!r} is not 1")
     gamma = gamma / norm
     # complete gamma to an orthonormal, positively oriented row triple

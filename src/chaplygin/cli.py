@@ -140,10 +140,10 @@ _ONE_BITS, _LOW32 = 0x3FF0000000000000, 2**32 - 1
 
 @functools.cache  # built by the first CSV of a process; verify builds none
 def _g17_tables() -> tuple:
-    """(pow5, pow10_bits, window, digits, layouts), all uint64:
+    """(pow5, pow10_bits, digits, layouts), all uint64:
     pow5[s] = 5**s for s = 0..21;
-    pow10_bits[k + 4], the bits of the float 10**k for k = -4..16;
-    window, the bits of 1e-4 and 1e16;
+    pow10_bits[k + 4], the bits of the float 10**k for k = -4..16, so its
+    first and last entries bound the cells converted here;
     digits[i], the four ASCII digits of i < 10**4 in bytes 0, 2, 4, 6 and
     their count of trailing zeros (4 for 0000) in byte 7;
     layouts[(E + 4) * 17 + z] for a cell whose last nonzero digit is dz,
@@ -154,7 +154,6 @@ def _g17_tables() -> tuple:
     powers = np.array([10.0**k for k in range(17)])
     # 1 / 10**k is the float nearest 10**-k: IEEE division rounds correctly
     pow10 = np.concatenate([1.0 / powers[4:0:-1], powers])
-    window = np.array([1e-4, 1e16]).view(np.uint64)
 
     ascii10 = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     ascii4 = np.stack(np.meshgrid(ascii10, ascii10, ascii10, ascii10, indexing="ij"), axis=-1).reshape(-1, 4)
@@ -179,7 +178,7 @@ def _g17_tables() -> tuple:
     # each block's temporaries went back to the system when freed and were
     # faulted in again by the next: about 160 minor faults per 251 x 17 table.
     np.empty(1 << 18)
-    return pow5, pow10.view(np.uint64), window, digits.view("<u8").ravel(), layouts.view("<u8").reshape(-1, 10)
+    return pow5, pow10.view(np.uint64), digits.view("<u8").ravel(), layouts.view("<u8").reshape(-1, 10)
 
 
 def _g17_scaled(pow5, m, e2, exp) -> tuple:
@@ -203,27 +202,24 @@ def _g17_scaled(pow5, m, e2, exp) -> tuple:
 
 
 def _g17_block(block: np.ndarray) -> bytes:
-    pow5, pow10_bits, window, digits, layouts = _g17_tables()
+    pow5, pow10_bits, digits, layouts = _g17_tables()
     rows, cols = block.shape
     bits = block.view(np.uint64).ravel()
     magnitude = bits & _ABS_MASK
     zero = magnitude == 0
-    fixed = (magnitude >= window[0]) & (magnitude < window[1])
+    fixed = (magnitude >= pow10_bits[0]) & (magnitude < pow10_bits[-1])
     # the other cells run through as 1.0 and take other layouts below
     mag = np.where(fixed, magnitude, _ONE_BITS)
     biased = (mag >> 52).astype(np.int64)
     m, e2 = (mag & _FRAC_MASK) | _HIDDEN, biased - 1075
-    est = ((biased - 1023) * 78913) >> 18  # floor(log10 2**(biased - 1023))
-    exp = est + (mag >= pow10_bits[est + 5])  # floor(log10 |x|)
+    # exp is floor(log10 |x|) exactly: on the converted cells the estimate is
+    # floor(log10 2**(biased - 1023)), and each float 10**k is exact (k >= 0) or
+    # rounds up, so the compare is |x| >= 10**(est + 1).  No q rounds up to 1e17:
+    # the float below each 10**k is more than half a unit of digit 17 below it.
+    est = ((biased - 1023) * 78913) >> 18
+    exp = est + (mag >= pow10_bits[est + 5])
     q, up = _g17_scaled(pow5, m, e2, exp)
-    off = (q < 10**16).astype(np.int64) - (q >= 10**17)
-    if off.any():  # exp must put floor(|x| 10**(16 - exp)) in [1e16, 1e17)
-        exp -= off
-        q, up = _g17_scaled(pow5, m, e2, exp)
     q += up
-    carry = q == 10**17  # rounded up to 10**(exp + 1)
-    q[carry] = 10**16
-    exp += carry
 
     d0 = q // 10**16
     low16 = q - d0 * 10**16

@@ -45,12 +45,6 @@ __all__ = [
 
 FD_CBRT_EPS = float(np.cbrt(np.finfo(float).eps))
 
-# Levi-Civita symbol, EPSILON[i,j,k] = sign of the permutation (i,j,k).
-EPSILON = np.zeros((3, 3, 3))
-EPSILON[0, 1, 2] = EPSILON[1, 2, 0] = EPSILON[2, 0, 1] = 1.0
-EPSILON[0, 2, 1] = EPSILON[2, 1, 0] = EPSILON[1, 0, 2] = -1.0
-EPSILON.setflags(write=False)
-
 
 def fd_step(x):
     """Central-difference step for a coordinate of magnitude |x| (elementwise on arrays)."""

@@ -48,7 +48,6 @@ from .body import X_nh_full, hamiltonian, omega_jacobians, reduced_vf
 from .brackets import BivectorPatch
 from .errors import UnsupportedRank
 from .geometry import (
-    EPSILON,
     FormPatch,
     ScalarField,
     _as_rng,
@@ -79,13 +78,17 @@ __all__ = [
     "twist_two_form",
 ]
 
-# _HAT_BASIS[l] = hat(e_l) = d hat(gamma) / d x_l on the reduced chart, zero for l >= 3
-_HAT_BASIS = np.concatenate([-EPSILON.transpose(2, 0, 1), np.zeros((3, 3, 3))])
-_HAT_BASIS.setflags(write=False)
+# Each block below is linear in its arguments, so its partials are the block at
+# the partials of the arguments: row l of _D_GAMMA (_D_K) is d gamma / d x_l
+# (d K / d x_l) on the reduced chart, and _G_BASIS[l] is d g / d x_l on the full one.
+_D_GAMMA, _D_K = np.eye(REDUCED_DIM, 3), np.eye(REDUCED_DIM, 3, -3)
+_G_BASIS = np.eye(FULL_DIM, 9).reshape(FULL_DIM, 3, 3)
+_HAT_BASIS = hat(_D_GAMMA)  # d hat(gamma) / d x_l
 # the constant part of the reduced bracket partials: d_l of the two hat(gamma) blocks
 _BRACKET_BASE = np.zeros((REDUCED_DIM,) * 3)
 _BRACKET_BASE[:, :3, 3:] = _BRACKET_BASE[:, 3:, :3] = _HAT_BASIS
-_BRACKET_BASE.setflags(write=False)
+for _constant in (_D_GAMMA, _D_K, _G_BASIS, _HAT_BASIS, _BRACKET_BASE):
+    _constant.setflags(write=False)
 
 
 def hamiltonizable_variant(rank: int) -> str:
@@ -132,14 +135,14 @@ def _omega_dot_gamma_grads(params: BodyParams, gamma, K) -> tuple:
 
 
 def _v_jet(params: BodyParams, gamma, K, variant: str) -> tuple:
-    """(V, dV/dgamma, dV/dK) from one evaluation of Omega and its Jacobians;
-    Jacobian columns are indexed by the differentiation coordinate."""
+    """(V, dV) from one evaluation of Omega and its Jacobians, dV[..., l, i] =
+    d V_i / d x_l: V = K + m r^2 (a Omega + b (Omega . gamma) gamma) at the partials."""
     a, b = _v_coeffs(params.rank, variant)
-    mr2 = params.mr2
     omega, og, dog_dgamma, dog_dk, d_gamma, d_k = _omega_dot_gamma_grads(params, gamma, K)
-    dv_gamma = mr2 * (a * d_gamma + b * (_outer(gamma, dog_dgamma) + og[..., None, None] * np.eye(3)))
-    dv_k = np.eye(3) + mr2 * (a * d_k + b * _outer(gamma, dog_dk))
-    return _v_vector(params, gamma, K, variant, omega), dv_gamma, dv_k
+    d_omega = _swap(np.concatenate([d_gamma, d_k], axis=-1))
+    d_og = np.concatenate([dog_dgamma, dog_dk], axis=-1)
+    dv = _D_K + params.mr2 * (a * d_omega + b * (_outer(d_og, gamma) + og[..., None, None] * _D_GAMMA))
+    return _v_vector(params, gamma, K, variant, omega), dv
 
 
 def _omega_dot_gamma_hessian(params: BodyParams, gamma, K) -> tuple[np.ndarray, np.ndarray]:
@@ -186,10 +189,9 @@ def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch
         gamma, K = split_reduced(s)
 
         def compute():
-            v, dv_gamma, dv_k = _v_jet(params, gamma, K, variant)
+            v, dv = _v_jet(params, gamma, K, variant)
             dp = np.broadcast_to(_BRACKET_BASE, gamma.shape[:-1] + _BRACKET_BASE.shape).copy()
-            # d_l hat(V) = hat(d_l V)
-            dp[..., 3:, 3:] = hat(_swap(np.concatenate([dv_gamma, dv_k], axis=-1)))
+            dp[..., 3:, 3:] = hat(dv)
             return matrix(gamma, v), dp
 
         return _memoized(("jet", variant), params, (gamma, K), compute)
@@ -208,10 +210,8 @@ def annihilator_one_form(params: BodyParams, variant: str = "plain") -> FormPatc
         return np.concatenate([v, gamma], axis=-1)
 
     def partials(s):
-        _, dv_gamma, dv_k = _v_jet(params, *split_reduced(s), variant)
-        out = np.zeros(dv_k.shape[:-2] + (6, 6))
-        out[..., :3, :3], out[..., :3, 3:], out[..., 3:, :3] = _swap(dv_gamma), np.eye(3), _swap(dv_k)
-        return out
+        _, dv = _v_jet(params, *split_reduced(s), variant)
+        return np.concatenate([dv, np.broadcast_to(_D_GAMMA, dv.shape)], axis=-1)
 
     return FormPatch(degree=1, dim=6, entries=entries, partials=partials, name="chi")
 
@@ -373,14 +373,10 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
         dw[..., 6:9, :] += _swap(t_eff @ d_omega_gamma)
         dw[..., :9, :] *= mr2
         dw[..., 12:, :] = eye + mr2 * _swap(t_eff @ d_omega_k)
-        # the constant part of the partials, built here as verify reads no full jet:
-        # d{g_ij, K_m}/dg_ab = -eps_jmb delta_ia and d{x_i, K_m}/dg_ab = r A_ia delta_mb,
-        # l = 3a + b, and their antisymmetric partners
-        base = np.zeros((FULL_DIM,) * 3)
-        base[:9, :9, 12:] = -np.einsum("ia,jmb->abijm", eye, EPSILON).reshape(9, 9, 3)
-        base[:9, 9:12, 12:] = params.radius * np.einsum("ia,mb->abim", a_mat, eye).reshape(9, 3, 3)
-        out = np.broadcast_to(base - base.transpose(0, 2, 1), stack + base.shape).copy()
-        # d_l hat(W) = hat(d_l W)
+        # the g-K and x-K blocks are linear in g: their partials are the matrix at
+        # d g / d x_l, built here as verify reads no full jet
+        zero = np.zeros(3)
+        out = np.broadcast_to(matrix(_G_BASIS, zero, eye, zero), stack + (FULL_DIM,) * 3).copy()
         out[..., 12:, 12:] = hat(dw)
         return matrix(g, K, t_eff, omega), out
 
@@ -401,7 +397,7 @@ def gauge_form_on_M(params: BodyParams) -> FormPatch:
     (Y_l - Y_l^T + L^T hat(d_l Omega) L) with Y_l = L^T hat(Omega) d_l L.
     """
     mr2 = params.mr2
-    d_l_map = _rotation_map(np.eye(FULL_DIM)[:, :9].reshape(FULL_DIM, 3, 3))  # L is linear in g
+    d_l_map = _rotation_map(_G_BASIS)  # L is linear in g
 
     def entries(s):
         g, _, K = split_full(s)

@@ -1,7 +1,9 @@
 """Generic bivector machinery: Hamiltonian fields, Jacobiator, gauge algebra,
 twisted/conformal defects, Casimir defects, distribution probes."""
 
+import dataclasses
 import itertools
+import math
 import re
 import warnings
 
@@ -507,6 +509,25 @@ def test_a_verify_run_makes_no_solve_and_no_svd(monkeypatch, rank, make_body):
     reports = run_all_suites(make_body(rank), trials=6, seed=0)
     assert all(r["passed"] for r in reports)
     assert calls == []
+
+
+@pytest.mark.parametrize("so2_angle", [-0.5 * math.pi, 0.37])
+@pytest.mark.parametrize("make_body", [standard_body, asymmetric_body], ids=["standard", "asymmetric"])
+def test_the_papers_gauge_is_closed_exactly(rank, make_body, so2_angle):
+    """B P of the semi-basic gauge form is nonzero only in rows 0-8 and
+    columns 12-14, so it squares to exactly 0, and gauging P changes no
+    entry outside the K-K block, on 200 drawn states."""
+    body = dataclasses.replace(make_body(rank), so2_angle=so2_angle)
+    states = sample_full_state(seed=30 + rank, n=200)
+    p, bm = nh_bracket_full(body).matrix(states), gauge_form_on_M(body)(states)
+    x = bm @ p
+    outside = np.ones(x.shape[1:], dtype=bool)
+    outside[:9, 12:] = False
+    assert x[:, :9, 12:].any() and not x[:, outside].any()
+    assert not (x @ x).any()
+    change = gauge_matrix(p, bm) - p
+    change[:, 12:, 12:] = 0.0
+    assert not change.any()
 
 
 @pytest.mark.parametrize("scale, n_closed", [(2.0, 6), (2.5, 2), (3.0, 0)])

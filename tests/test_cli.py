@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -407,16 +408,21 @@ def test_g17_text_of_edge_values_matches_format():
     assert cli._g17_rows(np.array([[1e15 + 0.25, 1e15 + 0.75]])) == b"1000000000000000.2,1000000000000000.8\n"
 
 
-@pytest.mark.parametrize("estimate", ["low", "high"])
-def test_g17_exponent_check_corrects_a_wrong_estimate(monkeypatch, estimate):
-    """The decimal exponent from the power-of-ten compare is checked exactly;
-    with every compare forced one way it is corrected, and the text holds."""
-    pow5, pow10_bits, *rest = cli._g17_tables()
-    forced = np.full_like(pow10_bits, 2**63 - 1 if estimate == "low" else 0)
-    monkeypatch.setattr(cli, "_g17_tables", lambda: (pow5, forced, *rest))
-    rng = np.random.default_rng(3)
-    table = rng.standard_normal((40, 9)) * 10.0 ** rng.integers(-4, 16, (40, 9))
-    assert cli._g17_rows(table).decode() == _reference_rows(table)
+def test_g17_exponent_and_rounding_facts_hold_exactly():
+    """The facts that make the formatter's decimal exponent exact, in exact
+    arithmetic: the shift estimate is floor(e log10 2) for every binary
+    exponent e of the converted cells, 1e-4 <= |x| < 1e16; the float 10**k
+    is exact for k >= 0 and rounds up for k < 0, so comparing with it is
+    comparing with 10**k; and the float below 10**k stays more than half a
+    unit of the 17th digit below it, so no cell rounds up to 10**k."""
+    for e in range(-14, 54):
+        est = (e * 78913) >> 18
+        assert Fraction(10) ** est <= Fraction(2) ** e < Fraction(10) ** (est + 1)
+    _, pow10_bits, *_ = cli._g17_tables()
+    for k, x in zip(range(-4, 17), pow10_bits.view(np.float64).tolist()):
+        exact, below = Fraction(10) ** k, Fraction(np.nextafter(x, 0.0))
+        assert Fraction(x) == exact if k >= 0 else Fraction(x) > exact  # exact, or rounded up
+        assert below < exact - Fraction(10) ** (k - 17) / 2
 
 
 _WINDOW_BITS = st.builds(  # sign, an exponent around [1e-4, 1e16), any fraction

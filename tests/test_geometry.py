@@ -26,7 +26,7 @@ from chaplygin import (
     wedge_1_2,
 )
 from chaplygin.errors import AllocationFailed
-from chaplygin.geometry import EPSILON, FD_CBRT_EPS, fd_step
+from chaplygin.geometry import FD_CBRT_EPS, fd_step
 
 from conftest import standard_body
 
@@ -377,14 +377,6 @@ def test_wedge_one_two_identity():
     )
     got = np.einsum("abc,a,b,c->", w, u, v, z)
     assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_levi_civita_tensor():
-    assert EPSILON[0, 1, 2] == 1.0
-    assert EPSILON[1, 0, 2] == -1.0
-    assert EPSILON[0, 0, 1] == 0.0
-    with pytest.raises(ValueError):
-        EPSILON[0, 0, 0] = 5.0  # write-locked
 
 
 # --------------------------------------------------------------------- samplers

@@ -875,8 +875,9 @@ def test_lift_is_a_section_of_rho():
 
 
 def test_lift_rejects_off_sphere_states():
-    with pytest.raises(ValueError):
-        lift_reduced_state(np.array([0.0, 0.0, 2.0, 0.1, 0.2, 0.3]))
+    for gamma in ([0.0, 0.0, 2.0], [np.nan, 0.0, 1.0]):  # a nan norm is not 1 either
+        with pytest.raises(ValueError):
+            lift_reduced_state(np.array([*gamma, 0.1, 0.2, 0.3]))
 
 
 def test_vectors_and_gradients_of_the_wrong_shape_are_named():
