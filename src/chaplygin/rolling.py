@@ -78,16 +78,13 @@ __all__ = [
     "twist_two_form",
 ]
 
-# Each block below is linear in its arguments, so its partials are the block at
-# the partials of the arguments: row l of _D_GAMMA (_D_K) is d gamma / d x_l
-# (d K / d x_l) on the reduced chart, and _G_BASIS[l] is d g / d x_l on the full one.
-_D_GAMMA, _D_K = np.eye(REDUCED_DIM, 3), np.eye(REDUCED_DIM, 3, -3)
-_G_BASIS = np.eye(FULL_DIM, 9).reshape(FULL_DIM, 3, 3)
+# Each block below is linear in its arguments, so its partials are the block at the partials
+# of the arguments, read off the identity: _D_GAMMA[l] (_D_K[l]) is d gamma / d x_l (d K / d x_l)
+# on the reduced chart, _G_BASIS[l] (_FULL_D_K[l]) d g / d x_l (d K / d x_l) on the full one.
+_D_GAMMA, _D_K = split_reduced(np.eye(REDUCED_DIM))
+_G_BASIS, _, _FULL_D_K = split_full(np.eye(FULL_DIM))
 _HAT_BASIS = hat(_D_GAMMA)  # d hat(gamma) / d x_l
-# the constant part of the reduced bracket partials: d_l of the two hat(gamma) blocks
-_BRACKET_BASE = np.zeros((REDUCED_DIM,) * 3)
-_BRACKET_BASE[:, :3, 3:] = _BRACKET_BASE[:, 3:, :3] = _HAT_BASIS
-for _constant in (_D_GAMMA, _D_K, _G_BASIS, _HAT_BASIS, _BRACKET_BASE):
+for _constant in (_D_GAMMA, _D_K, _G_BASIS, _FULL_D_K, _HAT_BASIS):
     _constant.setflags(write=False)
 
 
@@ -127,21 +124,30 @@ def _v_vector(params: BodyParams, gamma, K, variant: str, omega) -> np.ndarray:
     return K + params.mr2 * (a * omega + b * np.vecdot(omega, gamma)[..., None] * gamma)
 
 
-def _omega_dot_gamma_grads(params: BodyParams, gamma, K) -> tuple:
-    """Omega, Omega . gamma, its gradients in gamma and in K, and omega_jacobians."""
+def _omega_jet(params: BodyParams, gamma, K) -> tuple:
+    """(Omega, dOmega, f, df) on the reduced chart, from one evaluation of Omega's
+    Jacobians: dOmega[..., l, i] = d Omega_i / d x_l, f = Omega . gamma and df its gradient."""
     omega, d_gamma, d_k = _omega_and_jacobians(params, gamma, K)
-    og = np.vecdot(omega, gamma)
-    return omega, og, _mv(_swap(d_gamma), gamma) + omega, _mv(_swap(d_k), gamma), d_gamma, d_k
+    df = np.concatenate([_mv(_swap(d_gamma), gamma) + omega, _mv(_swap(d_k), gamma)], axis=-1)
+    return omega, _swap(np.concatenate([d_gamma, d_k], axis=-1)), np.vecdot(omega, gamma), df
+
+
+def _full_omega_jet(params: BodyParams, g, K) -> tuple:
+    """(Omega, dOmega) on the full chart: Omega sees g only through gamma, its third
+    row, so dOmega is ``_omega_jet``'s at the rows RHO_INDEX and 0 elsewhere."""
+    omega, d_omega, _, _ = _omega_jet(params, g[..., 2, :], K)
+    out = np.zeros(g.shape[:-2] + (FULL_DIM, 3))
+    out[..., RHO_INDEX, :] = d_omega
+    return omega, out
 
 
 def _v_jet(params: BodyParams, gamma, K, variant: str) -> tuple:
-    """(V, dV) from one evaluation of Omega and its Jacobians, dV[..., l, i] =
-    d V_i / d x_l: V = K + m r^2 (a Omega + b (Omega . gamma) gamma) at the partials."""
+    """(V, dV) with dV[..., l, i] = d V_i / d x_l: V = K + m r^2 (a Omega + b f gamma),
+    f = Omega . gamma, is linear in K, Omega and f gamma, so dV is the same formula at
+    their partials (``_omega_jet``), with the product rule on f gamma."""
     a, b = _v_coeffs(params.rank, variant)
-    omega, og, dog_dgamma, dog_dk, d_gamma, d_k = _omega_dot_gamma_grads(params, gamma, K)
-    d_omega = _swap(np.concatenate([d_gamma, d_k], axis=-1))
-    d_og = np.concatenate([dog_dgamma, dog_dk], axis=-1)
-    dv = _D_K + params.mr2 * (a * d_omega + b * (_outer(d_og, gamma) + og[..., None, None] * _D_GAMMA))
+    omega, d_omega, f, df = _omega_jet(params, gamma, K)
+    dv = _D_K + params.mr2 * (a * d_omega + b * (_outer(df, gamma) + f[..., None, None] * _D_GAMMA))
     return _v_vector(params, gamma, K, variant, omega), dv
 
 
@@ -172,7 +178,8 @@ def _omega_dot_gamma_hessian(params: BodyParams, gamma, K) -> tuple[np.ndarray, 
 def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch:
     """Almost-Poisson structure on (gamma, K) in block form [[0, hat g], [hat g, hat V]].
 
-    Its jet takes V and its Jacobians from one evaluation of Omega."""
+    It is linear in its blocks gamma and V, so its partials are ``matrix`` at
+    their partials (d gamma, dV), from one evaluation of Omega's jet (``_v_jet``)."""
     _check_variant(variant)
 
     def matrix(gamma, v):
@@ -190,9 +197,7 @@ def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch
 
         def compute():
             v, dv = _v_jet(params, gamma, K, variant)
-            dp = np.broadcast_to(_BRACKET_BASE, gamma.shape[:-1] + _BRACKET_BASE.shape).copy()
-            dp[..., 3:, 3:] = hat(dv)
-            return matrix(gamma, v), dp
+            return matrix(gamma, v), matrix(np.broadcast_to(_D_GAMMA, dv.shape), dv)
 
         return _memoized(("jet", variant), params, (gamma, K), compute)
 
@@ -235,12 +240,11 @@ def twist_two_form(params: BodyParams) -> FormPatch:
 
     def partials(s):
         gamma, K = split_reduced(s)
-        _, og, dog_dgamma, dog_dk, _, _ = _omega_dot_gamma_grads(params, gamma, K)
+        _, _, f, df = _omega_jet(params, gamma, K)
         out = np.zeros(gamma.shape[:-1] + (6, 6, 6))
         hg = hat(gamma)[..., None, :, :]
-        og = np.asarray(og)[..., None, None, None]
-        out[..., :3, :3, :3] = -mr2 * (dog_dgamma[..., None, None] * hg + og * _HAT_BASIS[:3])
-        out[..., 3:, :3, :3] = (-mr2 * dog_dk)[..., None, None] * hg
+        out[..., :3, :3, :3] = -mr2 * (df[..., :3, None, None] * hg + f[..., None, None, None] * _HAT_BASIS[:3])
+        out[..., 3:, :3, :3] = (-mr2 * df[..., 3:])[..., None, None] * hg
         return out
 
     return FormPatch(degree=2, dim=6, entries=entries, partials=partials, name="B_red")
@@ -300,8 +304,6 @@ def leafwise_two_form(params: BodyParams) -> FormPatch:
 # full (unreduced) phase space
 
 
-
-
 def sample_full_state(seed=None, n=None) -> np.ndarray:
     """Random full state: Haar-ish rotation, x and K uniform in [-1,1]^3;
     with a count n, the stack of n such draws (n, 15)."""
@@ -333,7 +335,8 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
     Nonzero entries: {g_ij, K_l} = -eps_jlk g_ik, {x_i, K_l} = r (A g)_il,
     and {K_i, K_j} = hat(W)_ij with W = K + m r^2 T Omega for the plain form
     and W = K + m r^2 (T - E) Omega for the gauged one, T = g^T A^T A g.
-    Its jet takes Omega and its Jacobians from one evaluation.
+    It is linear in its blocks g and W, so its partials are ``matrix`` at their
+    partials (d g, dW), from one evaluation of Omega's jet (``_full_omega_jet``).
     """
     if form not in ("plain", "gauged"):
         raise ValueError(f"form must be 'plain' or 'gauged', got {form!r}")
@@ -341,44 +344,37 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
     q = a_mat.T @ a_mat
     mr2 = params.mr2
     shift = 0.0 if form == "plain" else 1.0
-    eye = np.eye(3)
-    def matrix(g, K, t_eff, omega):
+
+    def matrix(g, w):
         stack = g.shape[:-2]
         p = np.zeros(stack + (FULL_DIM, FULL_DIM))
         # {g_ij, K_l} = -eps_jlk g_ik = hat(g_i)_jl, rows 3i+j, columns 12+l
         p[..., :9, 12:] = hat(g).reshape(stack + (9, 3))
         p[..., 9:12, 12:] = params.radius * (a_mat @ g)
         p = p - _swap(p)
-        p[..., 12:, 12:] = hat(K + mr2 * _mv(t_eff, omega))
+        p[..., 12:, 12:] = hat(w)
         return p
+
+    def w_vector(g, K, omega) -> tuple:
+        """(W, T_eff) with W = K + m r^2 T_eff Omega and T_eff = T - [gauged] E."""
+        t_eff = _swap(g) @ q @ g - shift * np.eye(3)
+        return K + mr2 * _mv(t_eff, omega), t_eff
 
     def structure(s):
         def compute():
             g, _, K = split_full(s)
-            return matrix(g, K, _swap(g) @ q @ g - shift * eye, omega_from_K(params, g[..., 2, :], K))
+            return matrix(g, w_vector(g, K, omega_from_K(params, g[..., 2, :], K))[0])
 
         return _memoized(("full", form), params, (s,), compute)
 
     def jet(s):
         g, _, K = split_full(s)
-        stack = g.shape[:-2]
-        omega, d_omega_gamma, d_omega_k = _omega_and_jacobians(params, g[..., 2, :], K)
-        t_eff = _swap(g) @ q @ g - shift * eye
-        qg = q @ g
-        # rows dW/dx_l: dW/dg_ab = mr2 [(dT/dg_ab) Omega + T_eff dOmega/dg_ab], where
-        # Omega sees g only through gamma = row 2; dW/dK_c = e_c + mr2 T_eff dOmega/dK_c
-        dw = np.zeros(stack + (FULL_DIM, 3))
-        dw_g = _mv(qg, omega)[..., :, None, None] * eye + omega[..., None, :, None] * qg[..., :, None, :]
-        dw[..., :9, :] = dw_g.reshape(stack + (9, 3))
-        dw[..., 6:9, :] += _swap(t_eff @ d_omega_gamma)
-        dw[..., :9, :] *= mr2
-        dw[..., 12:, :] = eye + mr2 * _swap(t_eff @ d_omega_k)
-        # the g-K and x-K blocks are linear in g: their partials are the matrix at
-        # d g / d x_l, built here as verify reads no full jet
-        zero = np.zeros(3)
-        out = np.broadcast_to(matrix(_G_BASIS, zero, eye, zero), stack + (FULL_DIM,) * 3).copy()
-        out[..., 12:, 12:] = hat(dw)
-        return matrix(g, K, t_eff, omega), out
+        omega, d_omega = _full_omega_jet(params, g, K)
+        w, t_eff = w_vector(g, K, omega)
+        # dW = dK + m r^2 (dT Omega + T_eff dOmega), dT = dg^T Q g plus its transpose (Q is symmetric)
+        dt = _swap(_G_BASIS) @ (q @ g)[..., None, :, :]
+        dw = _FULL_D_K + mr2 * (_mv(dt + _swap(dt), omega[..., None, :]) + _mv(t_eff[..., None, :, :], d_omega))
+        return matrix(g, w), matrix(np.broadcast_to(_G_BASIS, dw.shape + (3,)), dw)
 
     return BivectorPatch(dim=FULL_DIM, structure=structure, name=f"nh-rank{params.rank}-{form}", jet=jet)
 
@@ -410,9 +406,7 @@ def gauge_form_on_M(params: BodyParams) -> FormPatch:
         g, _, K = split_full(s)
         l_map = _rotation_map(g)
         lt = _swap(l_map)[..., None, :, :]
-        omega, d_gamma, d_k = _omega_and_jacobians(params, g[..., 2, :], K)
-        d_omega = np.zeros(g.shape[:-2] + (FULL_DIM, 3))  # Omega sees g only through gamma
-        d_omega[..., RHO_INDEX, :] = _swap(np.concatenate([d_gamma, d_k], axis=-1))
+        omega, d_omega = _full_omega_jet(params, g, K)
         y = lt @ hat(omega)[..., None, :, :] @ d_l_map
         out = np.zeros(g.shape[:-2] + (FULL_DIM,) * 3)
         out[..., :9, :9] = -mr2 * (y - _swap(y) + lt @ hat(d_omega) @ l_map[..., None, :, :])

@@ -21,6 +21,7 @@ import chaplygin
 from chaplygin import DegenerateDenominator, NonPositiveFactor, SingularGauge, SymmetricInput, cli, dynamics
 from chaplygin import body as body_module
 from chaplygin.cli import main
+from conftest import asymmetric_body, standard_body
 
 REDUCED_HEADER = "t,gamma1,gamma2,gamma3,K1,K2,K3,H,C1,C2,F"
 FULL_HEADER = "t,g11,g12,g13,g21,g22,g23,g31,g32,g33,x1,x2,x3,K1,K2,K3,H"
@@ -155,6 +156,36 @@ def test_simulate_is_deterministic(tmp_path):
         assert main(["simulate", str(path), "--out", str(tmp_path / name)]) == 0
     for artifact in ("trajectory.csv", "summary.json"):
         assert (tmp_path / "a" / artifact).read_bytes() == (tmp_path / "b" / artifact).read_bytes()
+
+
+# the power of lambda by which each trajectory.csv column scales; gamma, g, x,
+# C2 and the times keep theirs
+_SCALE_POWERS = {"K1": 1, "K2": 1, "K3": 1, "H": 1, "C1": 1, "F": 2}
+
+
+@pytest.mark.parametrize("make", [standard_body, asymmetric_body], ids=["standard", "asymmetric"])
+@pytest.mark.parametrize("flags", [[], ["--reparametrize"], ["--full"]], ids=["reduced", "reparametrized", "full"])
+def test_simulate_is_covariant_under_a_power_of_two_scale(tmp_path, rank, make, flags):
+    """Scaling inertia, mass and K by lambda leaves Omega, and so the motion of
+    gamma, g and x, unchanged.  For lambda = 2^k every cell is the lambda = 1
+    cell times lambda to its power, bit for bit, so an absolute threshold that
+    these scales reach in the march, the monitors or the scenario checks fails here."""
+    body = make(rank)
+
+    def run(k: int):
+        lam = 2.0**k
+        path = write_scenario(
+            tmp_path, f"scale{k}.json", inertia=[lam * i for i in body.inertia], mass=lam * body.mass,
+            radius=body.radius, rank=rank, initial={"gamma": [0.6, 0.0, 0.8], "K": [lam * 0.3, lam * -0.1, lam * 0.2]},
+        )
+        assert main(["simulate", str(path), *flags, "--out", str(tmp_path / f"out{k}")]) == 0
+        header, *rows = (tmp_path / f"out{k}" / "trajectory.csv").read_text().splitlines()
+        return header.split(","), [[float(cell) for cell in row.split(",")] for row in rows]
+
+    header, unit = run(0)
+    powers = [_SCALE_POWERS.get(name, 0) for name in header]
+    for k in (-60, 40, 400):
+        assert run(k) == (header, [[cell * 2.0 ** (k * e) for cell, e in zip(row, powers)] for row in unit])
 
 
 def test_simulate_rejects_malformed_scenario(tmp_path, capsys):

@@ -196,6 +196,16 @@ def test_run_sharing_stays_inside_verify_runs():
     assert assigned == {"__all__", "SUITE_NAMES", "_SUITE_FNS"}
 
 
+def test_one_omega_jet_per_chart():
+    """Inside rolling only _omega_jet reads Omega's Jacobians; the reduced jet,
+    the twist 2-form and (through _full_omega_jet) the full jet and the gauge
+    form take Omega's partials from it, and the hand-built bracket base is gone."""
+    assert {w for m, w, _ in _references("_omega_and_jacobians") if m == "rolling"} == {"_omega_jet"}
+    assert {w for _, w, _ in _references("_omega_jet")} == {"_full_omega_jet", "_v_jet", "twist_two_form.partials"}
+    assert {w for _, w, _ in _references("_full_omega_jet")} == {"nh_bracket_full.jet", "gauge_form_on_M.partials"}
+    assert _references("_BRACKET_BASE") == _references("_omega_dot_gamma_grads") == []
+
+
 def test_one_function_checks_every_patch_output():
     """Forms and bivectors check shape and antisymmetry in _Patch._checked
     alone; SymmetricInput is raised nowhere else but unhat and gauge_matrix,
