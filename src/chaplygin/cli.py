@@ -95,16 +95,9 @@ def _atomic_write(path: Path, text: str):
 
 
 def _trajectory_csv(traj: Trajectory, series: dict) -> str:
-    if traj.dim == FULL_DIM:
-        header = list(_FULL_HEADER)
-        columns = [traj.times] + [traj.states[:, i] for i in range(FULL_DIM)] + [series["H"]]
-    else:
-        header = list(_REDUCED_HEADER)
-        columns = (
-            [traj.times]
-            + [traj.states[:, i] for i in range(6)]
-            + [series[name] for name in MONITOR_NAMES]
-        )
+    full = traj.dim == FULL_DIM
+    header = list(_FULL_HEADER if full else _REDUCED_HEADER)
+    columns = [traj.times, traj.states, *(series[name] for name in (["H"] if full else MONITOR_NAMES))]
     if traj.t_recovered is not None:
         header.append("t_recovered")
         columns.append(traj.t_recovered)

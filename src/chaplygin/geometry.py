@@ -227,15 +227,20 @@ class ScalarField:
 def fd_exterior_derivative(form: FormPatch, state: np.ndarray) -> np.ndarray:
     """Component tensor of d(form) at state, shape (dim,)*(degree+1).
 
-    Assembled from the form's partials.  For a 1-form the assembly p - p^T is
-    antisymmetric to the last bit; from a 2-form on it is so only to
-    round-off (d of the rank-1 twist 2-form, the twist 3-form, shows a
-    2.2e-16 residue in axes (1, 2) over 50 states).
+    Assembled from the form's partials by ``_exterior_derivative``.  For a
+    1-form the assembly p - p^T is antisymmetric to the last bit; from a
+    2-form on it is so only to round-off (d of the rank-1 twist 2-form, the
+    twist 3-form, shows a 2.2e-16 residue in axes (1, 2) over 50 states).
     """
-    p = form.partial_tensor(state)
+    return _exterior_derivative(form.partial_tensor(state), form.degree)
+
+
+def _exterior_derivative(p: np.ndarray, degree: int) -> np.ndarray:
+    """d of a degree-form from its partials p[..., l, i1, ..., ik], any leading axes
+    kept: the sum over j of (-1)^j p with its derivative index moved to slot j."""
     out = np.zeros_like(p)
-    first = -(form.degree + 1)  # the derivative index, after any stack axes
-    for j in range(form.degree + 1):
+    first = -(degree + 1)  # the derivative index, after any leading axes
+    for j in range(degree + 1):
         term = np.moveaxis(p, first, first + j)
         out = out + (term if j % 2 == 0 else -term)
     return out

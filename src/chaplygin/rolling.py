@@ -52,6 +52,7 @@ from .geometry import (
     ScalarField,
     _as_rng,
     _draws,
+    _exterior_derivative,
     _indices,
     _mv,
     _one,
@@ -83,8 +84,7 @@ __all__ = [
 # on the reduced chart, _G_BASIS[l] (_FULL_D_K[l]) d g / d x_l (d K / d x_l) on the full one.
 _D_GAMMA, _D_K = split_reduced(np.eye(REDUCED_DIM))
 _G_BASIS, _, _FULL_D_K = split_full(np.eye(FULL_DIM))
-_HAT_BASIS = hat(_D_GAMMA)  # d hat(gamma) / d x_l
-for _constant in (_D_GAMMA, _D_K, _G_BASIS, _FULL_D_K, _HAT_BASIS):
+for _constant in (_D_GAMMA, _D_K, _G_BASIS, _FULL_D_K):
     _constant.setflags(write=False)
 
 
@@ -116,6 +116,13 @@ def _check_variant(variant: str):
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """np.outer of each pair of vectors of a stack."""
     return u[..., :, None] * v[..., None, :]
+
+
+def _gamma_block(w: np.ndarray) -> np.ndarray:
+    """hat(w) in the gamma-gamma corner of a 6 x 6 zero matrix, for each w of a stack."""
+    out = np.zeros(w.shape[:-1] + (REDUCED_DIM, REDUCED_DIM))
+    out[..., :3, :3] = hat(w)
+    return out
 
 
 def _v_vector(params: BodyParams, gamma, K, variant: str, omega) -> np.ndarray:
@@ -222,30 +229,23 @@ def annihilator_one_form(params: BodyParams, variant: str = "plain") -> FormPatc
 
 
 def twist_two_form(params: BodyParams) -> FormPatch:
-    """The gauge 2-form on the reduced space, supported on the gamma-gamma
-    block: B_ab = m r^2 (Omega . gamma) eps_abl gamma_l.  Only ranks 1 and 2
-    (sign = x - p nonzero) carry a nonzero twist.
-    """
+    """The gauge 2-form on the reduced space: B_ab = m r^2 f eps_abl gamma_l with
+    f = Omega . gamma, the block hat(w) of w = -m r^2 f gamma (``_gamma_block``),
+    so its partials are the block at dw = -m r^2 (df gamma + f d gamma).  Only
+    ranks 1 and 2 (sign = x - p nonzero) carry a nonzero twist."""
     if not params._rank_terms[0]:
         raise UnsupportedRank(f"no reduced gauge 2-form for rank {params.rank}")
     mr2 = params.mr2
 
     def entries(s):
         gamma, K = split_reduced(s)
-        og = np.vecdot(omega_from_K(params, gamma, K), gamma)
-        out = np.zeros(gamma.shape[:-1] + (6, 6))
-        # eps_abl gamma_l = -hat(gamma)_ab
-        out[..., :3, :3] = (-mr2 * og)[..., None, None] * hat(gamma)
-        return out
+        f = np.vecdot(omega_from_K(params, gamma, K), gamma)
+        return _gamma_block((-mr2 * f)[..., None] * gamma)
 
     def partials(s):
         gamma, K = split_reduced(s)
         _, _, f, df = _omega_jet(params, gamma, K)
-        out = np.zeros(gamma.shape[:-1] + (6, 6, 6))
-        hg = hat(gamma)[..., None, :, :]
-        out[..., :3, :3, :3] = -mr2 * (df[..., :3, None, None] * hg + f[..., None, None, None] * _HAT_BASIS[:3])
-        out[..., 3:, :3, :3] = (-mr2 * df[..., 3:])[..., None, None] * hg
-        return out
+        return _gamma_block(-mr2 * (_outer(df, gamma) + f[..., None, None] * _D_GAMMA))
 
     return FormPatch(degree=2, dim=6, entries=entries, partials=partials, name="B_red")
 
@@ -255,10 +255,9 @@ def twist_three_form(params: BodyParams) -> FormPatch:
     sign dB with sign = x - p, i.e. -dB for rank 2, +dB for rank 1
     (B = twist_two_form).
 
-    Its partials are closed form: d_l phi_ijk = sign (H[l,i,j,k] - H[l,j,i,k]
-    + H[l,k,i,j]) with H[l,m,a,b] = d_l d_m B_ab.  B = -m r^2 f hat(gamma)
-    with f = Omega . gamma, and hat(gamma) is linear, so H needs only the
-    Hessian of f (``_omega_dot_gamma_hessian``).
+    Its partials d_l phi are sign d, taken over m, of B's block at the second
+    partials of w = -m r^2 f gamma: ddw_lm = -m r^2 (dd_lm f gamma + d_m f d_l gamma
+    + d_l f d_m gamma), where only f needs a Hessian (``_omega_dot_gamma_hessian``).
     """
     sign = params._rank_terms[0]
     if not sign:
@@ -272,14 +271,12 @@ def twist_three_form(params: BodyParams) -> FormPatch:
     def partials(s):
         gamma, K = split_reduced(s)
         df, ddf = _omega_dot_gamma_hessian(params, gamma, K)
-        h = np.zeros(gamma.shape[:-1] + (REDUCED_DIM,) * 4)
-        df = df[..., None, None]
-        h[..., :3, :3] = -mr2 * (
-            ddf[..., None, None] * hat(gamma)[..., None, None, :, :]
-            + df[..., None, :, :, :] * _HAT_BASIS[:, None]
-            + df[..., :, None, :, :] * _HAT_BASIS[None, :]
+        ddw = -mr2 * (
+            ddf[..., None] * gamma[..., None, None, :]
+            + df[..., None, :, None] * _D_GAMMA[:, None]
+            + df[..., :, None, None] * _D_GAMMA[None, :]
         )
-        return sign * (h - np.moveaxis(h, -3, -2) + np.moveaxis(h, -3, -1))
+        return sign * _exterior_derivative(_gamma_block(ddw), 2)
 
     return FormPatch(degree=3, dim=6, entries=entries, partials=partials, name="phi_twist")
 

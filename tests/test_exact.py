@@ -1,6 +1,7 @@
-"""Exact oracles for the closed-form jets: the partials of the full and the
-reduced brackets and of the full gauge 2-form, held against their exact
-values at the very floats the package sees.
+"""Exact oracles for the closed-form jets: Omega and its Jacobians, the
+partials of the full and the reduced brackets, of the full gauge 2-form and
+of the twist forms, held against their exact values at the very floats the
+package sees.
 
 The oracles are written from the formulas of the paper, not from the
 package's code: Omega = K/n - sign m r^2 c u by Sherman-Morrison (the text
@@ -9,16 +10,29 @@ of ``body._OMEGA``), which is also the package's Omega off the unit sphere
 as its docstring states it.  They run in sympy's exact rationals QQ and are
 differentiated one coordinate at a time by forward mode: that coordinate
 carries a tangent eps with eps^2 = 0, so the eps part of each entry is its
-exact partial.  The full state sits at a rational Cayley rotation.  The
-bound is round-off: 1e-14 of the largest exact partial."""
+exact partial; a second tangent on top of the first gives the second
+partials.  The full state sits at a rational Cayley rotation.  Omega itself
+is also held against an exact linear solve, which does not use the
+Sherman-Morrison text.  The bound is round-off: 1e-14 of the largest exact
+value."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from chaplygin import gauge_form_on_M, matrix_A, nh_bracket_full, reduced_bracket
+from chaplygin import (
+    gauge_form_on_M,
+    matrix_A,
+    nh_bracket_full,
+    omega_from_K,
+    omega_jacobians,
+    reduced_bracket,
+    twist_three_form,
+    twist_two_form,
+)
 from conftest import VARIANTS, asymmetric_body, standard_body
 
 BODIES = {"standard": standard_body, "asymmetric": asymmetric_body}
@@ -32,7 +46,8 @@ def _cayley(a) -> sp.Matrix:
     return (sp.eye(3) - h).inv() * (sp.eye(3) + h)
 
 
-REDUCED = np.array([float(v) for v in (_R(1, 3), _R(-2, 3), _R(2, 3), _R(3, 10), _R(-1, 10), _R(1, 5))])
+GAMMA = (_R(1, 3), _R(-2, 3), _R(2, 3))  # a rational unit vector
+REDUCED = np.array([float(v) for v in (*GAMMA, _R(3, 10), _R(-1, 10), _R(1, 5))])
 FULL = np.concatenate([np.array(_cayley([_R(1, 2), _R(-1, 3), _R(1, 4)]), dtype=float).ravel(),
                        [float(_R(1, 5)), float(_R(-1, 7)), float(_R(1, 3))], REDUCED[3:]])
 
@@ -60,6 +75,9 @@ class _Dual:
     def __sub__(self, v):
         return self + -_dual(v)
 
+    def __rsub__(self, v):
+        return _dual(v) - self
+
     def __mul__(self, v):
         v = _dual(v)
         return _Dual(self.a * v.a, self.a * v.b + self.b * v.a)
@@ -67,6 +85,9 @@ class _Dual:
     def __truediv__(self, v):
         v = _dual(v)
         return _Dual(self.a / v.a, (self.b * v.a - self.a * v.b) / (v.a * v.a))
+
+    def __rtruediv__(self, v):
+        return _dual(v) / self
 
     __radd__, __rmul__ = __add__, __mul__
 
@@ -85,14 +106,15 @@ def _hat(v) -> list:
 
 
 class _Body:
-    """A body's constants in QQ: m r^2, n = I + p m r^2, sign m r^2 with sign = x - p,
+    """A body's constants in QQ: m r^2, n = I + p m r^2, sign = x - p and sign m r^2,
     Q = A^T A = diag(p, p, x) and r A (the package's A, in rationals)."""
 
     def __init__(self, params):
         self.p, self.x = int(params.rank >= 2), params.rank % 2
         self.mr2 = _q(params.mass) * _q(params.radius) ** 2
         self.n = [_q(i) + self.p * self.mr2 for i in params.inertia]
-        self.smr2 = (self.x - self.p) * self.mr2
+        self.sign = self.x - self.p
+        self.smr2 = self.sign * self.mr2
         self.ata = (self.p, self.p, self.x)
         self.ra = [[_q(params.radius) * _q(a) for a in row] for row in matrix_A(params)]
 
@@ -151,14 +173,40 @@ def _gauge_form(body: _Body, y) -> list:
     return out
 
 
-def _exact_partials(entries, state: np.ndarray) -> np.ndarray:
-    """d_l entries at the rationals of the float state, one coordinate l at a time."""
+def _twist_two_form(body: _Body, y) -> list:
+    """B_ab = m r^2 (Omega . gamma) eps_abl gamma_l on the gamma-gamma block."""
+    gamma, K = y[:3], y[3:]
+    f = sum(o * g for o, g in zip(body.omega(gamma, K), gamma))
+    out = [[0] * 6 for _ in range(6)]
+    for a, b in itertools.product(range(3), repeat=2):
+        out[a][b] = body.mr2 * f * sum(_eps(a, b, l) * gamma[l] for l in range(3))
+    return out
+
+
+def _d_two_form(p: np.ndarray) -> np.ndarray:
+    """(dB)_ijk = d_i B_jk - d_j B_ik + d_k B_ij from p[..., l, a, b] = d_l B_ab."""
+    return p - np.swapaxes(p, -3, -2) + np.moveaxis(p, -3, -1)
+
+
+def _exact_partials(entries, state: np.ndarray, order: int = 1) -> np.ndarray:
+    """The exact values (order 0), partials d_l (order 1) or second partials d_l d_m
+    (order 2, axes l, m first) of entries at the rationals of the float state, as an
+    object array: each coordinate carries one nested tangent per order."""
     y0 = [_q(v) for v in state]
-    out = [entries([_Dual(v, int(i == l)) for i, v in enumerate(y0)]) for l in range(len(y0))]
-    return np.array([[[float(_dual(e).b) for e in row] for row in m] for m in out])
+    out = []
+    for ls in itertools.product(range(len(y0)), repeat=order):
+        y = y0
+        for l in ls:
+            y = [_Dual(v, int(i == l)) for i, v in enumerate(y)]
+        e = np.array(entries(y), dtype=object)
+        for _ in ls:
+            e = np.vectorize(lambda t: _dual(t).b, otypes=[object])(e)
+        out.append(e)
+    return np.array(out, dtype=object).reshape((len(y0),) * order + out[0].shape)
 
 
 def _assert_exact(got: np.ndarray, exact: np.ndarray):
+    exact = np.asarray(exact, dtype=float)
     assert got.shape == exact.shape
     assert np.max(np.abs(got - exact)) <= TOL * np.max(np.abs(exact))
 
@@ -184,3 +232,41 @@ def test_gauge_form_partials_are_exact(rank, make):
     params = make(rank)
     exact = _exact_partials(lambda y: _gauge_form(_Body(params), y), FULL)
     _assert_exact(gauge_form_on_M(params).partial_tensor(FULL), exact)
+
+
+@pytest.mark.parametrize("make", BODIES.values(), ids=BODIES.keys())
+def test_omega_jacobians_are_exact(rank, make):
+    params = make(rank)
+    exact = _exact_partials(lambda y: _Body(params).omega(y[:3], y[3:]), REDUCED)
+    _assert_exact(np.concatenate(omega_jacobians(params, REDUCED[:3], REDUCED[3:]), axis=1), exact.T)
+
+
+@pytest.mark.parametrize("make", BODIES.values(), ids=BODIES.keys())
+def test_omega_solves_the_momentum_map_exactly(rank, make):
+    """Omega from sympy's solve of (I + m r^2 S(gamma)) Omega = K with S(gamma) =
+    p E + (x - p) gamma gamma^T, at the exact unit gamma that REDUCED rounds."""
+    params = make(rank)
+    body, gamma = _Body(params), sp.Matrix(GAMMA)
+    s = body.p * sp.eye(3) + (body.x - body.p) * gamma * gamma.T
+    omega = (sp.diag(*map(_q, params.inertia)) + body.mr2 * s).LUsolve(sp.Matrix(list(map(_q, REDUCED[3:]))))
+    _assert_exact(omega_from_K(params, REDUCED[:3], REDUCED[3:]), np.array(omega).ravel())
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("make", BODIES.values(), ids=BODIES.keys())
+def test_twist_two_form_is_exact(rank, make):
+    params = make(rank)
+    b, entries = twist_two_form(params), functools.partial(_twist_two_form, _Body(params))
+    _assert_exact(b(REDUCED), _exact_partials(entries, REDUCED, 0))
+    _assert_exact(b.partial_tensor(REDUCED), _exact_partials(entries, REDUCED))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("make", BODIES.values(), ids=BODIES.keys())
+def test_twist_three_form_is_exact(rank, make):
+    """phi = sign dB, and its partials sign d over the second partials of B."""
+    params = make(rank)
+    body, phi = _Body(params), twist_three_form(params)
+    partials = [_exact_partials(functools.partial(_twist_two_form, body), REDUCED, order) for order in (1, 2)]
+    _assert_exact(phi(REDUCED), body.sign * _d_two_form(partials[0]))
+    _assert_exact(phi.partial_tensor(REDUCED), body.sign * _d_two_form(partials[1]))

@@ -206,6 +206,19 @@ def test_one_omega_jet_per_chart():
     assert _references("_BRACKET_BASE") == _references("_omega_dot_gamma_grads") == []
 
 
+def test_d_is_assembled_in_one_place():
+    """The twist forms take their partials from the block hat(w) of the gauge
+    vector w, with no hat basis of their own, and the alternation of d is written
+    once: fd_exterior_derivative and the twist 3-form's partials call it, and no
+    function in rolling moves an axis by hand."""
+    assert _references("_HAT_BASIS") == []
+    assert [w for m, w, _ in _references("moveaxis") if m == "rolling"] == []
+    assert {(m, w) for m, w, _ in _references("_exterior_derivative")} == {
+        ("geometry", "fd_exterior_derivative"),
+        ("rolling", "twist_three_form.partials"),
+    }
+
+
 def test_one_function_checks_every_patch_output():
     """Forms and bivectors check shape and antisymmetry in _Patch._checked
     alone; SymmetricInput is raised nowhere else but unhat and gauge_matrix,
