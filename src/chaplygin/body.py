@@ -461,9 +461,7 @@ def conformal_factor(params: BodyParams) -> ScalarField:
 
 
 def invariant_density(params: BodyParams) -> ScalarField:
-    """Density of the smooth invariant measure on (gamma, K): 1/conformal_factor."""
-    if not params._rank_terms[0]:
-        return ScalarField(value=lambda s: 1.0, gradient=lambda s: np.zeros(s.shape), name="mu=1")
+    """Density of the smooth invariant measure on (gamma, K): 1/conformal_factor, at every rank."""
     phi = conformal_factor(params)
 
     def value(s):

@@ -364,9 +364,9 @@ def conformal_jacobiator(
 
 
 def casimir_defect(pi: BivectorPatch, c_field: ScalarField, state: np.ndarray):
-    """|| pi^sharp dC ||_2; zero iff C is a Casimir of pi at the state.  A
-    stack of N states gives the N norms."""
-    v = _mv(_swap(pi.matrix(state)), c_field.grad(state))
+    """|| X_C ||_2 with X_C = -pi dC (``_flow``); zero iff C is a Casimir of pi
+    at the state.  A stack of N states gives the N norms."""
+    v = _flow(pi.matrix(state), c_field.grad(state))
     return np.sqrt(np.vecdot(v, v))
 
 

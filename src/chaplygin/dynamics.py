@@ -30,7 +30,6 @@ import numpy as np
 from .body import (
     FULL_DIM,
     REDUCED_DIM,
-    RHO_INDEX,
     BodyParams,
     X_nh_full,
     _chart,
@@ -42,6 +41,7 @@ from .body import (
     hamiltonian,
     invariant_density,
     omega_jacobians,
+    project_rho,
     reduced_vf,
     split_reduced,
 )
@@ -243,15 +243,18 @@ def _unit_gamma(y: list) -> list:
     return [y[0] / norm, y[1] / norm, y[2] / norm] + y[3:]
 
 
-def _march(march, y: list, config: IntegratorConfig, renormalize) -> tuple:
+def _march(march, y: list, config: IntegratorConfig, renormalize=None) -> tuple:
     """RK4 from y along the schedule of config with a compiled march; returns
     (times, states).
 
     Steps Python floats, which never warn: a non-finite step raises
-    NonFiniteState instead.  ``renormalize`` (or None) maps each finite step
-    back to the constraint manifold.  A run whose samples do not fit in
-    memory raises AllocationFailed naming the shape of its states.
+    NonFiniteState instead.  ``renormalize`` maps each finite step back to
+    the constraint manifold (None: gamma = y[:3] alone to unit length where
+    config.renormalize_gamma).  A run whose samples do not fit in memory
+    raises AllocationFailed naming the shape of its states.
     """
+    if renormalize is None and config.renormalize_gamma:
+        renormalize = _unit_gamma
     if not all(map(math.isfinite, y)):
         raise NonFiniteState("initial state has non-finite entries")
     with _allocating((config.n_steps + 1, len(y))):
@@ -273,12 +276,8 @@ def integrate(params: BodyParams, initial, config: IntegratorConfig) -> Trajecto
     y = np.asarray(initial, dtype=float)
     if y.shape not in ((REDUCED_DIM,), (FULL_DIM,)):
         raise ValueError(f"expected one 6- or 15-dim initial state, got shape {y.shape}")
-    if y.size == FULL_DIM:
-        march, renormalize = _body_march(params, "full"), _orthonormal_rows
-    else:
-        march = _body_march(params, "reduced")
-        renormalize = _unit_gamma if config.renormalize_gamma else None
-    times, states = _march(march, y.tolist(), config, renormalize)
+    chart, renormalize = ("full", _orthonormal_rows) if y.size == FULL_DIM else ("reduced", None)
+    times, states = _march(_body_march(params, chart), y.tolist(), config, renormalize)
     return Trajectory(times=times, states=states)
 
 
@@ -291,9 +290,7 @@ def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConf
     states are supported; dt and t_final refer to the new time.
     """
     y0 = _one(initial, REDUCED_DIM, "reduced initial state")
-    # _unit_gamma touches only gamma = z[:3], never the physical time z[6]
-    renormalize = _unit_gamma if config.renormalize_gamma else None
-    times, rows = _march(_body_march(params, "reparam"), y0.tolist() + [0.0], config, renormalize)
+    times, rows = _march(_body_march(params, "reparam"), y0.tolist() + [0.0], config)
     return Trajectory(times=times, states=rows[:, :REDUCED_DIM], t_recovered=rows[:, REDUCED_DIM])
 
 
@@ -303,7 +300,7 @@ def monitor_series(params: BodyParams, traj: Trajectory) -> dict:
     its state bit for bit.  A value that is not finite (a monitor that
     overflows) raises NonFiniteState naming the monitor and sample."""
     if traj.dim == FULL_DIM:
-        reduced = traj.states[:, RHO_INDEX]
+        reduced = project_rho(traj.states)
     elif traj.dim == REDUCED_DIM:
         reduced = traj.states
     else:

@@ -385,29 +385,31 @@ def _rotation_map(g) -> np.ndarray:
 def gauge_form_on_M(params: BodyParams) -> FormPatch:
     """The semi-basic gauge 2-form on the full space relating the plain and
     gauged brackets: B(U, V) = m r^2 Omega . (u x v) where u, v are the
-    body-frame rotation components of U, V.  Supported on the g-g block,
-    -m r^2 L^T hat(Omega) L (``_rotation_map``), whose partials are -m r^2
-    (Y_l - Y_l^T + L^T hat(d_l Omega) L) with Y_l = L^T hat(Omega) d_l L.
+    body-frame rotation components of U, V.  Supported on the g-g block
+    -m r^2 L^T hat(Omega) L (``_rotation_map``), linear in each of L, Omega and
+    L, so its partials are the block at (dL, Omega, L) + (L, dOmega, L) + (L, Omega, dL).
     """
     mr2 = params.mr2
     d_l_map = _rotation_map(_G_BASIS)  # L is linear in g
 
+    def block(left, omega, right):
+        """-m r^2 left^T hat(omega) right in the g-g corner of a 15 x 15 zero matrix."""
+        b = -mr2 * _swap(left) @ hat(omega) @ right
+        out = np.zeros(b.shape[:-2] + (FULL_DIM, FULL_DIM))
+        out[..., :9, :9] = b
+        return out
+
     def entries(s):
         g, _, K = split_full(s)
         l_map = _rotation_map(g)
-        out = np.zeros(g.shape[:-2] + (FULL_DIM, FULL_DIM))
-        out[..., :9, :9] = -mr2 * _swap(l_map) @ hat(omega_from_K(params, g[..., 2, :], K)) @ l_map
-        return out
+        return block(l_map, omega_from_K(params, g[..., 2, :], K), l_map)
 
     def partials(s):
         g, _, K = split_full(s)
-        l_map = _rotation_map(g)
-        lt = _swap(l_map)[..., None, :, :]
+        l_map = _rotation_map(g)[..., None, :, :]  # broadcast over the partial index l
         omega, d_omega = _full_omega_jet(params, g, K)
-        y = lt @ hat(omega)[..., None, :, :] @ d_l_map
-        out = np.zeros(g.shape[:-2] + (FULL_DIM,) * 3)
-        out[..., :9, :9] = -mr2 * (y - _swap(y) + lt @ hat(d_omega) @ l_map[..., None, :, :])
-        return out
+        omega = omega[..., None, :]
+        return block(d_l_map, omega, l_map) + block(l_map, d_omega, l_map) + block(l_map, omega, d_l_map)
 
     return FormPatch(degree=2, dim=FULL_DIM, entries=entries, partials=partials, name="B_full")
 

@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import BodyParams, pack_full
+from .body import BodyParams, _rank_bits, pack_full
 from .dynamics import IntegratorConfig
-from .errors import ScenarioError
+from .errors import ScenarioError, UnsupportedRank
 
 __all__ = ["Scenario", "load_scenario", "scenario_from_dict"]
 
@@ -82,8 +82,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     radius = _number(_require(data, "radius"), "radius", positive=True)
 
     rank = _require(data, "rank")
-    if isinstance(rank, bool) or not isinstance(rank, int) or rank not in (0, 1, 2, 3):
-        raise ScenarioError("rank", f"must be an integer in 0..3, got {rank!r}")
+    try:
+        _rank_bits(rank)
+    except UnsupportedRank as exc:
+        raise ScenarioError("rank", str(exc))
 
     angle = _number(data.get("so2_angle", -0.5 * math.pi), "so2_angle")
 

@@ -14,7 +14,12 @@ exact partial; a second tangent on top of the first gives the second
 partials.  The full state sits at a rational Cayley rotation.  Omega itself
 is also held against an exact linear solve, which does not use the
 Sherman-Morrison text.  The bound is round-off: 1e-14 of the largest exact
-value."""
+value.
+
+The paper's identities are held exactly, with no bound, at the rational
+states themselves: the Jacobi identity of the Poisson variants, the rank-2
+plain witness, the conformal and the twisted Jacobi identities of the
+Hamiltonizable bracket, and the closed gauge pair (B pi squares to 0)."""
 
 import functools
 import itertools
@@ -25,6 +30,8 @@ import sympy as sp
 
 from chaplygin import (
     gauge_form_on_M,
+    hamiltonizable_variant,
+    jacobi_tensor,
     matrix_A,
     nh_bracket_full,
     omega_from_K,
@@ -47,14 +54,14 @@ def _cayley(a) -> sp.Matrix:
 
 
 GAMMA = (_R(1, 3), _R(-2, 3), _R(2, 3))  # a rational unit vector
-REDUCED = np.array([float(v) for v in (*GAMMA, _R(3, 10), _R(-1, 10), _R(1, 5))])
-FULL = np.concatenate([np.array(_cayley([_R(1, 2), _R(-1, 3), _R(1, 4)]), dtype=float).ravel(),
-                       [float(_R(1, 5)), float(_R(-1, 7)), float(_R(1, 3))], REDUCED[3:]])
+EXACT_REDUCED = (*GAMMA, _R(3, 10), _R(-1, 10), _R(1, 5))
+EXACT_FULL = (*_cayley([_R(1, 2), _R(-1, 3), _R(1, 4)]), _R(1, 5), _R(-1, 7), _R(1, 3), *EXACT_REDUCED[3:])
+REDUCED, FULL = (np.array([float(v) for v in state]) for state in (EXACT_REDUCED, EXACT_FULL))
 
 
 def _q(x):
-    """The float x in QQ, exactly."""
-    return sp.QQ(*float(x).as_integer_ratio())
+    """x in QQ, exactly: a sympy Rational, or the binary value of a float."""
+    return sp.QQ(x.p, x.q) if isinstance(x, sp.Rational) else sp.QQ(*float(x).as_integer_ratio())
 
 
 class _Dual:
@@ -118,11 +125,14 @@ class _Body:
         self.ata = (self.p, self.p, self.x)
         self.ra = [[_q(params.radius) * _q(a) for a in row] for row in matrix_A(params)]
 
+    def den(self, gamma):
+        """den = |gamma|^2 + sign m r^2 gamma . u with u = gamma/n: the square of the conformal factor."""
+        return sum(g * g for g in gamma) + self.smr2 * sum(g * g / n for g, n in zip(gamma, self.n))
+
     def omega(self, gamma, K) -> list:
-        """Omega = K/n - sign m r^2 c u, u = gamma/n, c = K . u / den, den = |gamma|^2 + sign m r^2 gamma . u."""
+        """Omega = K/n - sign m r^2 c u, u = gamma/n, c = K . u / den."""
         u = [g / n for g, n in zip(gamma, self.n)]
-        den = sum(g * g for g in gamma) + self.smr2 * sum(g * v for g, v in zip(gamma, u))
-        c = sum(k * v for k, v in zip(K, u)) / den
+        c = sum(k * v for k, v in zip(K, u)) / self.den(gamma)
         return [k / n - self.smr2 * c * v for k, n, v in zip(K, self.n, u)]
 
 
@@ -188,10 +198,11 @@ def _d_two_form(p: np.ndarray) -> np.ndarray:
     return p - np.swapaxes(p, -3, -2) + np.moveaxis(p, -3, -1)
 
 
-def _exact_partials(entries, state: np.ndarray, order: int = 1) -> np.ndarray:
+def _exact_partials(entries, state, order: int = 1) -> np.ndarray:
     """The exact values (order 0), partials d_l (order 1) or second partials d_l d_m
-    (order 2, axes l, m first) of entries at the rationals of the float state, as an
-    object array: each coordinate carries one nested tangent per order."""
+    (order 2, axes l, m first) of entries at the rationals of the state (floats or
+    sympy Rationals), as an object array: each coordinate carries one nested tangent
+    per order."""
     y0 = [_q(v) for v in state]
     out = []
     for ls in itertools.product(range(len(y0)), repeat=order):
@@ -270,3 +281,86 @@ def test_twist_three_form_is_exact(rank, make):
     partials = [_exact_partials(functools.partial(_twist_two_form, body), REDUCED, order) for order in (1, 2)]
     _assert_exact(phi(REDUCED), body.sign * _d_two_form(partials[0]))
     _assert_exact(phi.partial_tensor(REDUCED), body.sign * _d_two_form(partials[1]))
+
+
+# ---------------------------------------------------------------------------
+# the paper's identities, exactly, at the rational states themselves
+
+
+def _jacobi(p, dp, phi=None) -> list:
+    """sum_l [pi_al d_l pi_bc + pi_bl d_l pi_ca + pi_cl d_l pi_ab] at every sorted triple
+    a < b < c, from exact p[a, b] and dp[l, a, b], plus phi(X_a, X_b, X_c) with X_a =
+    -pi e_a when a 3-form phi[i, j, k] is given."""
+    dim, x = len(p), -p.T  # row a is X_a
+    out = []
+    for a, b, c in itertools.combinations(range(dim), 3):
+        j = sum(p[a, l] * dp[l, b, c] + p[b, l] * dp[l, c, a] + p[c, l] * dp[l, a, b] for l in range(dim))
+        out.append(j if phi is None else j + phi.dot(x[c]).dot(x[b]).dot(x[a]))
+    return out
+
+
+def _zero(values) -> bool:
+    return all(v == 0 for v in values)
+
+
+def _reduced_jet(body: _Body, variant: str) -> tuple:
+    """The exact reduced bracket and its partials at EXACT_REDUCED."""
+    entries = functools.partial(_reduced_bracket, body, variant)
+    return tuple(_exact_partials(entries, EXACT_REDUCED, order) for order in (0, 1))
+
+
+@pytest.mark.parametrize("rank, variant", [(0, "plain"), (3, "primed")])
+@pytest.mark.parametrize("make", BODIES.values(), ids=BODIES.keys())
+def test_poisson_variants_satisfy_jacobi_exactly(rank, variant, make):
+    """The variants with S(gamma) = p E (x = p) are Poisson as they are."""
+    assert _zero(_jacobi(*_reduced_jet(_Body(make(rank)), variant)))
+
+
+def test_rank2_plain_jacobi_witness_is_exact():
+    """The plain rank-2 bracket is not Poisson: its largest Jacobi defect is 12/37,
+    which the package's float Jacobi tensor reproduces to round-off."""
+    params = standard_body(2)
+    witness = max(map(abs, _jacobi(*_reduced_jet(_Body(params), "plain"))))
+    assert witness == sp.QQ(12, 37)
+    got = np.max(np.abs(jacobi_tensor(reduced_bracket(params, "plain"), REDUCED)))
+    assert abs(got - 12 / 37) <= TOL * 12 / 37
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("make", BODIES.values(), ids=BODIES.keys())
+def test_conformal_rescaling_is_poisson_exactly(rank, make):
+    """J(phi pi) = den J(pi) + 1/2 sum_cyc sum_l pi_al d_l den pi_bc = 0 for the
+    Hamiltonizable pi, as phi^2 = den and phi d phi = d den / 2: no square root enters."""
+    body = _Body(make(rank))
+    p, dp = _reduced_jet(body, hamiltonizable_variant(rank))
+    d = p.dot(_exact_partials(lambda y: body.den(y[:3]), EXACT_REDUCED))  # d[a] = sum_l pi_al d_l den
+    den = body.den([_q(g) for g in GAMMA])
+    triples = itertools.combinations(range(len(p)), 3)
+    assert _zero(den * j + (d[a] * p[b, c] + d[b] * p[c, a] + d[c] * p[a, b]) / 2
+                 for j, (a, b, c) in zip(_jacobi(p, dp), triples))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("make", BODIES.values(), ids=BODIES.keys())
+def test_twisted_jacobi_identity_is_exact(rank, make):
+    """J(pi) + phi(X_a, X_b, X_c) = 0 for the Hamiltonizable pi, with phi = sign dB
+    and X_a = -pi e_a."""
+    body = _Body(make(rank))
+    phi = body.sign * _d_two_form(_exact_partials(functools.partial(_twist_two_form, body), EXACT_REDUCED))
+    assert _zero(_jacobi(*_reduced_jet(body, hamiltonizable_variant(rank)), phi))
+
+
+@pytest.mark.parametrize("make", BODIES.values(), ids=BODIES.keys())
+@pytest.mark.parametrize("form", ["plain", "gauged"])
+def test_gauge_pair_is_closed_exactly(rank, make, form):
+    """At the rational rotation X = B pi is zero outside rows 0-8 x columns 12-14,
+    so X @ X = 0, and pi B pi is zero outside the K-K block."""
+    body, y = _Body(make(rank)), [_q(v) for v in EXACT_FULL]
+    pi, b = (np.array(m, dtype=object) for m in (_full_bracket(body, form, y), _gauge_form(body, y)))
+    x = b.dot(pi)
+    outside = np.ones((15, 15), dtype=bool)
+    outside[:9, 12:] = False
+    assert _zero(x[outside]) and _zero(x.dot(x).ravel())
+    pbp = pi.dot(x)
+    pbp[12:, 12:] = 0
+    assert _zero(pbp.ravel())

@@ -219,6 +219,27 @@ def test_d_is_assembled_in_one_place():
     }
 
 
+def test_each_rule_reads_its_one_definition():
+    """mu is 1/phi at every rank, X_C goes through _flow, the gamma
+    renormalization and the rank rule are applied where they are defined, the
+    full gauge form restates no hat or transpose outside its block, and the
+    suite names are the suite registry's keys."""
+    def where(name: str) -> set:
+        return {(m, w) for m, w, _ in _references(name)}
+
+    assert [w for m, w in where("_rank_terms") if w.startswith("invariant_density")] == []
+    assert ("brackets", "casimir_defect") in where("_flow") - where("_swap")
+    assert where("_unit_gamma") == {("dynamics", "_march")}
+    assert [w for m, w in where("RHO_INDEX") if m == "dynamics"] == []
+    assert ("scenario", "scenario_from_dict") in where("_rank_bits")
+    for name in ("hat", "_swap"):
+        assert {w for m, w in where(name) if w.startswith("gauge_form_on_M")} == {"gauge_form_on_M.block"}
+    tree = ast.parse((Path(chaplygin.__file__).parent / "verify.py").read_text())
+    built = [ast.unparse(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SUITE_NAMES"]
+    assert built == ["tuple(_SUITE_FNS)"]
+
+
 def test_one_function_checks_every_patch_output():
     """Forms and bivectors check shape and antisymmetry in _Patch._checked
     alone; SymmetricInput is raised nowhere else but unhat and gauge_matrix,
