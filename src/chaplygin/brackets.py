@@ -19,7 +19,18 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AnnihilationViolated, NonPositiveFactor, SingularGauge, SymmetricInput
-from .geometry import FormPatch, ScalarField, _first_bad, _indices, _mv, _one, _Patch, _swap, fd_exterior_derivative
+from .geometry import (
+    FormPatch,
+    ScalarField,
+    _asymmetry,
+    _first_bad,
+    _indices,
+    _mv,
+    _one,
+    _Patch,
+    _swap,
+    fd_exterior_derivative,
+)
 
 __all__ = [
     "BivectorPatch",
@@ -265,9 +276,8 @@ def gauge_matrix(p: np.ndarray, bm: np.ndarray) -> np.ndarray:
             raise SingularGauge(f"E + B pi has condition {condition.flat[bad[0]]:.3e}{bad[1]}")
         # p @ inv(m), computed by a solve on the transposed system
         g = _swap(np.linalg.solve(_swap(m), _swap(p)))
-    residue = np.max(np.abs(g + _swap(g)), axis=(-2, -1))
-    if bad := _first_bad(residue > 1e-10):
-        raise SymmetricInput(f"gauged matrix has symmetric residue {residue.flat[bad[0]]:.3e}{bad[1]}")
+    if bad := _asymmetry(g, 2, 0, 1e-10):
+        raise SymmetricInput(f"gauged matrix has symmetric residue {bad[0]:.3e}{bad[1]}")
     return 0.5 * (g - _swap(g))
 
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -240,7 +241,7 @@ def _g17_block(block: np.ndarray) -> bytes:
         cells = ["%.17g" % x for x in block.ravel()[fallback].tolist()]
         text[fallback, :24] = np.array(cells, dtype="S24").view(np.uint8).reshape(-1, 24)
     text = text.ravel()
-    return np.compress(text != 0, text).tobytes()
+    return text.tobytes().translate(None, b"\0")
 
 
 def _g17_rows(table: np.ndarray) -> bytes:
@@ -250,18 +251,40 @@ def _g17_rows(table: np.ndarray) -> bytes:
     return b"".join(_g17_block(table[i : i + _BLOCK_ROWS]) for i in range(0, table.shape[0], _BLOCK_ROWS))
 
 
-def _finite_json(x):
-    """x with each non-finite float as the string of its token, "NaN", "Infinity"
-    or "-Infinity", which float() reads back: RFC 8259 JSON has no such number."""
-    if isinstance(x, dict):
-        return {k: _finite_json(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return list(map(_finite_json, x))
-    return json.dumps(x) if isinstance(x, float) and not np.isfinite(x) else x
-
-
 def _json_text(payload: dict) -> str:
-    return json.dumps(_finite_json(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """payload as json.dumps(payload, indent=2, sort_keys=True) writes it, and a
+    newline, but with each non-finite float as the string of its token, "NaN",
+    "Infinity" or "-Infinity", which float() reads back: RFC 8259 JSON has no
+    such number.  A key that is not a str, or a value json.dumps refuses, is a
+    TypeError."""
+    return _json_value(payload, "\n") + "\n"
+
+
+def _json_value(x, newline: str) -> str:
+    """The text of x, testing its type in json.dumps's order; ``newline`` is a
+    newline and the indent of x's own line."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return '"NaN"' if x != x else '"Infinity"' if x > 0 else '"-Infinity"'
+    inner = newline + "  "
+    if isinstance(x, (list, tuple)):
+        items = [_json_value(item, inner) for item in x]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
+    if isinstance(x, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_value(x[key], inner)}" for key in sorted(x)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _cmd_simulate(args, scenario) -> int:

@@ -52,14 +52,23 @@ def fd_step(x):
 
 
 def _first_bad(bad):
-    """None if no entry of ``bad`` (one boolean per state) is set; otherwise
+    """None if no entry of ``bad`` (a numpy bool per state) is set; otherwise
     the flat index of the first set entry and where it is: '' for one state
     (0-d), ' in row i' for a stack."""
-    bad = np.asarray(bad)
     if not bad.any():
         return None
     i = int(np.argmax(bad))
     return i, f" in row {i}" if bad.ndim else ""
+
+
+def _asymmetry(t, k, ax, bound):
+    """None if no tensor of t (its last k axes) has a residue max |t + t swapped| in slots (ax, ax + 1)
+    above ``bound`` (nan passes); else that residue of the first and where it is (``_first_bad``)."""
+    s = np.abs(t + np.swapaxes(t, ax - k, ax + 1 - k))
+    if (s > bound).any():
+        residue = np.max(s, axis=tuple(range(-k, 0)))
+        if bad := _first_bad(residue > bound):
+            return residue.flat[bad[0]], bad[1]
 
 
 def _indices(dim: int, *indices: int) -> None:
@@ -104,9 +113,8 @@ def unhat(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix or a stack (..., 3, 3), got shape {m.shape}")
-    residue = np.max(np.abs(m + _swap(m)), axis=(-2, -1))
-    if bad := _first_bad(residue > 1e-8):
-        raise SymmetricInput(f"symmetric part {residue.flat[bad[0]]:.3e} exceeds tolerance 1.0e-08{bad[1]}")
+    if bad := _asymmetry(m, 2, 0, 1e-8):
+        raise SymmetricInput(f"symmetric part {bad[0]:.3e} exceeds tolerance 1.0e-08{bad[1]}")
     a = 0.5 * (m - _swap(m))
     return np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1)
 
@@ -141,22 +149,16 @@ class _Patch:
             raise ValueError("dim must be positive")
 
     def _checked(self, t, state: np.ndarray, k: int, what: str, antisymmetric: bool = True) -> np.ndarray:
-        """The raw output t at ``state`` as a float array, checked: its shape
-        is state.shape[:-1] + (dim,) * k and, when ``antisymmetric``, it is
-        antisymmetric to 1e-12 in each adjacent pair of its k slots
-        (SymmetricInput names the first offending row)."""
+        """The raw output t at ``state`` as a float array, checked: its shape is state.shape[:-1]
+        + (dim,) * k and, when ``antisymmetric``, it is antisymmetric to 1e-12 in each adjacent
+        pair of its k slots (``_asymmetry``; SymmetricInput names the first offending row)."""
         t = np.asarray(t, dtype=float)
-        expect = state.shape[:-1] + (self.dim,) * k
-        what = f"{what} '{self.name}'"
-        if t.shape != expect:
-            raise ValueError(f"{what} has shape {t.shape}, expected {expect}")
-        slots = tuple(range(-k, 0))
+        if t.shape != (expect := state.shape[:-1] + (self.dim,) * k):
+            raise ValueError(f"{what} '{self.name}' has shape {t.shape}, expected {expect}")
         for ax in range(k - 1 if antisymmetric else 0):
-            residue = np.max(np.abs(t + np.swapaxes(t, slots[ax], slots[ax + 1])), axis=slots)
-            if bad := _first_bad(residue > 1e-12):
-                raise SymmetricInput(
-                    f"{what} is not antisymmetric in axes ({ax},{ax + 1}): residue {residue.flat[bad[0]]:.3e}{bad[1]}"
-                )
+            if bad := _asymmetry(t, k, ax, 1e-12):
+                raise SymmetricInput(f"{what} '{self.name}' is not antisymmetric in axes ({ax},{ax + 1}): "
+                                     f"residue {bad[0]:.3e}{bad[1]}")
         return t
 
 
@@ -166,9 +168,7 @@ class FormPatch(_Patch):
 
     ``entries(state)`` returns the full component tensor (shape (dim,)*degree)
     and ``partials(state)`` the derivative tensor with the derivative index
-    first (shape (dim,)*(degree+1)).  Component tensors must be antisymmetric
-    to 1e-12 in every pair of adjacent indices; this is checked on each
-    evaluation (``_Patch._checked``).
+    first (shape (dim,)*(degree+1)).  Entries must be antisymmetric to 1e-12 (``_Patch._checked``).
     """
 
     degree: int

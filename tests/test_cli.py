@@ -776,6 +776,57 @@ def test_json_text_writes_non_finite_floats_as_strings_and_keeps_finite_bytes():
     assert json.loads(text) == {"d": ["NaN", "Infinity"], "e": {"f": "-Infinity"}, "g": ["NaN"]}
 
 
+def _tokens(x):
+    """x with lists for tuples and each non-finite float as the string of its token."""
+    if isinstance(x, dict):
+        return {k: _tokens(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_tokens(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return "NaN" if math.isnan(x) else "Infinity" if x > 0 else "-Infinity"
+    return x
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**400), 10**400), _JSON_FLOATS, st.text(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner), st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.text(), _JSON_VALUES, max_size=5))
+def test_json_text_is_json_dumps_of_the_tokens(payload):
+    """The direct writer gives json.dumps's indent-2, sorted-key bytes, keys and
+    strings escaped to ASCII, floats as float.__repr__ and ints as int.__repr__."""
+    expected = json.dumps(_tokens(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert cli._json_text(payload) == expected
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), {1.0}, b"x", np.int64(3)], ids=repr)
+def test_json_text_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli._json_text({"a": [0.5, {"b": value}]})
+
+
+def test_json_text_keys_must_be_str():
+    """json.dumps would write the key 1 as "1"; no report or summary has such a key."""
+    with pytest.raises(TypeError, match="must be a string, not int"):
+        cli._json_text({"a": {1: 0.5}})
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [(["verify", "S", "--suite", "all", "--trials", "abc"], "--trials"), (["simulate", "S", "--bogus"], "--bogus"),

@@ -1,11 +1,14 @@
 """Vector algebra, hat map, finite-difference exterior calculus, samplers."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chaplygin
 from chaplygin import (
@@ -25,8 +28,9 @@ from chaplygin import (
     unhat,
     wedge_1_2,
 )
+from chaplygin.brackets import gauge_matrix
 from chaplygin.errors import AllocationFailed
-from chaplygin.geometry import FD_CBRT_EPS, fd_step
+from chaplygin.geometry import FD_CBRT_EPS, _asymmetry, fd_step
 
 from conftest import standard_body
 
@@ -256,6 +260,130 @@ def test_one_function_checks_every_patch_output():
         ("brackets", "BivectorPatch.matrix"),
         ("brackets", "BivectorPatch.matrix_and_partials"),
     }
+
+
+def test_the_antisymmetry_residue_is_written_once():
+    """The residue rule, max |t + t swapped| above a bound, is computed in
+    geometry._asymmetry alone, and the three preconditions that raise
+    SymmetricInput read it."""
+    sites = set()
+    for path in sorted(Path(chaplygin.__file__).parent.glob("*.py")):
+        for top in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "abs"
+                        and isinstance(arg := node.args[0], ast.BinOp) and isinstance(arg.op, ast.Add)
+                        and isinstance(arg.right, ast.Call)
+                        and getattr(arg.right.func, "attr", getattr(arg.right.func, "id", None)) in ("swapaxes", "_swap")):
+                    sites.add((path.stem, top.name))
+    assert sites == {("geometry", "_asymmetry")}
+    assert {(m, w) for m, w, _ in _references("_asymmetry")} == {
+        ("geometry", "_Patch._checked"),
+        ("geometry", "unhat"),
+        ("brackets", "gauge_matrix"),
+    }
+
+
+# Entries in units of the bound: below, at and above it, far above, and non-finite.
+_UNITS = (0.0, 0.25, 0.5, 1.0, 2.0, 1e8, -3.0, math.inf, -math.inf, math.nan)
+
+
+def _row_rule(t, k: int, ax: int, bound: float):
+    """The residue rule as each precondition wrote it before the stack-wide
+    test: each row's max |t + t swapped| in slots (ax, ax + 1) of its last k
+    axes, and the first row above the bound, as (residue, where) or None."""
+    slots = tuple(range(-k, 0))
+    residue = np.max(np.abs(t + np.swapaxes(t, slots[ax], slots[ax + 1])), axis=slots)
+    bad = residue > bound
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return residue.flat[i], f" in row {i}" if bad.ndim else ""
+
+
+@st.composite
+def _tensors(draw, ks=(2, 3), dims=(2, 3, 4), units=_UNITS):
+    """(t, k): a stack (N, d, ..., d) of k-slot tensors, or one tensor, zero but
+    for a few entries drawn from ``units``."""
+    k, d = draw(st.sampled_from(ks)), draw(st.sampled_from(dims))
+    stack = (draw(st.integers(1, 4)),) if draw(st.booleans()) else ()
+    shape = stack + (d,) * k
+    t = np.zeros(shape)
+    for _ in range(draw(st.integers(0, 4))):
+        t[tuple(draw(st.integers(0, n - 1)) for n in shape)] = draw(st.sampled_from(units))
+    return t, k
+
+
+def _nan_row_over_the_bound(k: int) -> tuple:
+    """A stack of two 3 x ... x 3 tensors whose row 0 holds a nan and an entry far
+    above the bound; its per-row residue is nan, which passes."""
+    t = np.zeros((2,) + (3,) * k)
+    t[(0,) + (0,) * (k - 1) + (1,)] = math.nan
+    t[(0,) + (1,) * (k - 1) + (2,)] = 1e8
+    return t, k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tensors(), st.sampled_from([1e-12, 1e-10, 1e-8]))
+@example(_nan_row_over_the_bound(2), 1e-12)
+@example(_nan_row_over_the_bound(3), 1e-12)
+def test_the_stack_wide_antisymmetry_test_keeps_every_verdict(case, bound):
+    t, k = case
+    t = t * bound
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        for ax in range(k - 1):
+            got, want = _asymmetry(t, k, ax, bound), _row_rule(t, k, ax, bound)
+            assert got == want and (got is None or type(got[0]) is type(want[0]))
+
+
+def _raised(call) -> tuple:
+    """(type, message) of what call raises, or None if it returns."""
+    try:
+        with np.errstate(invalid="ignore"):
+            call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tensors())
+@example(_nan_row_over_the_bound(2))
+@example(_nan_row_over_the_bound(3))
+def test_patch_outputs_keep_their_antisymmetry_errors(case):
+    t, k = case
+    t = t * 1e-12
+    d = t.shape[-1]
+    form = FormPatch(degree=k, dim=d, entries=lambda s: t, partials=lambda s: None, name="w")
+    want = next(((ax, r) for ax in range(k - 1) if (r := _row_rule(t, k, ax, 1e-12))), None)
+    if want:
+        ax, (residue, where) = want
+        want = SymmetricInput, f"form 'w' is not antisymmetric in axes ({ax},{ax + 1}): residue {residue:.3e}{where}"
+    assert _raised(lambda: form(np.zeros(t.shape[:-k] + (d,)))) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tensors(ks=(2,), dims=(3,)))
+@example(_nan_row_over_the_bound(2))
+def test_unhat_keeps_its_antisymmetry_error(case):
+    m = case[0] * 1e-8
+    want = _row_rule(m, 2, 0, 1e-8)
+    if want:
+        want = SymmetricInput, f"symmetric part {want[0]:.3e} exceeds tolerance 1.0e-08{want[1]}"
+    assert _raised(lambda: unhat(m)) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tensors(ks=(2,), units=_UNITS[:7]))
+def test_gauge_matrix_keeps_its_antisymmetry_error(case):
+    """With B = 0 every pair is closed and the gauged matrix is p itself, so its
+    residue test sees p; a non-finite p stops at SingularGauge first."""
+    p = case[0] * 1e-10
+    want = _row_rule(p, 2, 0, 1e-10)
+    if want:
+        want = SymmetricInput, f"gauged matrix has symmetric residue {want[0]:.3e}{want[1]}"
+    assert _raised(lambda: gauge_matrix(p, np.zeros_like(p))) == want
 
 
 @pytest.mark.parametrize(
