@@ -17,7 +17,7 @@ else.
 Fields and the Omega helpers also take a stack (N, d) of states.  The
 per-step formulas are written once as source text (``_chart``): the
 stepper splices them into its RK4 march, and ``BodyParams._kernels``
-compiles them into callables on Python floats or numpy columns.
+compiles them into callables on numpy columns, for one state or a stack.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def _check_denominator(rank: int, den, g2):
     """Raise NonFiniteState where |gamma|^2 or den overflows (the correction
     term would silently vanish; a blow-up reaches the integrator this way)
     and DegenerateDenominator where den <= 1e-12 |gamma|^2 (gamma = 0 too);
-    NaN passes.  Floats for one state; arrays for many, naming the first
+    NaN passes.  Scalars for one state; arrays for many, naming the first
     offending row."""
     den, g2 = np.asarray(den), np.asarray(g2)
     if bad := _first_bad((g2 == math.inf) | (den == math.inf)):
@@ -251,8 +251,8 @@ def _kernel_factory(name: str, zero: bool) -> Callable:
     """bind(**constants) -> omega(gamma, k) -> (Omega, u, den, c) (u, den, c
     None if sign = 0), or reduced(y) or full(y) -> y' (Omega inline, as in
     each stage of the march), for the bodies with sign == 0 or with sign !=
-    0.  On Python floats or numpy columns, which round alike: a batch equals
-    its rows bit for bit."""
+    0.  On numpy columns (_columns): one state's are np.float64 scalars, which
+    are floats; a batch equals its rows bit for bit."""
     floats = "isinstance(den, float) and "
     if name == "omega":
         text = (_OMEGA_ZERO if zero else _OMEGA).format(floats=floats)
@@ -296,13 +296,13 @@ _run_memo: ContextVar[dict | None] = ContextVar("_run_memo", default=None)
 
 
 def _memoized(kind, params: BodyParams, arrays: tuple, compute: Callable):
-    """compute(), once per kind and content of the stacks ``arrays`` (gamma
-    and K, or one stack of states) inside a verify run; the value (a tuple,
-    an array or a float) is shared, its arrays read-only.  Outside a run, or
-    for one state, compute() alone.  A first computation that raises stores
-    nothing, so the same inputs raise again."""
+    """compute(), once per kind and content (shape and bytes) of the stacks
+    ``arrays`` (gamma and K, or one stack of states) inside a verify run;
+    the value (a tuple, an array or a float) is shared, its arrays
+    read-only.  Outside a run, compute() alone.  A first computation that
+    raises stores nothing, so the same inputs raise again."""
     memo = _run_memo.get()
-    if memo is None or arrays[0].ndim == 1:
+    if memo is None:
         return compute()
     key = (kind, params, *((a.shape, a.tobytes()) for a in arrays))
     if key not in memo:
@@ -315,8 +315,8 @@ def _memoized(kind, params: BodyParams, arrays: tuple, compute: Callable):
 
 
 def _columns(a: np.ndarray) -> tuple:
-    """The views a[..., i] of the last axis, the numpy columns a kernel takes."""
-    return tuple(a[..., i] for i in range(a.shape[-1]))
+    """The columns a[..., i] a kernel takes: views, or np.float64 scalars for one state."""
+    return tuple(a[..., i][()] for i in range(a.shape[-1]))
 
 
 def _assemble(columns) -> np.ndarray:
@@ -349,21 +349,17 @@ def omega_from_K(params: BodyParams, gamma, K) -> np.ndarray:
 
     gamma and K may carry leading axes, e.g. (N, 3) for N states; each row
     equals the 1-d call on that row bit for bit (one component formula on
-    floats or columns).  Raises DegenerateDenominator if any row is degenerate.
+    columns).  Raises DegenerateDenominator if any row is degenerate.
     """
     return _omega_terms(params, gamma, K)[0].copy()
 
 
 def _omega_terms(params: BodyParams, gamma, K) -> tuple:
-    """The omega kernel on the components of gamma and K, Python floats for
-    one state or numpy columns for a stack: (Omega, u, den, c) with Omega
-    and u as arrays (..., 3) and den, c floats or arrays (...,); u, den, c
-    are None when sign = 0."""
+    """The omega kernel on the numpy columns of gamma and K: (Omega, u, den,
+    c) with Omega and u as arrays (..., 3) and den, c numpy floats for one
+    state or arrays (...,) for a stack; u, den, c are None when sign = 0."""
     gamma, K = _omega_args(gamma, K)
     kernel = params._kernels.omega
-    if gamma.ndim == 1 and K.ndim == 1:
-        omega, u, den, c = kernel(gamma.tolist(), K.tolist())
-        return np.array(omega), None if u is None else np.array(u), den, c
 
     def compute():
         # the kernel's denominator check raises on an overflow, so numpy need not warn
@@ -374,28 +370,32 @@ def _omega_terms(params: BodyParams, gamma, K) -> tuple:
     return _memoized("terms", params, (gamma, K), compute)
 
 
+def _den_gradient(params: BodyParams, gamma, u) -> np.ndarray:
+    """d den / d gamma = 2 gamma + 2 sign m r^2 u of den = |gamma|^2 + sign
+    m r^2 gamma . u, with u = gamma / n the omega kernel's u."""
+    return 2.0 * gamma + 2.0 * (params._rank_terms[0] * params.mr2) * u
+
+
 def _omega_and_jacobians(params: BodyParams, gamma, K) -> tuple:
     """(Omega, d Omega / d gamma, d Omega / d K) at one state or a stack, from
     one evaluation of the Sherman-Morrison terms."""
     gamma, K = _omega_args(gamma, K)
-    return _memoized("jacobians", params, (gamma, K), lambda: _jacobians(params, gamma, K))
 
+    def compute():
+        sign, n = params._rank_terms
+        omega, u, den, c = _omega_terms(params, gamma, K)
+        n = np.array(n)
+        inv_n = np.diag(1.0 / n)
+        if not sign:
+            return omega, np.zeros(omega.shape + (3,)), np.zeros(omega.shape + (3,)) + inv_n
+        smr2 = sign * params.mr2
+        den, c = np.asarray(den)[..., None], np.asarray(c)[..., None]
+        dc = (K / n) / den - (c / den) * _den_gradient(params, gamma, u)
+        d_gamma = -smr2 * (u[..., :, None] * dc[..., None, :] + c[..., None] * inv_n)
+        d_k = inv_n - (smr2 / den)[..., None] * (u[..., :, None] * u[..., None, :])
+        return omega, d_gamma, d_k
 
-def _jacobians(params: BodyParams, gamma: np.ndarray, K: np.ndarray) -> tuple:
-    """``_omega_and_jacobians`` of checked gamma and K, computed."""
-    sign, n = params._rank_terms
-    omega, u, den, c = _omega_terms(params, gamma, K)
-    n = np.array(n)
-    inv_n = np.diag(1.0 / n)
-    if not sign:
-        return omega, np.zeros(omega.shape + (3,)), np.zeros(omega.shape + (3,)) + inv_n
-    smr2 = sign * params.mr2
-    den, c = np.asarray(den)[..., None], np.asarray(c)[..., None]
-    dden = 2.0 * gamma + 2.0 * smr2 * u
-    dc = (K / n) / den - (c / den) * dden
-    d_gamma = -smr2 * (u[..., :, None] * dc[..., None, :] + c[..., None] * inv_n)
-    d_k = inv_n - (smr2 / den)[..., None] * (u[..., :, None] * u[..., None, :])
-    return omega, d_gamma, d_k
+    return _memoized("jacobians", params, (gamma, K), compute)
 
 
 def omega_jacobians(params: BodyParams, gamma, K) -> tuple[np.ndarray, np.ndarray]:
@@ -421,12 +421,11 @@ def hamiltonian_field(params: BodyParams) -> ScalarField:
 
 
 def _field(kernel: Callable, state, dim: int, chart: str) -> np.ndarray:
-    """A chart kernel's field at one state, on Python floats, or at each row
-    of a stack, on numpy columns."""
+    """A chart kernel's field on the numpy columns of one state or of a stack;
+    an overflow gives inf and nan with no warning, in either."""
     state = _checked(state, dim, chart)
-    if state.ndim == 1:
-        return np.array(kernel(state.tolist()))
-    return _assemble(kernel(_columns(state)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _assemble(kernel(_columns(state)))
 
 
 def reduced_vf(params: BodyParams, state) -> np.ndarray:
@@ -440,7 +439,7 @@ def conformal_factor(params: BodyParams) -> ScalarField:
     Poisson one: phi = sqrt(den) with den the Sherman-Morrison denominator of
     omega_from_K, sqrt(|gamma|^2 + m r^2 gamma . I^-1 gamma) for rank 1 and
     sqrt(|gamma|^2 - m r^2 gamma . (I + m r^2)^-1 gamma) for rank 2, with
-    gradient (gamma + sign m r^2 u) / phi in gamma; the constant 1 for ranks
+    gradient d den / d gamma / (2 phi) in gamma; the constant 1 for ranks
     0 and 3.  Raises as omega_from_K where den degenerates or overflows.
     """
     sign = params._rank_terms[0]
@@ -454,7 +453,7 @@ def conformal_factor(params: BodyParams) -> ScalarField:
         gamma, K = split_reduced(s)
         _, u, den, _ = _omega_terms(params, gamma, K)
         out = np.zeros(s.shape)
-        out[..., :3] = (gamma + sign * params.mr2 * u) / np.sqrt(np.asarray(den))[..., None]
+        out[..., :3] = 0.5 * _den_gradient(params, gamma, u) / np.sqrt(np.asarray(den))[..., None]
         return out
 
     return ScalarField(value=value, gradient=gradient, name=f"phi_rank{params.rank}")

@@ -30,6 +30,7 @@ from .body import (
     REDUCED_DIM,
     RHO_INDEX,
     BodyParams,
+    _den_gradient,
     _memoized,
     _omega_and_jacobians,
     _omega_terms,
@@ -171,7 +172,7 @@ def _omega_dot_gamma_hessian(params: BodyParams, gamma, K) -> tuple[np.ndarray, 
     f = gg * ku / den
     d_ku = np.concatenate([K * inv_n, u], axis=-1)
     d_gg = np.concatenate([2.0 * gamma, zero], axis=-1)
-    d_den = d_gg + np.concatenate([(2.0 * sign * params.mr2) * u, zero], axis=-1)
+    d_den = np.concatenate([_den_gradient(params, gamma, u), zero], axis=-1)
     dd_ku = np.zeros((REDUCED_DIM, REDUCED_DIM))
     dd_ku[:3, 3:] = dd_ku[3:, :3] = np.diag(inv_n)
     dd_gg = np.diag([2.0, 2.0, 2.0, 0.0, 0.0, 0.0])

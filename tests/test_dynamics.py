@@ -37,6 +37,7 @@ from chaplygin import (
     invariant_drift,
     lift_reduced_state,
     monitor_series,
+    omega_from_K,
     pack_full,
     project_rho,
     reduced_vf,
@@ -849,6 +850,17 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def _warning_free_outcome(fn, *args):
+    """The bytes of fn(*args) as a float array, or the type and message of
+    what it raises; a warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.asarray(fn(*args), dtype=float).tobytes()
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc).__name__, str(exc)
+
+
 _coords = st.floats(-1.0, 1.0, allow_nan=False).map(float)
 _scales = st.sampled_from([0.0, 1e-160, 1e-6, 1.0, 1e3, 1e160, 1e200])
 # gamma scaled into the degenerate, overflowing and ordinary ranges of the denominator test
@@ -866,14 +878,34 @@ _kernel_rows = st.tuples(_gammas, st.lists(_coords, min_size=12, max_size=12)).m
 )
 # a rank-2 denominator of 1e-13 |gamma|^2 along a tiny moment, just below the 1e-12 bound
 @example(inertia=(1e-13, 1.0, 2.0), mass=1.0, radius=1.0, rank=2, rows=[[1.0, 0.0, 0.0] + [0.5] * 12])
+# K x Omega overflows to inf and nan in both rows of a stack, as at each row alone
+@example(inertia=(1.0, 2.0, 3.0), mass=1.0, radius=1.0, rank=2,
+         rows=[[0.6, 0.0, 0.8, 1e200, -1e200, 3e300] + [0.5] * 9, [0.0, 0.6, 0.8, 1e200, -1e200, 3e300] + [0.5] * 9])
 def test_compiled_kernels_equal_the_frozen_ones(inertia, mass, radius, rank, rows):
     """omega, reduced and full compiled from the chart texts equal the frozen
     hand-written kernels bit for bit, in type, or in the error they raise, on
-    Python floats (one state) and on numpy columns (a stack)."""
+    Python floats (one state) and on numpy columns (a stack).  So do the
+    public entry points at each row, with no warning: omega_from_K,
+    reduced_vf, X_nh_full and, where sign != 0, conformal_factor, the square
+    root of the frozen denominator; where no row raises, a stack equals its
+    rows, with no warning either."""
     body = BodyParams(inertia=inertia, mass=mass, radius=radius, rank=rank)
     kernels, frozen = body._kernels, _frozen_kernels(body)
     # a row: gamma (3), K (3) and the first rows of g and x (9) of a full state
     full_rows = [r[6:12] + r[:3] + r[12:15] + r[3:6] for r in rows]
+    states, full_states = np.array(rows)[:, :6], np.array(full_rows)
+    public = [
+        (lambda s: omega_from_K(body, s[..., :3], s[..., 3:]), states, lambda r: frozen[0](r[:3], r[3:6])[0], rows),
+        (lambda s: reduced_vf(body, s), states, lambda r: frozen[1](r[:6]), rows),
+        (lambda s: X_nh_full(body, s), full_states, frozen[2], full_rows),
+    ]
+    if body._rank_terms[0]:
+        public.append((conformal_factor(body), states, lambda r: math.sqrt(frozen[0](r[:3], r[3:6])[2]), rows))
+    for call, stack, oracle, float_rows in public:
+        outcomes = [_warning_free_outcome(call, s) for s in stack]
+        assert outcomes == [_warning_free_outcome(oracle, r) for r in float_rows]
+        if all(isinstance(o, bytes) for o in outcomes):
+            assert _warning_free_outcome(call, stack) == b"".join(outcomes)
     for row, full_row in zip(rows, full_rows):
         for got, expected, args in (
             (kernels.omega, frozen[0], (row[:3], row[3:6])),

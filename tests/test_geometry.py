@@ -244,6 +244,23 @@ def test_each_rule_reads_its_one_definition():
     assert built == ["tuple(_SUITE_FNS)"]
 
 
+def test_one_evaluation_path_and_one_den_gradient():
+    """The Omega terms, the chart fields and the run store take one path for
+    one state and a stack: none tests ndim or converts to Python floats.
+    The Jacobians are the inner compute of _omega_and_jacobians, and
+    d den / d gamma is written once, in body._den_gradient, for the Jacobians,
+    phi's gradient and the Hessian of Omega . gamma."""
+    for name in ("tolist", "ndim"):
+        assert not {w.split(".")[0] for m, w, _ in _references(name) if m == "body"} & {
+            "_omega_terms", "_field", "_memoized"}
+    assert _references("_jacobians") == []
+    assert {(m, w) for m, w, _ in _references("_den_gradient")} == {
+        ("body", "_omega_and_jacobians.compute"),
+        ("body", "conformal_factor.gradient"),
+        ("rolling", "_omega_dot_gamma_hessian"),
+    }
+
+
 def test_one_function_checks_every_patch_output():
     """Forms and bivectors check shape and antisymmetry in _Patch._checked
     alone; SymmetricInput is raised nowhere else but unhat and gauge_matrix,

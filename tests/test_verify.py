@@ -138,14 +138,14 @@ def test_states_are_drawn_once_per_run(monkeypatch):
 
 
 def _count_column_omega(monkeypatch, body) -> collections.Counter:
-    """Count the calls of the body's omega kernel, on numpy columns (a stack)
-    and on Python floats (one state); the field kernels have Omega inline
-    and do not call it."""
+    """Count the calls of the body's omega kernel, which runs on numpy columns
+    for one state and a stack alike; the field kernels have Omega inline and
+    do not call it."""
     kernels, counts = body._kernels, collections.Counter()
     base = kernels.omega
 
     def counting(gamma, k):
-        counts["columns" if isinstance(gamma[0], np.ndarray) else "floats"] += 1
+        counts["columns"] += 1
         return base(gamma, k)
 
     monkeypatch.setattr(kernels, "omega", counting)
@@ -271,6 +271,26 @@ def test_nothing_is_shared_after_a_run_that_raises(monkeypatch):
     counts.clear()
     run_all_suites(body, trials=6)
     assert counts == fresh
+
+
+def test_one_state_and_its_one_row_stack_are_two_entries(monkeypatch):
+    """Inside a run, omega_from_K at one state and at the one-row stack of the
+    same bytes returns shapes (3,) and (1, 3) with equal values, from two
+    entries of the run's store: its key holds each array's shape."""
+    body = standard_body(2)
+    seen = {}
+
+    def probe(params, states, variant=None):
+        gamma, K = states[0, :3], states[0, 3:]
+        seen["omega"] = omega_from_K(body, gamma, K), omega_from_K(body, gamma[None], K[None])
+        seen["shapes"] = sorted(key[2][0] for key in body_module._run_memo.get() if key[0] == "terms")
+        return []
+
+    monkeypatch.setitem(verify._SUITE_FNS, "measure", (probe, "reduced"))
+    run_suite("measure", body, trials=6)
+    one, row = seen["omega"]
+    assert one.shape == (3,) and row.shape == (1, 3) and np.array_equal(one, row[0])
+    assert seen["shapes"] == [(1, 3), (3,)]
 
 
 def test_public_omega_arrays_are_writable_and_unshared(monkeypatch):
