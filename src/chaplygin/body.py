@@ -4,7 +4,8 @@ Reduced phase space: states are 6-vectors (gamma, K) where gamma is the
 advected vertical direction in the body frame and K the constrained
 momentum.  Full phase space: 15-vectors (g row-major, x, K) with g the
 attitude rotation (gamma is the third row of g) and x the contact-plane
-position.  The constraint of rank 0..3 has A^T A = diag(p, p, x) with
+position.  The chart table below declares this layout once, for every
+module.  The constraint of rank 0..3 has A^T A = diag(p, p, x) with
 p = [rank >= 2] and x = [rank odd] (``_rank_bits``).
 
 This module holds what the nonholonomic vector field needs, which every
@@ -57,10 +58,14 @@ __all__ = [
     "split_reduced",
 ]
 
-REDUCED_DIM = 6
-FULL_DIM = 15
-# positions of (gamma, K) in a full state: gamma is the third row of g
-RHO_INDEX = np.array([6, 7, 8, 12, 13, 14])
+# The chart table: the blocks and entry names of each chart.  The dimensions derive from it, and so
+# does RHO_INDEX, the positions of (gamma, K) in a full state (gamma is the third row of g).
+_GAMMA, _K = slice(0, 3), slice(3, 6)
+_G, _X, _FULL_K = slice(0, 9), slice(9, 12), slice(12, 15)
+REDUCED_NAMES = ("gamma1", "gamma2", "gamma3", "K1", "K2", "K3")
+FULL_NAMES = ("g11", "g12", "g13", "g21", "g22", "g23", "g31", "g32", "g33", "x1", "x2", "x3", *REDUCED_NAMES[_K])
+REDUCED_DIM, FULL_DIM = len(REDUCED_NAMES), len(FULL_NAMES)
+RHO_INDEX = np.array([FULL_NAMES.index(name) for name in ("g31", "g32", "g33", *REDUCED_NAMES[_K])])
 RHO_INDEX.setflags(write=False)
 
 
@@ -141,7 +146,12 @@ def _checked(state, dim: int, chart: str) -> np.ndarray:
 
 def split_reduced(state) -> tuple[np.ndarray, np.ndarray]:
     state = _checked(state, REDUCED_DIM, "reduced")
-    return state[..., :3], state[..., 3:]
+    return state[..., _GAMMA], state[..., _K]
+
+
+def _pack_reduced(gamma, K) -> np.ndarray:
+    """(gamma, K) joined on the last axis, the inverse of ``split_reduced``, for values or partials."""
+    return np.concatenate([gamma, K], axis=-1)
 
 
 def matrix_A(params: BodyParams) -> np.ndarray:
@@ -415,7 +425,7 @@ def hamiltonian_field(params: BodyParams) -> ScalarField:
     def gradient(s):
         gamma, K = split_reduced(s)
         omega, d_gamma, _ = _omega_and_jacobians(params, gamma, K)
-        return np.concatenate([0.5 * _mv(_swap(d_gamma), K), omega], axis=-1)
+        return _pack_reduced(0.5 * _mv(_swap(d_gamma), K), omega)
 
     return ScalarField(value=lambda s: hamiltonian(params, s), gradient=gradient, name="H")
 
@@ -452,9 +462,8 @@ def conformal_factor(params: BodyParams) -> ScalarField:
     def gradient(s):
         gamma, K = split_reduced(s)
         _, u, den, _ = _omega_terms(params, gamma, K)
-        out = np.zeros(s.shape)
-        out[..., :3] = 0.5 * _den_gradient(params, gamma, u) / np.sqrt(np.asarray(den))[..., None]
-        return out
+        d_gamma = 0.5 * _den_gradient(params, gamma, u) / np.sqrt(np.asarray(den))[..., None]
+        return _pack_reduced(d_gamma, np.zeros_like(K))
 
     return ScalarField(value=value, gradient=gradient, name=f"phi_rank{params.rank}")
 
@@ -478,19 +487,20 @@ def casimir_kgamma() -> ScalarField:
 
     def gradient(s):
         gamma, K = split_reduced(s)
-        return np.concatenate([K, gamma], axis=-1)
+        return _pack_reduced(K, gamma)
 
-    return ScalarField(value=lambda s: np.vecdot(s[..., :3], s[..., 3:]), gradient=gradient, name="C1")
+    return ScalarField(value=lambda s: np.vecdot(s[..., _GAMMA], s[..., _K]), gradient=gradient, name="C1")
+
+
+def _gamma_norm_gradient(gamma) -> np.ndarray:
+    """(2 gamma, 0), the gradient of |gamma|^2; linear in gamma, so at d gamma it is the Hessian."""
+    return _pack_reduced(2.0 * gamma, np.zeros_like(gamma))
 
 
 def casimir_gamma_norm() -> ScalarField:
     """C2 = |gamma|^2 on the reduced space."""
-
-    def gradient(s):
-        gamma, _ = split_reduced(s)
-        return np.concatenate([2.0 * gamma, np.zeros_like(gamma)], axis=-1)
-
-    return ScalarField(value=lambda s: np.vecdot(s[..., :3], s[..., :3]), gradient=gradient, name="C2")
+    return ScalarField(value=lambda s: np.vecdot(s[..., _GAMMA], s[..., _GAMMA]),
+                       gradient=lambda s: _gamma_norm_gradient(split_reduced(s)[0]), name="C2")
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +520,7 @@ def pack_full(g, x, K) -> np.ndarray:
 
 def split_full(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     state = _checked(state, FULL_DIM, "full")
-    return state[..., :9].reshape(state.shape[:-1] + (3, 3)), state[..., 9:12], state[..., 12:15]
+    return state[..., _G].reshape(state.shape[:-1] + (3, 3)), state[..., _X], state[..., _FULL_K]
 
 
 def project_rho(state) -> np.ndarray:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import FULL_DIM, lift_reduced_state
+from .body import FULL_DIM, FULL_NAMES, REDUCED_NAMES, lift_reduced_state
 from .dynamics import (
     MONITOR_NAMES,
     Trajectory,
@@ -44,15 +44,6 @@ from .scenario import load_scenario
 from .verify import SUITE_NAMES, _check_options, run_all_suites, run_suite
 
 __all__ = ["main"]
-
-_REDUCED_HEADER = ["t", "gamma1", "gamma2", "gamma3", "K1", "K2", "K3", *MONITOR_NAMES]
-_FULL_HEADER = [
-    "t",
-    "g11", "g12", "g13", "g21", "g22", "g23", "g31", "g32", "g33",
-    "x1", "x2", "x3",
-    "K1", "K2", "K3",
-    "H",
-]
 
 
 def _cannot_use(out: Path, exc: OSError) -> None:
@@ -96,9 +87,9 @@ def _atomic_write(path: Path, text: str):
 
 
 def _trajectory_csv(traj: Trajectory, series: dict) -> str:
-    full = traj.dim == FULL_DIM
-    header = list(_FULL_HEADER if full else _REDUCED_HEADER)
-    columns = [traj.times, traj.states, *(series[name] for name in (["H"] if full else MONITOR_NAMES))]
+    names, monitors = (FULL_NAMES, ["H"]) if traj.dim == FULL_DIM else (REDUCED_NAMES, MONITOR_NAMES)
+    header = ["t", *names, *monitors]
+    columns = [traj.times, traj.states, *(series[name] for name in monitors)]
     if traj.t_recovered is not None:
         header.append("t_recovered")
         columns.append(traj.t_recovered)

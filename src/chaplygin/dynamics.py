@@ -30,6 +30,8 @@ import numpy as np
 from .body import (
     FULL_DIM,
     REDUCED_DIM,
+    _GAMMA,
+    _K,
     BodyParams,
     X_nh_full,
     _chart,
@@ -236,11 +238,12 @@ def _orthonormal_rows(y: list) -> list:
 
 
 def _unit_gamma(y: list) -> list:
-    """y with gamma = y[:3] scaled to unit length; the other entries unchanged."""
+    """y with gamma = y[:3] scaled to unit length; the other entries (K, and t
+    on the reparametrized chart) unchanged."""
     norm = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
     if norm == 0.0:
         raise NonFiniteState("gamma collapsed to zero during renormalization")
-    return [y[0] / norm, y[1] / norm, y[2] / norm] + y[3:]
+    return [y[0] / norm, y[1] / norm, y[2] / norm] + y[_GAMMA.stop:]
 
 
 def _march(march, y: list, config: IntegratorConfig, renormalize=None) -> tuple:
@@ -305,7 +308,7 @@ def monitor_series(params: BodyParams, traj: Trajectory) -> dict:
         reduced = traj.states
     else:
         raise ValueError(f"monitors need 6- or 15-dim states, got {traj.dim}")
-    k = reduced[:, 3:]
+    k = reduced[:, _K]
     with np.errstate(all="ignore"):  # a value that is not finite is reported below
         series = {
             "H": hamiltonian(params, reduced),

@@ -38,7 +38,6 @@ __all__ = [
     "fd_partials",
     "hat",
     "random_rotation",
-    "sample_reduced_state",
     "unhat",
     "wedge_1_2",
 ]
@@ -287,22 +286,6 @@ def _draws(n, dim: int) -> np.ndarray:
         raise ValueError(f"n must be a non-negative int or None, got {n!r}")
     with _allocating(shape := (int(n), dim)):
         return np.empty(shape)
-
-
-def sample_reduced_state(seed=None, n=None) -> np.ndarray:
-    """Random reduced state (gamma, K): gamma uniform on S^2, K uniform in
-    [-1,1]^3; with a count n, the stack of n such draws (n, 6)."""
-    rng = _as_rng(seed)
-    out = _draws(n, 6)
-    for row in out:
-        while True:
-            g = rng.standard_normal(3)
-            norm = np.linalg.norm(g)
-            if norm > 1e-8:
-                break
-        row[:3] = g / norm
-        row[3:] = rng.uniform(-1.0, 1.0, size=3)
-    return out[0] if n is None else out
 
 
 def random_rotation(seed=None) -> np.ndarray:

@@ -3,7 +3,7 @@
 The body, Omega and the vector fields live in ``body``.  This module adds
 what the gauge-related brackets need: the reduced and full almost-Poisson
 structures, the twist forms, the full gauge 2-form, the annihilator, the
-leafwise form, the horizontal lift and the reduction checks.
+leafwise form, the horizontal lift, the reduction checks and the samplers.
 
 For each rank there are two reduced almost-Poisson structures ("plain" and
 "primed", the latter obtained by a gauge transformation); both have the
@@ -29,15 +29,23 @@ from .body import (
     FULL_DIM,
     REDUCED_DIM,
     RHO_INDEX,
+    _FULL_K,
+    _G,
+    _GAMMA,
+    _K,
+    _X,
     BodyParams,
     _den_gradient,
+    _gamma_norm_gradient,
     _memoized,
     _omega_and_jacobians,
     _omega_terms,
+    _pack_reduced,
     _rank_bits,
     hamiltonian_field,
     matrix_A,
     omega_from_K,
+    pack_full,
     project_rho,
     split_full,
     split_reduced,
@@ -76,6 +84,7 @@ __all__ = [
     "reduction_consistency",
     "reduction_defect",
     "sample_full_state",
+    "sample_reduced_state",
     "twist_three_form",
     "twist_two_form",
 ]
@@ -120,9 +129,9 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _gamma_block(w: np.ndarray) -> np.ndarray:
-    """hat(w) in the gamma-gamma corner of a 6 x 6 zero matrix, for each w of a stack."""
+    """hat(w) in the gamma-gamma block of a zero matrix on the reduced chart, for each w of a stack."""
     out = np.zeros(w.shape[:-1] + (REDUCED_DIM, REDUCED_DIM))
-    out[..., :3, :3] = hat(w)
+    out[..., _GAMMA, _GAMMA] = hat(w)
     return out
 
 
@@ -136,8 +145,8 @@ def _omega_jet(params: BodyParams, gamma, K) -> tuple:
     """(Omega, dOmega, f, df) on the reduced chart, from one evaluation of Omega's
     Jacobians: dOmega[..., l, i] = d Omega_i / d x_l, f = Omega . gamma and df its gradient."""
     omega, d_gamma, d_k = _omega_and_jacobians(params, gamma, K)
-    df = np.concatenate([_mv(_swap(d_gamma), gamma) + omega, _mv(_swap(d_k), gamma)], axis=-1)
-    return omega, _swap(np.concatenate([d_gamma, d_k], axis=-1)), np.vecdot(omega, gamma), df
+    df = _pack_reduced(_mv(_swap(d_gamma), gamma) + omega, _mv(_swap(d_k), gamma))
+    return omega, _swap(_pack_reduced(d_gamma, d_k)), np.vecdot(omega, gamma), df
 
 
 def _full_omega_jet(params: BodyParams, g, K) -> tuple:
@@ -166,17 +175,17 @@ def _omega_dot_gamma_hessian(params: BodyParams, gamma, K) -> tuple[np.ndarray, 
     every factor of that product has constant second derivatives."""
     sign, n = params._rank_terms
     _, u, den, _ = _omega_terms(params, gamma, K)
-    inv_n, zero = 1.0 / np.array(n), np.zeros_like(u)
+    inv_n = 1.0 / np.array(n)
     den = np.asarray(den)[..., None]
     gg, ku = np.vecdot(gamma, gamma)[..., None], np.vecdot(K, u)[..., None]
     f = gg * ku / den
-    d_ku = np.concatenate([K * inv_n, u], axis=-1)
-    d_gg = np.concatenate([2.0 * gamma, zero], axis=-1)
-    d_den = np.concatenate([_den_gradient(params, gamma, u), zero], axis=-1)
+    d_ku = _pack_reduced(K * inv_n, u)
+    d_gg = _gamma_norm_gradient(gamma)
+    d_den = _pack_reduced(_den_gradient(params, gamma, u), np.zeros_like(u))
     dd_ku = np.zeros((REDUCED_DIM, REDUCED_DIM))
-    dd_ku[:3, 3:] = dd_ku[3:, :3] = np.diag(inv_n)
-    dd_gg = np.diag([2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
-    dd_den = dd_gg + np.diag(np.concatenate([(2.0 * sign * params.mr2) * inv_n, np.zeros(3)]))
+    dd_ku[_GAMMA, _K] = dd_ku[_K, _GAMMA] = np.diag(inv_n)
+    dd_gg = _gamma_norm_gradient(_D_GAMMA)
+    dd_den = dd_gg + np.diag(_pack_reduced((2.0 * sign * params.mr2) * inv_n, np.zeros(3)))
     df = (gg * d_ku + ku * d_gg - f * d_den) / den
     gg, ku, f, den = gg[..., None], ku[..., None], f[..., None], den[..., None]
     dd_fden = gg * dd_ku + _outer(d_ku, d_gg) + _outer(d_gg, d_ku) + ku * dd_gg
@@ -191,9 +200,9 @@ def reduced_bracket(params: BodyParams, variant: str = "plain") -> BivectorPatch
     _check_variant(variant)
 
     def matrix(gamma, v):
-        p = np.zeros(gamma.shape[:-1] + (6, 6))
-        p[..., :3, 3:] = p[..., 3:, :3] = hat(gamma)
-        p[..., 3:, 3:] = hat(v)
+        p = np.zeros(gamma.shape[:-1] + (REDUCED_DIM, REDUCED_DIM))
+        p[..., _GAMMA, _K] = p[..., _K, _GAMMA] = hat(gamma)
+        p[..., _K, _K] = hat(v)
         return p
 
     def structure(s):
@@ -220,13 +229,13 @@ def annihilator_one_form(params: BodyParams, variant: str = "plain") -> FormPatc
     def entries(s):
         gamma, K = split_reduced(s)
         v = _v_vector(params, gamma, K, variant, omega_from_K(params, gamma, K))
-        return np.concatenate([v, gamma], axis=-1)
+        return _pack_reduced(v, gamma)
 
     def partials(s):
         _, dv = _v_jet(params, *split_reduced(s), variant)
-        return np.concatenate([dv, np.broadcast_to(_D_GAMMA, dv.shape)], axis=-1)
+        return _pack_reduced(dv, np.broadcast_to(_D_GAMMA, dv.shape))
 
-    return FormPatch(degree=1, dim=6, entries=entries, partials=partials, name="chi")
+    return FormPatch(degree=1, dim=REDUCED_DIM, entries=entries, partials=partials, name="chi")
 
 
 def twist_two_form(params: BodyParams) -> FormPatch:
@@ -248,7 +257,7 @@ def twist_two_form(params: BodyParams) -> FormPatch:
         _, _, f, df = _omega_jet(params, gamma, K)
         return _gamma_block(-mr2 * (_outer(df, gamma) + f[..., None, None] * _D_GAMMA))
 
-    return FormPatch(degree=2, dim=6, entries=entries, partials=partials, name="B_red")
+    return FormPatch(degree=2, dim=REDUCED_DIM, entries=entries, partials=partials, name="B_red")
 
 
 def twist_three_form(params: BodyParams) -> FormPatch:
@@ -279,7 +288,7 @@ def twist_three_form(params: BodyParams) -> FormPatch:
         )
         return sign * _exterior_derivative(_gamma_block(ddw), 2)
 
-    return FormPatch(degree=3, dim=6, entries=entries, partials=partials, name="phi_twist")
+    return FormPatch(degree=3, dim=REDUCED_DIM, entries=entries, partials=partials, name="phi_twist")
 
 
 def leafwise_two_form(params: BodyParams) -> FormPatch:
@@ -291,11 +300,27 @@ def leafwise_two_form(params: BodyParams) -> FormPatch:
     if params.rank != 2:
         raise UnsupportedRank("the leafwise 2-form is only assembled for rank 2")
     pi = reduced_bracket(params, "primed")
-    r = np.block([[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
+    r = _D_K @ _D_GAMMA.T - _D_GAMMA @ _D_K.T
     return FormPatch(
-        degree=2, dim=6, entries=lambda s: -(r @ pi.matrix(s) @ r.T),
+        degree=2, dim=REDUCED_DIM, entries=lambda s: -(r @ pi.matrix(s) @ r.T),
         partials=lambda s: -(r @ pi.partial_tensor(s) @ r.T), name="Omega_leaf",
     )
+
+
+def sample_reduced_state(seed=None, n=None) -> np.ndarray:
+    """Random reduced state (gamma, K): gamma uniform on S^2, K uniform in
+    [-1,1]^3; with a count n, the stack of n such draws (n, 6)."""
+    rng = _as_rng(seed)
+    out = _draws(n, REDUCED_DIM)
+    for row in out:
+        while True:
+            g = rng.standard_normal(3)
+            norm = np.linalg.norm(g)
+            if norm > 1e-8:
+                break
+        row[_GAMMA] = g / norm
+        row[_K] = rng.uniform(-1.0, 1.0, size=3)
+    return out[0] if n is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +333,9 @@ def sample_full_state(seed=None, n=None) -> np.ndarray:
     rng = _as_rng(seed)
     out = _draws(n, FULL_DIM)
     for row in out:
-        row[:9] = rng.standard_normal(9)
-        row[9:] = rng.uniform(-1.0, 1.0, size=6)
-    out[:, :9] = _rotations(out[:, :9].reshape(-1, 3, 3)).reshape(-1, 9)
+        row[_G] = rng.standard_normal(9)
+        row[_G.stop:] = rng.uniform(-1.0, 1.0, size=FULL_DIM - _G.stop)  # x and K in one draw
+    out[:, _G] = _rotations(out[:, _G].reshape(-1, 3, 3)).reshape(-1, 9)
     return out[0] if n is None else out
 
 
@@ -346,11 +371,11 @@ def nh_bracket_full(params: BodyParams, form: str = "plain") -> BivectorPatch:
     def matrix(g, w):
         stack = g.shape[:-2]
         p = np.zeros(stack + (FULL_DIM, FULL_DIM))
-        # {g_ij, K_l} = -eps_jlk g_ik = hat(g_i)_jl, rows 3i+j, columns 12+l
-        p[..., :9, 12:] = hat(g).reshape(stack + (9, 3))
-        p[..., 9:12, 12:] = params.radius * (a_mat @ g)
+        # {g_ij, K_l} = -eps_jlk g_ik = hat(g_i)_jl, at row 3i+j of the g block and column l of the K block
+        p[..., _G, _FULL_K] = hat(g).reshape(stack + (9, 3))
+        p[..., _X, _FULL_K] = params.radius * (a_mat @ g)
         p = p - _swap(p)
-        p[..., 12:, 12:] = hat(w)
+        p[..., _FULL_K, _FULL_K] = hat(w)
         return p
 
     def w_vector(g, K, omega) -> tuple:
@@ -394,10 +419,10 @@ def gauge_form_on_M(params: BodyParams) -> FormPatch:
     d_l_map = _rotation_map(_G_BASIS)  # L is linear in g
 
     def block(left, omega, right):
-        """-m r^2 left^T hat(omega) right in the g-g corner of a 15 x 15 zero matrix."""
+        """-m r^2 left^T hat(omega) right in the g-g block of a zero matrix on the full chart."""
         b = -mr2 * _swap(left) @ hat(omega) @ right
         out = np.zeros(b.shape[:-2] + (FULL_DIM, FULL_DIM))
-        out[..., :9, :9] = b
+        out[..., _G, _G] = b
         return out
 
     def entries(s):
@@ -432,7 +457,7 @@ def horizontal_lift(params: BodyParams, full_state, reduced_tangent) -> np.ndarr
     if not g2 > 0.0:
         raise ValueError(f"cannot lift: |gamma|^2 = {g2!r} is not positive")
     a = np.cross(w_gamma, gamma) / g2
-    return np.concatenate([(g @ hat(a)).reshape(9), np.zeros(3), w_k])
+    return pack_full(g @ hat(a), np.zeros(3), w_k)
 
 
 def _full_form(variant: str) -> str:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .body import BodyParams, _rank_bits, pack_full
+from .body import FULL_DIM, BodyParams, _pack_reduced, _rank_bits, pack_full
 from .dynamics import IntegratorConfig
 from .errors import ScenarioError, UnsupportedRank
 
@@ -42,7 +42,7 @@ class Scenario:
 
     @property
     def is_full(self) -> bool:
-        return self.initial.shape == (15,)
+        return self.initial.shape == (FULL_DIM,)
 
 
 def _require(data: dict, key: str, where: str = ""):
@@ -109,7 +109,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         norm = math.hypot(*gamma)  # inf, not a numpy overflow, past the float range
         if abs(norm - 1.0) > 1e-9:
             raise ScenarioError("initial.gamma", f"|gamma| = {norm!r}, must be 1 to 1e-9")
-        state = np.concatenate([gamma, k])
+        state = _pack_reduced(gamma, k)
     else:
         g_rows = initial["g"]
         if not isinstance(g_rows, (list, tuple)):

@@ -27,7 +27,7 @@ import numpy as np
 from .body import BodyParams, _memoized, _run_memo, conformal_factor
 from .brackets import _flow, _cyclic_sum, gauge_matrix, scale_bivector
 from .dynamics import divergence_defect
-from .geometry import fd_exterior_derivative, sample_reduced_state
+from .geometry import fd_exterior_derivative
 from .rolling import (
     full_hamiltonian_field,
     gauge_form_on_M,
@@ -37,6 +37,7 @@ from .rolling import (
     reduced_bracket,
     reduction_defect,
     sample_full_state,
+    sample_reduced_state,
     twist_three_form,
 )
 

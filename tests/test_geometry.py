@@ -1,6 +1,7 @@
 """Vector algebra, hat map, finite-difference exterior calculus, samplers."""
 
 import ast
+import functools
 import math
 import re
 from pathlib import Path
@@ -146,6 +147,13 @@ def test_only_the_fd_helpers_use_finite_differences():
     assert offenders == []
 
 
+@functools.cache
+def _package_trees() -> tuple:
+    """(module, parsed text) of each module of the package."""
+    paths = sorted(Path(chaplygin.__file__).parent.glob("*.py"))
+    return tuple((path.stem, ast.parse(path.read_text())) for path in paths)
+
+
 def _references(name: str) -> list:
     """(module, enclosing function path, node) of every Name or Attribute
     ``name`` in the package; the path is "" at module level."""
@@ -161,34 +169,77 @@ def _references(name: str) -> list:
             else:
                 visit(child, module, where)
 
-    for path in sorted(Path(chaplygin.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, "")
+    for module, tree in _package_trees():
+        visit(tree, module, "")
     return found
 
 
-def test_svd_and_whole_jacobi_tensors_stay_out_of_the_verify_path():
-    """Only brackets._conditioning runs an SVD, which gauge_matrix calls only
-    on pairs that are not closed; verify reads the Jacobi defects at the
-    sorted triples and never builds the whole tensor."""
-    assert {(m, w) for m, w, _ in _references("svd")} == {("brackets", "_conditioning")}
-    assert [w for m, w, _ in _references("jacobi_tensor") if m == "verify"] == []
-
-
-def test_run_sharing_stays_inside_verify_runs():
-    """One store serves a verify run: only the Omega helpers, the reduced
-    bracket jet, the full bracket matrix and verify's Jacobi residual consult
-    it, and only verify._run_suites enters one, so no cache outlives a run or
-    reaches simulate and the CLI.  verify defines no class and keeps no store
-    of its own: its module-level names are its registry and constants."""
-    assert {(m, w) for m, w, _ in _references("_memoized")} == {
+# Each guarded name of the package and every (module, enclosing function path)
+# allowed to refer to it (``_references``); an empty set for a name that is gone.
+_REFERRERS = {
+    # only brackets._conditioning runs an SVD, which gauge_matrix calls only on pairs that are not closed
+    "svd": {("brackets", "_conditioning")},
+    # one store serves a verify run: only the Omega helpers, the reduced bracket jet, the full
+    # bracket matrix and verify's Jacobi residual consult it, and only verify._run_suites enters one
+    "_memoized": {
         ("body", "_omega_terms"),
         ("body", "_omega_and_jacobians"),
         ("rolling", "reduced_bracket.jet"),
         ("rolling", "nh_bracket_full.structure"),
         ("verify", "_jacobi_residual"),
-    }
-    refs = _references("_run_memo")
-    assert {(m, w) for m, w, _ in refs} == {("body", ""), ("body", "_memoized"), ("verify", "_run_suites")}
+    },
+    "_run_memo": {("body", ""), ("body", "_memoized"), ("verify", "_run_suites")},
+    # one Omega jet per chart: the reduced jet, the twist 2-form and (through _full_omega_jet) the
+    # full jet and the gauge form take Omega's partials from it; the hand-built bracket base is gone
+    "_omega_jet": {("rolling", "_full_omega_jet"), ("rolling", "_v_jet"), ("rolling", "twist_two_form.partials")},
+    "_full_omega_jet": {("rolling", "nh_bracket_full.jet"), ("rolling", "gauge_form_on_M.partials")},
+    "_BRACKET_BASE": set(),
+    "_omega_dot_gamma_grads": set(),
+    # d is assembled in one place, with no hat basis of the twist forms' own
+    "_HAT_BASIS": set(),
+    "_exterior_derivative": {("geometry", "fd_exterior_derivative"), ("rolling", "twist_three_form.partials")},
+    # the gamma renormalization is applied where the run asks for it
+    "_unit_gamma": {("dynamics", "_march")},
+    # the Jacobians are the inner compute of _omega_and_jacobians, and d den / d gamma is written once
+    "_jacobians": set(),
+    "_den_gradient": {
+        ("body", "_omega_and_jacobians.compute"),
+        ("body", "conformal_factor.gradient"),
+        ("rolling", "_omega_dot_gamma_hessian"),
+    },
+    # forms and bivectors check their outputs in _Patch._checked alone, which with unhat and
+    # gauge_matrix reads the one antisymmetry test
+    "SymmetricInput": {
+        ("geometry", "_Patch._checked"),
+        ("geometry", "unhat"),
+        ("brackets", "gauge_matrix"),
+        ("errors", ""),
+    },
+    "_asymmetry": {("geometry", "_Patch._checked"), ("geometry", "unhat"), ("brackets", "gauge_matrix")},
+    # the chart table: blocks are joined in the two packers alone (and the CSV tables), and the
+    # gradient of |gamma|^2 is written once, for C2 and the Hessian of Omega . gamma
+    "concatenate": {("body", "_pack_reduced"), ("body", "pack_full"), ("cli", "_g17_tables")},
+    "_gamma_norm_gradient": {("body", "casimir_gamma_norm"), ("rolling", "_omega_dot_gamma_hessian")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERRERS))
+def test_a_guarded_name_has_only_its_allowed_referrers(name):
+    """A second copy of a rule, or a reader that reaches past it, fails its row of _REFERRERS."""
+    assert {(m, w) for m, w, _ in _references(name)} == _REFERRERS[name]
+
+
+def test_svd_and_whole_jacobi_tensors_stay_out_of_the_verify_path():
+    """Verify reads the Jacobi defects at the sorted triples and never builds
+    the whole tensor (the SVD is a row of _REFERRERS)."""
+    assert [w for m, w, _ in _references("jacobi_tensor") if m == "verify"] == []
+
+
+def test_run_sharing_stays_inside_verify_runs():
+    """Only verify._run_suites enters the store of a run (its readers are rows
+    of _REFERRERS), so no cache outlives a run or reaches simulate and the
+    CLI.  verify defines no class and keeps no store of its own: its
+    module-level names are its registry and constants."""
     entered = {(m, w) for m, w, node in _references("set") if getattr(node.value, "id", None) == "_run_memo"}
     assert entered == {("verify", "_run_suites")}
     tree = ast.parse((Path(chaplygin.__file__).parent / "verify.py").read_text())
@@ -201,39 +252,27 @@ def test_run_sharing_stays_inside_verify_runs():
 
 
 def test_one_omega_jet_per_chart():
-    """Inside rolling only _omega_jet reads Omega's Jacobians; the reduced jet,
-    the twist 2-form and (through _full_omega_jet) the full jet and the gauge
-    form take Omega's partials from it, and the hand-built bracket base is gone."""
+    """Inside rolling only _omega_jet reads Omega's Jacobians (its readers are
+    rows of _REFERRERS)."""
     assert {w for m, w, _ in _references("_omega_and_jacobians") if m == "rolling"} == {"_omega_jet"}
-    assert {w for _, w, _ in _references("_omega_jet")} == {"_full_omega_jet", "_v_jet", "twist_two_form.partials"}
-    assert {w for _, w, _ in _references("_full_omega_jet")} == {"nh_bracket_full.jet", "gauge_form_on_M.partials"}
-    assert _references("_BRACKET_BASE") == _references("_omega_dot_gamma_grads") == []
 
 
 def test_d_is_assembled_in_one_place():
-    """The twist forms take their partials from the block hat(w) of the gauge
-    vector w, with no hat basis of their own, and the alternation of d is written
-    once: fd_exterior_derivative and the twist 3-form's partials call it, and no
-    function in rolling moves an axis by hand."""
-    assert _references("_HAT_BASIS") == []
+    """No function in rolling moves an axis by hand: the alternation of d is
+    written once (a row of _REFERRERS)."""
     assert [w for m, w, _ in _references("moveaxis") if m == "rolling"] == []
-    assert {(m, w) for m, w, _ in _references("_exterior_derivative")} == {
-        ("geometry", "fd_exterior_derivative"),
-        ("rolling", "twist_three_form.partials"),
-    }
 
 
 def test_each_rule_reads_its_one_definition():
-    """mu is 1/phi at every rank, X_C goes through _flow, the gamma
-    renormalization and the rank rule are applied where they are defined, the
-    full gauge form restates no hat or transpose outside its block, and the
-    suite names are the suite registry's keys."""
+    """mu is 1/phi at every rank, X_C goes through _flow, the rank rule is
+    applied where it is defined (the gamma renormalization is a row of
+    _REFERRERS), the full gauge form restates no hat or transpose outside its
+    block, and the suite names are the suite registry's keys."""
     def where(name: str) -> set:
         return {(m, w) for m, w, _ in _references(name)}
 
     assert [w for m, w in where("_rank_terms") if w.startswith("invariant_density")] == []
     assert ("brackets", "casimir_defect") in where("_flow") - where("_swap")
-    assert where("_unit_gamma") == {("dynamics", "_march")}
     assert [w for m, w in where("RHO_INDEX") if m == "dynamics"] == []
     assert ("scenario", "scenario_from_dict") in where("_rank_bits")
     for name in ("hat", "_swap"):
@@ -246,31 +285,22 @@ def test_each_rule_reads_its_one_definition():
 
 def test_one_evaluation_path_and_one_den_gradient():
     """The Omega terms, the chart fields and the run store take one path for
-    one state and a stack: none tests ndim or converts to Python floats.
-    The Jacobians are the inner compute of _omega_and_jacobians, and
-    d den / d gamma is written once, in body._den_gradient, for the Jacobians,
-    phi's gradient and the Hessian of Omega . gamma."""
+    one state and a stack: none tests ndim or converts to Python floats (the
+    Jacobians and d den / d gamma are rows of _REFERRERS).  2 gamma is
+    written only in d den / d gamma and in the gradient of |gamma|^2."""
     for name in ("tolist", "ndim"):
         assert not {w.split(".")[0] for m, w, _ in _references(name) if m == "body"} & {
             "_omega_terms", "_field", "_memoized"}
-    assert _references("_jacobians") == []
-    assert {(m, w) for m, w, _ in _references("_den_gradient")} == {
-        ("body", "_omega_and_jacobians.compute"),
-        ("body", "conformal_factor.gradient"),
-        ("rolling", "_omega_dot_gamma_hessian"),
-    }
+    doubled = {(m, top.name) for m, tree in _package_trees() for top in tree.body
+               if isinstance(top, ast.FunctionDef) for node in ast.walk(top)
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+               and {ast.unparse(node.left), ast.unparse(node.right)} == {"2.0", "gamma"}}
+    assert doubled == {("body", "_den_gradient"), ("body", "_gamma_norm_gradient")}
 
 
 def test_one_function_checks_every_patch_output():
-    """Forms and bivectors check shape and antisymmetry in _Patch._checked
-    alone; SymmetricInput is raised nowhere else but unhat and gauge_matrix,
-    so a second copy of the patch check fails here."""
-    assert {(m, w) for m, w, _ in _references("SymmetricInput")} == {
-        ("geometry", "_Patch._checked"),
-        ("geometry", "unhat"),
-        ("brackets", "gauge_matrix"),
-        ("errors", ""),
-    }
+    """Outside body, only the patch classes call _checked (SymmetricInput is a
+    row of _REFERRERS), so a second copy of the patch check fails here."""
     assert {(m, w) for m, w, _ in _references("_checked") if m != "body"} == {
         ("geometry", "FormPatch.__call__"),
         ("geometry", "FormPatch.partial_tensor"),
@@ -281,8 +311,7 @@ def test_one_function_checks_every_patch_output():
 
 def test_the_antisymmetry_residue_is_written_once():
     """The residue rule, max |t + t swapped| above a bound, is computed in
-    geometry._asymmetry alone, and the three preconditions that raise
-    SymmetricInput read it."""
+    geometry._asymmetry alone (its three readers are a row of _REFERRERS)."""
     sites = set()
     for path in sorted(Path(chaplygin.__file__).parent.glob("*.py")):
         for top in ast.walk(ast.parse(path.read_text())):
@@ -295,11 +324,39 @@ def test_the_antisymmetry_residue_is_written_once():
                         and getattr(arg.right.func, "attr", getattr(arg.right.func, "id", None)) in ("swapaxes", "_swap")):
                     sites.add((path.stem, top.name))
     assert sites == {("geometry", "_asymmetry")}
-    assert {(m, w) for m, w, _ in _references("_asymmetry")} == {
-        ("geometry", "_Patch._checked"),
-        ("geometry", "unhat"),
-        ("brackets", "gauge_matrix"),
-    }
+
+
+# The chart table in body: the module-level names that may hold the layout's literals.
+_CHART_TABLE = {"_GAMMA", "_K", "_G", "_X", "_FULL_K", "REDUCED_NAMES", "FULL_NAMES", "REDUCED_DIM", "FULL_DIM",
+                "RHO_INDEX"}
+
+
+def _chart_literals(module: str, tree: ast.Module) -> list:
+    """Each slice with a constant bound of 3, 6, 9, 12 or 15 and each int 6 or 15
+    in a module, but in the assignments of body's chart table."""
+    found = []
+    for top in tree.body:
+        if module == "body" and isinstance(top, ast.Assign) and {
+                n.id for t in top.targets for n in ast.walk(t) if isinstance(n, ast.Name)} <= _CHART_TABLE:
+            continue
+        for node in ast.walk(top):
+            bounds = (node.lower, node.upper, node.step) if isinstance(node, ast.Slice) else ()
+            if any(isinstance(b, ast.Constant) and b.value in (3, 6, 9, 12, 15) for b in bounds) or (
+                    isinstance(node, ast.Constant) and type(node.value) is int and node.value in (6, 15)):
+                found.append(f"{module}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_the_chart_layout_is_declared_once():
+    """The layout of (gamma, K) and (g, x, K) is body's chart table: no module
+    that slices, packs or samples a state restates a block bound or a chart
+    dimension (the joins of blocks are a row of _REFERRERS), and the reduced
+    sampler lives beside the full one in rolling."""
+    trees = dict(_package_trees())
+    chart_modules = ("body", "rolling", "dynamics", "geometry", "scenario", "verify")
+    assert [hit for m in chart_modules for hit in _chart_literals(m, trees[m])] == []
+    assert [m for m, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "sample_reduced_state"] == ["rolling"]
 
 
 # Entries in units of the bound: below, at and above it, far above, and non-finite.

@@ -58,7 +58,7 @@ from chaplygin import (
     twisted_defect,
     wedge_1_2,
 )
-from chaplygin.body import BodyParams
+from chaplygin.body import FULL_NAMES, REDUCED_NAMES, RHO_INDEX, BodyParams, _pack_reduced
 from chaplygin.errors import DegenerateDenominator, NonFiniteState
 from chaplygin.geometry import ScalarField
 
@@ -819,12 +819,21 @@ def test_reduction_consistency_names_an_index_out_of_range(i, j, bad):
 
 
 def test_pack_split_round_trip():
+    """Each chart's packer inverts its split, and the chart table's names say
+    where each block and RHO_INDEX read."""
     g = random_rotation(seed=0)
     x = np.array([0.1, -0.2, 0.3])
     k = np.array([0.4, 0.5, -0.6])
     state = pack_full(g, x, k)
     g2, x2, k2 = split_full(state)
     assert np.array_equal(g, g2) and np.array_equal(x, x2) and np.array_equal(k, k2)
+    for reduced in (sample_reduced_state(seed=1), sample_reduced_state(seed=2, n=5)):
+        packed = _pack_reduced(*split_reduced(reduced))
+        assert packed.shape == reduced.shape and packed.tobytes() == reduced.tobytes()
+    assert [FULL_NAMES[i] for i in RHO_INDEX] == ["g31", "g32", "g33", *REDUCED_NAMES[3:]]
+    for names, split, prefixes in ((REDUCED_NAMES, split_reduced, ("gamma", "K")), (FULL_NAMES, split_full, "gxK")):
+        for block, prefix in zip(split(np.arange(float(len(names)))), prefixes, strict=True):
+            assert block.ravel().tolist() == [i for i, name in enumerate(names) if name.rstrip("123") == prefix]
 
 
 @pytest.mark.parametrize(
