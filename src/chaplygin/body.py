@@ -275,19 +275,22 @@ def _kernel_factory(name: str, zero: bool) -> Callable:
     return _compile(_function(*blocks), name, f"<{name} zero={zero}>", {"inf": math.inf})
 
 
+def _bind(factory: Callable, params: BodyParams, name: str) -> Callable:
+    """The compiled ``name`` of ``factory`` (_kernel_factory or the stepper's
+    _chart_march) for the body's sign, zero or not, bound to its constants."""
+    return factory(name, not params._rank_terms[0])(**params._constants)
+
+
 class _Kernels:
     """A body's callables (see _kernel_factory), each compiled on first use
     and bound to the body's constants: simulate needs omega alone."""
 
     def __init__(self, params: BodyParams):
-        self._constants, self._zero = params._constants, not params._rank_terms[0]
+        self._params = params
 
-    def _bind(self, name: str) -> Callable:
-        return _kernel_factory(name, self._zero)(**self._constants)
-
-    omega = cached_property(lambda self: self._bind("omega"))
-    reduced = cached_property(lambda self: self._bind("reduced"))
-    full = cached_property(lambda self: self._bind("full"))
+    omega = cached_property(lambda self: _bind(_kernel_factory, self._params, "omega"))
+    reduced = cached_property(lambda self: _bind(_kernel_factory, self._params, "reduced"))
+    full = cached_property(lambda self: _bind(_kernel_factory, self._params, "full"))
 
 
 def K_from_omega(params: BodyParams, gamma, omega) -> np.ndarray:

@@ -34,6 +34,7 @@ from .body import (
     _K,
     BodyParams,
     X_nh_full,
+    _bind,
     _chart,
     _compile,
     _stage,
@@ -184,11 +185,6 @@ def _chart_march(chart: str, zero: bool) -> Callable:
     return _compile(source, "march", f"<rk4 march {chart} zero={zero}>", _MARCH_GLOBALS)
 
 
-def _body_march(params: BodyParams, chart: str) -> Callable:
-    """The march of the body's field on ``chart``, bound to its constants."""
-    return _chart_march(chart, not params._rank_terms[0])(**params._constants)
-
-
 def rk4_step(f: Callable[[list], list], y: list, dt: float) -> list:
     """One classical RK4 step of y' = f(y) on a list of Python floats, with
     the march's arithmetic; f maps a sequence of len(y) floats to as many
@@ -280,7 +276,7 @@ def integrate(params: BodyParams, initial, config: IntegratorConfig) -> Trajecto
     if y.shape not in ((REDUCED_DIM,), (FULL_DIM,)):
         raise ValueError(f"expected one 6- or 15-dim initial state, got shape {y.shape}")
     chart, renormalize = ("full", _orthonormal_rows) if y.size == FULL_DIM else ("reduced", None)
-    times, states = _march(_body_march(params, chart), y.tolist(), config, renormalize)
+    times, states = _march(_bind(_chart_march, params, chart), y.tolist(), config, renormalize)
     return Trajectory(times=times, states=states)
 
 
@@ -293,7 +289,7 @@ def reparametrized_integrate(params: BodyParams, initial, config: IntegratorConf
     states are supported; dt and t_final refer to the new time.
     """
     y0 = _one(initial, REDUCED_DIM, "reduced initial state")
-    times, rows = _march(_body_march(params, "reparam"), y0.tolist() + [0.0], config)
+    times, rows = _march(_bind(_chart_march, params, "reparam"), y0.tolist() + [0.0], config)
     return Trajectory(times=times, states=rows[:, :REDUCED_DIM], t_recovered=rows[:, REDUCED_DIM])
 
 

@@ -259,12 +259,6 @@ def wedge_1_2(alpha: np.ndarray, omega: np.ndarray) -> np.ndarray:
     )
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @contextmanager
 def _allocating(shape: tuple):
     """Run the block that builds an array of float64 ``shape``: a shape of
@@ -290,7 +284,7 @@ def _draws(n, dim: int) -> np.ndarray:
 
 def random_rotation(seed=None) -> np.ndarray:
     """Haar-ish random rotation matrix (QR of a Gaussian matrix, sign-fixed)."""
-    return _rotations(_as_rng(seed).standard_normal((3, 3)))
+    return _rotations(np.random.default_rng(seed).standard_normal((3, 3)))
 
 
 def _rotations(a: np.ndarray) -> np.ndarray:

@@ -59,7 +59,6 @@ from .errors import UnsupportedRank
 from .geometry import (
     FormPatch,
     ScalarField,
-    _as_rng,
     _draws,
     _exterior_derivative,
     _indices,
@@ -142,17 +141,19 @@ def _v_vector(params: BodyParams, gamma, K, variant: str, omega) -> np.ndarray:
 
 
 def _omega_jet(params: BodyParams, gamma, K) -> tuple:
-    """(Omega, dOmega, f, df) on the reduced chart, from one evaluation of Omega's
-    Jacobians: dOmega[..., l, i] = d Omega_i / d x_l, f = Omega . gamma and df its gradient."""
+    """(Omega, dOmega, d(f gamma)) on the reduced chart, from one evaluation of Omega's
+    Jacobians: dOmega[..., l, i] = d Omega_i / d x_l and, with f = Omega . gamma,
+    d(f gamma) = df gamma + f d gamma, the product rule written once for dV and dw."""
     omega, d_gamma, d_k = _omega_and_jacobians(params, gamma, K)
+    f = np.vecdot(omega, gamma)
     df = _pack_reduced(_mv(_swap(d_gamma), gamma) + omega, _mv(_swap(d_k), gamma))
-    return omega, _swap(_pack_reduced(d_gamma, d_k)), np.vecdot(omega, gamma), df
+    return omega, _swap(_pack_reduced(d_gamma, d_k)), _outer(df, gamma) + f[..., None, None] * _D_GAMMA
 
 
 def _full_omega_jet(params: BodyParams, g, K) -> tuple:
     """(Omega, dOmega) on the full chart: Omega sees g only through gamma, its third
     row, so dOmega is ``_omega_jet``'s at the rows RHO_INDEX and 0 elsewhere."""
-    omega, d_omega, _, _ = _omega_jet(params, g[..., 2, :], K)
+    omega, d_omega, _ = _omega_jet(params, g[..., 2, :], K)
     out = np.zeros(g.shape[:-2] + (FULL_DIM, 3))
     out[..., RHO_INDEX, :] = d_omega
     return omega, out
@@ -161,10 +162,10 @@ def _full_omega_jet(params: BodyParams, g, K) -> tuple:
 def _v_jet(params: BodyParams, gamma, K, variant: str) -> tuple:
     """(V, dV) with dV[..., l, i] = d V_i / d x_l: V = K + m r^2 (a Omega + b f gamma),
     f = Omega . gamma, is linear in K, Omega and f gamma, so dV is the same formula at
-    their partials (``_omega_jet``), with the product rule on f gamma."""
+    their partials (``_omega_jet``)."""
     a, b = _v_coeffs(params.rank, variant)
-    omega, d_omega, f, df = _omega_jet(params, gamma, K)
-    dv = _D_K + params.mr2 * (a * d_omega + b * (_outer(df, gamma) + f[..., None, None] * _D_GAMMA))
+    omega, d_omega, d_f_gamma = _omega_jet(params, gamma, K)
+    dv = _D_K + params.mr2 * (a * d_omega + b * d_f_gamma)
     return _v_vector(params, gamma, K, variant, omega), dv
 
 
@@ -172,20 +173,21 @@ def _omega_dot_gamma_hessian(params: BodyParams, gamma, K) -> tuple[np.ndarray, 
     """Gradient (..., 6) and Hessian (..., 6, 6) in (gamma, K) of f = Omega . gamma
     at ranks 1 and 2, in closed form: f den = |gamma|^2 (K . u) with u = gamma / n
     and den the denominator of the omega kernel (which also checks it), and
-    every factor of that product has constant second derivatives."""
-    sign, n = params._rank_terms
+    every factor of that product has a gradient linear in (gamma, K, u), so its
+    Hessian is that gradient at their partials (d gamma, dK, d gamma / n)."""
     _, u, den, _ = _omega_terms(params, gamma, K)
-    inv_n = 1.0 / np.array(n)
+    inv_n = 1.0 / np.array(params._rank_terms[1])
+
+    def gradients(gamma, K, u) -> tuple:
+        """The gradients of K . u, |gamma|^2 and den."""
+        return (_pack_reduced(K * inv_n, u), _gamma_norm_gradient(gamma),
+                _pack_reduced(_den_gradient(params, gamma, u), np.zeros_like(u)))
+
     den = np.asarray(den)[..., None]
     gg, ku = np.vecdot(gamma, gamma)[..., None], np.vecdot(K, u)[..., None]
     f = gg * ku / den
-    d_ku = _pack_reduced(K * inv_n, u)
-    d_gg = _gamma_norm_gradient(gamma)
-    d_den = _pack_reduced(_den_gradient(params, gamma, u), np.zeros_like(u))
-    dd_ku = np.zeros((REDUCED_DIM, REDUCED_DIM))
-    dd_ku[_GAMMA, _K] = dd_ku[_K, _GAMMA] = np.diag(inv_n)
-    dd_gg = _gamma_norm_gradient(_D_GAMMA)
-    dd_den = dd_gg + np.diag(_pack_reduced((2.0 * sign * params.mr2) * inv_n, np.zeros(3)))
+    d_ku, d_gg, d_den = gradients(gamma, K, u)
+    dd_ku, dd_gg, dd_den = gradients(_D_GAMMA, _D_K, _D_GAMMA * inv_n)
     df = (gg * d_ku + ku * d_gg - f * d_den) / den
     gg, ku, f, den = gg[..., None], ku[..., None], f[..., None], den[..., None]
     dd_fden = gg * dd_ku + _outer(d_ku, d_gg) + _outer(d_gg, d_ku) + ku * dd_gg
@@ -241,7 +243,7 @@ def annihilator_one_form(params: BodyParams, variant: str = "plain") -> FormPatc
 def twist_two_form(params: BodyParams) -> FormPatch:
     """The gauge 2-form on the reduced space: B_ab = m r^2 f eps_abl gamma_l with
     f = Omega . gamma, the block hat(w) of w = -m r^2 f gamma (``_gamma_block``),
-    so its partials are the block at dw = -m r^2 (df gamma + f d gamma).  Only
+    so its partials are the block at dw = -m r^2 d(f gamma) (``_omega_jet``).  Only
     ranks 1 and 2 (sign = x - p nonzero) carry a nonzero twist."""
     if not params._rank_terms[0]:
         raise UnsupportedRank(f"no reduced gauge 2-form for rank {params.rank}")
@@ -254,8 +256,7 @@ def twist_two_form(params: BodyParams) -> FormPatch:
 
     def partials(s):
         gamma, K = split_reduced(s)
-        _, _, f, df = _omega_jet(params, gamma, K)
-        return _gamma_block(-mr2 * (_outer(df, gamma) + f[..., None, None] * _D_GAMMA))
+        return _gamma_block(-mr2 * _omega_jet(params, gamma, K)[2])
 
     return FormPatch(degree=2, dim=REDUCED_DIM, entries=entries, partials=partials, name="B_red")
 
@@ -310,7 +311,7 @@ def leafwise_two_form(params: BodyParams) -> FormPatch:
 def sample_reduced_state(seed=None, n=None) -> np.ndarray:
     """Random reduced state (gamma, K): gamma uniform on S^2, K uniform in
     [-1,1]^3; with a count n, the stack of n such draws (n, 6)."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     out = _draws(n, REDUCED_DIM)
     for row in out:
         while True:
@@ -330,7 +331,7 @@ def sample_reduced_state(seed=None, n=None) -> np.ndarray:
 def sample_full_state(seed=None, n=None) -> np.ndarray:
     """Random full state: Haar-ish rotation, x and K uniform in [-1,1]^3;
     with a count n, the stack of n such draws (n, 15)."""
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     out = _draws(n, FULL_DIM)
     for row in out:
         row[_G] = rng.standard_normal(9)

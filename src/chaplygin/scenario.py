@@ -13,9 +13,9 @@ Example::
     }
 
 The initial state is either reduced ("gamma" and "K") or full ("g", "x" and
-"K", with "g" a rotation matrix given as 9 row-major numbers); exactly one of
-the two forms must be present.  Validation failures raise ScenarioError
-naming the offending field.
+"K", with "g" a rotation matrix given as 9 row-major numbers or as three
+rows of 3); exactly one of the two forms must be present.  Validation
+failures raise ScenarioError naming the offending field.
 """
 
 from __future__ import annotations
@@ -111,17 +111,12 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError("initial.gamma", f"|gamma| = {norm!r}, must be 1 to 1e-9")
         state = _pack_reduced(gamma, k)
     else:
-        g_rows = initial["g"]
-        if not isinstance(g_rows, (list, tuple)):
-            raise ScenarioError("initial.g", "expected 9 row-major numbers")
-        if len(g_rows) == 9:
-            g = _vector(g_rows, "initial.g", 9).reshape(3, 3)
-        elif len(g_rows) == 3 and all(
-            isinstance(row, (list, tuple)) and len(row) == 3 for row in g_rows
+        g = initial["g"]
+        if isinstance(g, (list, tuple)) and len(g) == 3 and all(
+            isinstance(row, (list, tuple)) and len(row) == 3 for row in g
         ):
-            g = np.vstack([_vector(row, "initial.g", 3) for row in g_rows])
-        else:
-            raise ScenarioError("initial.g", "expected 9 row-major numbers")
+            g = [v for row in g for v in row]  # three rows of 3: the 9 row-major numbers
+        g = _vector(g, "initial.g", 9).reshape(3, 3)
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: a defect of inf or nan
             defect = float(np.linalg.norm(g.T @ g - np.eye(3)))
         if not defect <= 1e-9 or np.linalg.det(g) < 0.0:

@@ -98,7 +98,7 @@ def _conformal_suite(params: BodyParams, states: np.ndarray, variant=None) -> li
         _check(
             "conformal-positive",
             "conformal factor is strictly positive on the sampled states",
-            np.min(phi(states)),
+            np.min(phi(states)),  # the one floor statistic: every other check bounds a maximum
             0.0,
             comparison="gt",
         ),
@@ -175,7 +175,7 @@ def _gauge_suite(params: BodyParams, states: np.ndarray, variant=None) -> list:
             "gauge-dynamical",
             "the gauge 2-form annihilates the constrained flow (i_X B = 0) "
             "and E + B pi stays invertible",
-            np.max(np.sqrt(np.vecdot(i_x_b, i_x_b))),
+            _max_abs(np.sqrt(np.vecdot(i_x_b, i_x_b))),
             1e-9,
         ),
     ]

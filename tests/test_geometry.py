@@ -205,7 +205,7 @@ _REFERRERS = {
     "_den_gradient": {
         ("body", "_omega_and_jacobians.compute"),
         ("body", "conformal_factor.gradient"),
-        ("rolling", "_omega_dot_gamma_hessian"),
+        ("rolling", "_omega_dot_gamma_hessian.gradients"),
     },
     # forms and bivectors check their outputs in _Patch._checked alone, which with unhat and
     # gauge_matrix reads the one antisymmetry test
@@ -219,7 +219,15 @@ _REFERRERS = {
     # the chart table: blocks are joined in the two packers alone (and the CSV tables), and the
     # gradient of |gamma|^2 is written once, for C2 and the Hessian of Omega . gamma
     "concatenate": {("body", "_pack_reduced"), ("body", "pack_full"), ("cli", "_g17_tables")},
-    "_gamma_norm_gradient": {("body", "casimir_gamma_norm"), ("rolling", "_omega_dot_gamma_hessian")},
+    "_gamma_norm_gradient": {
+        ("body", "casimir_gamma_norm"),
+        ("rolling", "_omega_dot_gamma_hessian.gradients"),
+    },
+    # a Generator passes through np.random.default_rng unaltered, so no wrapper stands before it
+    "_as_rng": set(),
+    # a body's compiled code, kernel or march, is bound in one place for the sign it has
+    "_body_march": set(),
+    "_bind": {("body", "_Kernels"), ("dynamics", "integrate"), ("dynamics", "reparametrized_integrate")},
 }
 
 
@@ -283,6 +291,14 @@ def test_each_rule_reads_its_one_definition():
     assert built == ["tuple(_SUITE_FNS)"]
 
 
+def _products(a: str, b: str) -> set:
+    """(module, top-level function) of each product of the texts a and b, in either order."""
+    return {(m, top.name) for m, tree in _package_trees() for top in tree.body
+            if isinstance(top, ast.FunctionDef) for node in ast.walk(top)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and {ast.unparse(node.left), ast.unparse(node.right)} == {a, b}}
+
+
 def test_one_evaluation_path_and_one_den_gradient():
     """The Omega terms, the chart fields and the run store take one path for
     one state and a stack: none tests ndim or converts to Python floats (the
@@ -291,11 +307,16 @@ def test_one_evaluation_path_and_one_den_gradient():
     for name in ("tolist", "ndim"):
         assert not {w.split(".")[0] for m, w, _ in _references(name) if m == "body"} & {
             "_omega_terms", "_field", "_memoized"}
-    doubled = {(m, top.name) for m, tree in _package_trees() for top in tree.body
-               if isinstance(top, ast.FunctionDef) for node in ast.walk(top)
-               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-               and {ast.unparse(node.left), ast.unparse(node.right)} == {"2.0", "gamma"}}
-    assert doubled == {("body", "_den_gradient"), ("body", "_gamma_norm_gradient")}
+    assert _products("2.0", "gamma") == {("body", "_den_gradient"), ("body", "_gamma_norm_gradient")}
+
+
+def test_the_twist_rules_are_written_once():
+    """The product rule d(f gamma) = df gamma + f d gamma is written in the Omega
+    jet alone, and the Hessian of f = Omega . gamma builds no matrix by hand:
+    its constant second derivatives are its factors' gradients at the partials."""
+    assert _products("f[..., None, None]", "_D_GAMMA") == {("rolling", "_omega_jet")}
+    for name in ("diag", "zeros"):
+        assert [w for m, w, _ in _references(name) if w.startswith("_omega_dot_gamma_hessian")] == []
 
 
 def test_one_function_checks_every_patch_output():

@@ -226,7 +226,16 @@ _CORRUPTIONS = {
     "initial": [_MISSING, "x", [0.0]],
     "initial.K": _NOT_A_VECTOR,
     "initial.gamma": _NOT_A_VECTOR[1:] + [[0.0, 0.0, 2.0]],
-    "initial.g": ["x", [1.0] * 4, [2.0, 0, 0, 0, 1, 0, 0, 0, 1], [1.0, 0, 0, 0, 1, 0, 0, 0, -1]],
+    "initial.g": [
+        "x",
+        [1.0] * 4,
+        [2.0, 0, 0, 0, 1, 0, 0, 0, 1],
+        [1.0, 0, 0, 0, 1, 0, 0, 0, -1],
+        # the nested form: a short row, a row holding a string, a non-rotation
+        [[1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, "y", 0.0], [0.0, 0.0, 1.0]],
+        [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ],
     "initial.x": _NOT_A_VECTOR,
     "integrator": [_MISSING, "x"],
     "integrator.dt": [_MISSING, 0.0, -1.0, 1e9] + _NOT_A_NUMBER,
@@ -256,3 +265,15 @@ def test_corrupting_one_field_names_it(data, field, pick):
         scenario_from_dict(data)
     assert err.value.field == field
     assert f"'{field}'" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", _CORRUPTIONS["initial.g"])
+def test_every_corrupt_g_names_it_in_either_form(bad):
+    """Nine row-major numbers and three nested rows go through one parse, so each
+    corruption of g, flat or nested, names initial.g."""
+    data = full_scenario()
+    data["initial"]["g"] = bad
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.field == "initial.g"
+    assert "'initial.g'" in str(err.value)
