@@ -130,21 +130,18 @@ def _sorted_triples(dim: int) -> tuple:
     return tuple(index)
 
 
-def _cyclic_sum(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch] = None, index: Optional[tuple] = None):
+def _cyclic_sum(pi: BivectorPatch, state: np.ndarray, phi: Optional[FormPatch] = None):
     """sum_l [pi_al d_l pi_bc + pi_bl d_l pi_ca + pi_cl d_l pi_ab], plus
-    phi(X_a, X_b, X_c) with X_a = -pi e_a when a 3-form is given.
-
-    ``index`` holds the index arrays a, b and c of the sorted triples (by
-    default ``_sorted_triples``, every one of the chart), one value per
-    triple; a stack of states adds its axis in front.  The twist contracts
-    phi with every X_c once, then with X_b and X_a at each triple.  Every
-    sum is a reduction over the last axis of a fresh product (``_dot``), so
-    a value has the same bits for one state as in a stack, and for one
-    triple as among all of them.
+    phi(X_a, X_b, X_c) with X_a = -pi e_a when a 3-form is given, at every
+    sorted triple a < b < c of the chart (``_sorted_triples``), one value
+    per triple; a stack of states adds its axis in front.  The twist
+    contracts phi with every X_c once, then with X_b and X_a at each triple.
+    Every sum is a reduction over the last axis of a fresh product
+    (``_dot``), so a value has the same bits for one state as in a stack.
     """
     if phi is not None:
         _on_chart(pi, phi, 3, "twist")
-    a, b, c = _sorted_triples(pi.dim) if index is None else index
+    a, b, c = _sorted_triples(pi.dim)
     p, dp = pi.matrix_and_partials(state)
     dp = np.moveaxis(dp, -3, -1)  # dp[..., b, c, l] = d_l pi_bc
     pa, pb, pc = p[..., a, :], p[..., b, :], p[..., c, :]
@@ -345,16 +342,11 @@ def twisted_defect(
 
     Vanishes exactly when the bracket is twisted-Poisson with background
     3-form phi.  Entry [i, j, k] of ``jacobi_tensor(pi, state, phi)``, bit for
-    bit, so with phi = None this is the plain Jacobiator.  A call evaluates
-    the one sorted triple of (i, j, k) (the bracket's jet and phi are still
-    evaluated once, also for a repeated index, which gives exactly 0.0).
+    bit, so with phi = None this is the plain Jacobiator: a call builds the
+    whole tensor and reads its entry.
     """
     _indices(pi.dim, i, j, k)
-    a, b, c = _sorted_triples(pi.dim)
-    s, t, u = sorted((i, j, k))
-    hit = (a == s) & (b == t) & (c == u)  # no sorted triple has a repeated index
-    v = _cyclic_sum(pi, _one(state, pi.dim, "state"), phi, (a[hit], b[hit], c[hit]))
-    return float(-v[0] if _odd((i, j, k)) else v[0]) if v.size else 0.0
+    return float(jacobi_tensor(pi, _one(state, pi.dim, "state"), phi)[i, j, k])
 
 
 def conformal_jacobiator(

@@ -141,19 +141,24 @@ def _v_vector(params: BodyParams, gamma, K, variant: str, omega) -> np.ndarray:
 
 
 def _omega_jet(params: BodyParams, gamma, K) -> tuple:
-    """(Omega, dOmega, d(f gamma)) on the reduced chart, from one evaluation of Omega's
-    Jacobians: dOmega[..., l, i] = d Omega_i / d x_l and, with f = Omega . gamma,
-    d(f gamma) = df gamma + f d gamma, the product rule written once for dV and dw."""
+    """(Omega, dOmega) on the reduced chart, from one evaluation of Omega's Jacobians:
+    dOmega[..., l, i] = d Omega_i / d x_l."""
     omega, d_gamma, d_k = _omega_and_jacobians(params, gamma, K)
+    return omega, _swap(_pack_reduced(d_gamma, d_k))
+
+
+def _f_gamma_partials(gamma, omega, d_omega) -> np.ndarray:
+    """d(f gamma) = df gamma + f d gamma, f = Omega . gamma, from Omega's jet (``_omega_jet``),
+    df read off its gamma and K row blocks: the product rule written once for dV and dw."""
     f = np.vecdot(omega, gamma)
-    df = _pack_reduced(_mv(_swap(d_gamma), gamma) + omega, _mv(_swap(d_k), gamma))
-    return omega, _swap(_pack_reduced(d_gamma, d_k)), _outer(df, gamma) + f[..., None, None] * _D_GAMMA
+    df = _pack_reduced(_mv(d_omega[..., _GAMMA, :], gamma) + omega, _mv(d_omega[..., _K, :], gamma))
+    return _outer(df, gamma) + f[..., None, None] * _D_GAMMA
 
 
 def _full_omega_jet(params: BodyParams, g, K) -> tuple:
     """(Omega, dOmega) on the full chart: Omega sees g only through gamma, its third
     row, so dOmega is ``_omega_jet``'s at the rows RHO_INDEX and 0 elsewhere."""
-    omega, d_omega, _ = _omega_jet(params, g[..., 2, :], K)
+    omega, d_omega = _omega_jet(params, g[..., 2, :], K)
     out = np.zeros(g.shape[:-2] + (FULL_DIM, 3))
     out[..., RHO_INDEX, :] = d_omega
     return omega, out
@@ -162,10 +167,10 @@ def _full_omega_jet(params: BodyParams, g, K) -> tuple:
 def _v_jet(params: BodyParams, gamma, K, variant: str) -> tuple:
     """(V, dV) with dV[..., l, i] = d V_i / d x_l: V = K + m r^2 (a Omega + b f gamma),
     f = Omega . gamma, is linear in K, Omega and f gamma, so dV is the same formula at
-    their partials (``_omega_jet``)."""
+    their partials (``_omega_jet``, ``_f_gamma_partials``)."""
     a, b = _v_coeffs(params.rank, variant)
-    omega, d_omega, d_f_gamma = _omega_jet(params, gamma, K)
-    dv = _D_K + params.mr2 * (a * d_omega + b * d_f_gamma)
+    omega, d_omega = _omega_jet(params, gamma, K)
+    dv = _D_K + params.mr2 * (a * d_omega + b * _f_gamma_partials(gamma, omega, d_omega))
     return _v_vector(params, gamma, K, variant, omega), dv
 
 
@@ -243,7 +248,7 @@ def annihilator_one_form(params: BodyParams, variant: str = "plain") -> FormPatc
 def twist_two_form(params: BodyParams) -> FormPatch:
     """The gauge 2-form on the reduced space: B_ab = m r^2 f eps_abl gamma_l with
     f = Omega . gamma, the block hat(w) of w = -m r^2 f gamma (``_gamma_block``),
-    so its partials are the block at dw = -m r^2 d(f gamma) (``_omega_jet``).  Only
+    so its partials are the block at dw = -m r^2 d(f gamma) (``_f_gamma_partials``).  Only
     ranks 1 and 2 (sign = x - p nonzero) carry a nonzero twist."""
     if not params._rank_terms[0]:
         raise UnsupportedRank(f"no reduced gauge 2-form for rank {params.rank}")
@@ -256,7 +261,7 @@ def twist_two_form(params: BodyParams) -> FormPatch:
 
     def partials(s):
         gamma, K = split_reduced(s)
-        return _gamma_block(-mr2 * _omega_jet(params, gamma, K)[2])
+        return _gamma_block(-mr2 * _f_gamma_partials(gamma, *_omega_jet(params, gamma, K)))
 
     return FormPatch(degree=2, dim=REDUCED_DIM, entries=entries, partials=partials, name="B_red")
 

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import inspect
 import math
 import re
 from pathlib import Path
@@ -29,6 +30,7 @@ from chaplygin import (
     unhat,
     wedge_1_2,
 )
+from chaplygin import brackets
 from chaplygin.brackets import gauge_matrix
 from chaplygin.errors import AllocationFailed
 from chaplygin.geometry import FD_CBRT_EPS, _asymmetry, fd_step
@@ -193,6 +195,18 @@ _REFERRERS = {
     # full jet and the gauge form take Omega's partials from it; the hand-built bracket base is gone
     "_omega_jet": {("rolling", "_full_omega_jet"), ("rolling", "_v_jet"), ("rolling", "twist_two_form.partials")},
     "_full_omega_jet": {("rolling", "nh_bracket_full.jet"), ("rolling", "gauge_form_on_M.partials")},
+    # d(f gamma) is taken where the reduced chart needs it, never on the way to the full jet
+    "_f_gamma_partials": {("rolling", "_v_jet"), ("rolling", "twist_two_form.partials")},
+    # one evaluation path for the Jacobi defects: every sorted triple, in jacobi_tensor for the
+    # per-triple functions and straight for the verify suites, which never build the whole tensor
+    "_sorted_triples": {("brackets", "_cyclic_sum"), ("brackets", "jacobi_tensor")},
+    "_cyclic_sum": {
+        ("brackets", "jacobi_tensor"),
+        ("verify", "_jacobi_residual.compute"),
+        ("verify", "_conformal_suite"),
+        ("verify", "_twisted_suite"),
+    },
+    "_odd": {("brackets", "jacobi_tensor")},
     "_BRACKET_BASE": set(),
     "_omega_dot_gamma_grads": set(),
     # d is assembled in one place, with no hat basis of the twist forms' own
@@ -259,6 +273,14 @@ def test_run_sharing_stays_inside_verify_runs():
     assert assigned == {"__all__", "SUITE_NAMES", "_SUITE_FNS"}
 
 
+def test_one_evaluation_path_for_the_jacobi_defects():
+    """_cyclic_sum evaluates every sorted triple and takes no triple index, and
+    the per-triple functions read their entry of jacobi_tensor (the readers of
+    _cyclic_sum and _sorted_triples are rows of _REFERRERS)."""
+    assert list(inspect.signature(brackets._cyclic_sum).parameters) == ["pi", "state", "phi"]
+    assert ("brackets", "twisted_defect") in {(m, w) for m, w, _ in _references("jacobi_tensor")}
+
+
 def test_one_omega_jet_per_chart():
     """Inside rolling only _omega_jet reads Omega's Jacobians (its readers are
     rows of _REFERRERS)."""
@@ -311,10 +333,11 @@ def test_one_evaluation_path_and_one_den_gradient():
 
 
 def test_the_twist_rules_are_written_once():
-    """The product rule d(f gamma) = df gamma + f d gamma is written in the Omega
-    jet alone, and the Hessian of f = Omega . gamma builds no matrix by hand:
-    its constant second derivatives are its factors' gradients at the partials."""
-    assert _products("f[..., None, None]", "_D_GAMMA") == {("rolling", "_omega_jet")}
+    """The product rule d(f gamma) = df gamma + f d gamma is written in
+    _f_gamma_partials alone (its readers are a row of _REFERRERS), and the
+    Hessian of f = Omega . gamma builds no matrix by hand: its constant second
+    derivatives are its factors' gradients at the partials."""
+    assert _products("f[..., None, None]", "_D_GAMMA") == {("rolling", "_f_gamma_partials")}
     for name in ("diag", "zeros"):
         assert [w for m, w, _ in _references(name) if w.startswith("_omega_dot_gamma_hessian")] == []
 
